@@ -17,11 +17,10 @@
 //!   (the preamble feature bit that varint-packs coordinates and answer
 //!   vectors), plus static `wire_bytes_batch1000_*` rows pinning the
 //!   bytes per batch round trip under each encoding;
-//! * `plan/marginal` and `plan/topk` — the typed query algebra's hot
-//!   aggregate plans (`QueryPlan::Marginal` / `QueryPlan::TopK`) over
-//!   both TCP encodings, measuring plans/sec (each plan scans the full
-//!   release, so these are orders of magnitude below range-sum rates by
-//!   design);
+//! * `plan/*_indexed` — the typed query algebra's hot aggregate plans
+//!   (`QueryPlan::Marginal` / `QueryPlan::TopK`) over both TCP
+//!   encodings and in-process, answered from the release index once one
+//!   warming request has built it;
 //! * `plan/*_pyramid` — coarse aggregates over a 1024×1024 release
 //!   routed through the resolution pyramid (`DrillDown { level: 4 }`
 //!   answers from a memoized 64×64 coarse level, derived from the
@@ -31,7 +30,7 @@
 //! * `tcp/eventloop-cN` — request/response `DPRB` traffic from N
 //!   concurrent connections (1, 64, 512) against the epoll front end
 //!   (one loop shard, pinned) on a fixed 8-worker pool, plus a
-//!   `tcp/pool-c64` row from the legacy thread-per-connection front end
+//!   `tcp/pool-c64` row from the thread-per-connection fallback
 //!   at the same worker count — the many-analysts shape the event loop
 //!   exists for;
 //! * `replay_plans_c1024_eventloop_shards4` — the replay load generator
@@ -593,10 +592,10 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // Trajectory measurements (fixed work, direct wall-clock). Smoke
     // mode shrinks everything: the point is then "the paths still
     // answer correctly end to end", not the numbers.
-    let (rounds, tcp_n, bin_n, bin_rounds, plan_n, indexed_n, handle_n) = if smoke() {
-        (1, 1_000, 2_000, 3, 20, 200, 500)
+    let (rounds, tcp_n, bin_n, bin_rounds, indexed_n, handle_n) = if smoke() {
+        (1, 1_000, 2_000, 3, 200, 500)
     } else {
-        (10, 10_000, 50_000, 200, 400, 50_000, 200_000)
+        (10, 10_000, 50_000, 200, 50_000, 200_000)
     };
     let single_qps = measure_qps(&server, &requests, rounds);
     let batch_qps = measure_batch_qps(&server, rounds);
@@ -609,39 +608,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let marginal = QueryPlan::Marginal { keep: vec![0] };
     let topk = QueryPlan::TopK { k: 10 };
 
-    // Cold rows: the pre-index behavior (every plan rescans the dense
-    // estimate). The kill-switch keeps these measurable — and the
-    // trajectory labels comparable across PRs — now that plans are
-    // served indexed by default.
-    server.set_indexed_plans(false);
-    let marginal_json_qps = measure_tcp_plan_qps(
-        Arc::clone(&server),
-        "gauss-ebp",
-        marginal.clone(),
-        plan_n,
-        false,
-    );
-    let marginal_bin_qps = measure_tcp_plan_qps(
-        Arc::clone(&server),
-        "gauss-ebp",
-        marginal.clone(),
-        plan_n,
-        true,
-    );
-    let topk_json_qps = measure_tcp_plan_qps(
-        Arc::clone(&server),
-        "gauss-ebp",
-        topk.clone(),
-        plan_n,
-        false,
-    );
-    let topk_bin_qps =
-        measure_tcp_plan_qps(Arc::clone(&server), "gauss-ebp", topk.clone(), plan_n, true);
-
     // Indexed rows: the prepare/execute path. One warming request per
     // plan shape builds the release's memoized structures; the
     // measurement is then the steady state an analyst dashboard sees.
-    server.set_indexed_plans(true);
     let _ = measure_handle_plan_qps(&server, marginal.clone(), 1);
     let _ = measure_handle_plan_qps(&server, topk.clone(), 1);
     let marginal_json_ix_qps = measure_tcp_plan_qps(
@@ -752,7 +721,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     server.remove_release(big);
 
     // Concurrent-connection rows, fixed 8-worker pool: the event loop
-    // at 1 / 64 / 512 connections, and the legacy pool at 64 (where its
+    // at 1 / 64 / 512 connections, and the pool fallback at 64 (where its
     // thread-per-connection model serializes into waves of 8).
     let (ev_n1, ev_n64, ev_n512, pool_n64) = if smoke() {
         (200, 6, 2, 6)
@@ -787,11 +756,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
          unpacked {batch_bytes_unpacked} B, packed {batch_bytes_packed} B \
          ({:.2}x smaller)",
         batch_bytes_unpacked as f64 / batch_bytes_packed as f64
-    );
-    println!(
-        "serve_throughput plans (cold scan): marginal json {:.0}/s binary {:.0}/s, \
-         topk json {:.0}/s binary {:.0}/s",
-        marginal_json_qps, marginal_bin_qps, topk_json_qps, topk_bin_qps
     );
     println!(
         "serve_throughput plans (indexed): marginal json {:.0}/s binary {:.0}/s \
@@ -855,22 +819,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
             "wire_bytes_batch1000_packed".to_string(),
             SIDE as f64,
             batch_bytes_packed as f64,
-        ),
-        (
-            "tcp_plan_marginal_json".to_string(),
-            SIDE as f64,
-            marginal_json_qps,
-        ),
-        (
-            "tcp_plan_marginal_binary".to_string(),
-            SIDE as f64,
-            marginal_bin_qps,
-        ),
-        ("tcp_plan_topk_json".to_string(), SIDE as f64, topk_json_qps),
-        (
-            "tcp_plan_topk_binary".to_string(),
-            SIDE as f64,
-            topk_bin_qps,
         ),
         (
             "tcp_plan_marginal_json_indexed".to_string(),

@@ -2,6 +2,7 @@
 
 use dpod_cli::commands::{self, GenerateArgs, SanitizeArgs};
 use dpod_cli::{registry, CliError};
+use std::io::Read;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -18,8 +19,8 @@ USAGE:
                 [--epoch T [--retain K] [--series-budget EPS]]
   dpod serve    --catalog DIR [--addr HOST:PORT] [--workers N]
                 [--cache-mb M] [--index-mb M] [--wire auto|json|binary]
-                [--front-end event|pool] [--event-loops N]
-                [--listen-backlog N] [--metrics-addr HOST:PORT]
+                [--event-loops N] [--listen-backlog N]
+                [--metrics-addr HOST:PORT]
                 [--retain-ttl SECS [--retain-last K]]
   dpod inspect  --release release.json
   dpod query    --release release.json --range SPEC [--range SPEC]...
@@ -62,6 +63,9 @@ EPOCHS: --epoch T publishes NAME as epoch T of its series (catalog
         Window plans slide over a series, e.g.
         {\"Window\":{\"select\":{\"LastK\":{\"k\":4}},\"merge\":\"Sum\",
         \"plan\":\"Total\"}}
+NOISE SEED: sanitize and publish draw their noise seed from
+            /dev/urandom. --seed S fixes it for reproducible tests and
+            prints a warning: a known seed reveals the noise.
 MECHANISMS: see `dpod mechanisms`
 SERVE WIRE: newline-delimited JSON by default; e.g.
             {\"Query\":{\"release\":\"NAME\",\"lo\":[0,0],\"hi\":[4,4]}}
@@ -72,9 +76,9 @@ SERVE WIRE: newline-delimited JSON by default; e.g.
             clients advertise the varint-packed frame feature bit
             (fewer wire bytes; old servers refuse, old frames
             unchanged).
-SERVE CORE: --front-end event (default) serves many idle connections on
-            a few workers via epoll readiness loops; --front-end pool
-            is the legacy thread-per-connection kill-switch. The event
+SERVE CORE: many idle connections are served on a few workers via
+            epoll readiness loops (a thread-per-connection pool takes
+            over where epoll is unavailable). The event
             core runs --event-loops N shards, each with its own epoll fd
             and SO_REUSEPORT listener (default: DPOD_EVENT_LOOPS, then
             min(4, cores/2)). --listen-backlog N sizes every listener's
@@ -134,7 +138,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     cells: opts.parse_or("cells", 16)?,
                     epsilon: opts.parse_require("epsilon")?,
                     mechanism: opts.get("mechanism").unwrap_or("daf-entropy").to_string(),
-                    seed: opts.parse_or("seed", 0)?,
+                    seed: noise_seed(&opts)?,
                 },
             )?;
             opts.write_or_return("out", json)
@@ -191,7 +195,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     cells: opts.parse_or("cells", 16)?,
                     epsilon: opts.parse_require("epsilon")?,
                     mechanism: opts.get("mechanism").unwrap_or("daf-entropy").to_string(),
-                    seed: opts.parse_or("seed", 0)?,
+                    seed: noise_seed(&opts)?,
                 },
                 &opts.require("name")?,
                 &PathBuf::from(opts.require("catalog")?),
@@ -217,10 +221,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
             })
         }
         "serve" => {
-            let front_end = match opts.get("front-end") {
-                Some(v) => Some(v.parse::<dpod_serve::FrontEnd>().map_err(CliError)?),
-                None => None,
-            };
             let (handle, server, metrics) = commands::start_server(&commands::ServeArgs {
                 catalog: PathBuf::from(opts.require("catalog")?),
                 addr: opts.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
@@ -228,7 +228,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 cache_mb: opts.parse_or("cache-mb", 256)?,
                 index_mb: opts.parse_or("index-mb", 64)?,
                 wire: opts.parse_or("wire", dpod_serve::WireMode::Auto)?,
-                front_end,
                 event_loops: opts.parse_or("event-loops", 0)?,
                 listen_backlog: opts.parse_or("listen-backlog", 1024)?,
                 metrics_addr: opts.get("metrics-addr").map(str::to_string),
@@ -279,6 +278,26 @@ fn run(args: &[String]) -> Result<String, CliError> {
         "mechanisms" => Ok(format!("{}\n", registry::mechanism_names().join("\n"))),
         other => Err(format!("unknown command '{other}'").into()),
     }
+}
+
+/// The noise seed for `sanitize` and `publish`. Without `--seed` it is
+/// 8 fresh bytes of OS entropy, so no two releases share a noise vector.
+/// A given `--seed` is honoured with a warning: anyone who learns it can
+/// regenerate the noise and subtract it from the release.
+fn noise_seed(opts: &Opts) -> Result<u64, CliError> {
+    if opts.get("seed").is_some() {
+        let seed = opts.parse_require("seed")?;
+        eprintln!(
+            "warning: --seed makes this release deterministic; anyone who knows the seed \
+             can regenerate its noise"
+        );
+        return Ok(seed);
+    }
+    let mut bytes = [0u8; 8];
+    std::fs::File::open("/dev/urandom")
+        .and_then(|mut f| f.read_exact(&mut bytes))
+        .map_err(|e| CliError(format!("cannot read /dev/urandom for a noise seed: {e}")))?;
+    Ok(u64::from_le_bytes(bytes))
 }
 
 /// Flat `--key value` option bag (with repeatable `--range`).

@@ -10,9 +10,7 @@ use dpod_fmatrix::Shape;
 use dpod_obs::HistogramSnapshot;
 use dpod_query::{plan, Answer, QueryPlan, ReleaseIndex};
 use dpod_serve::protocol::{Request, Response};
-use dpod_serve::{
-    series, Catalog, FrontEnd, MetricsExporter, Server, ServerHandle, SpawnOptions, WireMode,
-};
+use dpod_serve::{series, Catalog, MetricsExporter, Server, ServerHandle, SpawnOptions, WireMode};
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
@@ -258,9 +256,6 @@ pub struct ServeArgs {
     pub index_mb: usize,
     /// Accepted encodings (`auto` sniffs per connection).
     pub wire: WireMode,
-    /// Serving core (`--front-end event|pool`); `None` resolves to the
-    /// `DPOD_FRONT_END` environment variable, then the event loop.
-    pub front_end: Option<FrontEnd>,
     /// Event-loop shards (`--event-loops`); `0` resolves to the
     /// `DPOD_EVENT_LOOPS` environment variable, then `min(4, cores/2)`.
     pub event_loops: usize,
@@ -318,7 +313,6 @@ pub fn start_server(
         SpawnOptions {
             workers: args.workers,
             wire: args.wire,
-            front_end: args.front_end,
             event_loops: args.event_loops,
             listen_backlog: args.listen_backlog,
             ..SpawnOptions::default()
@@ -1531,7 +1525,6 @@ mod tests {
             cache_mb: 64,
             index_mb: 64,
             wire: WireMode::Auto,
-            front_end: None,
             event_loops: 0,
             listen_backlog: 1024,
             metrics_addr: None,
@@ -1659,7 +1652,6 @@ mod tests {
             cache_mb: 64,
             index_mb: 64,
             wire: WireMode::Auto,
-            front_end: None,
             event_loops: 0,
             listen_backlog: 1024,
             metrics_addr: None,
@@ -1710,7 +1702,6 @@ mod tests {
             cache_mb: 1,
             index_mb: 1,
             wire: WireMode::Auto,
-            front_end: None,
             event_loops: 0,
             listen_backlog: 1024,
             metrics_addr: None,
@@ -1772,7 +1763,6 @@ mod tests {
             cache_mb: 64,
             index_mb: 64,
             wire: WireMode::Auto,
-            front_end: None,
             event_loops: 0,
             listen_backlog: 1024,
             metrics_addr: None,
@@ -1885,7 +1875,6 @@ mod tests {
             cache_mb: 64,
             index_mb: 64,
             wire: WireMode::Auto,
-            front_end: None,
             event_loops: 0,
             listen_backlog: 1024,
             metrics_addr: None,
@@ -1981,7 +1970,6 @@ mod tests {
             cache_mb: 64,
             index_mb: 64,
             wire: WireMode::Auto,
-            front_end: Some(FrontEnd::Event),
             event_loops: 0,
             listen_backlog: 1024,
             metrics_addr: None,

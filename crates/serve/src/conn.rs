@@ -1,13 +1,14 @@
-//! Per-connection protocol state machines for the event-driven front
-//! end: incremental assembly of NDJSON lines and `DPRB` frames from
-//! partial, nonblocking reads.
+//! The only framing parser and the one item executor, shared by both
+//! TCP front ends: incremental assembly of NDJSON lines and `DPRB`
+//! frames from partial reads, and [`run_job`], which answers what was
+//! assembled.
 //!
 //! The [`Assembler`] is deliberately socket-free — it consumes byte
 //! chunks in whatever sizes the kernel delivers them and emits
 //! [`WorkItem`]s, so a slow-loris client feeding one byte per read
 //! produces exactly the same items as a pipelined client delivering a
-//! megabyte at once (the unit tests below pin this byte-at-a-time).
-//! All protocol semantics mirror the blocking thread-pool front end:
+//! megabyte at once (the unit tests below pin this for any split). The
+//! protocol rules it enforces:
 //!
 //! * the encoding sniff matches the available prefix against the `DPRB`
 //!   magic and never consumes bytes from a JSON client;
@@ -17,11 +18,16 @@
 //!   [`wire::MAX_FRAME_BYTES`] — or truncated by EOF mid-frame — cannot
 //!   be resynced: the stream is poisoned with one final error item.
 //!
-//! Decoding (JSON parse, frame-body decode) and execution stay on the
-//! worker pool; the event loop only runs this framing layer.
+//! Framing, decoding (JSON parse, frame-body decode) and execution all
+//! run on worker threads: the event front end's loops only move raw
+//! bytes, and the pool front end's workers own their sockets.
 
-use crate::server::{WireMode, MAX_LINE_BYTES};
+use crate::metrics::{Stage, Transport, KIND_UNDECODABLE};
+use crate::protocol::{Request, Response};
+use crate::server::{ResponseEncoding, Server, WireMode, MAX_LINE_BYTES};
 use crate::wire;
+use dpod_obs::Span;
+use std::sync::Arc;
 
 /// One unit of work extracted from a connection's byte stream, in
 /// arrival order. The worker that owns the connection's queue turns
@@ -126,9 +132,8 @@ impl Assembler {
         self.compact();
     }
 
-    /// Marks end-of-stream: a trailing unterminated JSON line is served
-    /// (exactly as the blocking front end's `read_line` would), while a
-    /// partial `DPRB` frame or preamble is a truncation.
+    /// Marks end-of-stream: a trailing unterminated JSON line is served,
+    /// while a partial `DPRB` frame or preamble is a truncation.
     pub(crate) fn push_eof(&mut self) {
         if self.poisoned || self.eof {
             return;
@@ -184,11 +189,11 @@ impl Assembler {
         }
     }
 
-    /// The encoding sniff, byte-for-byte the blocking front end's: the
-    /// available prefix is matched against the `DPRB` magic, committing
-    /// to binary (and consuming the 5-byte preamble) only on a full
-    /// match — so no byte of a JSON stream is ever consumed, and a
-    /// preamble arriving one byte at a time still selects binary.
+    /// The encoding sniff: the available prefix is matched against the
+    /// `DPRB` magic, committing to binary (and consuming the 5-byte
+    /// preamble) only on a full match — so no byte of a JSON stream is
+    /// ever consumed, and a preamble arriving one byte at a time still
+    /// selects binary.
     fn sniff(&mut self) -> bool {
         let avail = &self.buf[self.pos..];
         if avail.is_empty() {
@@ -255,9 +260,9 @@ impl Assembler {
         {
             Some(i) => {
                 // The bound applies even when the newline shows up in
-                // the same chunk that crossed it: the blocking front
-                // end's `Read::take(MAX_LINE_BYTES)` refuses any line
-                // whose content reaches the cap, newline or not.
+                // the same chunk that crossed it: any line whose content
+                // reaches the cap is refused, newline or not, so the
+                // outcome cannot depend on read boundaries.
                 if i as u64 >= MAX_LINE_BYTES {
                     self.poison(WorkItem::Desync {
                         as_binary: false,
@@ -278,8 +283,7 @@ impl Assembler {
                         message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                     });
                 } else if self.eof && !avail.is_empty() {
-                    // A final unterminated line is still a request, as
-                    // it is under the blocking `read_line` loop.
+                    // A final unterminated line is still a request.
                     let line = avail.to_vec();
                     self.pos = self.buf.len();
                     self.items.push(WorkItem::JsonLine(line));
@@ -334,6 +338,76 @@ impl Assembler {
         self.pos += total;
         true
     }
+}
+
+/// Turns one connection's ordered work items into response bytes.
+/// Returns `(bytes, close_after)`; the one item executor both front
+/// ends' workers call. Execution and serialization are fused in
+/// [`Server::handle_encoded`] (that fusion is what lets a warm
+/// encoded-memo hit skip both), so the execute lap covers them and the
+/// encode lap is the memcpy into the connection's write buffer.
+/// `packed` selects the packed `DPRB` response opcodes for peers that
+/// negotiated them.
+pub(crate) fn run_job(server: &Server, items: Vec<WorkItem>, packed: bool) -> (Vec<u8>, bool) {
+    let metrics = server.metrics();
+    let frame_enc = if packed {
+        ResponseEncoding::BinaryPacked
+    } else {
+        ResponseEncoding::Binary
+    };
+    let mut out = Vec::new();
+    for item in items {
+        let mut span = Span::start();
+        let (transport, enc, decoded) = match item {
+            WorkItem::JsonLine(bytes) => {
+                // Invalid UTF-8 cannot be a JSON request line: the
+                // connection closes without a reply.
+                let Ok(line) = std::str::from_utf8(&bytes) else {
+                    return (out, true);
+                };
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let decoded = serde_json::from_str::<Request>(line.trim_end());
+                (
+                    Transport::Json,
+                    ResponseEncoding::Json,
+                    decoded.map_err(|e| e.to_string()),
+                )
+            }
+            WorkItem::Frame(body) => {
+                let decoded = wire::decode_request(&body).map_err(|e| e.to_string());
+                (Transport::Binary, frame_enc, decoded)
+            }
+            WorkItem::Desync { as_binary, message } => {
+                let (transport, enc) = if as_binary {
+                    (Transport::Binary, ResponseEncoding::Binary)
+                } else {
+                    (Transport::Json, ResponseEncoding::Json)
+                };
+                metrics.count_request_index(transport, KIND_UNDECODABLE);
+                out.extend_from_slice(&enc.encode(&Response::Error { message }));
+                return (out, true);
+            }
+            WorkItem::SilentClose => return (out, true),
+        };
+        let encoded = match decoded {
+            Ok(request) => {
+                metrics.count_request(transport, &request);
+                server.handle_encoded(&request, enc)
+            }
+            Err(e) => {
+                metrics.count_request_index(transport, KIND_UNDECODABLE);
+                Arc::new(enc.encode(&Response::Error {
+                    message: format!("bad request: {e}"),
+                }))
+            }
+        };
+        span.lap(metrics.stage(transport, Stage::Execute));
+        out.extend_from_slice(&encoded);
+        span.finish(metrics.stage(transport, Stage::Encode));
+    }
+    (out, false)
 }
 
 #[cfg(test)]
@@ -488,7 +562,7 @@ mod tests {
         assert!(a.take_items().is_empty());
 
         // The cap binds even when the newline arrives in the chunk
-        // that crosses it (parity with the blocking `Read::take` path):
+        // that crosses it:
         // content of exactly MAX_LINE_BYTES is refused…
         let mut a = Assembler::new(WireMode::Auto);
         a.push(&vec![b'x'; MAX_LINE_BYTES as usize]);
@@ -582,6 +656,93 @@ mod tests {
                 assert!(message.contains("version"), "{message}");
             }
             other => panic!("expected version refusal, got {other:?}"),
+        }
+    }
+
+    /// One stream piece: every framing the assembler meets, valid or
+    /// not, plus raw noise drawn from the bytes its state machine keys
+    /// on.
+    fn piece(kind: usize, param: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        match kind % 10 {
+            0 | 1 => {
+                out.extend_from_slice(wire::WIRE_MAGIC);
+                out.push(
+                    wire::WIRE_VERSION
+                        | if kind % 10 == 1 {
+                            wire::WIRE_FEATURE_PACKED
+                        } else {
+                            0
+                        },
+                );
+            }
+            2 => {
+                out.extend_from_slice(wire::WIRE_MAGIC);
+                out.push(wire::WIRE_VERSION + 1 + (param % 3) as u8);
+            }
+            3 => out.extend_from_slice(b"{\"Plan\":{\"release\":\"a\",\"plan\":\"Total\"}}\n"),
+            4 => out.extend_from_slice(&b"  \n"[(param % 3) as usize..]),
+            5 => wire::write_frame(&mut out, &wire::encode_request(&Request::List)).unwrap(),
+            6 => {
+                let body: Vec<u8> = (0..param % 12).map(|i| (param >> i) as u8).collect();
+                wire::write_frame(&mut out, &body).unwrap();
+            }
+            7 => out.extend_from_slice(&(wire::MAX_FRAME_BYTES + 1).to_le_bytes()),
+            8 if param.is_multiple_of(16) => {
+                out.resize(MAX_LINE_BYTES as usize + (param % 5) as usize, b'x')
+            }
+            _ => {
+                const NOISE: &[u8] = b"DPRB\n\x01\x00\xff{\" ";
+                out.extend(
+                    (0..1 + param % 7).map(|i| NOISE[(param >> (4 * i)) as usize % NOISE.len()]),
+                );
+            }
+        }
+        out
+    }
+
+    /// Feeds `chunks` in order (then EOF when asked) and returns the
+    /// assembler's full observable outcome.
+    fn feed(mode: WireMode, chunks: &[&[u8]], eof: bool) -> (Vec<WorkItem>, bool, bool) {
+        let mut a = Assembler::new(mode);
+        let mut items = Vec::new();
+        for chunk in chunks {
+            a.push(chunk);
+            items.extend(a.take_items());
+        }
+        if eof {
+            a.push_eof();
+        }
+        items.extend(a.take_items());
+        (items, a.poisoned(), a.packed())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Read boundaries are invisible: any split of a stream yields
+        /// exactly the items (and poison and packed state) that feeding
+        /// it whole does, on every endpoint mode.
+        #[test]
+        fn any_split_assembles_like_the_whole_stream(
+            mode in 0usize..3,
+            pieces in proptest::prop::collection::vec((0usize..10, proptest::any::<u64>()), 0..10),
+            cut_seeds in proptest::prop::collection::vec(proptest::any::<u64>(), 0..8),
+            eof in proptest::any::<bool>(),
+        ) {
+            let mode = [WireMode::Auto, WireMode::Json, WireMode::Binary][mode];
+            let stream: Vec<u8> = pieces.iter().flat_map(|&(k, p)| piece(k, p)).collect();
+            let mut cuts: Vec<usize> = cut_seeds
+                .iter()
+                .map(|s| (*s % (stream.len() as u64 + 1)) as usize)
+                .collect();
+            cuts.push(0);
+            cuts.push(stream.len());
+            cuts.sort_unstable();
+            let chunks: Vec<&[u8]> = cuts.windows(2).map(|w| &stream[w[0]..w[1]]).collect();
+            let whole = feed(mode, &[&stream], eof);
+            let split = feed(mode, &chunks, eof);
+            proptest::prop_assert!(whole == split, "split {:?} diverged on {} bytes", cuts, stream.len());
         }
     }
 

@@ -2,12 +2,12 @@
 //! owning its own poller, connection slab, and waker; `N` pool workers
 //! serve `M ≫ N` connections across all shards.
 //!
-//! The thread-pool front end ([`crate::spawn_with`] with
-//! [`FrontEnd::Pool`](crate::FrontEnd::Pool)) dedicates a worker to each
-//! open connection, so an idle analyst pins a thread and concurrency is
-//! capped at the pool size. Here, open connections are plain state —
-//! byte buffers plus a worker-side [`conn::Assembler`](crate::conn) —
-//! registered with one shard's [`polling::Poller`]. Division of labor:
+//! The pool fallback ([`FrontEnd::Pool`](crate::FrontEnd::Pool))
+//! dedicates a worker to each open connection, so an idle analyst pins
+//! a thread and concurrency is capped at the pool size. Here, open
+//! connections are plain state — byte buffers plus a worker-side
+//! [`conn::Assembler`](crate::conn) — registered with one shard's
+//! [`polling::Poller`]. Division of labor:
 //!
 //! * **loop shards** — accept, nonblocking reads (raw bytes only — no
 //!   protocol framing), slow-path writes, idle sweeps over their own
@@ -17,8 +17,9 @@
 //!   off the loops entirely;
 //! * **workers** — protocol framing (the connection's `Assembler` lives
 //!   in [`ConnShared`] behind a mutex only the single in-flight worker
-//!   takes), request decode, [`Server::handle`], response encode, and
-//!   the **direct-write fast path**: when the connection had no
+//!   takes), then [`conn::run_job`](crate::conn) — request decode,
+//!   [`Server::handle_encoded`], response bytes — and the
+//!   **direct-write fast path**: when the connection had no
 //!   backlogged outbound bytes at dispatch, the worker writes the
 //!   encoded response straight to the nonblocking socket itself, so the
 //!   reply path is worker → client with no loop hop and no `eventfd`
@@ -79,11 +80,9 @@
 //! `now + drain_ms` in shared state and every shard drains toward that
 //! same instant, so a shard that wakes late cannot extend the barrier.
 
-use crate::conn::{Assembler, WorkItem};
-use crate::metrics::{ShardMetrics, Stage, Transport, KIND_UNDECODABLE};
-use crate::protocol::{Request, Response};
-use crate::server::{ResponseEncoding, Server, WireMode};
-use crate::wire;
+use crate::conn::{run_job, Assembler, WorkItem};
+use crate::metrics::{ShardMetrics, Stage, Transport};
+use crate::server::{Server, WireMode};
 use dpod_obs::Span;
 use polling::{Interest, Poller, Waker};
 use std::io::{ErrorKind, Read, Write};
@@ -433,91 +432,6 @@ fn parse_unit(server: &Server, unit: &JobUnit) -> (Transport, bool, Vec<WorkItem
         );
     }
     (transport, packed, items)
-}
-
-/// Turns one connection's ordered work items into response bytes.
-/// Returns `(bytes, close_after)`; shared by every worker. Execution
-/// and serialization are fused in [`Server::handle_encoded`] (that
-/// fusion is what lets a warm encoded-memo hit skip both), so the
-/// execute lap covers them and the encode lap is the memcpy into the
-/// connection's write buffer. `packed` selects the packed `DPRB`
-/// response opcodes for peers that negotiated them.
-fn run_job(server: &Server, items: Vec<WorkItem>, packed: bool) -> (Vec<u8>, bool) {
-    let metrics = server.metrics();
-    let frame_enc = if packed {
-        ResponseEncoding::BinaryPacked
-    } else {
-        ResponseEncoding::Binary
-    };
-    let mut out = Vec::new();
-    for item in items {
-        match item {
-            WorkItem::JsonLine(bytes) => {
-                let mut span = Span::start();
-                // Invalid UTF-8 closes the connection, as the blocking
-                // front end's `read_line` error does.
-                let Ok(line) = std::str::from_utf8(&bytes) else {
-                    return (out, true);
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let encoded = match serde_json::from_str::<Request>(line.trim_end()) {
-                    Ok(request) => {
-                        metrics.count_request(Transport::Json, &request);
-                        server.handle_encoded(&request, ResponseEncoding::Json)
-                    }
-                    Err(e) => {
-                        metrics.count_request_index(Transport::Json, KIND_UNDECODABLE);
-                        Arc::new(ResponseEncoding::Json.encode(&Response::Error {
-                            message: format!("bad request: {e}"),
-                        }))
-                    }
-                };
-                span.lap(metrics.stage(Transport::Json, Stage::Execute));
-                out.extend_from_slice(&encoded);
-                span.finish(metrics.stage(Transport::Json, Stage::Encode));
-            }
-            WorkItem::Frame(body) => {
-                let mut span = Span::start();
-                let encoded = match wire::decode_request(&body) {
-                    Ok(request) => {
-                        metrics.count_request(Transport::Binary, &request);
-                        server.handle_encoded(&request, frame_enc)
-                    }
-                    Err(e) => {
-                        metrics.count_request_index(Transport::Binary, KIND_UNDECODABLE);
-                        Arc::new(frame_enc.encode(&Response::Error {
-                            message: format!("bad request: {e}"),
-                        }))
-                    }
-                };
-                span.lap(metrics.stage(Transport::Binary, Stage::Execute));
-                out.extend_from_slice(&encoded);
-                span.finish(metrics.stage(Transport::Binary, Stage::Encode));
-            }
-            WorkItem::Desync { as_binary, message } => {
-                let transport = if as_binary {
-                    Transport::Binary
-                } else {
-                    Transport::Json
-                };
-                metrics.count_request_index(transport, KIND_UNDECODABLE);
-                let farewell = Response::Error { message };
-                if as_binary {
-                    let _ = wire::write_frame(&mut out, &wire::encode_response(&farewell));
-                } else {
-                    if let Ok(body) = serde_json::to_string(&farewell) {
-                        out.extend_from_slice(body.as_bytes());
-                    }
-                    out.push(b'\n');
-                }
-                return (out, true);
-            }
-            WorkItem::SilentClose => return (out, true),
-        }
-    }
-    (out, false)
 }
 
 /// Everything one shard needs, assembled before its thread starts so
@@ -1318,6 +1232,7 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Request, Response};
     use crate::Catalog;
     use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
     use dpod_dp::Epsilon;

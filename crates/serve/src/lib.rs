@@ -19,13 +19,14 @@
 //!   rescan entirely;
 //! * [`Server`] — the request front end: an in-process [`Server::handle`]
 //!   API driven directly by the CLI, tests and benches, plus two
-//!   std-only TCP serving cores ([`spawn_with`], selected by
-//!   [`FrontEnd`]): an epoll-driven event loop where open connections
-//!   are cheap state served by a small worker pool (the default), and
-//!   the legacy thread-per-connection pool kept as a kill-switch. Both
-//!   speak newline-delimited JSON and/or the length-prefixed `DPRB`
-//!   binary protocol ([`wire`]), selected per connection by a preamble
-//!   sniff ([`WireMode`]).
+//!   std-only TCP serving cores ([`spawn_with`], see [`FrontEnd`]): an
+//!   epoll-driven event loop where open connections are cheap state
+//!   served by a small worker pool, and a thread-per-connection pool
+//!   that takes over where epoll is unavailable. Both frame bytes with
+//!   one parser and answer through one executor, speaking
+//!   newline-delimited JSON and/or the length-prefixed `DPRB` binary
+//!   protocol ([`wire`]), selected per connection by a preamble sniff
+//!   ([`WireMode`]).
 //!
 //! Every transport serves the same typed query algebra: a
 //! [`Request::Plan`](protocol::Request::Plan) carries any
@@ -43,7 +44,6 @@
 #![warn(clippy::all)]
 
 mod catalog;
-#[cfg(unix)]
 mod conn;
 mod engine;
 #[cfg(unix)]

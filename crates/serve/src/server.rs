@@ -1,40 +1,39 @@
 //! The request front end: in-process dispatch plus two TCP serving
-//! cores.
+//! cores over one request path.
 //!
 //! [`Server::handle`] is the whole request surface — the CLI, tests and
-//! benches call it directly with zero serialization. [`spawn_with`]
-//! wraps the same dispatch behind a `TcpListener` using one of two
-//! front ends (selected by [`FrontEnd`], no async runtime either way):
+//! benches call it directly with zero serialization. Every request that
+//! reads a release runs through the indexed plan executor: legacy
+//! `Query`/`Batch` ranges are lowered to [`QueryPlan::Range`] leaves.
+//! [`spawn_with`] wraps the same dispatch behind a `TcpListener` using
+//! one of two front ends (no async runtime either way):
 //!
-//! * **`event`** (the default) — a readiness-driven core
-//!   ([`crate::event`]): one epoll loop owns every socket as cheap
-//!   nonblocking state, assembles requests incrementally
-//!   ([`crate::conn`]), and dispatches them to the worker pool — `N`
-//!   workers serve `M ≫ N` connections, so an idle analyst costs a few
-//!   kilobytes, not a thread.
-//! * **`pool`** — the legacy thread-per-connection core kept as an
-//!   operational kill-switch (`dpod serve --front-end pool`): one
-//!   acceptor hands sockets to workers over an `mpsc` channel, each
-//!   worker answers one connection's requests in order, and the
+//! * **`event`** — a readiness-driven core ([`crate::event`]): epoll
+//!   loops own every socket as cheap nonblocking state and dispatch raw
+//!   bytes to the worker pool — `N` workers serve `M ≫ N` connections,
+//!   so an idle analyst costs a few kilobytes, not a thread.
+//! * **`pool`** — the fallback when epoll is unavailable: one acceptor
+//!   hands sockets to workers over an `mpsc` channel, each worker runs
+//!   one connection's blocking read–answer–write loop, and the
 //!   [`IDLE_TIMEOUT`] reclaims workers from clients that go quiet.
 //!
-//! Both front ends serve bit-identical bytes (pinned by test) and both
+//! Both cores frame bytes with the same [`crate::conn::Assembler`] and
+//! answer its items with the same [`crate::conn::run_job`], so they
+//! serve identical bytes (pinned by a differential test) and both
 //! maintain the open/accepted-connection gauges surfaced in
 //! [`ServerStats`]. Each connection speaks one of two encodings,
 //! selected by its first bytes (see [`WireMode`]): the `DPRB` binary
 //! preamble switches to length-prefixed frames ([`crate::wire`]),
-//! anything else is served as newline-delimited JSON exactly as before
-//! the binary protocol existed.
+//! anything else is served as newline-delimited JSON.
 
-use crate::metrics::{ServeMetrics, Stage, Transport};
+use crate::conn::{run_job, Assembler};
+use crate::metrics::ServeMetrics;
 use crate::protocol::{ReleaseHits, ReleaseInfo, Request, Response, ServerStats};
 use crate::series::{self, SeriesLedgers};
 use crate::{wire, Catalog, QueryEngine, ServeError};
-use dpod_fmatrix::AxisBox;
-use dpod_obs::Span;
-use dpod_query::{Answer, EpochSelector, QueryPlan, WindowMerge};
+use dpod_query::{Answer, EpochSelector, QueryPlan, ReleaseIndex, WindowMerge};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -78,27 +77,15 @@ impl std::str::FromStr for WireMode {
 /// Which TCP serving core accepts and answers connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontEnd {
-    /// The readiness-driven core (the default): one epoll loop owns all
+    /// The readiness-driven core (the default): epoll loops own all
     /// sockets, workers serve ready requests, open connections are
     /// cheap state rather than threads.
     #[default]
     Event,
-    /// The legacy thread-per-connection pool, kept as a kill-switch:
-    /// concurrency is capped at the worker count, but no epoll is
-    /// required. Also the automatic fallback on targets without epoll.
+    /// The thread-per-connection pool: concurrency is capped at the
+    /// worker count, but no epoll is required. The automatic fallback
+    /// on targets without epoll.
     Pool,
-}
-
-impl std::str::FromStr for FrontEnd {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "event" => Ok(FrontEnd::Event),
-            "pool" => Ok(FrontEnd::Pool),
-            other => Err(format!("unknown front end '{other}' (expected event|pool)")),
-        }
-    }
 }
 
 /// How [`Server::handle_encoded`] serializes a response into final
@@ -195,12 +182,6 @@ pub struct Server {
     catalog: Arc<Catalog>,
     engine: QueryEngine,
     queries: AtomicU64,
-    /// Whether `Plan` requests run through the prepared
-    /// [`dpod_query::ReleaseIndex`] backend (the default) or fall back
-    /// to cold per-query scans. The switch exists as an operational
-    /// kill-switch and so benches can measure both paths on one server;
-    /// answers are bit-identical either way.
-    indexed_plans: AtomicBool,
     /// Lifetime answered-query count per release name. Reads (the hot
     /// path) only take the `RwLock` shared; the exclusive lock is held
     /// once per name, on first touch.
@@ -245,7 +226,6 @@ impl Server {
             catalog,
             engine: QueryEngine::with_marginal_cap(cache_bytes, index_marginal_bytes),
             queries: AtomicU64::new(0),
-            indexed_plans: AtomicBool::new(true),
             release_hits: RwLock::new(HashMap::new()),
             conn_accepted: AtomicU64::new(0),
             conn_open: AtomicU64::new(0),
@@ -291,17 +271,6 @@ impl Server {
     /// Connections accepted into service since start.
     pub fn accepted_connections(&self) -> u64 {
         self.conn_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the indexed plan backend (see
-    /// [`Server::indexed_plans`]); answers are bit-identical either way.
-    pub fn set_indexed_plans(&self, enabled: bool) {
-        self.indexed_plans.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether `Plan` requests currently run through the prepared index.
-    pub fn indexed_plans(&self) -> bool {
-        self.indexed_plans.load(Ordering::Relaxed)
     }
 
     /// The underlying catalog (shared with publishers).
@@ -394,11 +363,6 @@ impl Server {
     /// selected epoch (each through the engine's memoized per-epoch
     /// partials, keyed by the inner plan's canonical JSON, so a sliding
     /// window re-executes only the epochs it hasn't seen), then merges.
-    ///
-    /// With indexed plans disabled the per-epoch executions run cold
-    /// against each epoch's rebuild — bit-identical answers, no
-    /// memoization (the same kill-switch contract single-release plans
-    /// have).
     fn answer_window(
         &self,
         series: &str,
@@ -420,26 +384,18 @@ impl Server {
         let epochs: Vec<u64> = selected.iter().map(|info| info.epoch).collect();
         let mut answers = Vec::with_capacity(selected.len());
         for info in &selected {
-            let answer = if self.indexed_plans() {
-                let name = info.entry.name.clone();
-                let version = info.entry.version;
-                self.engine.window_partial(
-                    &info.entry,
-                    &plan_key,
-                    || {
-                        self.catalog
-                            .get(&name)
-                            .is_some_and(|current| current.version == version)
-                    },
-                    |index| {
-                        dpod_query::plan::execute_with(index, inner).map_err(|e| ServeError(e.0))
-                    },
-                )?
-            } else {
-                let matrix = self.resolve(&info.entry.name)?;
-                dpod_query::plan::execute(&matrix, inner).map_err(|e| ServeError(e.0))?
-            };
-            answers.push(answer);
+            let name = &info.entry.name;
+            let version = info.entry.version;
+            answers.push(self.engine.window_partial(
+                &info.entry,
+                &plan_key,
+                || {
+                    self.catalog
+                        .get(name)
+                        .is_some_and(|current| current.version == version)
+                },
+                |index| dpod_query::plan::execute_with(index, inner).map_err(|e| ServeError(e.0)),
+            )?);
         }
         dpod_query::merge_window_answers(merge, &epochs, answers).map_err(|e| ServeError(e.0))
     }
@@ -448,52 +404,24 @@ impl Server {
     /// is a [`Response::Error`].
     pub fn handle(&self, request: &Request) -> Response {
         match request {
-            Request::Query { release, lo, hi } => {
-                let answer = self.resolve(release).and_then(|m| self.sum_on(&m, lo, hi));
-                match answer {
-                    Ok(value) => {
-                        self.note_hits(release, 1);
-                        Response::Value { value }
-                    }
-                    Err(e) => Response::Error { message: e.0 },
-                }
-            }
+            Request::Query { release, lo, hi } => match self.answer_ranges(release, [(lo, hi)]) {
+                Ok(values) => Response::Value { value: values[0] },
+                Err(e) => Response::Error { message: e.0 },
+            },
             Request::Batch { release, ranges } => {
-                // Resolve the release once: one catalog lookup and one
-                // cache access for the whole batch.
-                let matrix = match self.resolve(release) {
-                    Ok(m) => m,
-                    Err(e) => return Response::Error { message: e.0 },
-                };
-                let mut values = Vec::with_capacity(ranges.len());
-                for (lo, hi) in ranges {
-                    match self.sum_on(&matrix, lo, hi) {
-                        Ok(v) => values.push(v),
-                        Err(e) => {
-                            // Mirror the global `queries` counter: the
-                            // ranges answered before the failure count.
-                            self.note_hits(release, values.len() as u64);
-                            return Response::Error { message: e.0 };
-                        }
-                    }
-                }
-                self.note_hits(release, values.len() as u64);
-                Response::Values { values }
-            }
-            Request::Plan { release, plan } => {
-                match self.execute_plan(release, plan) {
-                    Ok(answer) => {
-                        // A plan counts one query per leaf answered; a
-                        // failed plan counts none (unlike `Batch`, plans
-                        // are answered whole-or-not).
-                        let units = answer.units();
-                        self.queries.fetch_add(units, Ordering::Relaxed);
-                        self.note_hits(release, units);
-                        Response::Answer { answer }
-                    }
+                match self.answer_ranges(release, ranges.iter().map(|(lo, hi)| (lo, hi))) {
+                    Ok(values) => Response::Values { values },
                     Err(e) => Response::Error { message: e.0 },
                 }
             }
+            Request::Plan { release, plan } => match self.execute_plan(release, plan) {
+                Ok(answer) => {
+                    // One query per leaf answered; none for a failure.
+                    self.note_answered(release, answer.units());
+                    Response::Answer { answer }
+                }
+                Err(e) => Response::Error { message: e.0 },
+            },
 
             Request::List => Response::Releases {
                 releases: self
@@ -549,15 +477,43 @@ impl Server {
         }
     }
 
+    /// Answers legacy `lo..hi` ranges as [`QueryPlan::Range`] leaves
+    /// against the release index, so they share the plan executor's
+    /// validation and error wording. Like a plan, the request counts one
+    /// query per range, or nothing when any range fails: a `Batch` is
+    /// answered whole or not at all. It is not lowered to one `Many`,
+    /// whose plan cap would refuse large legacy batches.
+    fn answer_ranges<'a>(
+        &self,
+        release: &str,
+        ranges: impl IntoIterator<Item = (&'a Vec<usize>, &'a Vec<usize>)>,
+    ) -> Result<Vec<f64>, ServeError> {
+        let index = self.resolve_index(release)?;
+        let values = ranges
+            .into_iter()
+            .map(|(lo, hi)| {
+                let plan = QueryPlan::Range {
+                    lo: lo.clone(),
+                    hi: hi.clone(),
+                };
+                match dpod_query::plan::execute_with(index.as_ref(), &plan) {
+                    Ok(Answer::Value { value }) => Ok(value),
+                    Ok(other) => unreachable!("a Range leaf answers with a value, not {other:?}"),
+                    Err(e) => Err(ServeError(e.0)),
+                }
+            })
+            .collect::<Result<Vec<f64>, _>>()?;
+        self.note_answered(release, values.len() as u64);
+        Ok(values)
+    }
+
     /// Executes one [`QueryPlan`] against a release (or, for `Window`
     /// plans, a release series). Two-phase execution: resolve the
     /// release's prepared index (built once per (name, version),
     /// memoized structures answering warm aggregates), then execute
-    /// against it. The cold fallback scans the rebuild directly —
-    /// bit-identical answers, no preparation. Window plans take a third
-    /// path: the name addresses a release *series* and the plan fans
-    /// across its epochs. Pure execution — the caller owns the query
-    /// counters.
+    /// against it. Window plans take a second path: the name addresses
+    /// a release *series* and the plan fans across its epochs. Pure
+    /// execution — the caller owns the query counters.
     fn execute_plan(&self, release: &str, plan: &QueryPlan) -> Result<Answer, ServeError> {
         if let QueryPlan::Window {
             select,
@@ -566,32 +522,28 @@ impl Server {
         } = plan
         {
             self.answer_window(release, select, *merge, inner)
-        } else if self.indexed_plans() {
+        } else {
             self.resolve_index(release).and_then(|ix| {
                 dpod_query::plan::execute_with(ix.as_ref(), plan).map_err(|e| ServeError(e.0))
             })
-        } else {
-            self.resolve(release)
-                .and_then(|m| dpod_query::plan::execute(&m, plan).map_err(|e| ServeError(e.0)))
         }
     }
 
     /// Answers one request as final socket-ready bytes in the given
     /// encoding — the transport loops memcpy the result to the wire.
     ///
-    /// For non-`Window` [`Request::Plan`] requests with indexed plans
-    /// enabled, the bytes come from the engine's encoded-response memo:
-    /// a warm hit skips plan execution *and* serialization (the source
-    /// paper's post-processing invariance makes re-serving identical
-    /// bytes ε-free), while a miss executes, encodes once, and memoizes
-    /// under the shared cache ledger with the same catalog-currency
-    /// re-check the index cache uses. Every other request — and every
-    /// error — takes the plain [`Server::handle`] path and is encoded
-    /// fresh. Query counters advance identically on warm and cold paths.
+    /// For non-`Window` [`Request::Plan`] requests the bytes come from
+    /// the engine's encoded-response memo: a warm hit skips plan
+    /// execution *and* serialization (the source paper's
+    /// post-processing invariance makes re-serving identical bytes
+    /// ε-free), while a miss executes, encodes once, and memoizes under
+    /// the shared cache ledger with the same catalog-currency re-check
+    /// the index cache uses. Every other request — and every error —
+    /// takes the plain [`Server::handle`] path and is encoded fresh.
+    /// Query counters advance identically on warm and cold paths.
     pub fn handle_encoded(&self, request: &Request, enc: ResponseEncoding) -> Arc<Vec<u8>> {
         if let Request::Plan { release, plan } = request {
-            let memoizable = !matches!(plan, QueryPlan::Window { .. }) && self.indexed_plans();
-            if memoizable {
+            if !matches!(plan, QueryPlan::Window { .. }) {
                 if let (Some(entry), Ok(plan_key)) =
                     (self.catalog.get(release), serde_json::to_string(plan))
                 {
@@ -613,8 +565,7 @@ impl Server {
                     );
                     return match result {
                         Ok((bytes, units)) => {
-                            self.queries.fetch_add(units, Ordering::Relaxed);
-                            self.note_hits(release, units);
+                            self.note_answered(release, units);
                             bytes
                         }
                         Err(e) => Arc::new(enc.encode(&Response::Error { message: e.0 })),
@@ -627,28 +578,12 @@ impl Server {
         Arc::new(enc.encode(&self.handle(request)))
     }
 
-    /// Resolves a release name to its cached queryable rebuild.
-    fn resolve(&self, release: &str) -> Result<Arc<dpod_core::SanitizedMatrix>, ServeError> {
-        let entry = self
-            .catalog
-            .get(release)
-            .ok_or_else(|| ServeError(format!("unknown release '{release}'")))?;
-        // The currency re-check runs only on the rebuild (miss) path,
-        // keeping the cached hot path at one catalog lookup. It closes
-        // the race with [`Self::remove_release`]: a rebuild in flight
-        // when the removal's evict runs must not be cached afterwards,
-        // or its bytes strand in an entry no request can reach.
-        self.engine.sanitized_if(&entry, || {
-            self.catalog
-                .get(release)
-                .is_some_and(|current| current.version == entry.version)
-        })
-    }
-
-    /// Resolves a release name to its prepared plan index, with the
-    /// same currency re-check as [`Self::resolve`] (an index built
-    /// while a removal or republish lands is served but never cached).
-    fn resolve_index(&self, release: &str) -> Result<Arc<dpod_query::ReleaseIndex>, ServeError> {
+    /// Resolves a release name to its prepared plan index. The engine
+    /// re-checks the catalog before caching a fresh build, closing the
+    /// race with [`Self::remove_release`] and republishes: an index
+    /// built while one lands is served but never cached, so its bytes
+    /// cannot strand in an entry no request can reach.
+    fn resolve_index(&self, release: &str) -> Result<Arc<ReleaseIndex>, ServeError> {
         let entry = self
             .catalog
             .get(release)
@@ -660,26 +595,10 @@ impl Server {
         })
     }
 
-    /// Validates one range against `matrix` and answers it.
-    fn sum_on(
-        &self,
-        matrix: &dpod_core::SanitizedMatrix,
-        lo: &[usize],
-        hi: &[usize],
-    ) -> Result<f64, ServeError> {
-        let q = AxisBox::new(lo.to_vec(), hi.to_vec())
-            .map_err(|e| ServeError(format!("bad range: {e}")))?;
-        let shape = matrix.matrix().shape();
-        if q.ndim() != shape.ndim() || !q.fits(shape) {
-            return Err(ServeError(format!(
-                "range {:?}..{:?} does not fit domain {:?}",
-                q.lo(),
-                q.hi(),
-                shape.dims()
-            )));
-        }
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        Ok(matrix.range_sum(&q))
+    /// Counts `n` answered queries, globally and against `release`.
+    fn note_answered(&self, release: &str, n: u64) {
+        self.queries.fetch_add(n, Ordering::Relaxed);
+        self.note_hits(release, n);
     }
 
     /// Records `n` answered queries against `release`.
@@ -778,9 +697,8 @@ pub struct SpawnOptions {
     pub workers: usize,
     /// Accepted encodings (`Auto` sniffs per connection).
     pub wire: WireMode,
-    /// Serving core; `None` (the default) resolves to the
-    /// `DPOD_FRONT_END` environment variable (`pool`/`event`) and then
-    /// to [`FrontEnd::Event`].
+    /// Serving core; `None` (the default) means [`FrontEnd::Event`].
+    /// Either way the pool takes over where epoll is unavailable.
     pub front_end: Option<FrontEnd>,
     /// Close a connection once no byte moves in either direction for
     /// this long (quiet analysts and stalled pipeliners alike).
@@ -833,16 +751,6 @@ fn resolve_event_loops(requested: usize) -> usize {
         .map(|n| n.get())
         .unwrap_or(2);
     (cores / 2).clamp(1, 4)
-}
-
-/// The front end [`SpawnOptions::front_end`]`= None` resolves to:
-/// `DPOD_FRONT_END=pool|event` when set (any other value is ignored),
-/// otherwise the event loop.
-fn default_front_end() -> FrontEnd {
-    match std::env::var("DPOD_FRONT_END").as_deref() {
-        Ok("pool") => FrontEnd::Pool,
-        _ => FrontEnd::Event,
-    }
 }
 
 /// Pool-mode bookkeeping shared with the [`ServerHandle`] so graceful
@@ -1074,7 +982,7 @@ pub fn spawn_with(
     addr: impl ToSocketAddrs,
     opts: SpawnOptions,
 ) -> std::io::Result<ServerHandle> {
-    let requested = opts.front_end.unwrap_or_else(default_front_end);
+    let requested = opts.front_end.unwrap_or_default();
     // Probe epoll support up front so the fallback can reuse the bound
     // listener (off Linux the polling shim reports `Unsupported`).
     let front_end = match requested {
@@ -1215,7 +1123,7 @@ fn spawn_event_front_end(
     ))
 }
 
-/// The legacy thread-per-connection front end (see the module docs).
+/// The thread-per-connection front end (see the module docs).
 fn spawn_pool_front_end(
     server: Arc<Server>,
     listener: TcpListener,
@@ -1249,7 +1157,7 @@ fn spawn_pool_front_end(
                     pool_state.handed.fetch_sub(1, Ordering::SeqCst);
                     // Per-connection failures are that connection's
                     // problem; the worker lives on.
-                    let _ = handle_connection(&server, s, mode, idle_timeout);
+                    let _ = serve_blocking(&server, &s, mode, idle_timeout);
                     pool_state.unregister(id);
                     server.connection_closed();
                 }
@@ -1303,203 +1211,38 @@ fn spawn_pool_front_end(
     }
 }
 
-/// Serves one connection in whichever encoding its first bytes select
-/// (subject to `mode`), until the peer closes or stays silent past
-/// `idle_timeout` (default [`IDLE_TIMEOUT`]).
-///
-/// The encoding sniff never consumes bytes from a JSON client: it peeks
-/// at the reader's buffered data and only commits (reads the 5-byte
-/// preamble) when the available prefix matches the `DPRB` magic — which
-/// no JSON document can produce, `{`/`"`-initial as they are. The JSON
-/// byte stream is therefore exactly what it was before the binary
-/// protocol existed.
-fn handle_connection(
+/// Serves one connection on a pool worker until the peer closes, the
+/// stream turns fatal, or no byte arrives or drains for `idle_timeout`
+/// (default [`IDLE_TIMEOUT`]). Each read goes through the connection's
+/// [`Assembler`] and its completed items through [`run_job`], exactly
+/// as on the event front end; the only difference is that this loop
+/// blocks. The write timeout keeps a client that stops draining
+/// responses from pinning the worker in `write_all`.
+fn serve_blocking(
     server: &Server,
-    stream: TcpStream,
+    mut stream: &TcpStream,
     mode: WireMode,
     idle_timeout: Duration,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(idle_timeout))?;
     stream.set_write_timeout(Some(idle_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-
-    // Peek at whatever the first read delivers; a prefix match against
-    // the magic means a binary client (its preamble may still straddle
-    // packets, so match on what is available rather than demanding all
-    // four bytes up front).
-    let first = reader.fill_buf()?;
-    if first.is_empty() {
-        return Ok(()); // EOF before any request
-    }
-    let n = first.len().min(wire::WIRE_MAGIC.len());
-    let looks_binary = first[..n] == wire::WIRE_MAGIC[..n];
-
-    match (looks_binary, mode) {
-        (true, WireMode::Json) => {
-            // Consume the preamble so the refusal frame is this
-            // connection's only traffic, then say why in-protocol.
-            let mut preamble = [0u8; 5];
-            let _ = reader.read_exact(&mut preamble);
-            refuse_binary(&mut writer, "this endpoint serves JSON only (--wire json)")
-        }
-        (true, _) => serve_binary(server, reader, writer),
-        (false, WireMode::Binary) => refuse_binary(
-            &mut writer,
-            "this endpoint serves DPRB only (--wire binary)",
-        ),
-        (false, _) => serve_ndjson(server, reader, writer),
-    }
-}
-
-/// Sends one binary error frame and closes.
-fn refuse_binary(writer: &mut impl Write, message: &str) -> std::io::Result<()> {
-    let body = wire::encode_response(&Response::Error {
-        message: message.to_string(),
-    });
-    let _ = wire::write_frame(writer, &body);
-    writer.flush()
-}
-
-/// The `DPRB` side of [`handle_connection`]: validates the preamble,
-/// then answers one response frame per request frame, in order.
-///
-/// Error handling is split by whether the stream is still in sync: a
-/// frame that arrives intact but fails to decode (bad inner magic,
-/// unknown opcode, truncated payload, trailing bytes) gets a
-/// [`Response::Error`] frame and the connection lives on; a transport-
-/// level violation (length prefix beyond [`wire::MAX_FRAME_BYTES`],
-/// mid-frame EOF) cannot be resynced, so the worker sends a final error
-/// frame and closes.
-fn serve_binary(
-    server: &Server,
-    mut reader: BufReader<TcpStream>,
-    mut writer: BufWriter<TcpStream>,
-) -> std::io::Result<()> {
-    let mut preamble = [0u8; 5];
-    reader.read_exact(&mut preamble)?;
-    if &preamble[..4] != wire::WIRE_MAGIC {
-        return refuse_binary(&mut writer, "bad preamble magic");
-    }
-    // The version byte carries optional feature bits above the base
-    // version; masking them off first keeps genuinely unknown versions
-    // refused while letting an opted-in client negotiate packed frames.
-    if preamble[4] & !wire::WIRE_FEATURE_PACKED != wire::WIRE_VERSION {
-        return refuse_binary(
-            &mut writer,
-            &format!(
-                "unsupported DPRB version {}, expected {}",
-                preamble[4],
-                wire::WIRE_VERSION
-            ),
-        );
-    }
-    let enc = if preamble[4] & wire::WIRE_FEATURE_PACKED != 0 {
-        ResponseEncoding::BinaryPacked
-    } else {
-        ResponseEncoding::Binary
-    };
+    let mut asm = Assembler::new(mode);
+    let mut buf = vec![0u8; 64 << 10];
     loop {
-        match wire::read_frame(&mut reader) {
-            Ok(None) => return Ok(()), // clean EOF
-            Ok(Some(body)) => {
-                // Stage timing on the pool path covers execute and
-                // encode (parse/queue/write have no separable moments
-                // in a blocking read-answer-write loop). Execution and
-                // serialization are fused in `handle_encoded` (that is
-                // what lets a warm memo hit skip both), so the execute
-                // lap covers them and the encode lap is the memcpy.
-                let metrics = server.metrics();
-                let mut span = Span::start();
-                let encoded = match wire::decode_request(&body) {
-                    Ok(request) => {
-                        metrics.count_request(Transport::Binary, &request);
-                        server.handle_encoded(&request, enc)
-                    }
-                    Err(e) => {
-                        metrics.count_request_index(
-                            Transport::Binary,
-                            crate::metrics::KIND_UNDECODABLE,
-                        );
-                        Arc::new(enc.encode(&Response::Error {
-                            message: format!("bad request: {e}"),
-                        }))
-                    }
-                };
-                span.lap(metrics.stage(Transport::Binary, Stage::Execute));
-                writer.write_all(&encoded)?;
-                span.finish(metrics.stage(Transport::Binary, Stage::Encode));
-                // As on the JSON path: flush only once no further
-                // request is already buffered, so pipelined batches are
-                // answered in large writes.
-                if reader.buffer().is_empty() {
-                    writer.flush()?;
-                }
-            }
-            // An idle peer is reclaimed silently (as on the JSON path);
-            // only genuine protocol violations earn an error frame.
-            Err(e) if e.is_idle_timeout() => return Ok(()),
-            Err(e) => return refuse_binary(&mut writer, &format!("protocol error: {e}")),
-        }
-    }
-}
-
-/// The newline-delimited JSON side of [`handle_connection`].
-///
-/// The write side also carries [`IDLE_TIMEOUT`]: a pipelining client
-/// that stops draining responses would otherwise block the worker in
-/// `flush` forever once the socket buffers fill (the client itself still
-/// writing — a mutual deadlock). With the timeout the worker errors out
-/// and the connection closes instead. Responses are flushed only when no
-/// further request is already buffered, so a pipelined batch is answered
-/// in large writes rather than one syscall per line.
-fn serve_ndjson(
-    server: &Server,
-    mut reader: BufReader<TcpStream>,
-    mut writer: BufWriter<TcpStream>,
-) -> std::io::Result<()> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // Bound the line so a client cannot grow the buffer without limit.
-        let n = std::io::Read::take(std::io::Read::by_ref(&mut reader), MAX_LINE_BYTES)
-            .read_line(&mut line)?;
-        if n == 0 {
-            return Ok(()); // EOF
-        }
-        if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
-            let msg = format!(
-                "{{\"Error\":{{\"message\":\"request line exceeds {MAX_LINE_BYTES} bytes\"}}}}\n"
-            );
-            writer.write_all(msg.as_bytes())?;
-            writer.flush()?;
-            return Ok(()); // disconnect the abusive client
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let metrics = server.metrics();
-        let mut span = Span::start();
-        // Execution and serialization are fused in `handle_encoded`
-        // (that fusion is what lets a warm encoded-memo hit skip both);
-        // the execute lap covers them, the encode lap is the memcpy.
-        let encoded = match serde_json::from_str::<Request>(line.trim_end()) {
-            Ok(request) => {
-                metrics.count_request(Transport::Json, &request);
-                server.handle_encoded(&request, ResponseEncoding::Json)
-            }
-            Err(e) => {
-                metrics.count_request_index(Transport::Json, crate::metrics::KIND_UNDECODABLE);
-                Arc::new(ResponseEncoding::Json.encode(&Response::Error {
-                    message: format!("bad request: {e}"),
-                }))
-            }
+        let n = match stream.read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
-        span.lap(metrics.stage(Transport::Json, Stage::Execute));
-        writer.write_all(&encoded)?;
-        span.finish(metrics.stage(Transport::Json, Stage::Encode));
-        if reader.buffer().is_empty() {
-            writer.flush()?;
+        if n == 0 {
+            asm.push_eof();
+        } else {
+            asm.push(&buf[..n]);
+        }
+        let (out, close) = run_job(server, asm.take_items(), asm.packed());
+        stream.write_all(&out)?;
+        if close || n == 0 {
+            return Ok(());
         }
     }
 }
@@ -1510,6 +1253,8 @@ mod tests {
     use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
     use dpod_dp::Epsilon;
     use dpod_fmatrix::{DenseMatrix, Shape};
+    use dpod_query::plan;
+    use std::io::{BufRead, BufReader, BufWriter};
 
     fn test_server(names: &[&str]) -> Arc<Server> {
         let catalog = Arc::new(Catalog::new());
@@ -1527,6 +1272,23 @@ mod tests {
             catalog.publish(name, PublishedRelease::from_sanitized(&out));
         }
         Arc::new(Server::new(catalog, 1 << 20))
+    }
+
+    /// The reference rebuild: a fresh `into_sanitized()` of the catalog
+    /// entry, outside every engine cache.
+    fn rebuild(server: &Server, name: &str) -> dpod_core::SanitizedMatrix {
+        let entry = server.catalog().get(name).expect("published");
+        entry.release.as_ref().clone().into_sanitized().unwrap()
+    }
+
+    /// The reference answer: `plan::execute` (the cold scan backend) on
+    /// a fresh rebuild, as the serialized response a server should send.
+    fn reference(server: &Server, name: &str, plan: &QueryPlan) -> String {
+        let response = match plan::execute(&rebuild(server, name), plan) {
+            Ok(answer) => Response::Answer { answer },
+            Err(e) => Response::Error { message: e.0 },
+        };
+        serde_json::to_string(&response).unwrap()
     }
 
     #[test]
@@ -1614,9 +1376,8 @@ mod tests {
 
     #[test]
     fn plan_requests_share_the_handle_path() {
-        use dpod_query::{plan, Answer, QueryPlan};
         let server = test_server(&["city"]);
-        let matrix = server.resolve("city").unwrap();
+        let matrix = rebuild(&server, "city");
 
         // A Many plan answers every variant in order, bit-identically to
         // the in-process executor.
@@ -1704,18 +1465,19 @@ mod tests {
         assert!((stats.index_hit_rate - 0.5).abs() < 1e-12);
         assert!(stats.cache_hit_rate >= 0.0 && stats.cache_hit_rate <= 1.0);
 
-        // Legacy Query/Batch traffic never touches the index slot.
+        // Legacy Query traffic answers from the same index: a hit, not
+        // another build.
         server.handle(&Request::Query {
             release: "city".into(),
             lo: vec![0, 0],
             hi: vec![4, 4],
         });
-        assert_eq!(server.engine_stats().index_misses, 1);
+        let stats = server.engine_stats();
+        assert_eq!((stats.index_hits, stats.index_misses), (2, 1));
     }
 
     #[test]
     fn cold_and_indexed_plan_paths_answer_identically() {
-        use dpod_query::QueryPlan;
         let server = test_server(&["city"]);
         let plan = QueryPlan::Many {
             plans: vec![
@@ -1728,46 +1490,40 @@ mod tests {
                 },
             ],
         };
+        let cold = reference(&server, "city", &plan);
         let req = Request::Plan {
             release: "city".into(),
             plan,
         };
         let indexed = serde_json::to_string(&server.handle(&req)).unwrap();
-        assert!(server.indexed_plans());
-        server.set_indexed_plans(false);
-        let cold = serde_json::to_string(&server.handle(&req)).unwrap();
-        assert!(!server.indexed_plans());
-        server.set_indexed_plans(true);
         let warm = serde_json::to_string(&server.handle(&req)).unwrap();
-        assert_eq!(indexed, cold, "kill-switch must not change answers");
+        assert_eq!(indexed, cold, "the index must answer as the cold scan");
         assert_eq!(indexed, warm);
     }
 
     /// DrillDown plans route through the engine-cached index's pyramid
-    /// memo: answers are bit-identical to executing the inner plan over
-    /// a hand-coarsened leaf, the kill-switch cold path agrees, and the
+    /// memo: answers are bit-identical to the cold scan backend and to
+    /// executing the inner plan over a hand-coarsened leaf, and the
     /// stats frame reports the memo's hit/miss traffic.
     #[test]
     fn drill_down_plans_route_through_the_pyramid_memo() {
-        use dpod_query::plan;
         let server = test_server(&["city"]);
+        let drill = QueryPlan::DrillDown {
+            level: 2,
+            plan: Box::new(QueryPlan::Marginal { keep: vec![0, 1] }),
+        };
+        let cold = reference(&server, "city", &drill);
         let req = Request::Plan {
             release: "city".into(),
-            plan: QueryPlan::DrillDown {
-                level: 2,
-                plan: Box::new(QueryPlan::Marginal { keep: vec![0, 1] }),
-            },
+            plan: drill,
         };
         let indexed = serde_json::to_string(&server.handle(&req)).unwrap();
         let warm = serde_json::to_string(&server.handle(&req)).unwrap();
-        server.set_indexed_plans(false);
-        let cold = serde_json::to_string(&server.handle(&req)).unwrap();
-        server.set_indexed_plans(true);
         assert_eq!(indexed, warm);
-        assert_eq!(indexed, cold, "kill-switch must not change answers");
+        assert_eq!(indexed, cold, "the index must answer as the cold scan");
         // Reference: coarsen the rebuilt leaf by hand, execute the
         // inner plan against it, and compare serialized responses.
-        let leaf = server.resolve("city").unwrap();
+        let leaf = rebuild(&server, "city");
         let coarse = dpod_core::SanitizedMatrix::from_entries(
             "coarse",
             0.5,
@@ -1776,8 +1532,8 @@ mod tests {
         let answer = plan::execute(&coarse, &QueryPlan::Marginal { keep: vec![0, 1] }).unwrap();
         let reference = serde_json::to_string(&Response::Answer { answer }).unwrap();
         assert_eq!(indexed, reference);
-        // One miss (level built), one warm hit; the cold execution ran
-        // through the scan backend and touched no counters.
+        // One miss (level built), one warm hit; the references ran
+        // outside the server and touched no counters.
         let Response::Stats { stats } = server.handle(&Request::Stats) else {
             panic!("expected stats");
         };
@@ -1897,6 +1653,57 @@ mod tests {
         let hits = server.release_hits();
         let as_pairs: Vec<(&str, u64)> = hits.iter().map(|h| (h.name.as_str(), h.hits)).collect();
         assert_eq!(as_pairs, vec![("cold", 2), ("hot", 5)]);
+    }
+
+    /// A `Batch` is answered whole or not at all, like a `Many` of the
+    /// same ranges: one bad range fails it with the same message and it
+    /// counts no queries and no release hits.
+    #[test]
+    fn failed_batches_count_nothing_like_failed_many_plans() {
+        let server = test_server(&["city"]);
+        let ranges = vec![
+            (vec![0, 0], vec![4, 4]),
+            (vec![0, 0], vec![9, 9]),
+            (vec![1, 1], vec![2, 2]),
+        ];
+        let Response::Error { message } = server.handle(&Request::Batch {
+            release: "city".into(),
+            ranges: ranges.clone(),
+        }) else {
+            panic!("expected the batch to fail");
+        };
+        let many = QueryPlan::Many {
+            plans: ranges
+                .iter()
+                .map(|(lo, hi)| QueryPlan::Range {
+                    lo: lo.clone(),
+                    hi: hi.clone(),
+                })
+                .collect(),
+        };
+        let Response::Error {
+            message: many_message,
+        } = server.handle(&Request::Plan {
+            release: "city".into(),
+            plan: many,
+        })
+        else {
+            panic!("expected the Many to fail");
+        };
+        assert_eq!(message, many_message);
+        assert_eq!(server.queries_answered(), 0);
+        assert!(server.release_hits().is_empty());
+
+        // The same batch without its bad range counts one per range.
+        let Response::Values { values } = server.handle(&Request::Batch {
+            release: "city".into(),
+            ranges: vec![ranges[0].clone(), ranges[2].clone()],
+        }) else {
+            panic!("expected values");
+        };
+        assert_eq!(values.len(), 2);
+        assert_eq!(server.queries_answered(), 2);
+        assert_eq!(server.release_hits()[0].hits, 2);
     }
 
     /// Publishes one sanitized release under `names` on the server's
@@ -2282,11 +2089,11 @@ mod tests {
         let stats = server.engine.stats();
         assert_eq!(stats.encoded_entries, 2);
 
-        // The kill-switch also bypasses it: cold scans are never cached.
-        server.set_indexed_plans(false);
-        let off = server.handle_encoded(&request, ResponseEncoding::Binary);
-        assert_eq!(*off, by_hand, "kill-switch answers stay bit-identical");
-        server.set_indexed_plans(true);
+        // The memoized bytes are the cold scan's answer, encoded.
+        let plan = QueryPlan::Marginal { keep: vec![0] };
+        let answer = plan::execute(&rebuild(&server, "city"), &plan).unwrap();
+        let cold = ResponseEncoding::Binary.encode(&Response::Answer { answer });
+        assert_eq!(*warm, cold, "memoized bytes must match the cold scan");
     }
 
     /// The acceptance criterion: a `Window{last_k}` plan answers
@@ -2295,7 +2102,7 @@ mod tests {
     /// NDJSON, and over `DPRB`.
     #[test]
     fn window_plans_match_per_epoch_execution_on_every_transport() {
-        use dpod_query::{merge_window_answers, plan, EpochSelector, QueryPlan, WindowMerge};
+        use dpod_query::merge_window_answers;
         let server = epoch_server();
         let inner = QueryPlan::Many {
             plans: vec![
@@ -2305,12 +2112,13 @@ mod tests {
             ],
         };
 
-        // Merge by hand: execute the inner plan against each epoch's
-        // release directly, then fold with the pure merge.
+        // Merge by hand: execute the inner plan with the cold scan
+        // against a fresh rebuild of each epoch, then fold with the pure
+        // merge.
         let epochs: Vec<u64> = vec![1, 2, 3];
         let mut by_hand = Vec::new();
         for &epoch in &epochs {
-            let matrix = server.resolve(&format!("city@{epoch}")).unwrap();
+            let matrix = rebuild(&server, &format!("city@{epoch}"));
             by_hand.push(plan::execute(&matrix, &inner).unwrap());
         }
         let expected_sum =
@@ -2326,19 +2134,17 @@ mod tests {
             },
         };
 
-        // In-process, indexed and cold paths.
-        for indexed in [true, false] {
-            server.set_indexed_plans(indexed);
+        // In-process, from cold partials and then from memoized ones.
+        for pass in ["cold", "warm"] {
             let Response::Answer { answer } = server.handle(&window(WindowMerge::Sum)) else {
-                panic!("expected answer (indexed={indexed})");
+                panic!("expected answer ({pass})");
             };
-            assert_eq!(answer, expected_sum, "indexed={indexed}");
+            assert_eq!(answer, expected_sum, "{pass}");
             let Response::Answer { answer } = server.handle(&window(WindowMerge::PerEpoch)) else {
-                panic!("expected answer (indexed={indexed})");
+                panic!("expected answer ({pass})");
             };
-            assert_eq!(answer, expected_per, "indexed={indexed}");
+            assert_eq!(answer, expected_per, "{pass}");
         }
-        server.set_indexed_plans(true);
 
         // Both TCP encodings return the same bytes.
         let handle = spawn(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
@@ -2459,9 +2265,8 @@ mod tests {
     /// one-epoch series at epoch 0 — continuity for pre-epoch catalogs.
     #[test]
     fn legacy_releases_answer_window_plans_as_epoch_zero() {
-        use dpod_query::{plan, EpochSelector, QueryPlan, WindowMerge};
         let server = test_server(&["city"]);
-        let matrix = server.resolve("city").unwrap();
+        let matrix = rebuild(&server, "city");
         let expected = plan::execute(&matrix, &QueryPlan::Total).unwrap();
         let Response::Answer { answer } = server.handle(&Request::Plan {
             release: "city".into(),

@@ -178,22 +178,9 @@ const MAX_PLAN_DEPTH: usize = 32;
 /// A batch's half-open ranges, as `(lo, hi)` corner pairs.
 pub type RangeList = Vec<(Vec<usize>, Vec<usize>)>;
 
-/// Message [`read_frame`] uses for a socket read timeout, so servers can
-/// tell an idle peer (close silently, as the JSON path does) from a
-/// protocol violation (answer with an error frame).
-const IDLE_TIMEOUT_MSG: &str = "connection idle timeout";
-
 /// A protocol violation: framing, length, or payload decode failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError(pub String);
-
-impl WireError {
-    /// `true` when this error is a socket read timeout (an idle peer,
-    /// not a protocol violation).
-    pub fn is_idle_timeout(&self) -> bool {
-        self.0 == IDLE_TIMEOUT_MSG
-    }
-}
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1268,8 +1255,6 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), WireError> {
 /// [`MAX_FRAME_BYTES`] (the stream cannot be resynced — callers should
 /// close), or IO failure.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let timeout =
-        |e: &std::io::Error| matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
     // Read the length prefix byte-counted: EOF before the first byte is
     // a clean close, EOF after 1–3 bytes is a truncated stream and must
     // say so (read_exact would conflate the two).
@@ -1287,7 +1272,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
             }
             Ok(n) => got += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if timeout(&e) => return Err(WireError(IDLE_TIMEOUT_MSG.into())),
             Err(e) => return Err(e.into()),
         }
     }
@@ -1298,12 +1282,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
         )));
     }
     let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(|e| {
-        if timeout(&e) {
-            WireError(IDLE_TIMEOUT_MSG.into())
-        } else {
-            WireError(format!("frame truncated: {e}"))
-        }
+    r.read_exact(&mut body).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => WireError(format!("frame truncated: {e}")),
+        _ => e.into(),
     })?;
     Ok(Some(body))
 }
