@@ -9,7 +9,7 @@ use dpod_dp::Epsilon;
 use dpod_fmatrix::Shape;
 use dpod_obs::HistogramSnapshot;
 use dpod_query::{plan, Answer, QueryPlan, ReleaseIndex};
-use dpod_serve::protocol::{Request, Response};
+use dpod_serve::protocol::{Request, Response, Snapshot};
 use dpod_serve::{series, Catalog, MetricsExporter, Server, ServerHandle, SpawnOptions, WireMode};
 use serde::Serialize;
 use std::path::Path;
@@ -339,45 +339,37 @@ pub fn start_server(
     Ok((handle, server, exporter))
 }
 
-/// One periodic operator line for `dpod serve`: traffic plus both cache
-/// hit-rates (matrix rebuilds and plan indexes) and the cumulative
-/// index build time — read from the same `Stats` response analysts see,
-/// whose hit-rates arrive precomputed.
-pub fn stats_line(server: &Server) -> String {
-    let Response::Stats { stats } = server.handle(&Request::Stats) else {
-        return "stats unavailable".into();
+/// One periodic operator line for `dpod serve`: traffic, connections,
+/// and each engine memo's residency and hit rate, looked up in the same
+/// [`Server::snapshot`] that `/metrics` and `Stats` responses render.
+pub fn stats_line(snap: &Snapshot) -> String {
+    let get = |name: &str, labels: &[(&str, &str)]| snap.get(name, labels).unwrap_or(0.0);
+    // (resident entries, hit percentage) of one engine memo.
+    let memo = |m: &str| {
+        let hits = get("dpod_engine_memo_hits_total", &[("memo", m)]);
+        let lookups = hits + get("dpod_engine_memo_misses_total", &[("memo", m)]);
+        let rate = if lookups == 0.0 {
+            0.0
+        } else {
+            100.0 * hits / lookups
+        };
+        (get("dpod_engine_memo_entries", &[("memo", m)]), rate)
     };
-    let partial_lookups = stats.partial_hits + stats.partial_misses;
-    let partial_rate = if partial_lookups == 0 {
-        0.0
-    } else {
-        stats.partial_hits as f64 / partial_lookups as f64
-    };
-    let pyramid_lookups = stats.pyramid_hits + stats.pyramid_misses;
-    let pyramid_rate = if pyramid_lookups == 0 {
-        0.0
-    } else {
-        stats.pyramid_hits as f64 / pyramid_lookups as f64
-    };
+    let (matrix, matrix_rate) = memo("matrix");
+    let (index, index_rate) = memo("index");
+    let (partial, partial_rate) = memo("partial");
+    let (pyramid, pyramid_rate) = memo("pyramid");
     format!(
-        "served {} queries | conns: {} open / {} accepted | matrix cache: {} entries, \
-         {:.1} MiB, {:.0}% hit | index: {} built, {:.0}% hit, {:.1} ms building | \
-         epochs: {} series, {} window partials, {:.0}% hit | pyramid: {} levels, \
-         {:.0}% hit",
-        stats.queries,
-        stats.open_connections,
-        stats.accepted_connections,
-        stats.cache_entries,
-        stats.cache_bytes as f64 / (1 << 20) as f64,
-        100.0 * stats.cache_hit_rate,
-        stats.index_entries,
-        100.0 * stats.index_hit_rate,
-        stats.index_build_nanos as f64 / 1e6,
-        stats.series,
-        stats.partial_entries,
-        100.0 * partial_rate,
-        stats.pyramid_entries,
-        100.0 * pyramid_rate,
+        "served {} queries | conns: {} open / {} accepted | matrix cache: {matrix} entries, \
+         {:.1} MiB, {matrix_rate:.0}% hit | index: {index} built, {index_rate:.0}% hit, \
+         {:.1} ms building | epochs: {} series, {partial} window partials, \
+         {partial_rate:.0}% hit | pyramid: {pyramid} levels, {pyramid_rate:.0}% hit",
+        get("dpod_server_queries_total", &[]),
+        get("dpod_server_open_connections", &[]),
+        get("dpod_server_accepted_connections_total", &[]),
+        get("dpod_engine_cache_bytes", &[]) / (1 << 20) as f64,
+        get("dpod_engine_index_build_nanoseconds_total", &[]) / 1e6,
+        get("dpod_catalog_series", &[]),
     )
 }
 
@@ -388,8 +380,8 @@ pub fn stats_line(server: &Server) -> String {
 /// slowly-decaying lifetime average.
 pub struct StatsTracker {
     last_at: Instant,
-    last_queries: u64,
-    last_requests: u64,
+    last_queries: f64,
+    last_requests: f64,
 }
 
 impl Default for StatsTracker {
@@ -403,25 +395,27 @@ impl StatsTracker {
     pub fn new() -> Self {
         StatsTracker {
             last_at: Instant::now(),
-            last_queries: 0,
-            last_requests: 0,
+            last_queries: 0.0,
+            last_requests: 0.0,
         }
     }
 
     /// One operator line: the cumulative [`stats_line`] plus this
-    /// interval's query and request rates. Resets the interval.
+    /// interval's query and request rates, all read from one snapshot.
+    /// Resets the interval.
     pub fn line(&mut self, server: &Server) -> String {
-        let queries = server.queries_answered();
-        let requests = server.metrics().requests_counted();
+        let snap = server.snapshot();
+        let queries = snap.get("dpod_server_queries_total", &[]).unwrap_or(0.0);
+        let requests = snap.sum("dpod_requests_total");
         let secs = self.last_at.elapsed().as_secs_f64().max(1e-9);
-        let q_rate = queries.saturating_sub(self.last_queries) as f64 / secs;
-        let r_rate = requests.saturating_sub(self.last_requests) as f64 / secs;
+        let q_rate = (queries - self.last_queries).max(0.0) / secs;
+        let r_rate = (requests - self.last_requests).max(0.0) / secs;
         self.last_at = Instant::now();
         self.last_queries = queries;
         self.last_requests = requests;
         format!(
             "{} | interval: {q_rate:.1} queries/s, {r_rate:.1} requests/s",
-            stats_line(server)
+            stats_line(&snap)
         )
     }
 }
@@ -1904,7 +1898,7 @@ mod tests {
         assert!(err.0.contains("local replays only"), "{err}");
 
         // The periodic serve stats line reflects the replay traffic.
-        let line = stats_line(&_server);
+        let line = stats_line(&_server.snapshot());
         assert!(line.contains("served"), "{line}");
         assert!(line.contains("% hit"), "{line}");
         assert!(line.contains("built"), "{line}");
@@ -1999,7 +1993,10 @@ mod tests {
             assert!(summary.contains("0 errors"), "{summary}");
         }
         // All four sockets were really concurrent on the server.
-        assert!(server.accepted_connections() >= 8);
+        let accepted = server
+            .snapshot()
+            .get("dpod_server_accepted_connections_total", &[]);
+        assert!(accepted.unwrap() >= 8.0, "{accepted:?}");
 
         // Misconfigurations are refused up front.
         let base = ReplayArgs {

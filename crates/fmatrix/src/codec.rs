@@ -250,14 +250,6 @@ impl<'a> FrameReader<'a> {
             .collect())
     }
 
-    /// Bytes not yet consumed. Lets decoders of *extensible* frames
-    /// (fields appended over time, e.g. the serve stats frame) detect
-    /// whether an optional tail is present before reading it, while
-    /// still ending with [`finish`](Self::finish) to reject garbage.
-    pub fn remaining(&self) -> usize {
-        self.rest.len()
-    }
-
     /// Asserts the frame was fully consumed.
     ///
     /// # Errors

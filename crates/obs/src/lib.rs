@@ -2,11 +2,16 @@
 //!
 //! Lock-free observability primitives for the serving stack: counters,
 //! gauges, and HDR-style log-bucketed latency [`Histogram`]s, collected
-//! in a [`Registry`] that renders the Prometheus text exposition format.
+//! in a [`Registry`]. [`Registry::snapshot`] reads every series into one
+//! plain-data [`Snapshot`] (families of labelled samples) that renders
+//! the Prometheus text exposition format and serializes as data, so every
+//! surface that shows the numbers shows the same ones.
 //!
 //! The design targets the event-loop hot path (~10⁵ requests/sec):
 //!
-//! * [`Counter`] / [`Gauge`] / [`FloatGauge`] are single relaxed atomics;
+//! * [`Counter`] / [`Gauge`] are single relaxed atomics, and a
+//!   [`CounterVec`] is an array of them (floating-point values, such as
+//!   ε budgets, are derived into a [`Snapshot`] at read time);
 //! * [`Histogram::record`] is one relaxed `fetch_add` into a
 //!   power-of-2-bucketed count array plus one into a running sum, with
 //!   the arrays *sharded per recording thread* so concurrent workers
@@ -31,6 +36,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -142,28 +148,39 @@ impl Gauge {
     }
 }
 
-/// An instantaneous floating-point measurement (hit rates, ε budgets);
-/// stored as the `f64` bit pattern in an atomic.
-#[derive(Debug, Default)]
-pub struct FloatGauge(AtomicU64);
+/// Counters keyed by one small-integer label (pyramid level, say): one
+/// relaxed atomic per slot, so recording never takes a lock. Snapshots
+/// show only the slots that have counted.
+#[derive(Debug)]
+pub struct CounterVec {
+    label: String,
+    slots: Box<[Counter]>,
+}
 
-impl FloatGauge {
-    /// A fresh zero gauge (standalone use; prefer
-    /// [`Registry::float_gauge`]).
-    pub fn new() -> Self {
-        FloatGauge(AtomicU64::new(0))
+impl CounterVec {
+    /// `len` zero slots labelled `label="<slot>"` (standalone use; prefer
+    /// [`Registry::counter_vec`] for exported metrics).
+    pub fn new(label: &str, len: usize) -> Self {
+        CounterVec {
+            label: label.to_string(),
+            slots: (0..len).map(|_| Counter::new()).collect(),
+        }
     }
 
-    /// Replaces the value.
+    /// Adds one to `slot`; slots past the end are ignored.
     #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Relaxed);
+    pub fn inc(&self, slot: usize) {
+        if let Some(c) = self.slots.get(slot) {
+            c.inc();
+        }
     }
 
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Relaxed))
+    /// `(slot, count)` for every slot that has counted, ascending.
+    pub fn nonzero(&self) -> Vec<(usize, u64)> {
+        (0..self.slots.len())
+            .map(|i| (i, self.slots[i].get()))
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 }
 
@@ -346,7 +363,7 @@ impl HistogramSnapshot {
 
 /// A started timing span: measures wall-clock nanoseconds from
 /// construction, recording into a [`Histogram`] on
-/// [`finish`](Self::finish) or stage-by-stage via [`lap`](Self::lap).
+/// [`finish`](Self::finish).
 #[derive(Debug, Clone, Copy)]
 pub struct Span {
     t0: Instant,
@@ -368,16 +385,6 @@ impl Span {
     #[inline]
     pub fn finish(self, h: &Histogram) {
         h.record(self.elapsed_nanos());
-    }
-
-    /// Records the elapsed time into `h` and restarts the span — the
-    /// idiom for timing consecutive stages (execute, then encode) with a
-    /// single clock read per boundary.
-    #[inline]
-    pub fn lap(&mut self, h: &Histogram) {
-        let now = Instant::now();
-        h.record(u64::try_from((now - self.t0).as_nanos()).unwrap_or(u64::MAX));
-        self.t0 = now;
     }
 }
 
@@ -415,7 +422,7 @@ impl Clock {
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    FloatGauge(Arc<FloatGauge>),
+    CounterVec(Arc<CounterVec>),
     Histogram(Arc<Histogram>),
 }
 
@@ -432,15 +439,14 @@ struct Family {
     series: Vec<Series>,
 }
 
-/// A named collection of metrics, rendering the Prometheus text
-/// exposition format (version 0.0.4).
+/// A named collection of metrics, read out as a [`Snapshot`].
 ///
-/// Registration (`counter` / `gauge` / `float_gauge` / `histogram`)
+/// Registration (`counter` / `gauge` / `counter_vec` / `histogram`)
 /// is the mutex-guarded cold path and deduplicates: asking twice for the
 /// same name + label set returns the same `Arc` handle. Histograms are
-/// rendered as Prometheus *summaries* (p50/p90/p99/p999 `quantile`
-/// series plus `_sum` and `_count`) so a scrape stays compact despite
-/// the ~1000 internal buckets.
+/// read as Prometheus *summaries* (p50/p90/p99/p999 `quantile` series
+/// plus `_sum` and `_count`) so a scrape stays compact despite the
+/// ~1000 internal buckets.
 #[derive(Default)]
 pub struct Registry {
     families: Mutex<Vec<Family>>,
@@ -515,16 +521,6 @@ impl Registry {
         }
     }
 
-    /// Registers (or retrieves) a floating-point gauge series.
-    pub fn float_gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<FloatGauge> {
-        match self.register(name, help, labels, || {
-            Metric::FloatGauge(Arc::new(FloatGauge::new()))
-        }) {
-            Metric::FloatGauge(g) => g,
-            _ => panic!("metric {name} registered with a different type"),
-        }
-    }
-
     /// Registers (or retrieves) a histogram series.
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         match self.register(name, help, labels, || {
@@ -535,95 +531,196 @@ impl Registry {
         }
     }
 
-    /// Renders every registered series in the Prometheus text exposition
-    /// format, in registration order (deterministic for a given
-    /// registration sequence).
-    pub fn render_prometheus(&self) -> String {
+    /// Registers (or retrieves) a counter vector: `len` slots exported
+    /// as `name{label="<slot>"}`, counted slots only.
+    pub fn counter_vec(&self, name: &str, help: &str, label: &str, len: usize) -> Arc<CounterVec> {
+        match self.register(name, help, &[], || {
+            Metric::CounterVec(Arc::new(CounterVec::new(label, len)))
+        }) {
+            Metric::CounterVec(v) => v,
+            _ => panic!("metric {name} registered with a different type"),
+        }
+    }
+
+    /// Reads every registered series into a [`Snapshot`], in
+    /// registration order. Histograms become Prometheus *summary*
+    /// samples: p50/p90/p99/p999 `quantile` rows plus `_sum` and
+    /// `_count`.
+    pub fn snapshot(&self) -> Snapshot {
         let fams = self.families.lock().expect("registry poisoned");
-        let mut out = String::new();
+        let mut snap = Snapshot::default();
         for fam in fams.iter() {
             let kind = match fam.series.first().map(|s| &s.metric) {
-                Some(Metric::Counter(_)) => "counter",
-                Some(Metric::Gauge(_)) | Some(Metric::FloatGauge(_)) => "gauge",
-                Some(Metric::Histogram(_)) => "summary",
+                Some(Metric::Counter(_)) | Some(Metric::CounterVec(_)) => MetricKind::Counter,
+                Some(Metric::Gauge(_)) => MetricKind::Gauge,
+                Some(Metric::Histogram(_)) => MetricKind::Summary,
                 None => continue,
             };
-            out.push_str(&format!("# HELP {} {}\n", fam.name, fam.help));
-            out.push_str(&format!("# TYPE {} {}\n", fam.name, kind));
+            let out = snap.family(&fam.name, &fam.help, kind);
+            let mut push = |suffix: &str, labels: Vec<(String, String)>, value: u64| {
+                out.samples.push(Sample {
+                    name: format!("{}{suffix}", fam.name),
+                    labels,
+                    value: value as f64,
+                })
+            };
             for s in &fam.series {
                 match &s.metric {
-                    Metric::Counter(c) => {
-                        render_line(&mut out, &fam.name, &s.labels, None, &c.get().to_string());
-                    }
-                    Metric::Gauge(g) => {
-                        render_line(&mut out, &fam.name, &s.labels, None, &g.get().to_string());
-                    }
-                    Metric::FloatGauge(g) => {
-                        render_line(&mut out, &fam.name, &s.labels, None, &format_f64(g.get()));
+                    Metric::Counter(c) => push("", s.labels.clone(), c.get()),
+                    Metric::Gauge(g) => push("", s.labels.clone(), g.get()),
+                    Metric::CounterVec(v) => {
+                        for (slot, n) in v.nonzero() {
+                            push("", vec![(v.label.clone(), slot.to_string())], n);
+                        }
                     }
                     Metric::Histogram(h) => {
-                        let snap = h.snapshot();
+                        let hs = h.snapshot();
                         for (q, qlabel) in RENDERED_QUANTILES {
-                            render_line(
-                                &mut out,
-                                &fam.name,
-                                &s.labels,
-                                Some(("quantile", qlabel)),
-                                &snap.quantile(q).to_string(),
-                            );
+                            let mut labels = s.labels.clone();
+                            labels.push(("quantile".into(), qlabel.into()));
+                            push("", labels, hs.quantile(q));
                         }
-                        render_line(
-                            &mut out,
-                            &format!("{}_sum", fam.name),
-                            &s.labels,
-                            None,
-                            &snap.sum().to_string(),
-                        );
-                        render_line(
-                            &mut out,
-                            &format!("{}_count", fam.name),
-                            &s.labels,
-                            None,
-                            &snap.count().to_string(),
-                        );
+                        push("_sum", s.labels.clone(), hs.sum());
+                        push("_count", s.labels.clone(), hs.count());
                     }
                 }
             }
         }
-        out
+        snap
     }
 }
 
-/// Renders one `name{labels} value` exposition line.
-fn render_line(
-    out: &mut String,
-    name: &str,
-    labels: &[(String, String)],
-    extra: Option<(&str, &str)>,
-    value: &str,
-) {
-    out.push_str(name);
-    if !labels.is_empty() || extra.is_some() {
-        out.push('{');
-        let mut first = true;
-        for (k, v) in labels {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("{}=\"{}\"", k, escape_label(v)));
+/// What a family measures, as the exposition's `# TYPE` line names it.
+/// Binary encodings carry the discriminant, so variants keep their
+/// declaration order (`Counter` 0, `Gauge` 1, `Summary` 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum MetricKind {
+    /// A monotone count.
+    Counter,
+    /// An instantaneous value.
+    Gauge,
+    /// Histogram quantiles plus `_sum` and `_count`.
+    Summary,
+}
+
+impl MetricKind {
+    /// The exposition-format type name.
+    fn as_str(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Summary => "summary",
         }
-        if let Some((k, v)) = extra {
-            if !first {
-                out.push(',');
-            }
-            out.push_str(&format!("{}=\"{}\"", k, escape_label(v)));
-        }
-        out.push('}');
     }
-    out.push(' ');
-    out.push_str(value);
-    out.push('\n');
+}
+
+/// One exposition line: sample name, labels, value. Values are `f64`,
+/// as in Prometheus itself; integer counts are exact up to 2⁵³.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Sample {
+    /// Sample name: the family name, plus `_sum`/`_count` for summaries.
+    pub name: String,
+    /// Label pairs in exposition order.
+    pub labels: Vec<(String, String)>,
+    /// The value.
+    pub value: f64,
+}
+
+/// One metric family at a point in time.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FamilySnapshot {
+    /// Family name.
+    pub name: String,
+    /// One-line description (`# HELP`).
+    pub help: String,
+    /// Family type (`# TYPE`).
+    pub kind: MetricKind,
+    /// Its samples, in exposition order.
+    pub samples: Vec<Sample>,
+}
+
+impl FamilySnapshot {
+    /// Appends a sample named after the family.
+    pub fn sample(&mut self, labels: &[(&str, &str)], value: f64) -> &mut Self {
+        self.samples.push(Sample {
+            name: self.name.clone(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value,
+        });
+        self
+    }
+}
+
+/// A point-in-time reading of metric families: plain data that renders
+/// the Prometheus text format and round-trips through serde.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Snapshot {
+    /// Families in exposition order.
+    pub families: Vec<FamilySnapshot>,
+}
+
+impl Snapshot {
+    /// Appends an empty family and returns it for [`FamilySnapshot::sample`].
+    pub fn family(&mut self, name: &str, help: &str, kind: MetricKind) -> &mut FamilySnapshot {
+        self.families.push(FamilySnapshot {
+            name: name.to_string(),
+            help: help.to_string(),
+            kind,
+            samples: Vec::new(),
+        });
+        self.families.last_mut().expect("just pushed")
+    }
+
+    /// Every sample, across families.
+    pub fn samples(&self) -> impl Iterator<Item = &Sample> {
+        self.families.iter().flat_map(|f| f.samples.iter())
+    }
+
+    /// The value of the sample named `name` whose labels are exactly
+    /// `labels`, in exposition order.
+    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        self.samples()
+            .find(|s| {
+                s.name == name
+                    && (s.labels.iter())
+                        .map(|(k, v)| (k.as_str(), v.as_str()))
+                        .eq(labels.iter().copied())
+            })
+            .map(|s| s.value)
+    }
+
+    /// The sum over every sample named `name`, whatever its labels.
+    pub fn sum(&self, name: &str) -> f64 {
+        self.samples()
+            .filter(|s| s.name == name)
+            .map(|s| s.value)
+            .sum()
+    }
+
+    /// Renders the Prometheus text exposition format (version 0.0.4).
+    pub fn render_prometheus(&self) -> String {
+        let mut out = String::new();
+        for fam in &self.families {
+            out.push_str(&format!("# HELP {} {}\n", fam.name, fam.help));
+            out.push_str(&format!("# TYPE {} {}\n", fam.name, fam.kind.as_str()));
+            for s in &fam.samples {
+                out.push_str(&s.name);
+                if !s.labels.is_empty() {
+                    let pairs: Vec<String> = s
+                        .labels
+                        .iter()
+                        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+                        .collect();
+                    out.push_str(&format!("{{{}}}", pairs.join(",")));
+                }
+                out.push_str(&format!(" {}\n", format_f64(s.value)));
+            }
+        }
+        out
+    }
 }
 
 /// Escapes a label value per the exposition format (backslash, quote,
@@ -635,10 +732,12 @@ fn escape_label(v: &str) -> String {
 }
 
 /// Formats an `f64` the way Prometheus expects (plain decimal; `NaN`
-/// spelled out).
+/// and `±Inf` spelled out).
 fn format_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
+    } else if v.is_infinite() {
+        if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
     } else {
         format!("{v}")
     }
@@ -778,17 +877,17 @@ mod tests {
         assert_eq!(c2.get(), 3, "same name+labels must be the same handle");
         let g = r.gauge("dpod_depth", "queue depth", &[]);
         g.set(7);
-        let f = r.float_gauge("dpod_eps", "epsilon", &[("release", "ci\"ty")]);
-        f.set(0.5);
+        r.counter("dpod_eps_total", "escaping", &[("release", "ci\"ty")])
+            .add(5);
         let h = r.histogram("dpod_lat_nanoseconds", "latency", &[("stage", "exec")]);
         h.record(1000);
         h.record(2000);
-        let text = r.render_prometheus();
+        let text = r.snapshot().render_prometheus();
         assert!(text.contains("# TYPE dpod_test_total counter"), "{text}");
         assert!(text.contains("dpod_test_total{kind=\"a\"} 3"), "{text}");
         assert!(text.contains("dpod_test_total{kind=\"b\"} 1"), "{text}");
         assert!(text.contains("dpod_depth 7"), "{text}");
-        assert!(text.contains("release=\"ci\\\"ty\"} 0.5"), "{text}");
+        assert!(text.contains("release=\"ci\\\"ty\"} 5"), "{text}");
         assert!(
             text.contains("# TYPE dpod_lat_nanoseconds summary"),
             "{text}"
@@ -808,14 +907,54 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_lookups_match_the_rendering() {
+        let r = Registry::new();
+        r.counter("dpod_hits_total", "hits", &[("memo", "a")])
+            .add(2);
+        r.counter("dpod_hits_total", "hits", &[("memo", "b")])
+            .add(5);
+        let levels = r.counter_vec("dpod_level_hits_total", "per level", "level", 4);
+        levels.inc(2);
+        levels.inc(2);
+        levels.inc(9); // past the end: ignored
+        r.histogram("dpod_lat_nanoseconds", "latency", &[])
+            .record(40);
+        let snap = r.snapshot();
+        assert_eq!(snap.get("dpod_hits_total", &[("memo", "b")]), Some(5.0));
+        assert_eq!(snap.get("dpod_hits_total", &[]), None);
+        assert_eq!(snap.sum("dpod_hits_total"), 7.0);
+        assert_eq!(
+            snap.get("dpod_level_hits_total", &[("level", "2")]),
+            Some(2.0)
+        );
+        assert_eq!(snap.get("dpod_lat_nanoseconds_count", &[]), Some(1.0));
+        let text = snap.render_prometheus();
+        assert!(
+            text.contains("# TYPE dpod_level_hits_total counter"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dpod_level_hits_total{level=\"2\"} 2\n"),
+            "{text}"
+        );
+        assert!(
+            !text.contains("level=\"0\""),
+            "uncounted slots stay out: {text}"
+        );
+        // Every sample renders as exactly one `name{labels} value` line.
+        let lines = text.lines().filter(|l| !l.starts_with('#')).count();
+        assert_eq!(lines, snap.samples().count());
+    }
+
+    #[test]
     fn span_and_clock_measure_forward_time() {
         let clock = Clock::new();
         let t0 = clock.now_nanos();
         let h = Histogram::new();
-        let mut span = Span::start();
+        let span = Span::start();
         std::hint::black_box((0..1000).sum::<u64>());
-        span.lap(&h);
         span.finish(&h);
+        span.finish(&h); // a Copy span can close twice from one start
         let s = h.snapshot();
         assert_eq!(s.count(), 2);
         assert!(clock.now_nanos() >= t0);

@@ -29,8 +29,9 @@
 use crate::plan::{PlanError, TopCell};
 use dpod_core::SanitizedMatrix;
 use dpod_fmatrix::{coarsen_to_level, AxisBox, DenseMatrix, PrefixSum, Shape};
+use dpod_obs::{Counter, CounterVec};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -38,6 +39,38 @@ use std::time::Instant;
 /// marginal tables (64 MiB). Keep-sets past the cap are still answered
 /// — computed per query, exactly like the scan path — just not cached.
 pub const DEFAULT_MARGINAL_BUDGET: usize = 64 << 20;
+
+/// Pyramid levels a [`IndexCounters::pyramid_level_hits`] vector has
+/// slots for: level 64 collapses even a `2^64`-cell axis.
+pub const PYRAMID_LEVEL_SLOTS: usize = 65;
+
+/// The counter handles a [`ReleaseIndex`] records into. Cloning shares
+/// the handles, so every index built from one set adds into the same
+/// counts, and an evicted index's traffic stays counted.
+#[derive(Debug, Clone)]
+pub struct IndexCounters {
+    /// Wall-clock nanoseconds spent building memoized structures
+    /// (marginal tables, the cell order, pyramid levels).
+    pub build_nanos: Arc<Counter>,
+    /// Drill-down plans answered from an already-memoized level.
+    pub pyramid_hits: Arc<Counter>,
+    /// Drill-down plans that had to build their level first.
+    pub pyramid_misses: Arc<Counter>,
+    /// Warm pyramid hits, by level.
+    pub pyramid_level_hits: Arc<CounterVec>,
+}
+
+impl Default for IndexCounters {
+    /// Private handles, counting for one index alone.
+    fn default() -> Self {
+        IndexCounters {
+            build_nanos: Arc::default(),
+            pyramid_hits: Arc::default(),
+            pyramid_misses: Arc::default(),
+            pyramid_level_hits: Arc::new(CounterVec::new("level", PYRAMID_LEVEL_SLOTS)),
+        }
+    }
+}
 
 /// The primitive lookups a [`QueryPlan`](crate::QueryPlan) decomposes
 /// into. The executor ([`crate::plan::execute_with`]) owns all plan
@@ -279,23 +312,26 @@ pub struct ReleaseIndex {
     marginal_budget: usize,
     marginal_bytes: AtomicUsize,
     pyramid_bytes: AtomicUsize,
-    pyramid_hits: AtomicU64,
-    pyramid_misses: AtomicU64,
-    pyramid_level_hits: Mutex<HashMap<u32, u64>>,
     order_bytes: AtomicUsize,
-    build_nanos: AtomicU64,
+    counters: IndexCounters,
 }
 
 impl ReleaseIndex {
-    /// An index over `matrix` with the [`DEFAULT_MARGINAL_BUDGET`].
+    /// An index over `matrix` with the [`DEFAULT_MARGINAL_BUDGET`] and
+    /// private counters.
     pub fn new(matrix: Arc<SanitizedMatrix>) -> Self {
-        Self::with_marginal_budget(matrix, DEFAULT_MARGINAL_BUDGET)
+        Self::with_counters(matrix, DEFAULT_MARGINAL_BUDGET, IndexCounters::default())
     }
 
     /// An index over `matrix` memoizing at most `marginal_budget` bytes
     /// of marginal tables (over-budget keep-sets are computed per query
-    /// without caching).
-    pub fn with_marginal_budget(matrix: Arc<SanitizedMatrix>, marginal_budget: usize) -> Self {
+    /// without caching), recording into `counters` (shared with whoever
+    /// else holds them).
+    pub fn with_counters(
+        matrix: Arc<SanitizedMatrix>,
+        marginal_budget: usize,
+        counters: IndexCounters,
+    ) -> Self {
         ReleaseIndex {
             matrix,
             total: OnceLock::new(),
@@ -305,16 +341,13 @@ impl ReleaseIndex {
             marginal_budget,
             marginal_bytes: AtomicUsize::new(0),
             pyramid_bytes: AtomicUsize::new(0),
-            pyramid_hits: AtomicU64::new(0),
-            pyramid_misses: AtomicU64::new(0),
-            pyramid_level_hits: Mutex::new(HashMap::new()),
             order_bytes: AtomicUsize::new(0),
-            build_nanos: AtomicU64::new(0),
+            counters,
         }
     }
 
     /// Bytes currently spent across both memo pools (marginal tables
-    /// and pyramid levels) — they share [`Self::with_marginal_budget`]'s
+    /// and pyramid levels) — they share [`Self::with_counters`]'s
     /// single budget.
     fn memo_bytes(&self) -> usize {
         self.marginal_bytes.load(Ordering::Relaxed) + self.pyramid_bytes.load(Ordering::Relaxed)
@@ -348,8 +381,7 @@ impl ReleaseIndex {
             .map_err(|e| PlanError(format!("bad marginal: {e}")))?;
         let prefix = PrefixSum::from_f64(&table);
         let built = Arc::new(MarginalTable { table, prefix });
-        self.build_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.note_build(start);
         let cost = built.resident_bytes() + keep.len() * 8 + 48;
         let mut map = self.marginals.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(t) = map.get(keep) {
@@ -375,23 +407,17 @@ impl ReleaseIndex {
         {
             let map = self.pyramid.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(l) = map.get(&level) {
-                self.pyramid_hits.fetch_add(1, Ordering::Relaxed);
-                *self
-                    .pyramid_level_hits
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .entry(level)
-                    .or_insert(0) += 1;
+                self.counters.pyramid_hits.inc();
+                self.counters.pyramid_level_hits.inc(level as usize);
                 return Ok(Arc::clone(l));
             }
         }
-        self.pyramid_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.pyramid_misses.inc();
         // Build outside the lock, as for marginals: a slow first-touch
         // level never blocks queries hitting already-memoized levels.
         let start = Instant::now();
         let built = PyramidLevel::build(&self.matrix, level)?;
-        self.build_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.note_build(start);
         let cost = built.resident_bytes() + 48;
         let mut map = self.pyramid.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(l) = map.get(&level) {
@@ -429,8 +455,7 @@ impl ReleaseIndex {
             order.sort_unstable_by(|&a, &b| rank_cmp(values, a as usize, b as usize));
             self.order_bytes
                 .fetch_add(order.len() * 4 + 24, Ordering::Relaxed);
-            self.build_nanos
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.note_build(start);
             order
         }))
     }
@@ -443,10 +468,17 @@ impl ReleaseIndex {
         256 + self.memo_bytes() + self.order_bytes.load(Ordering::Relaxed)
     }
 
-    /// Cumulative wall-clock time this index has spent building
-    /// memoized structures (marginal tables, the cell order).
-    pub fn build_nanos(&self) -> u64 {
-        self.build_nanos.load(Ordering::Relaxed)
+    /// Adds the time since `start` to the build-time counter.
+    fn note_build(&self, start: Instant) {
+        self.counters
+            .build_nanos
+            .add(start.elapsed().as_nanos() as u64);
+    }
+
+    /// The counters this index records into (shared when it was built
+    /// [`with_counters`](Self::with_counters)).
+    pub fn counters(&self) -> &IndexCounters {
+        &self.counters
     }
 
     /// Memoized marginal keep-sets currently resident.
@@ -465,29 +497,6 @@ impl ReleaseIndex {
     /// Bytes spent on memoized pyramid levels.
     pub fn pyramid_bytes(&self) -> usize {
         self.pyramid_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Drill-down plans answered from an already-memoized level.
-    pub fn pyramid_hits(&self) -> u64 {
-        self.pyramid_hits.load(Ordering::Relaxed)
-    }
-
-    /// Drill-down plans that had to build their level first.
-    pub fn pyramid_misses(&self) -> u64 {
-        self.pyramid_misses.load(Ordering::Relaxed)
-    }
-
-    /// Warm hits per pyramid level, ascending by level.
-    pub fn pyramid_level_hits(&self) -> Vec<(u32, u64)> {
-        let mut hits: Vec<(u32, u64)> = self
-            .pyramid_level_hits
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(&l, &n)| (l, n))
-            .collect();
-        hits.sort_unstable();
-        hits
     }
 }
 
@@ -687,7 +696,7 @@ mod tests {
     fn memoization_respects_the_marginal_budget() {
         let m = release(4);
         // Budget fits roughly one small marginal table, not all of them.
-        let index = ReleaseIndex::with_marginal_budget(Arc::clone(&m), 600);
+        let index = ReleaseIndex::with_counters(Arc::clone(&m), 600, IndexCounters::default());
         index.marginal_table(&[0]).unwrap(); // 4 cells → memoized
         let after_first = index.resident_bytes();
         assert_eq!(index.marginal_entries(), 1);
@@ -719,25 +728,46 @@ mod tests {
             plan: Box::new(QueryPlan::Total),
         };
         execute_with(&index, &plan).unwrap();
-        assert_eq!((index.pyramid_misses(), index.pyramid_hits()), (1, 0));
+        assert_eq!(
+            (
+                index.counters().pyramid_misses.get(),
+                index.counters().pyramid_hits.get()
+            ),
+            (1, 0)
+        );
         assert_eq!(index.pyramid_entries(), 1);
         assert!(index.pyramid_bytes() > 0);
         assert!(index.resident_bytes() > base, "levels must be charged");
-        assert_eq!(index.pyramid_level_hits(), vec![]);
+        assert_eq!(index.counters().pyramid_level_hits.nonzero(), vec![]);
 
         // Warm replays hit the memo; a different level misses again.
         execute_with(&index, &plan).unwrap();
         execute_with(&index, &plan).unwrap();
-        assert_eq!((index.pyramid_misses(), index.pyramid_hits()), (1, 2));
-        assert_eq!(index.pyramid_level_hits(), vec![(2, 2)]);
+        assert_eq!(
+            (
+                index.counters().pyramid_misses.get(),
+                index.counters().pyramid_hits.get()
+            ),
+            (1, 2)
+        );
+        assert_eq!(index.counters().pyramid_level_hits.nonzero(), vec![(2, 2)]);
         let other = QueryPlan::DrillDown {
             level: 1,
             plan: Box::new(QueryPlan::Marginal { keep: vec![0] }),
         };
         execute_with(&index, &other).unwrap();
         execute_with(&index, &other).unwrap();
-        assert_eq!((index.pyramid_misses(), index.pyramid_hits()), (2, 3));
-        assert_eq!(index.pyramid_level_hits(), vec![(1, 1), (2, 2)]);
+        assert_eq!(
+            (
+                index.counters().pyramid_misses.get(),
+                index.counters().pyramid_hits.get()
+            ),
+            (2, 3)
+        );
+        assert_eq!(
+            index.counters().pyramid_level_hits.nonzero(),
+            vec![(1, 1), (2, 2)]
+        );
         assert_eq!(index.pyramid_entries(), 2);
 
         // Level 0 routes to the leaf — it never touches the memo.
@@ -749,7 +779,13 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!((index.pyramid_misses(), index.pyramid_hits()), (2, 3));
+        assert_eq!(
+            (
+                index.counters().pyramid_misses.get(),
+                index.counters().pyramid_hits.get()
+            ),
+            (2, 3)
+        );
 
         // Invalid levels are errors, not memo entries.
         assert!(index.pyramid_table(99).is_err());
@@ -761,7 +797,7 @@ mod tests {
         let m = release(4);
         // Fits the level-2 table (1 cell) but not level 1 (16 cells:
         // 16·16 + 64 + 48 = 368 > 200).
-        let index = ReleaseIndex::with_marginal_budget(Arc::clone(&m), 200);
+        let index = ReleaseIndex::with_counters(Arc::clone(&m), 200, IndexCounters::default());
         let coarse = index.pyramid_table(2).unwrap();
         assert_eq!(index.pyramid_entries(), 1);
         let after_first = index.resident_bytes();
@@ -801,8 +837,14 @@ mod tests {
         };
         let first = execute_with(&index, &plan).unwrap();
         let warm = execute_with(&index, &plan).unwrap();
-        assert_eq!((index.pyramid_misses(), index.pyramid_hits()), (1, 1));
-        assert_eq!(index.pyramid_level_hits(), vec![(4, 1)]);
+        assert_eq!(
+            (
+                index.counters().pyramid_misses.get(),
+                index.counters().pyramid_hits.get()
+            ),
+            (1, 1)
+        );
+        assert_eq!(index.counters().pyramid_level_hits.nonzero(), vec![(4, 1)]);
         let Answer::Marginal { dims, .. } = &first else {
             panic!("expected marginal");
         };
@@ -819,23 +861,26 @@ mod tests {
         let m = release(4);
         let index = ReleaseIndex::new(Arc::clone(&m));
         let base = index.resident_bytes();
-        assert_eq!(index.build_nanos(), 0);
+        assert_eq!(index.counters().build_nanos.get(), 0);
 
         index.top_k(5);
         let after_order = index.resident_bytes();
         assert!(after_order > base, "order must be charged");
-        let nanos_order = index.build_nanos();
+        let nanos_order = index.counters().build_nanos.get();
 
         index.marginal_table(&[0, 1]).unwrap();
         assert!(index.resident_bytes() > after_order);
-        assert!(index.build_nanos() >= nanos_order);
+        assert!(index.counters().build_nanos.get() >= nanos_order);
 
         // Warm touches change nothing.
-        let settled = (index.resident_bytes(), index.build_nanos());
+        let settled = (index.resident_bytes(), index.counters().build_nanos.get());
         index.top_k(5);
         index.marginal_table(&[0, 1]).unwrap();
         let _ = index.total();
         let _ = index.total();
-        assert_eq!((index.resident_bytes(), index.build_nanos()), settled);
+        assert_eq!(
+            (index.resident_bytes(), index.counters().build_nanos.get()),
+            settled
+        );
     }
 }

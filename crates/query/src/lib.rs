@@ -35,11 +35,14 @@ pub mod od;
 pub mod plan;
 pub mod workload;
 
-pub use backend::{MarginalTable, PlanBackend, PyramidLevel, ReleaseIndex, ScanBackend};
+pub use backend::{
+    IndexCounters, MarginalTable, PlanBackend, PyramidLevel, ReleaseIndex, ScanBackend,
+};
 pub use eval::{evaluate, EvalReport};
 pub use metrics::{MreOptions, SummaryStats};
 pub use od::{OdQuery, Region};
 pub use plan::{
     merge_window_answers, Answer, EpochSelector, PlanError, QueryPlan, TopCell, WindowMerge,
+    PLAN_KINDS,
 };
 pub use workload::QueryWorkload;

@@ -195,22 +195,39 @@ pub enum WindowMerge {
     PerEpoch,
 }
 
+/// Every plan shape's label, indexed by [`QueryPlan::kind_index`].
+pub const PLAN_KINDS: [&str; 8] = [
+    "range",
+    "od",
+    "marginal",
+    "top_k",
+    "total",
+    "many",
+    "window",
+    "drill_down",
+];
+
 impl QueryPlan {
-    /// A stable lowercase label for the plan's shape (`"range"`, `"od"`,
-    /// `"marginal"`, `"top_k"`, `"total"`, `"many"`), used as the
-    /// `kind` tag on serving-side metrics — low-cardinality by
-    /// construction (one label per variant, never per plan value).
-    pub fn kind(&self) -> &'static str {
+    /// Position of the plan's shape in [`PLAN_KINDS`].
+    pub fn kind_index(&self) -> usize {
         match self {
-            QueryPlan::Range { .. } => "range",
-            QueryPlan::Od { .. } => "od",
-            QueryPlan::Marginal { .. } => "marginal",
-            QueryPlan::TopK { .. } => "top_k",
-            QueryPlan::Total => "total",
-            QueryPlan::Many { .. } => "many",
-            QueryPlan::Window { .. } => "window",
-            QueryPlan::DrillDown { .. } => "drill_down",
+            QueryPlan::Range { .. } => 0,
+            QueryPlan::Od { .. } => 1,
+            QueryPlan::Marginal { .. } => 2,
+            QueryPlan::TopK { .. } => 3,
+            QueryPlan::Total => 4,
+            QueryPlan::Many { .. } => 5,
+            QueryPlan::Window { .. } => 6,
+            QueryPlan::DrillDown { .. } => 7,
         }
+    }
+
+    /// A stable lowercase label for the plan's shape (one of
+    /// [`PLAN_KINDS`]), used as the `kind` tag on serving-side metrics —
+    /// low-cardinality by construction (one label per variant, never
+    /// per plan value).
+    pub fn kind(&self) -> &'static str {
+        PLAN_KINDS[self.kind_index()]
     }
 
     /// A full-extent OD plan; chain [`Self::with_origin`] /

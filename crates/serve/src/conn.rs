@@ -22,7 +22,7 @@
 //! run on worker threads: the event front end's loops only move raw
 //! bytes, and the pool front end's workers own their sockets.
 
-use crate::metrics::{Stage, Transport, KIND_UNDECODABLE};
+use crate::metrics::{kind_index, Stage, Transport, KIND_UNDECODABLE};
 use crate::protocol::{Request, Response};
 use crate::server::{ResponseEncoding, Server, WireMode, MAX_LINE_BYTES};
 use crate::wire;
@@ -344,8 +344,7 @@ impl Assembler {
 /// Returns `(bytes, close_after)`; the one item executor both front
 /// ends' workers call. Execution and serialization are fused in
 /// [`Server::handle_encoded`] (that fusion is what lets a warm
-/// encoded-memo hit skip both), so the execute lap covers them and the
-/// encode lap is the memcpy into the connection's write buffer.
+/// encoded-memo hit skip both), so the execute stage covers both.
 /// `packed` selects the packed `DPRB` response opcodes for peers that
 /// negotiated them.
 pub(crate) fn run_job(server: &Server, items: Vec<WorkItem>, packed: bool) -> (Vec<u8>, bool) {
@@ -357,7 +356,7 @@ pub(crate) fn run_job(server: &Server, items: Vec<WorkItem>, packed: bool) -> (V
     };
     let mut out = Vec::new();
     for item in items {
-        let mut span = Span::start();
+        let span = Span::start();
         let (transport, enc, decoded) = match item {
             WorkItem::JsonLine(bytes) => {
                 // Invalid UTF-8 cannot be a JSON request line: the
@@ -385,7 +384,7 @@ pub(crate) fn run_job(server: &Server, items: Vec<WorkItem>, packed: bool) -> (V
                 } else {
                     (Transport::Json, ResponseEncoding::Json)
                 };
-                metrics.count_request_index(transport, KIND_UNDECODABLE);
+                metrics.count_request(transport, KIND_UNDECODABLE);
                 out.extend_from_slice(&enc.encode(&Response::Error { message }));
                 return (out, true);
             }
@@ -393,19 +392,18 @@ pub(crate) fn run_job(server: &Server, items: Vec<WorkItem>, packed: bool) -> (V
         };
         let encoded = match decoded {
             Ok(request) => {
-                metrics.count_request(transport, &request);
+                metrics.count_request(transport, kind_index(&request));
                 server.handle_encoded(&request, enc)
             }
             Err(e) => {
-                metrics.count_request_index(transport, KIND_UNDECODABLE);
+                metrics.count_request(transport, KIND_UNDECODABLE);
                 Arc::new(enc.encode(&Response::Error {
                     message: format!("bad request: {e}"),
                 }))
             }
         };
-        span.lap(metrics.stage(transport, Stage::Execute));
+        span.finish(metrics.stage(transport, Stage::Execute));
         out.extend_from_slice(&encoded);
-        span.finish(metrics.stage(transport, Stage::Encode));
     }
     (out, false)
 }

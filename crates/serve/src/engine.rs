@@ -18,13 +18,44 @@
 //! never answer. Index bytes grow as aggregates are first touched, so
 //! the ledger is recomputed from the live entries whenever the budget is
 //! enforced rather than trusted from insert time.
+//!
+//! Hit, miss and build-time counts are recorded once, at event time, in
+//! a `dpod_obs` [`Registry`] (the server's, so `/metrics` and `Stats`
+//! read them there). Every index the engine builds shares one set of
+//! handles, so counts outlive evicted indexes by construction.
 
 use crate::{CatalogEntry, ServeError};
 use dpod_core::SanitizedMatrix;
-use dpod_query::{Answer, ReleaseIndex};
+use dpod_obs::{Counter, Registry};
+use dpod_query::{Answer, IndexCounters, ReleaseIndex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// One memo's hit and miss counters:
+/// `dpod_engine_memo_{hits,misses}_total{memo}`.
+#[derive(Debug)]
+struct MemoCounters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+}
+
+impl MemoCounters {
+    fn register(registry: &Registry, memo: &str) -> Self {
+        let labels = &[("memo", memo)];
+        MemoCounters {
+            hits: registry.counter(
+                "dpod_engine_memo_hits_total",
+                "Engine memo lookups answered from a resident entry, by memo",
+                labels,
+            ),
+            misses: registry.counter(
+                "dpod_engine_memo_misses_total",
+                "Engine memo lookups that had to compute the entry, by memo",
+                labels,
+            ),
+        }
+    }
+}
 
 /// A memoizing rebuild + index cache with a shared LRU byte budget.
 #[derive(Debug)]
@@ -34,23 +65,12 @@ pub struct QueryEngine {
     /// [`ReleaseIndex`] it builds.
     index_marginal_cap: usize,
     state: Mutex<LruState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    index_hits: AtomicU64,
-    index_misses: AtomicU64,
-    partial_hits: AtomicU64,
-    partial_misses: AtomicU64,
-    encoded_hits: AtomicU64,
-    encoded_misses: AtomicU64,
-    /// Build time of indexes that have since been evicted; live
-    /// indexes' [`ReleaseIndex::build_nanos`] are summed on demand.
-    retired_index_nanos: AtomicU64,
-    /// Pyramid hit/miss counts of evicted indexes (live indexes' own
-    /// counters are summed on demand, as for build time).
-    retired_pyramid_hits: AtomicU64,
-    retired_pyramid_misses: AtomicU64,
-    /// Per-level pyramid hits of evicted indexes.
-    retired_pyramid_level_hits: Mutex<HashMap<u32, u64>>,
+    matrix: MemoCounters,
+    index: MemoCounters,
+    partial: MemoCounters,
+    encoded: MemoCounters,
+    /// Build time and pyramid-memo counters, shared by every index.
+    index_counters: IndexCounters,
 }
 
 #[derive(Debug, Default)]
@@ -198,64 +218,60 @@ fn resident_bytes(m: &SanitizedMatrix) -> usize {
 }
 
 impl QueryEngine {
-    /// An engine caching up to ~`byte_budget` bytes of rebuilt releases.
+    /// An engine caching up to ~`byte_budget` bytes of rebuilt releases,
+    /// counting into a private registry.
     ///
     /// A single release larger than the whole budget is still cached (the
     /// alternative — rebuilding on every query — is strictly worse); the
     /// budget then holds exactly that one entry.
     pub fn new(byte_budget: usize) -> Self {
-        Self::with_marginal_cap(byte_budget, dpod_query::backend::DEFAULT_MARGINAL_BUDGET)
+        Self::with_registry(
+            byte_budget,
+            dpod_query::backend::DEFAULT_MARGINAL_BUDGET,
+            &Registry::new(),
+        )
     }
 
     /// [`Self::new`], but capping each release's memoized marginal
     /// tables at `index_marginal_cap` bytes (keep-sets past the cap are
-    /// answered per query without caching).
-    pub fn with_marginal_cap(byte_budget: usize, index_marginal_cap: usize) -> Self {
+    /// answered per query without caching) and counting into `registry`.
+    pub fn with_registry(
+        byte_budget: usize,
+        index_marginal_cap: usize,
+        registry: &Registry,
+    ) -> Self {
+        let [matrix, index, partial, encoded, pyramid] =
+            ["matrix", "index", "partial", "encoded", "pyramid"]
+                .map(|memo| MemoCounters::register(registry, memo));
         QueryEngine {
             byte_budget,
             index_marginal_cap,
             state: Mutex::new(LruState::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            index_hits: AtomicU64::new(0),
-            index_misses: AtomicU64::new(0),
-            partial_hits: AtomicU64::new(0),
-            partial_misses: AtomicU64::new(0),
-            encoded_hits: AtomicU64::new(0),
-            encoded_misses: AtomicU64::new(0),
-            retired_index_nanos: AtomicU64::new(0),
-            retired_pyramid_hits: AtomicU64::new(0),
-            retired_pyramid_misses: AtomicU64::new(0),
-            retired_pyramid_level_hits: Mutex::new(HashMap::new()),
+            matrix,
+            index,
+            partial,
+            encoded,
+            index_counters: IndexCounters {
+                build_nanos: registry.counter(
+                    "dpod_engine_index_build_nanoseconds_total",
+                    "Cumulative nanoseconds spent building plan-index structures",
+                    &[],
+                ),
+                pyramid_hits: pyramid.hits,
+                pyramid_misses: pyramid.misses,
+                pyramid_level_hits: registry.counter_vec(
+                    "dpod_engine_pyramid_level_hits_total",
+                    "Warm pyramid hits per level",
+                    "level",
+                    dpod_query::backend::PYRAMID_LEVEL_SLOTS,
+                ),
+            },
         }
     }
 
     /// The configured byte budget.
     pub fn byte_budget(&self) -> usize {
         self.byte_budget
-    }
-
-    /// Sums an evicted entry's accrued index-build time and pyramid
-    /// counters into the lifetime accumulators before the index drops.
-    fn retire(&self, cached: &Cached) {
-        if let Some(ix) = &cached.index {
-            self.retired_index_nanos
-                .fetch_add(ix.build_nanos(), Ordering::Relaxed);
-            self.retired_pyramid_hits
-                .fetch_add(ix.pyramid_hits(), Ordering::Relaxed);
-            self.retired_pyramid_misses
-                .fetch_add(ix.pyramid_misses(), Ordering::Relaxed);
-            let level_hits = ix.pyramid_level_hits();
-            if !level_hits.is_empty() {
-                let mut retired = self
-                    .retired_pyramid_level_hits
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                for (level, n) in level_hits {
-                    *retired.entry(level).or_insert(0) += n;
-                }
-            }
-        }
     }
 
     /// Recomputes the byte ledger from the live entries (re-charging
@@ -285,7 +301,6 @@ impl QueryEngine {
             match victim {
                 Some(v) => {
                     if let Some(evicted) = state.map.remove(&v) {
-                        self.retire(&evicted);
                         state.bytes = state.bytes.saturating_sub(evicted.charged);
                     }
                 }
@@ -322,14 +337,14 @@ impl QueryEngine {
             let tick = state.tick;
             if let Some(cached) = state.map.get_mut(&key) {
                 cached.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.matrix.hits.inc();
                 return Ok(Arc::clone(&cached.matrix));
             }
         }
         // Rebuild outside the lock: concurrent first-touch of the same
         // release may rebuild twice, but a slow rebuild never blocks
         // queries against other (cached) releases.
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.matrix.misses.inc();
         let rebuilt = entry
             .release
             .as_ref()
@@ -373,9 +388,7 @@ impl QueryEngine {
             .cloned()
             .collect();
         for old in stale {
-            if let Some(dropped) = state.map.remove(&old) {
-                self.retire(&dropped);
-            }
+            state.map.remove(&old);
         }
         state.map.insert(
             key.clone(),
@@ -428,7 +441,7 @@ impl QueryEngine {
             if let Some(cached) = state.map.get_mut(&key) {
                 cached.last_used = tick;
                 if let Some(ix) = &cached.index {
-                    self.index_hits.fetch_add(1, Ordering::Relaxed);
+                    self.index.hits.inc();
                     let ix = Arc::clone(ix);
                     // Index bytes grow between accesses (memoization is
                     // lazy), so the warm path re-charges *this* entry —
@@ -446,13 +459,14 @@ impl QueryEngine {
                 }
             }
         }
-        self.index_misses.fetch_add(1, Ordering::Relaxed);
+        self.index.misses.inc();
         // Resolve the matrix through the normal rebuild path (hit or
         // miss), which owns all the staleness rules; then wrap it.
         let matrix = self.sanitized_if(entry, &still_current)?;
-        let index = Arc::new(ReleaseIndex::with_marginal_budget(
+        let index = Arc::new(ReleaseIndex::with_counters(
             matrix,
             self.index_marginal_cap,
+            self.index_counters.clone(),
         ));
 
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -508,12 +522,12 @@ impl QueryEngine {
             if let Some(cached) = state.map.get_mut(&key) {
                 if let Some((answer, _)) = cached.partials.get(plan_key) {
                     cached.last_used = tick;
-                    self.partial_hits.fetch_add(1, Ordering::Relaxed);
+                    self.partial.hits.inc();
                     return Ok(answer.clone());
                 }
             }
         }
-        self.partial_misses.fetch_add(1, Ordering::Relaxed);
+        self.partial.misses.inc();
         let index = self.index_if(entry, &still_current)?;
         let answer = compute(&index)?;
 
@@ -576,12 +590,12 @@ impl QueryEngine {
             if let Some(cached) = state.map.get_mut(&key) {
                 if let Some(e) = cached.encoded.get(&memo_key) {
                     cached.last_used = tick;
-                    self.encoded_hits.fetch_add(1, Ordering::Relaxed);
+                    self.encoded.hits.inc();
                     return Ok((Arc::clone(&e.bytes), e.units));
                 }
             }
         }
-        self.encoded_misses.fetch_add(1, Ordering::Relaxed);
+        self.encoded.misses.inc();
         let (bytes, units) = compute()?;
         let bytes = Arc::new(bytes);
 
@@ -626,7 +640,6 @@ impl QueryEngine {
         let mut reclaimed = 0;
         for key in victims {
             if let Some(dropped) = state.map.remove(&key) {
-                self.retire(&dropped);
                 reclaimed += dropped.bytes();
             }
         }
@@ -637,67 +650,36 @@ impl QueryEngine {
     /// Drops every cached rebuild and index (counters are preserved).
     pub fn clear(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        for (_, cached) in state.map.drain() {
-            self.retire(&cached);
-        }
+        state.map.clear();
         state.bytes = 0;
     }
 
-    /// Lifetime warm hits per pyramid level, ascending by level:
-    /// evicted indexes' counts plus the live indexes' own.
-    pub fn pyramid_level_hits(&self) -> Vec<(u32, u64)> {
-        let mut merged: HashMap<u32, u64> = self
-            .retired_pyramid_level_hits
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        {
-            let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            for ix in state.map.values().filter_map(|c| c.index.as_ref()) {
-                for (level, n) in ix.pyramid_level_hits() {
-                    *merged.entry(level).or_insert(0) += n;
-                }
-            }
-        }
-        let mut hits: Vec<(u32, u64)> = merged.into_iter().collect();
-        hits.sort_unstable();
-        hits
-    }
-
-    /// Current counters.
+    /// Current residency, plus the lifetime counters read from their
+    /// registry handles.
     pub fn stats(&self) -> EngineStats {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         Self::refresh_bytes(&mut state);
-        let live_nanos: u64 = state
-            .map
-            .values()
-            .filter_map(|c| c.index.as_ref())
-            .map(|ix| ix.build_nanos())
-            .sum();
         let live_indexes = || state.map.values().filter_map(|c| c.index.as_ref());
-        let live_pyramid_hits: u64 = live_indexes().map(|ix| ix.pyramid_hits()).sum();
-        let live_pyramid_misses: u64 = live_indexes().map(|ix| ix.pyramid_misses()).sum();
         EngineStats {
             pyramid_entries: live_indexes().map(|ix| ix.pyramid_entries()).sum(),
             pyramid_bytes: live_indexes().map(|ix| ix.pyramid_bytes()).sum(),
-            pyramid_hits: self.retired_pyramid_hits.load(Ordering::Relaxed) + live_pyramid_hits,
-            pyramid_misses: self.retired_pyramid_misses.load(Ordering::Relaxed)
-                + live_pyramid_misses,
+            pyramid_hits: self.index_counters.pyramid_hits.get(),
+            pyramid_misses: self.index_counters.pyramid_misses.get(),
             entries: state.map.len(),
             bytes: state.bytes,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            index_entries: state.map.values().filter(|c| c.index.is_some()).count(),
-            index_hits: self.index_hits.load(Ordering::Relaxed),
-            index_misses: self.index_misses.load(Ordering::Relaxed),
+            hits: self.matrix.hits.get(),
+            misses: self.matrix.misses.get(),
+            index_entries: live_indexes().count(),
+            index_hits: self.index.hits.get(),
+            index_misses: self.index.misses.get(),
             partial_entries: state.map.values().map(|c| c.partials.len()).sum(),
-            partial_hits: self.partial_hits.load(Ordering::Relaxed),
-            partial_misses: self.partial_misses.load(Ordering::Relaxed),
+            partial_hits: self.partial.hits.get(),
+            partial_misses: self.partial.misses.get(),
             encoded_entries: state.map.values().map(|c| c.encoded.len()).sum(),
-            encoded_hits: self.encoded_hits.load(Ordering::Relaxed),
-            encoded_misses: self.encoded_misses.load(Ordering::Relaxed),
+            encoded_hits: self.encoded.hits.get(),
+            encoded_misses: self.encoded.misses.get(),
             encoded_bytes: state.map.values().map(|c| c.encoded_bytes).sum(),
-            index_build_nanos: self.retired_index_nanos.load(Ordering::Relaxed) + live_nanos,
+            index_build_nanos: self.index_counters.build_nanos.get(),
         }
     }
 }
@@ -1331,14 +1313,14 @@ mod tests {
             (1, 1, 1)
         );
         assert!(stats.pyramid_bytes > 0);
-        assert_eq!(engine.pyramid_level_hits(), vec![(2, 1)]);
+        assert_eq!(ix.counters().pyramid_level_hits.nonzero(), vec![(2, 1)]);
         // Eviction drops the resident level but the lifetime counters
-        // survive in the retired accumulators.
+        // survive: they live on handles shared across indexes.
         engine.evict("a");
         let stats = engine.stats();
         assert_eq!((stats.pyramid_entries, stats.pyramid_bytes), (0, 0));
         assert_eq!((stats.pyramid_hits, stats.pyramid_misses), (1, 1));
-        assert_eq!(engine.pyramid_level_hits(), vec![(2, 1)]);
+        assert_eq!(ix.counters().pyramid_level_hits.nonzero(), vec![(2, 1)]);
     }
 
     #[test]

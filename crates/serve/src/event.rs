@@ -409,7 +409,7 @@ fn parse_unit(server: &Server, unit: &JobUnit) -> (Transport, bool, Vec<WorkItem
         } else {
             0
         };
-        metrics.record_stage(transport, Stage::Parse, nanos);
+        metrics.stage(transport, Stage::Parse).record(nanos);
     }
     parser.partial_since = if parser.asm.has_partial() {
         // Keep the original stamp when no item completed: the partial
@@ -425,11 +425,9 @@ fn parse_unit(server: &Server, unit: &JobUnit) -> (Transport, bool, Vec<WorkItem
     drop(parser);
     // Queue wait: dispatch stamp → this dequeue, per item.
     for _ in &items {
-        metrics.record_stage(
-            transport,
-            Stage::Queue,
-            dequeued.saturating_sub(unit.queued_at),
-        );
+        metrics
+            .stage(transport, Stage::Queue)
+            .record(dequeued.saturating_sub(unit.queued_at));
     }
     (transport, packed, items)
 }
@@ -1310,7 +1308,7 @@ mod tests {
         }
         assert_eq!(values.len(), 12);
         assert!(values.windows(2).all(|w| w[0] == w[1]), "answers diverged");
-        assert_eq!(server.queries_answered(), 12);
+        assert_eq!(server.metrics().queries.get(), 12);
 
         drop(conns);
         shutdown.store(true, Ordering::SeqCst);

@@ -1,45 +1,56 @@
 //! Serving-stack observability: the [`ServeMetrics`] hub every front
-//! end records into, and the Prometheus-text `/metrics` exporter behind
-//! `dpod serve --metrics-addr`.
+//! end records into, the one [`Snapshot`] every surface renders, and the
+//! Prometheus-text `/metrics` exporter behind `dpod serve --metrics-addr`.
+//!
+//! ## One registry, one snapshot
+//!
+//! Every counter is recorded once, at event time, in the hub's
+//! `dpod_obs` registry: request mix, stage latencies, event-loop health,
+//! connections, answered queries, epoch publishes and retirements, and
+//! the engine's memo hits, misses and index build time (the engine
+//! registers its handles into the same registry). [`Server::snapshot`]
+//! reads the registry and appends the families derived from state at
+//! read time: engine residency, the catalog, per-release hits, and ε.
+//! That one
+//! snapshot is rendered three ways — `/metrics` prints it as Prometheus
+//! text, [`Response::Stats`](crate::protocol::Response::Stats) carries it
+//! (serde over NDJSON, opcode `0x88` over `DPRB`), and the `dpod serve`
+//! stats line looks samples up in it — so the surfaces cannot disagree.
 //!
 //! ## What is measured
 //!
 //! **Per-request stage latencies** (`dpod_request_stage_nanoseconds`,
 //! labelled `transport` × `stage`): `parse` (socket read → frame/line
 //! assembled), `queue` (assembled → a worker picks it up), `execute`
-//! (decode + answer), `encode` (response serialization), `write`
-//! (response bytes → socket). Recording is a wait-free histogram
-//! `fetch_add` (see `dpod_obs`), cheap enough for the ~10⁵ req/s hot
-//! path.
+//! (decode, answer and encode — fused in
+//! [`Server::handle_encoded`], so an encoded-memo hit skips the last
+//! two), `write` (response bytes → socket). Recording is a wait-free
+//! histogram `fetch_add` (see `dpod_obs`), cheap enough for the ~10⁵
+//! req/s hot path.
 //!
 //! **Event-loop health** (`dpod_eventloop_*`, labelled `shard`): per
 //! loop shard, cumulative epoll wait nanoseconds and wake count, the
 //! dispatched-unit byte-size distribution, read-side backpressure
 //! pauses, idle-sweep evictions, and the pending request-byte depth.
-//! *Versioning note:* since the loop was sharded these series carry a
-//! `shard="<i>"` label (previously unlabelled singletons), and the
-//! `dpod_eventloop_pending_items` gauge was superseded by
-//! `dpod_eventloop_pending_bytes` / `dpod_eventloop_dispatch_unit_bytes`
-//! because framing moved off the loop into the workers — the loop now
-//! counts raw bytes, not assembled items.
 //!
 //! **Request mix** (`dpod_requests_total`, labelled `transport` ×
 //! `kind`): one increment per decoded request, plan requests split by
-//! plan shape (`plan_range`, `plan_od`, …).
+//! [`QueryPlan::kind`](dpod_query::QueryPlan::kind) (`plan_range`,
+//! `plan_window`, `plan_drill_down`, …).
 //!
-//! **Scrape-time gauges** rendered fresh per exposition (zero hot-path
-//! cost): engine cache/index counters, catalog size, connection gauges,
-//! per-release hit counters, and the ε-budget accounting — each
-//! release's spent ε plus catalog-wide sequential-composition totals
-//! computed through [`dpod_dp::BudgetAccountant`].
+//! **Engine memos** (`dpod_engine_memo_{hits,misses}_total` and
+//! `dpod_engine_memo_entries`, labelled `memo` = `matrix`, `index`,
+//! `partial`, `encoded` or `pyramid`), plus resident bytes.
 //!
-//! The same histograms back the extended [`crate::protocol::ServerStats`] stats frame
-//! (`stage_latencies` quantiles) and the richer `dpod serve` stats
-//! line, so all three exposition surfaces agree.
+//! **ε** per release and per epoch, and `dpod_epsilon_spent_total`: the
+//! plain sum over catalogued releases — a report, not an enforced
+//! ceiling.
 
-use crate::protocol::{Request, StageLatency};
+use crate::protocol::Request;
+use crate::series;
 use crate::server::Server;
-use dpod_obs::{Clock, Counter, Gauge, Histogram, Registry};
+use dpod_obs::{Clock, Counter, Gauge, Histogram, MetricKind, Registry, Snapshot};
+use dpod_query::PLAN_KINDS;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,18 +66,8 @@ pub enum Transport {
     Binary = 1,
 }
 
-impl Transport {
-    /// All transports, in label-index order.
-    pub const ALL: [Transport; 2] = [Transport::Json, Transport::Binary];
-
-    /// The `transport` label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            Transport::Json => "json",
-            Transport::Binary => "binary",
-        }
-    }
-}
+/// `transport` label values, indexed by [`Transport`].
+const TRANSPORTS: [&str; 2] = ["json", "binary"];
 
 /// One stage of the request lifecycle — the `stage` label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,70 +76,40 @@ pub enum Stage {
     Parse = 0,
     /// Assembled → a worker starts executing.
     Queue = 1,
-    /// Decode + answer ([`Server::handle`]).
+    /// Decode, answer and encode ([`Server::handle_encoded`]).
     Execute = 2,
-    /// Response serialization.
-    Encode = 3,
     /// Response bytes → socket.
-    Write = 4,
+    Write = 3,
 }
 
-impl Stage {
-    /// All stages, in label-index order.
-    pub const ALL: [Stage; 5] = [
-        Stage::Parse,
-        Stage::Queue,
-        Stage::Execute,
-        Stage::Encode,
-        Stage::Write,
-    ];
+/// `stage` label values, indexed by [`Stage`].
+const STAGES: [&str; 4] = ["parse", "queue", "execute", "write"];
 
-    /// The `stage` label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Parse => "parse",
-            Stage::Queue => "queue",
-            Stage::Execute => "execute",
-            Stage::Encode => "encode",
-            Stage::Write => "write",
-        }
+/// Request-kind label count: `query`, `batch`, one `plan_<kind>` per
+/// [`PLAN_KINDS`] entry, then `list`, `stats`, `undecodable`.
+const KIND_COUNT: usize = PLAN_KINDS.len() + 5;
+
+/// Kind index of a request that failed to decode (no kind).
+pub(crate) const KIND_UNDECODABLE: usize = KIND_COUNT - 1;
+
+/// The `kind` label value at `index` (see [`kind_index`]).
+fn kind_label(index: usize) -> String {
+    match index {
+        0 => "query".into(),
+        1 => "batch".into(),
+        i if i < PLAN_KINDS.len() + 2 => format!("plan_{}", PLAN_KINDS[i - 2]),
+        i => ["list", "stats", "undecodable"][i - PLAN_KINDS.len() - 2].into(),
     }
 }
-
-/// Request-kind label values (the `kind` label on
-/// `dpod_requests_total`), index-aligned with [`kind_index`].
-const KINDS: [&str; 11] = [
-    "query",
-    "batch",
-    "plan_range",
-    "plan_od",
-    "plan_marginal",
-    "plan_top_k",
-    "plan_total",
-    "plan_many",
-    "list",
-    "stats",
-    "undecodable",
-];
-
-/// Index of `KINDS[10]`: a request that failed to decode (no kind).
-pub(crate) const KIND_UNDECODABLE: usize = 10;
 
 /// Maps a decoded request to its `kind` label index.
 pub(crate) fn kind_index(req: &Request) -> usize {
     match req {
         Request::Query { .. } => 0,
         Request::Batch { .. } => 1,
-        Request::Plan { plan, .. } => match plan.kind() {
-            "range" => 2,
-            "od" => 3,
-            "marginal" => 4,
-            "top_k" => 5,
-            "total" => 6,
-            _ => 7, // "many", "drill_down" (and any future shape folds here)
-        },
-        Request::List => 8,
-        Request::Stats => 9,
+        Request::Plan { plan, .. } => 2 + plan.kind_index(),
+        Request::List => PLAN_KINDS.len() + 2,
+        Request::Stats => PLAN_KINDS.len() + 3,
     }
 }
 
@@ -150,15 +121,26 @@ pub(crate) fn kind_index(req: &Request) -> usize {
 /// hot path never touches the registry lock.
 #[derive(Debug)]
 pub struct ServeMetrics {
-    registry: Registry,
+    /// The registry every handle lives in (the engine registers its memo
+    /// counters here too).
+    pub(crate) registry: Registry,
     clock: Clock,
     /// `[transport][stage]` latency histograms, nanoseconds.
-    stages: [[Arc<Histogram>; 5]; 2],
+    stages: [[Arc<Histogram>; 4]; 2],
     /// `[transport][kind]` request counters.
-    requests: [[Arc<Counter>; 11]; 2],
-    /// Per-release hit-counter rows evicted to keep the stats map
-    /// bounded (see `ServerStats::evicted_stat_entries`).
+    requests: [[Arc<Counter>; KIND_COUNT]; 2],
+    /// Per-release hit-counter rows evicted to keep the map bounded.
     pub(crate) evicted_stat_entries: Arc<Counter>,
+    /// Queries answered (one per range or plan leaf).
+    pub(crate) queries: Arc<Counter>,
+    /// Connections a TCP front end has started serving.
+    pub(crate) conn_accepted: Arc<Counter>,
+    /// Connections a TCP front end currently holds open.
+    pub(crate) conn_open: Arc<Gauge>,
+    /// Epochs published through [`Server::publish_epoch`].
+    pub(crate) epochs_published: Arc<Counter>,
+    /// Epochs retired through [`Server::apply_retention`].
+    pub(crate) epochs_retired: Arc<Counter>,
 }
 
 /// One event-loop shard's health handles, labelled `shard="<i>"` on
@@ -182,41 +164,53 @@ pub(crate) struct ShardMetrics {
     pub(crate) pending_bytes: Arc<Gauge>,
 }
 
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServeMetrics {
     /// Builds the hub, registering every hot-path series.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let registry = Registry::new();
-        let stages = Transport::ALL.map(|t| {
-            Stage::ALL.map(|s| {
+        let stages = TRANSPORTS.map(|t| {
+            STAGES.map(|s| {
                 registry.histogram(
                     "dpod_request_stage_nanoseconds",
-                    "Per-stage request latency in nanoseconds",
-                    &[("transport", t.label()), ("stage", s.label())],
+                    "Per-stage request latency in nanoseconds (execute includes response encoding)",
+                    &[("transport", t), ("stage", s)],
                 )
             })
         });
-        let requests = Transport::ALL.map(|t| {
-            KINDS.map(|k| {
+        let requests = TRANSPORTS.map(|t| {
+            std::array::from_fn(|k| {
                 registry.counter(
                     "dpod_requests_total",
                     "Requests received, by transport and request kind",
-                    &[("transport", t.label()), ("kind", k)],
+                    &[("transport", t), ("kind", &kind_label(k))],
                 )
             })
         });
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
         let hub = ServeMetrics {
             stages,
             requests,
-            evicted_stat_entries: registry.counter(
+            evicted_stat_entries: counter(
                 "dpod_server_evicted_stat_entries_total",
                 "Per-release hit-counter rows evicted to bound the stats map",
+            ),
+            queries: counter("dpod_server_queries_total", "Queries answered since start"),
+            conn_accepted: counter(
+                "dpod_server_accepted_connections_total",
+                "TCP connections accepted since start",
+            ),
+            conn_open: registry.gauge(
+                "dpod_server_open_connections",
+                "TCP connections currently open",
                 &[],
+            ),
+            epochs_published: counter(
+                "dpod_epochs_published_total",
+                "Epochs published through the server since start",
+            ),
+            epochs_retired: counter(
+                "dpod_epochs_retired_total",
+                "Epochs retired by retention since start",
             ),
             clock: Clock::new(),
             registry,
@@ -235,31 +229,28 @@ impl ServeMetrics {
     pub(crate) fn shard(&self, shard: usize) -> ShardMetrics {
         let idx = shard.to_string();
         let labels: &[(&str, &str)] = &[("shard", idx.as_str())];
+        let counter = |name: &str, help: &str| self.registry.counter(name, help, labels);
         ShardMetrics {
-            epoll_wait_nanos: self.registry.counter(
+            epoll_wait_nanos: counter(
                 "dpod_eventloop_epoll_wait_nanoseconds_total",
                 "Cumulative nanoseconds the loop shard spent blocked in epoll_wait",
-                labels,
             ),
-            epoll_wakes: self.registry.counter(
+            epoll_wakes: counter(
                 "dpod_eventloop_epoll_wakes_total",
                 "Times the loop shard returned from epoll_wait",
-                labels,
             ),
             dispatch_bytes: self.registry.histogram(
                 "dpod_eventloop_dispatch_unit_bytes",
                 "Raw request bytes per unit dispatched to the worker pool",
                 labels,
             ),
-            backpressure_pauses: self.registry.counter(
+            backpressure_pauses: counter(
                 "dpod_eventloop_backpressure_pauses_total",
                 "Times a connection's read side was paused for backpressure",
-                labels,
             ),
-            sweep_evictions: self.registry.counter(
+            sweep_evictions: counter(
                 "dpod_eventloop_sweep_evictions_total",
                 "Connections closed by the idle-timeout sweep",
-                labels,
             ),
             pending_bytes: self.registry.gauge(
                 "dpod_eventloop_pending_bytes",
@@ -282,23 +273,11 @@ impl ServeMetrics {
         &self.stages[t as usize][s as usize]
     }
 
-    /// Records one stage latency sample.
-    #[inline]
-    pub fn record_stage(&self, t: Transport, s: Stage, nanos: u64) {
-        self.stages[t as usize][s as usize].record(nanos);
-    }
-
     /// Counts one request by transport and kind index (see
     /// [`kind_index`] / [`KIND_UNDECODABLE`]).
     #[inline]
-    pub(crate) fn count_request_index(&self, t: Transport, kind: usize) {
+    pub(crate) fn count_request(&self, t: Transport, kind: usize) {
         self.requests[t as usize][kind].inc();
-    }
-
-    /// Counts one decoded request.
-    #[inline]
-    pub fn count_request(&self, t: Transport, req: &Request) {
-        self.count_request_index(t, kind_index(req));
     }
 
     /// Marks which front end this server runs (an info-style gauge:
@@ -312,316 +291,124 @@ impl ServeMetrics {
             )
             .set(1);
     }
-
-    /// Quantile summaries of every non-empty stage histogram, for the
-    /// extended stats frame. Deterministic order: transport-major,
-    /// stage-minor.
-    pub fn stage_latencies(&self) -> Vec<StageLatency> {
-        let mut out = Vec::new();
-        for t in Transport::ALL {
-            for s in Stage::ALL {
-                let snap = self.stage(t, s).snapshot();
-                if snap.count() == 0 {
-                    continue;
-                }
-                out.push(StageLatency {
-                    stage: s.label().to_string(),
-                    transport: t.label().to_string(),
-                    count: snap.count(),
-                    p50_nanos: snap.quantile(0.5),
-                    p90_nanos: snap.quantile(0.9),
-                    p99_nanos: snap.quantile(0.99),
-                    p999_nanos: snap.quantile(0.999),
-                });
-            }
-        }
-        out
-    }
-
-    /// Total requests counted across every transport and kind (the
-    /// denominator `stats_line` rates are derived from).
-    pub fn requests_counted(&self) -> u64 {
-        self.requests.iter().flatten().map(|c| c.get()).sum()
-    }
-
-    /// Renders the hub's own registry in Prometheus text format.
-    pub fn render_registry(&self) -> String {
-        self.registry.render_prometheus()
-    }
 }
 
-/// Renders the full exposition body for `server`: the hot-path registry
-/// plus scrape-time gauges (engine, catalog, connections, per-release
-/// hits, ε-budget accounting).
-pub(crate) fn render_metrics(server: &Server) -> String {
-    let mut out = server.metrics().render_registry();
-    let engine = server.engine_stats();
-
-    let mut gauge = |name: &str, help: &str, kind: &str, value: String| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-        ));
-    };
-    gauge(
-        "dpod_engine_cache_bytes",
-        "Rebuild-cache resident bytes (plan indexes included)",
-        "gauge",
-        engine.bytes.to_string(),
-    );
-    gauge(
-        "dpod_engine_cache_entries",
-        "Rebuild-cache resident entries",
-        "gauge",
-        engine.entries.to_string(),
-    );
-    gauge(
-        "dpod_engine_cache_hits_total",
-        "Rebuild-cache hits",
-        "counter",
-        engine.hits.to_string(),
-    );
-    gauge(
-        "dpod_engine_cache_misses_total",
-        "Rebuild-cache misses",
-        "counter",
-        engine.misses.to_string(),
-    );
-    gauge(
-        "dpod_engine_index_entries",
-        "Resident releases with a built plan index",
-        "gauge",
-        engine.index_entries.to_string(),
-    );
-    gauge(
-        "dpod_engine_index_hits_total",
-        "Plan-index cache hits",
-        "counter",
-        engine.index_hits.to_string(),
-    );
-    gauge(
-        "dpod_engine_index_misses_total",
-        "Plan-index cache misses",
-        "counter",
-        engine.index_misses.to_string(),
-    );
-    gauge(
-        "dpod_engine_index_build_nanoseconds_total",
-        "Cumulative nanoseconds spent building plan-index structures",
-        "counter",
-        engine.index_build_nanos.to_string(),
-    );
-    gauge(
-        "dpod_server_queries_total",
-        "Range queries answered since start",
-        "counter",
-        server.queries_answered().to_string(),
-    );
-    gauge(
-        "dpod_server_open_connections",
-        "TCP connections currently open",
-        "gauge",
-        server.open_connections().to_string(),
-    );
-    gauge(
-        "dpod_server_accepted_connections_total",
-        "TCP connections accepted since start",
-        "counter",
-        server.accepted_connections().to_string(),
-    );
-    gauge(
-        "dpod_catalog_releases",
-        "Releases currently catalogued",
-        "gauge",
-        server.catalog().len().to_string(),
-    );
-    gauge(
-        "dpod_epochs_published_total",
-        "Epochs published through the server since start",
-        "counter",
-        server.epochs_published().to_string(),
-    );
-    gauge(
-        "dpod_epochs_retired_total",
-        "Epochs retired by retention since start",
-        "counter",
-        server.epochs_retired().to_string(),
-    );
-    gauge(
-        "dpod_engine_partial_entries",
-        "Memoized per-epoch window partials resident in the cache",
-        "gauge",
-        engine.partial_entries.to_string(),
-    );
-    gauge(
-        "dpod_engine_partial_hits_total",
-        "Window sub-plans answered from a memoized per-epoch partial",
-        "counter",
-        engine.partial_hits.to_string(),
-    );
-    gauge(
-        "dpod_engine_partial_misses_total",
-        "Window sub-plans executed against an epoch's index",
-        "counter",
-        engine.partial_misses.to_string(),
-    );
-    gauge(
-        "dpod_engine_encoded_entries",
-        "Memoized encoded responses resident in the cache",
-        "gauge",
-        engine.encoded_entries.to_string(),
-    );
-    gauge(
-        "dpod_engine_encoded_hits_total",
-        "Plan requests answered by memcpying memoized wire bytes",
-        "counter",
-        engine.encoded_hits.to_string(),
-    );
-    gauge(
-        "dpod_engine_encoded_misses_total",
-        "Plan requests executed and encoded before memoization",
-        "counter",
-        engine.encoded_misses.to_string(),
-    );
-    gauge(
-        "dpod_engine_encoded_bytes",
-        "Bytes the encoded-response memo holds in the shared cache ledger",
-        "gauge",
-        engine.encoded_bytes.to_string(),
-    );
-    gauge(
-        "dpod_engine_pyramid_entries",
-        "Memoized resolution-pyramid levels resident across plan indexes",
-        "gauge",
-        engine.pyramid_entries.to_string(),
-    );
-    gauge(
-        "dpod_engine_pyramid_bytes",
-        "Bytes the pyramid memo holds in the shared index budget",
-        "gauge",
-        engine.pyramid_bytes.to_string(),
-    );
-    gauge(
-        "dpod_engine_pyramid_hits_total",
-        "Drill-down plans answered from a memoized pyramid level",
-        "counter",
-        engine.pyramid_hits.to_string(),
-    );
-    gauge(
-        "dpod_engine_pyramid_misses_total",
-        "Drill-down plans that coarsened the leaf (level built or over budget)",
-        "counter",
-        engine.pyramid_misses.to_string(),
-    );
-
-    // Per-level pyramid traffic (warm hits only, so the rows sum to
-    // dpod_engine_pyramid_hits_total).
-    out.push_str(
-        "# HELP dpod_engine_pyramid_level_hits_total Warm pyramid hits per level\n\
-         # TYPE dpod_engine_pyramid_level_hits_total counter\n",
-    );
-    for (level, hits) in server.pyramid_level_hits() {
-        out.push_str(&format!(
-            "dpod_engine_pyramid_level_hits_total{{level=\"{level}\"}} {hits}\n"
-        ));
+/// `server`'s registry snapshot plus the families derived from state at
+/// read time: engine residency, the catalog, per-release hits, and ε.
+pub(crate) fn snapshot(server: &Server) -> Snapshot {
+    use MetricKind::{Counter, Gauge};
+    let mut snap = server.metrics().registry.snapshot();
+    let e = server.engine_stats();
+    let catalog = server.catalog();
+    let releases = catalog.entries();
+    let series = series::series_names(catalog);
+    let epsilon: Vec<f64> = releases.iter().map(|r| r.release.epsilon).collect();
+    for (name, help, value) in [
+        (
+            "dpod_engine_cache_bytes",
+            "Engine cache resident bytes, every memo included",
+            e.bytes as f64,
+        ),
+        (
+            "dpod_catalog_releases",
+            "Releases currently catalogued",
+            releases.len() as f64,
+        ),
+        (
+            "dpod_catalog_series",
+            "Release series currently catalogued",
+            series.len() as f64,
+        ),
+        (
+            "dpod_epsilon_spent_total",
+            "Privacy budget: sum over catalogued releases (not an enforced ceiling)",
+            epsilon.iter().sum(),
+        ),
+        (
+            "dpod_epsilon_ledger_entries",
+            "Releases summed into dpod_epsilon_spent_total",
+            epsilon.len() as f64,
+        ),
+    ] {
+        snap.family(name, help, Gauge).sample(&[], value);
     }
-
-    // Per-release traffic.
-    out.push_str("# HELP dpod_release_hits_total Queries answered per release\n");
-    out.push_str("# TYPE dpod_release_hits_total counter\n");
-    for row in server.release_hits() {
-        out.push_str(&format!(
-            "dpod_release_hits_total{{release=\"{}\"}} {}\n",
-            escape(&row.name),
-            row.hits
-        ));
-    }
-
-    // ε-budget accounting: each catalogued release spent its ε out of
-    // the catalog-wide total; run that arithmetic through the dp
-    // crate's sequential-composition accountant so the exported totals
-    // are the audited ones, not ad-hoc sums.
-    let entries = server.catalog().entries();
-    out.push_str("# HELP dpod_release_epsilon Privacy budget the release consumed\n");
-    out.push_str("# TYPE dpod_release_epsilon gauge\n");
-    let total: f64 = entries.iter().map(|e| e.release.epsilon).sum();
-    let mut accountant = dpod_dp::Epsilon::new(total)
-        .ok()
-        .map(dpod_dp::BudgetAccountant::new);
-    for e in &entries {
-        out.push_str(&format!(
-            "dpod_release_epsilon{{release=\"{}\"}} {}\n",
-            escape(&e.name),
-            e.release.epsilon
-        ));
-        if let Some(acc) = accountant.as_mut() {
-            let _ = acc.spend(e.release.epsilon, &e.name);
+    let memos = [
+        (
+            "dpod_engine_memo_entries",
+            "Engine memo entries resident, by memo",
+            vec![
+                ("matrix", e.entries),
+                ("index", e.index_entries),
+                ("partial", e.partial_entries),
+                ("encoded", e.encoded_entries),
+                ("pyramid", e.pyramid_entries),
+            ],
+        ),
+        (
+            "dpod_engine_memo_bytes",
+            "Bytes a memo holds inside dpod_engine_cache_bytes, by memo",
+            vec![("encoded", e.encoded_bytes), ("pyramid", e.pyramid_bytes)],
+        ),
+    ];
+    for (name, help, rows) in memos {
+        let fam = snap.family(name, help, Gauge);
+        for (memo, n) in rows {
+            fam.sample(&[("memo", memo)], n as f64);
         }
     }
-    let snap = accountant
-        .map(|a| a.snapshot())
-        .unwrap_or(dpod_dp::BudgetSnapshot {
-            total: 0.0,
-            spent: 0.0,
-            remaining: 0.0,
-            entries: 0,
-        });
-    out.push_str(&format!(
-        "# HELP dpod_epsilon_spent_total Catalog-wide privacy budget spent (sequential composition)\n# TYPE dpod_epsilon_spent_total gauge\ndpod_epsilon_spent_total {}\n",
-        snap.spent
-    ));
-    out.push_str(&format!(
-        "# HELP dpod_epsilon_ledger_entries Releases in the ε composition ledger\n# TYPE dpod_epsilon_ledger_entries gauge\ndpod_epsilon_ledger_entries {}\n",
-        snap.entries
-    ));
-
-    // Epoch catalogs: per-series live-epoch counts, the per-epoch ε
-    // series, and each series' active ε (the sum over its live epochs —
-    // what retention refunds shrink). Rendered fresh from the catalog
-    // per scrape, so directly-published epochs are counted too.
-    out.push_str(
-        "# HELP dpod_epoch_count Live epochs per release series\n# TYPE dpod_epoch_count gauge\n",
+    let hits = snap.family(
+        "dpod_release_hits_total",
+        "Queries answered per release",
+        Counter,
     );
-    let series_list = crate::series::series_names(server.catalog());
-    let mut epoch_eps = String::new();
-    let mut series_active = String::new();
-    for (series, _) in &series_list {
-        let epochs = crate::series::series_epochs(server.catalog(), series);
-        out.push_str(&format!(
-            "dpod_epoch_count{{series=\"{}\"}} {}\n",
-            escape(series),
-            epochs.len()
-        ));
-        let mut active = 0.0;
-        for info in &epochs {
-            active += info.entry.release.epsilon;
-            epoch_eps.push_str(&format!(
-                "dpod_epoch_epsilon{{series=\"{}\",epoch=\"{}\"}} {}\n",
-                escape(series),
-                info.epoch,
-                info.entry.release.epsilon
-            ));
-        }
-        series_active.push_str(&format!(
-            "dpod_series_epsilon_active{{series=\"{}\"}} {active}\n",
-            escape(series)
-        ));
+    for (name, n) in server.release_hits() {
+        hits.sample(&[("release", &name)], n as f64);
     }
-    out.push_str(
-        "# HELP dpod_epoch_epsilon Privacy budget each live epoch consumed\n# TYPE dpod_epoch_epsilon gauge\n",
+    let eps = snap.family(
+        "dpod_release_epsilon",
+        "Privacy budget the release consumed",
+        Gauge,
     );
-    out.push_str(&epoch_eps);
-    out.push_str(
-        "# HELP dpod_series_epsilon_active Privacy budget active across a series' live epochs\n# TYPE dpod_series_epsilon_active gauge\n",
-    );
-    out.push_str(&series_active);
-    out
-}
+    for (r, epsilon) in releases.iter().zip(epsilon) {
+        eps.sample(&[("release", &r.name)], epsilon);
+    }
 
-/// Escapes a label value per the Prometheus exposition format.
-fn escape(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+    // Epoch catalogs, rendered fresh from the catalog per read, so
+    // directly-published epochs count and retired ones drop out.
+    let epochs: Vec<_> = series
+        .iter()
+        .map(|(name, _)| (name, series::series_epochs(catalog, name)))
+        .collect();
+    let count = snap.family("dpod_epoch_count", "Live epochs per release series", Gauge);
+    for (name, live) in &epochs {
+        count.sample(&[("series", name)], live.len() as f64);
+    }
+    let per_epoch = snap.family(
+        "dpod_epoch_epsilon",
+        "Privacy budget each live epoch consumed",
+        Gauge,
+    );
+    for (name, live) in &epochs {
+        for info in live {
+            let epoch = info.epoch.to_string();
+            per_epoch.sample(
+                &[("series", name), ("epoch", &epoch)],
+                info.entry.release.epsilon,
+            );
+        }
+    }
+    let active = snap.family(
+        "dpod_series_epsilon_active",
+        "Privacy budget active across a series' live epochs",
+        Gauge,
+    );
+    for (name, live) in &epochs {
+        active.sample(
+            &[("series", name)],
+            live.iter().map(|info| info.entry.release.epsilon).sum(),
+        );
+    }
+    snap
 }
 
 /// Handle to a running `/metrics` exporter; [`stop`](Self::stop) (or
@@ -700,9 +487,7 @@ pub fn spawn_metrics_exporter(
                     let _ = serve_scrape(stream, &server);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // Nothing pending (WouldBlock) or a transient accept error.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     });
@@ -783,7 +568,7 @@ fn serve_scrape(mut stream: std::net::TcpStream, server: &Server) -> std::io::Re
     stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let (status, body) = match read_scrape_request(&mut stream)? {
-        ScrapeRequest::Metrics => ("200 OK", render_metrics(server)),
+        ScrapeRequest::Metrics => ("200 OK", server.snapshot().render_prometheus()),
         ScrapeRequest::NotFound => ("404 Not Found", "not found; try /metrics\n".to_string()),
         ScrapeRequest::Bad => ("400 Bad Request", "bad request\n".to_string()),
     };

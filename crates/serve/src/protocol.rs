@@ -62,7 +62,7 @@
 //!
 //! **Back-compat guarantee for legacy `Query`/`Batch` clients:** nothing
 //! changes unless you opt in. The legacy JSON documents and the `DPRB`
-//! opcodes `0x01`–`0x04` / `0x81`–`0x84` / `0xEF` are byte-for-byte what
+//! opcodes `0x01`–`0x04` / `0x81`–`0x83` / `0xEF` are byte-for-byte what
 //! they were before the plan algebra existed — `Plan`/`Answer` are *new*
 //! enum variants and *new* opcodes (`0x05`/`0x85`), so existing clients'
 //! requests and the server's responses to them are untouched. The server
@@ -72,7 +72,16 @@
 //! exchange frames (`dpod_serve::wire::Client` wraps this); both
 //! encodings answer from the same catalog with bit-identical values, so
 //! clients can switch per-connection at any time.
+//!
+//! ## Introspection
+//!
+//! [`Request::Stats`] is answered with the server's metrics [`Snapshot`]
+//! — the same families and samples `/metrics` renders (see
+//! [`crate::metrics`]). Introspection frames follow the server version:
+//! the fixed-field stats frame (`0x84`) is retired, and snapshots travel
+//! as opcode `0x88` over `DPRB` and as the serde form over NDJSON.
 
+pub use dpod_obs::Snapshot;
 use dpod_query::{Answer, QueryPlan};
 use serde::{Deserialize, Serialize};
 
@@ -110,10 +119,6 @@ pub enum Request {
 }
 
 /// One server response (same order as requests).
-// `Stats` is the outsized variant, but it is operator traffic (one
-// request a scrape), while boxing it would cost an allocation on a
-// protocol type every hot-path response also moves through.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Answer to [`Request::Query`].
@@ -138,8 +143,8 @@ pub enum Response {
     },
     /// Answer to [`Request::Stats`].
     Stats {
-        /// Current counters.
-        stats: ServerStats,
+        /// Every metric family, as `/metrics` renders it.
+        stats: Snapshot,
     },
     /// Any failure; the connection stays usable.
     Error {
@@ -165,136 +170,10 @@ pub struct ReleaseInfo {
     pub released_values: usize,
 }
 
-/// Point-in-time server counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServerStats {
-    /// Catalogued releases.
-    pub releases: usize,
-    /// Range queries answered since start.
-    pub queries: u64,
-    /// Rebuild-cache residents.
-    pub cache_entries: usize,
-    /// Rebuild-cache resident bytes (estimate, plan indexes included —
-    /// the two caches share one budget).
-    pub cache_bytes: usize,
-    /// Rebuild-cache hits.
-    pub cache_hits: u64,
-    /// Rebuild-cache misses.
-    pub cache_misses: u64,
-    /// Resident releases whose plan index ([`dpod_query::ReleaseIndex`])
-    /// is built.
-    pub index_entries: usize,
-    /// Plan-index cache hits (aggregate plans answered warm).
-    pub index_hits: u64,
-    /// Plan-index cache misses (indexes constructed).
-    pub index_misses: u64,
-    /// Cumulative wall-clock nanoseconds spent building index
-    /// structures (marginal tables, cell orders), evicted indexes
-    /// included.
-    pub index_build_nanos: u64,
-    /// Matrix-cache hit rate in `[0, 1]` (`0.0` before any lookup) —
-    /// precomputed so dashboards and the `dpod serve` stats line need
-    /// no divide-by-zero care.
-    pub cache_hit_rate: f64,
-    /// Plan-index cache hit rate in `[0, 1]` (`0.0` before any lookup).
-    pub index_hit_rate: f64,
-    /// Connections the TCP front end currently holds open (`0` for
-    /// purely in-process use). With the event-loop front end this
-    /// counts every registered socket, idle analysts included; with the
-    /// thread-pool front end it counts connections being served.
-    pub open_connections: u64,
-    /// Connections accepted into service since server start.
-    pub accepted_connections: u64,
-    /// Queries answered per release (hot-release telemetry), sorted by
-    /// name. A name's counter lives as long as the release is served:
-    /// removing a release through
-    /// [`Server::remove_release`](crate::Server::remove_release) prunes
-    /// its row (so long-lived servers with churning catalogs do not leak
-    /// counters), and a later republish under the same name starts a
-    /// fresh count. The map is additionally capped at
-    /// [`MAX_RELEASE_HIT_ENTRIES`](crate::MAX_RELEASE_HIT_ENTRIES) —
-    /// catalogs churned around [`Catalog::remove`](crate::Catalog::remove)
-    /// directly shed their stalest rows instead of leaking
-    /// (see [`ServerStats::evicted_stat_entries`]).
-    pub release_hits: Vec<ReleaseHits>,
-    /// Per-release hit-counter rows evicted to keep `release_hits`
-    /// bounded (`0` on servers whose catalogs are removed through
-    /// [`Server::remove_release`](crate::Server::remove_release)).
-    pub evicted_stat_entries: u64,
-    /// Per-stage request latency summaries (one row per non-empty
-    /// `(transport, stage)` histogram; empty until TCP traffic flows).
-    /// Sourced from the same histograms `/metrics` exposes, so the two
-    /// surfaces agree.
-    pub stage_latencies: Vec<StageLatency>,
-    /// Release series in the catalog (epoch entries `name@T` group under
-    /// `name`; a plain-named release is a one-epoch series — see
-    /// `dpod_serve::series`). Equals `releases` on pre-epoch catalogs.
-    pub series: usize,
-    /// Memoized per-epoch window partials resident in the engine cache.
-    pub partial_entries: usize,
-    /// Window sub-plans answered from a memoized per-epoch partial.
-    pub partial_hits: u64,
-    /// Window sub-plans that had to execute against an epoch's index.
-    pub partial_misses: u64,
-    /// Memoized encoded responses (final wire bytes) resident in the
-    /// engine cache, summed across releases and encodings.
-    pub encoded_entries: usize,
-    /// Plan requests answered by memcpying memoized wire bytes —
-    /// execution *and* encoding skipped.
-    pub encoded_hits: u64,
-    /// Plan requests that executed and encoded before (re)populating
-    /// the encoded-response memo.
-    pub encoded_misses: u64,
-    /// Bytes the encoded-response memo holds inside the shared cache
-    /// ledger (already included in `cache_bytes`).
-    pub encoded_bytes: usize,
-    /// Memoized resolution-pyramid levels resident across plan indexes.
-    pub pyramid_entries: usize,
-    /// Drill-down plans answered from a memoized pyramid level.
-    pub pyramid_hits: u64,
-    /// Drill-down plans that had to coarsen the leaf (level built or
-    /// answered uncached when over budget).
-    pub pyramid_misses: u64,
-    /// Bytes the pyramid memo holds inside the shared index budget
-    /// (already included in `cache_bytes`).
-    pub pyramid_bytes: usize,
-}
-
-/// Latency quantiles for one `(transport, stage)` pair, in nanoseconds.
-///
-/// Quantiles are upper bounds from log-bucketed histograms
-/// (`dpod_obs`): within 1/16 above the true sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageLatency {
-    /// Request lifecycle stage (`parse`, `queue`, `execute`, `encode`,
-    /// `write`).
-    pub stage: String,
-    /// Transport the requests arrived on (`json`, `binary`).
-    pub transport: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Median latency, nanoseconds.
-    pub p50_nanos: u64,
-    /// 90th-percentile latency, nanoseconds.
-    pub p90_nanos: u64,
-    /// 99th-percentile latency, nanoseconds.
-    pub p99_nanos: u64,
-    /// 99.9th-percentile latency, nanoseconds.
-    pub p999_nanos: u64,
-}
-
-/// Lifetime query count against one release name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReleaseHits {
-    /// Catalog name the queries addressed.
-    pub name: String,
-    /// Range queries answered against it since server start.
-    pub hits: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpod_obs::MetricKind;
 
     #[test]
     fn requests_round_trip_as_json() {
@@ -367,47 +246,11 @@ mod tests {
                 }],
             },
             Response::Stats {
-                stats: ServerStats {
-                    releases: 1,
-                    queries: 42,
-                    cache_entries: 1,
-                    cache_bytes: 2048,
-                    cache_hits: 41,
-                    cache_misses: 1,
-                    index_entries: 1,
-                    index_hits: 7,
-                    index_misses: 1,
-                    index_build_nanos: 12_345,
-                    cache_hit_rate: 41.0 / 42.0,
-                    index_hit_rate: 7.0 / 8.0,
-                    open_connections: 3,
-                    accepted_connections: 17,
-                    release_hits: vec![ReleaseHits {
-                        name: "city".into(),
-                        hits: 42,
-                    }],
-                    evicted_stat_entries: 2,
-                    stage_latencies: vec![StageLatency {
-                        stage: "execute".into(),
-                        transport: "binary".into(),
-                        count: 42,
-                        p50_nanos: 1_000,
-                        p90_nanos: 2_000,
-                        p99_nanos: 4_000,
-                        p999_nanos: 8_000,
-                    }],
-                    series: 1,
-                    partial_entries: 2,
-                    partial_hits: 5,
-                    partial_misses: 3,
-                    encoded_entries: 4,
-                    encoded_hits: 9,
-                    encoded_misses: 4,
-                    encoded_bytes: 512,
-                    pyramid_entries: 2,
-                    pyramid_hits: 6,
-                    pyramid_misses: 2,
-                    pyramid_bytes: 1024,
+                stats: {
+                    let mut snap = Snapshot::default();
+                    snap.family("dpod_requests_total", "requests", MetricKind::Counter)
+                        .sample(&[("transport", "json"), ("kind", "stats")], 3.0);
+                    snap
                 },
             },
             Response::Error {

@@ -20,15 +20,15 @@
 //! Both cores frame bytes with the same [`crate::conn::Assembler`] and
 //! answer its items with the same [`crate::conn::run_job`], so they
 //! serve identical bytes (pinned by a differential test) and both
-//! maintain the open/accepted-connection gauges surfaced in
-//! [`ServerStats`]. Each connection speaks one of two encodings,
+//! maintain the open/accepted-connection series in
+//! [`Server::snapshot`]. Each connection speaks one of two encodings,
 //! selected by its first bytes (see [`WireMode`]): the `DPRB` binary
 //! preamble switches to length-prefixed frames ([`crate::wire`]),
 //! anything else is served as newline-delimited JSON.
 
 use crate::conn::{run_job, Assembler};
 use crate::metrics::ServeMetrics;
-use crate::protocol::{ReleaseHits, ReleaseInfo, Request, Response, ServerStats};
+use crate::protocol::{ReleaseInfo, Request, Response, Snapshot};
 use crate::series::{self, SeriesLedgers};
 use crate::{wire, Catalog, QueryEngine, ServeError};
 use dpod_query::{Answer, EpochSelector, QueryPlan, ReleaseIndex, WindowMerge};
@@ -154,16 +154,6 @@ impl ResponseEncoding {
 /// worker can serve the next queued connection.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// `hits / (hits + misses)`, `0.0` before any lookup.
-fn hit_rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
-
 /// Longest accepted request line; a client exceeding it (e.g. streaming
 /// bytes with no newline to exhaust memory) is disconnected.
 pub const MAX_LINE_BYTES: u64 = 8 << 20;
@@ -173,7 +163,7 @@ pub const MAX_LINE_BYTES: u64 = 8 << 20;
 /// cap is the backstop for catalogs churned around it (operators calling
 /// [`Catalog::remove`] directly), trading the stalest rows for a bound
 /// instead of leaking. Evictions are counted in
-/// `ServerStats::evicted_stat_entries`.
+/// `dpod_server_evicted_stat_entries_total`.
 pub const MAX_RELEASE_HIT_ENTRIES: usize = 1024;
 
 /// The serving core: catalog + engine + counters.
@@ -181,25 +171,17 @@ pub const MAX_RELEASE_HIT_ENTRIES: usize = 1024;
 pub struct Server {
     catalog: Arc<Catalog>,
     engine: QueryEngine,
-    queries: AtomicU64,
     /// Lifetime answered-query count per release name. Reads (the hot
     /// path) only take the `RwLock` shared; the exclusive lock is held
     /// once per name, on first touch.
     release_hits: RwLock<HashMap<String, AtomicU64>>,
-    /// Connections a TCP front end has started serving since start.
-    conn_accepted: AtomicU64,
-    /// Connections a TCP front end currently holds open.
-    conn_open: AtomicU64,
-    /// Hot-path metric handles shared by every front end (stage latency
-    /// histograms, event-loop health, request-mix counters).
+    /// The metric registry's handles, shared by every front end and the
+    /// engine (stage latencies, request mix, connections, queries,
+    /// epochs, memo counters).
     metrics: ServeMetrics,
     /// Per-series ε ledgers: publishes spend, retention expiries refund
     /// (see [`crate::series::SeriesLedgers`]).
     ledgers: SeriesLedgers,
-    /// Epochs published through [`Server::publish_epoch`] since start.
-    epochs_published: AtomicU64,
-    /// Epochs retired through [`Server::apply_retention`] since start.
-    epochs_retired: AtomicU64,
 }
 
 impl Server {
@@ -222,55 +204,45 @@ impl Server {
         cache_bytes: usize,
         index_marginal_bytes: usize,
     ) -> Self {
+        let metrics = ServeMetrics::new();
         Server {
             catalog,
-            engine: QueryEngine::with_marginal_cap(cache_bytes, index_marginal_bytes),
-            queries: AtomicU64::new(0),
+            engine: QueryEngine::with_registry(
+                cache_bytes,
+                index_marginal_bytes,
+                &metrics.registry,
+            ),
             release_hits: RwLock::new(HashMap::new()),
-            conn_accepted: AtomicU64::new(0),
-            conn_open: AtomicU64::new(0),
-            metrics: ServeMetrics::new(),
+            metrics,
             ledgers: SeriesLedgers::new(),
-            epochs_published: AtomicU64::new(0),
-            epochs_retired: AtomicU64::new(0),
         }
     }
 
     /// The server's metric hub (stage histograms, event-loop gauges,
-    /// request counters) — what `/metrics` and the extended stats frame
-    /// read from.
+    /// request counters).
     pub fn metrics(&self) -> &ServeMetrics {
         &self.metrics
     }
 
-    /// Renders the full Prometheus text exposition for this server:
-    /// hot-path series plus scrape-time engine/catalog/ε-budget gauges.
-    /// This is the body `dpod serve --metrics-addr` serves.
-    pub fn metrics_text(&self) -> String {
-        crate::metrics::render_metrics(self)
+    /// Every metric family at this instant: the registry's counters,
+    /// gauges and histograms plus the families derived from state at
+    /// read time (engine residency, catalog, per-release hits, ε). This
+    /// one snapshot is what `/metrics`, `Stats` responses and the
+    /// `dpod serve` stats line render.
+    pub fn snapshot(&self) -> Snapshot {
+        crate::metrics::snapshot(self)
     }
 
     /// Records a connection entering service (both front ends call this
     /// once per connection). Bumps the accepted counter and open gauge.
     pub(crate) fn connection_opened(&self) {
-        self.conn_accepted.fetch_add(1, Ordering::Relaxed);
-        self.conn_open.fetch_add(1, Ordering::Relaxed);
+        self.metrics.conn_accepted.inc();
+        self.metrics.conn_open.add(1);
     }
 
     /// Records a connection leaving service (close, timeout, or drop).
     pub(crate) fn connection_closed(&self) {
-        self.conn_open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections a TCP front end currently holds open (`0` for purely
-    /// in-process use).
-    pub fn open_connections(&self) -> u64 {
-        self.conn_open.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted into service since start.
-    pub fn accepted_connections(&self) -> u64 {
-        self.conn_accepted.load(Ordering::Relaxed)
+        self.metrics.conn_open.sub(1);
     }
 
     /// The underlying catalog (shared with publishers).
@@ -316,7 +288,7 @@ impl Server {
             .catalog
             .publish(&series::epoch_entry_name(series, epoch), release);
         self.ledgers.note_publish(series, epoch, epsilon);
-        self.epochs_published.fetch_add(1, Ordering::Relaxed);
+        self.metrics.epochs_published.inc();
         Ok(version)
     }
 
@@ -336,7 +308,7 @@ impl Server {
             if self.remove_release(&info.entry.name) {
                 self.ledgers
                     .note_retire(series, info.epoch, info.entry.release.epsilon);
-                self.epochs_retired.fetch_add(1, Ordering::Relaxed);
+                self.metrics.epochs_retired.inc();
                 retired.push(info.epoch);
             }
         }
@@ -346,16 +318,6 @@ impl Server {
     /// The per-series ε ledgers (publish spends, retention refunds).
     pub fn ledgers(&self) -> &SeriesLedgers {
         &self.ledgers
-    }
-
-    /// Epochs published through [`Server::publish_epoch`] since start.
-    pub fn epochs_published(&self) -> u64 {
-        self.epochs_published.load(Ordering::Relaxed)
-    }
-
-    /// Epochs retired through [`Server::apply_retention`] since start.
-    pub fn epochs_retired(&self) -> u64 {
-        self.epochs_retired.load(Ordering::Relaxed)
     }
 
     /// Answers a [`QueryPlan::Window`]: resolves the selector against
@@ -438,42 +400,9 @@ impl Server {
                     })
                     .collect(),
             },
-            Request::Stats => {
-                let engine = self.engine.stats();
-                Response::Stats {
-                    stats: ServerStats {
-                        releases: self.catalog.len(),
-                        queries: self.queries.load(Ordering::Relaxed),
-                        cache_entries: engine.entries,
-                        cache_bytes: engine.bytes,
-                        cache_hits: engine.hits,
-                        cache_misses: engine.misses,
-                        index_entries: engine.index_entries,
-                        index_hits: engine.index_hits,
-                        index_misses: engine.index_misses,
-                        index_build_nanos: engine.index_build_nanos,
-                        cache_hit_rate: hit_rate(engine.hits, engine.misses),
-                        index_hit_rate: hit_rate(engine.index_hits, engine.index_misses),
-                        open_connections: self.open_connections(),
-                        accepted_connections: self.accepted_connections(),
-                        release_hits: self.release_hits(),
-                        evicted_stat_entries: self.metrics.evicted_stat_entries.get(),
-                        stage_latencies: self.metrics.stage_latencies(),
-                        series: series::series_names(&self.catalog).len(),
-                        partial_entries: engine.partial_entries,
-                        partial_hits: engine.partial_hits,
-                        partial_misses: engine.partial_misses,
-                        encoded_entries: engine.encoded_entries,
-                        encoded_hits: engine.encoded_hits,
-                        encoded_misses: engine.encoded_misses,
-                        encoded_bytes: engine.encoded_bytes,
-                        pyramid_entries: engine.pyramid_entries,
-                        pyramid_hits: engine.pyramid_hits,
-                        pyramid_misses: engine.pyramid_misses,
-                        pyramid_bytes: engine.pyramid_bytes,
-                    },
-                }
-            }
+            Request::Stats => Response::Stats {
+                stats: self.snapshot(),
+            },
         }
     }
 
@@ -597,7 +526,7 @@ impl Server {
 
     /// Counts `n` answered queries, globally and against `release`.
     fn note_answered(&self, release: &str, n: u64) {
-        self.queries.fetch_add(n, Ordering::Relaxed);
+        self.metrics.queries.add(n);
         self.note_hits(release, n);
     }
 
@@ -657,34 +586,24 @@ impl Server {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Lifetime per-release answered-query counts, sorted by name.
-    pub fn release_hits(&self) -> Vec<ReleaseHits> {
+    /// Lifetime `(release, answered queries)` counts, sorted by name. A
+    /// name's row lives as long as the release is served: removing it
+    /// through [`Server::remove_release`] prunes the row, and a later
+    /// republish starts a fresh count. The map is also capped at
+    /// [`MAX_RELEASE_HIT_ENTRIES`].
+    pub fn release_hits(&self) -> Vec<(String, u64)> {
         let map = self.release_hits.read().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<ReleaseHits> = map
+        let mut out: Vec<(String, u64)> = map
             .iter()
-            .map(|(name, hits)| ReleaseHits {
-                name: name.clone(),
-                hits: hits.load(Ordering::Relaxed),
-            })
+            .map(|(name, hits)| (name.clone(), hits.load(Ordering::Relaxed)))
             .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
+        out.sort();
         out
     }
 
     /// Engine counters (for benches and tests).
     pub fn engine_stats(&self) -> crate::EngineStats {
         self.engine.stats()
-    }
-
-    /// Warm pyramid-level hits by level, ascending (evicted indexes
-    /// included) — what the `/metrics` per-level counter rows export.
-    pub fn pyramid_level_hits(&self) -> Vec<(u32, u64)> {
-        self.engine.pyramid_level_hits()
-    }
-
-    /// Range queries answered since start.
-    pub fn queries_answered(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
     }
 }
 
@@ -1313,7 +1232,7 @@ mod tests {
         };
         assert_eq!(values.len(), 2);
         assert_eq!(values[1], value);
-        assert_eq!(server.queries_answered(), 3);
+        assert_eq!(server.metrics().queries.get(), 3);
     }
 
     #[test]
@@ -1366,12 +1285,20 @@ mod tests {
         let Response::Stats { stats } = server.handle(&Request::Stats) else {
             panic!("expected stats");
         };
-        assert_eq!(stats.releases, 2);
-        assert_eq!(stats.queries, 1);
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.release_hits.len(), 1);
-        assert_eq!(stats.release_hits[0].name, "a");
-        assert_eq!(stats.release_hits[0].hits, 1);
+        let get = |name: &str, labels: &[(&str, &str)]| stats.get(name, labels).unwrap();
+        assert_eq!(get("dpod_catalog_releases", &[]), 2.0);
+        assert_eq!(get("dpod_server_queries_total", &[]), 1.0);
+        assert_eq!(
+            get("dpod_engine_memo_misses_total", &[("memo", "matrix")]),
+            1.0
+        );
+        let hit_rows: Vec<_> = stats
+            .samples()
+            .filter(|s| s.name == "dpod_release_hits_total")
+            .collect();
+        assert_eq!(hit_rows.len(), 1);
+        assert_eq!(hit_rows[0].labels, vec![("release".into(), "a".into())]);
+        assert_eq!(hit_rows[0].value, 1.0);
     }
 
     #[test]
@@ -1400,8 +1327,8 @@ mod tests {
         };
         assert_eq!(answer, plan::execute(&matrix, &plan).unwrap());
         // Four leaves → four answered queries, on both counters.
-        assert_eq!(server.queries_answered(), 4);
-        assert_eq!(server.release_hits()[0].hits, 4);
+        assert_eq!(server.metrics().queries.get(), 4);
+        assert_eq!(server.release_hits()[0].1, 4);
 
         // Failures are descriptive errors and count nothing.
         for (release, plan) in [
@@ -1421,7 +1348,7 @@ mod tests {
             };
             assert!(!message.is_empty());
         }
-        assert_eq!(server.queries_answered(), 4);
+        assert_eq!(server.metrics().queries.get(), 4);
 
         // A lone TopK answer carries the release's domain.
         let Response::Answer { answer } = server.handle(&Request::Plan {
@@ -1454,16 +1381,25 @@ mod tests {
         assert_eq!((stats.index_hits, stats.index_misses), (1, 1));
         assert!(stats.index_build_nanos > 0, "marginal build must be timed");
 
-        // The Stats response surfaces the index counters and both
-        // hit-rates.
+        // The Stats response surfaces the index counters.
         let Response::Stats { stats } = server.handle(&Request::Stats) else {
             panic!("expected stats");
         };
-        assert_eq!(stats.index_entries, 1);
-        assert_eq!((stats.index_hits, stats.index_misses), (1, 1));
-        assert!(stats.index_build_nanos > 0);
-        assert!((stats.index_hit_rate - 0.5).abs() < 1e-12);
-        assert!(stats.cache_hit_rate >= 0.0 && stats.cache_hit_rate <= 1.0);
+        let index = |name: &str| stats.get(name, &[("memo", "index")]).unwrap();
+        assert_eq!(index("dpod_engine_memo_entries"), 1.0);
+        assert_eq!(
+            (
+                index("dpod_engine_memo_hits_total"),
+                index("dpod_engine_memo_misses_total")
+            ),
+            (1.0, 1.0)
+        );
+        assert!(
+            stats
+                .get("dpod_engine_index_build_nanoseconds_total", &[])
+                .unwrap()
+                > 0.0
+        );
 
         // Legacy Query traffic answers from the same index: a hit, not
         // another build.
@@ -1504,7 +1440,7 @@ mod tests {
     /// DrillDown plans route through the engine-cached index's pyramid
     /// memo: answers are bit-identical to the cold scan backend and to
     /// executing the inner plan over a hand-coarsened leaf, and the
-    /// stats frame reports the memo's hit/miss traffic.
+    /// stats snapshot reports the memo's hit/miss traffic.
     #[test]
     fn drill_down_plans_route_through_the_pyramid_memo() {
         let server = test_server(&["city"]);
@@ -1537,10 +1473,21 @@ mod tests {
         let Response::Stats { stats } = server.handle(&Request::Stats) else {
             panic!("expected stats");
         };
-        assert_eq!((stats.pyramid_hits, stats.pyramid_misses), (1, 1));
-        assert_eq!(stats.pyramid_entries, 1);
-        assert!(stats.pyramid_bytes > 0);
-        assert_eq!(server.pyramid_level_hits(), vec![(2, 1)]);
+        let pyramid = |name: &str| stats.get(name, &[("memo", "pyramid")]).unwrap();
+        assert_eq!(
+            (
+                pyramid("dpod_engine_memo_hits_total"),
+                pyramid("dpod_engine_memo_misses_total")
+            ),
+            (1.0, 1.0)
+        );
+        assert_eq!(pyramid("dpod_engine_memo_entries"), 1.0);
+        assert!(pyramid("dpod_engine_memo_bytes") > 0.0);
+        let level_2 = [("level", "2")];
+        assert_eq!(
+            stats.get("dpod_engine_pyramid_level_hits_total", &level_2),
+            Some(1.0)
+        );
     }
 
     #[test]
@@ -1591,7 +1538,7 @@ mod tests {
         assert!(!server.remove_release("hot"), "second remove is a no-op");
         let hits = server.release_hits();
         assert_eq!(hits.len(), 1, "removed release must not leak a counter");
-        assert_eq!(hits[0].name, "cold");
+        assert_eq!(hits[0].0, "cold");
         assert_eq!(server.catalog().len(), 1);
         // …and its rebuilt matrix must leave the cache with it.
         assert_eq!(
@@ -1621,7 +1568,7 @@ mod tests {
             hi: vec![2, 2],
         });
         let hits = server.release_hits();
-        let as_pairs: Vec<(&str, u64)> = hits.iter().map(|h| (h.name.as_str(), h.hits)).collect();
+        let as_pairs: Vec<(&str, u64)> = hits.iter().map(|(n, h)| (n.as_str(), *h)).collect();
         assert_eq!(as_pairs, vec![("cold", 2), ("hot", 1)]);
     }
 
@@ -1651,7 +1598,7 @@ mod tests {
             hi: vec![1, 1],
         });
         let hits = server.release_hits();
-        let as_pairs: Vec<(&str, u64)> = hits.iter().map(|h| (h.name.as_str(), h.hits)).collect();
+        let as_pairs: Vec<(&str, u64)> = hits.iter().map(|(n, h)| (n.as_str(), *h)).collect();
         assert_eq!(as_pairs, vec![("cold", 2), ("hot", 5)]);
     }
 
@@ -1691,7 +1638,7 @@ mod tests {
             panic!("expected the Many to fail");
         };
         assert_eq!(message, many_message);
-        assert_eq!(server.queries_answered(), 0);
+        assert_eq!(server.metrics().queries.get(), 0);
         assert!(server.release_hits().is_empty());
 
         // The same batch without its bad range counts one per range.
@@ -1702,8 +1649,8 @@ mod tests {
             panic!("expected values");
         };
         assert_eq!(values.len(), 2);
-        assert_eq!(server.queries_answered(), 2);
-        assert_eq!(server.release_hits()[0].hits, 2);
+        assert_eq!(server.metrics().queries.get(), 2);
+        assert_eq!(server.release_hits()[0].1, 2);
     }
 
     /// Publishes one sanitized release under `names` on the server's
@@ -1749,20 +1696,24 @@ mod tests {
             hits.len()
         );
         assert!(
-            hits.iter().any(|h| h.name == "r00000" && h.hits == 10),
+            hits.iter().any(|(n, h)| n == "r00000" && *h == 10),
             "the hottest row must not be the one evicted"
         );
         let evicted = server.metrics().evicted_stat_entries.get();
         assert!(evicted >= 8, "expected ≥8 evictions, saw {evicted}");
-        // The stats frame carries the same counter.
+        // The stats snapshot carries the same counter.
         let Response::Stats { stats } = server.handle(&Request::Stats) else {
             panic!("expected stats");
         };
         assert_eq!(
-            stats.evicted_stat_entries,
-            server.metrics().evicted_stat_entries.get()
+            stats.get("dpod_server_evicted_stat_entries_total", &[]),
+            Some(server.metrics().evicted_stat_entries.get() as f64)
         );
-        assert!(stats.release_hits.len() <= MAX_RELEASE_HIT_ENTRIES);
+        let rows = stats
+            .samples()
+            .filter(|s| s.name == "dpod_release_hits_total")
+            .count();
+        assert!(rows <= MAX_RELEASE_HIT_ENTRIES);
     }
 
     #[test]
@@ -1790,15 +1741,15 @@ mod tests {
         publish_clones(&server, std::iter::once("fresh".to_string()));
         server.handle(&query_for("fresh"));
         let hits = server.release_hits();
-        assert!(hits.iter().any(|h| h.name == "fresh"));
+        assert!(hits.iter().any(|(n, _)| n == "fresh"));
         assert!(
             !hits
                 .iter()
-                .any(|h| h.name.as_str() < "r00004" && h.name != "fresh"),
+                .any(|(n, _)| n.as_str() < "r00004" && n != "fresh"),
             "stale rows must be the ones retired"
         );
         assert!(
-            hits.iter().any(|h| h.name == "r00004"),
+            hits.iter().any(|(n, _)| n == "r00004"),
             "live rows survive when stale ones cover the deficit"
         );
         assert_eq!(server.metrics().evicted_stat_entries.get(), 4);
@@ -1845,8 +1796,10 @@ mod tests {
         let Response::Stats { stats } = client.request(&Request::Stats).unwrap() else {
             panic!("expected stats");
         };
-        assert_eq!(stats.releases, 1);
-        assert_eq!(stats.release_hits[0].name, "city");
+        assert_eq!(stats.get("dpod_catalog_releases", &[]), Some(1.0));
+        assert!(stats
+            .get("dpod_release_hits_total", &[("release", "city")])
+            .is_some());
         let Response::Releases { releases } = client.request(&Request::List).unwrap() else {
             panic!("expected releases");
         };
@@ -1957,7 +1910,7 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
-        assert_eq!(server.queries_answered(), 100);
+        assert_eq!(server.metrics().queries.get(), 100);
         handle.stop();
     }
 
@@ -2036,7 +1989,7 @@ mod tests {
         }
         assert_eq!(server.catalog().len(), 1, "timer should retire epochs 1-2");
         assert!(server.catalog().get("city@3").is_some());
-        assert_eq!(server.epochs_retired(), 2);
+        assert_eq!(server.metrics().epochs_retired.get(), 2);
         // Refunds landed: one live epoch's ε remains on the ledger.
         let active = server.ledgers().active_epsilon("city").unwrap();
         assert!((active - 0.5).abs() < 1e-12, "{active}");
@@ -2220,9 +2173,10 @@ mod tests {
         let Response::Stats { stats } = server.handle(&Request::Stats) else {
             panic!("expected stats");
         };
-        assert_eq!(stats.series, 1);
-        assert_eq!(stats.partial_hits, 6);
-        assert_eq!(stats.partial_misses, 4);
+        let partial = |name: &str| stats.get(name, &[("memo", "partial")]);
+        assert_eq!(stats.get("dpod_catalog_series", &[]), Some(1.0));
+        assert_eq!(partial("dpod_engine_memo_hits_total"), Some(6.0));
+        assert_eq!(partial("dpod_engine_memo_misses_total"), Some(4.0));
     }
 
     /// Retention tombstones expired epochs, refunds their ε into the
@@ -2236,7 +2190,7 @@ mod tests {
 
         let retired = server.apply_retention("city", 2).unwrap();
         assert_eq!(retired, vec![1]);
-        assert_eq!(server.epochs_retired(), 1);
+        assert_eq!(server.metrics().epochs_retired.get(), 1);
         let active_after = server.ledgers().active_epsilon("city").unwrap();
         assert!((active_after - 1.0).abs() < 1e-9, "{active_after}");
 
@@ -2258,7 +2212,7 @@ mod tests {
             server.publish_epoch("city", 4, epoch_release(8)).unwrap(),
             1
         );
-        assert_eq!(server.epochs_published(), 4);
+        assert_eq!(server.metrics().epochs_published.get(), 4);
     }
 
     /// Window plans against a legacy plain-named release see it as a

@@ -52,11 +52,28 @@
 //! `0x05` Plan (release + typed plan tree), `0x06` packed Batch
 //! (delta+zigzag varint coordinates).
 //! Response opcodes: `0x81` Value, `0x82` Values, `0x83` Releases,
-//! `0x84` Stats, `0x85` Answer (typed answer tree), `0x86` packed
-//! Values, `0x87` packed Answer, `0xEF` Error.
-//! Opcodes `0x01`–`0x04`/`0x81`–`0x84`/`0xEF` are byte-for-byte
+//! `0x85` Answer (typed answer tree), `0x86` packed Values, `0x87`
+//! packed Answer, `0x88` Stats snapshot, `0xEF` Error.
+//! Opcodes `0x01`–`0x04`/`0x81`–`0x83`/`0xEF` are byte-for-byte
 //! unchanged from before the plan algebra existed; `0x05`/`0x85` and
 //! the packed trio are additive, so legacy clients are untouched.
+//!
+//! ## Stats snapshots (opcode `0x88`)
+//!
+//! Introspection frames follow the server version. A `Stats` answer is
+//! the server's metrics [`Snapshot`] in one generic layout:
+//!
+//! ```text
+//! u64 family count, then per family:
+//!   str name, str help, u8 kind (0 counter, 1 gauge, 2 summary),
+//!   u64 sample count, then per sample:
+//!     str name, u64 label count, (str key, str value) per label,
+//!     f64 value
+//! ```
+//!
+//! Strings are u64-length-prefixed UTF-8. The fixed-field stats frame
+//! this replaces (`0x84`, with its four optional tails) is retired: the
+//! decoder rejects it with a named error.
 //!
 //! ## Packed opcodes (`0x06`/`0x86`/`0x87`)
 //!
@@ -103,8 +120,9 @@
 //! declared lengths are validated against the bytes actually present
 //! before any allocation.
 
-use crate::protocol::{ReleaseHits, ReleaseInfo, Request, Response, ServerStats, StageLatency};
+use crate::protocol::{ReleaseInfo, Request, Response};
 use dpod_fmatrix::codec::{FrameReader, FrameWriter};
+use dpod_obs::{MetricKind, Snapshot};
 use dpod_query::{Answer, EpochSelector, QueryPlan, Region, TopCell, WindowMerge};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -134,11 +152,17 @@ const OP_BATCH_PACKED: u8 = 0x06;
 const OP_VALUE: u8 = 0x81;
 const OP_VALUES: u8 = 0x82;
 const OP_RELEASES: u8 = 0x83;
-const OP_STATS_RESP: u8 = 0x84;
+/// The retired fixed-field stats frame, rejected by name on decode.
+const OP_RETIRED_STATS: u8 = 0x84;
 const OP_ANSWER: u8 = 0x85;
 const OP_VALUES_PACKED: u8 = 0x86;
 const OP_ANSWER_PACKED: u8 = 0x87;
+const OP_SNAPSHOT: u8 = 0x88;
 const OP_ERROR: u8 = 0xEF;
+
+/// Family kinds inside an `OP_SNAPSHOT` payload, indexed by tag (the
+/// [`MetricKind`] discriminant).
+const FAMILY_KINDS: [MetricKind; 3] = [MetricKind::Counter, MetricKind::Gauge, MetricKind::Summary];
 
 // Plan tags inside an `OP_PLAN` payload (one per `QueryPlan` variant).
 // `PLAN_WINDOW` and `PLAN_DRILL_DOWN` are additive: older encoders never
@@ -961,69 +985,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             w.finish().to_vec()
         }
         Response::Stats { stats } => {
-            let mut w = writer(96 + stats.release_hits.len() * 32, OP_STATS_RESP);
-            w.put_u64(stats.releases as u64);
-            w.put_u64(stats.queries);
-            w.put_u64(stats.cache_entries as u64);
-            w.put_u64(stats.cache_bytes as u64);
-            w.put_u64(stats.cache_hits);
-            w.put_u64(stats.cache_misses);
-            w.put_u64(stats.release_hits.len() as u64);
-            for rh in &stats.release_hits {
-                put_wire_str(&mut w, &rh.name);
-                w.put_u64(rh.hits);
-            }
-            // The plan-index counters extend the frame at the *end*:
-            // the `Stats`/`Releases` introspection frames track the
-            // server version (unlike the pinned `Query`/`Batch`
-            // opcodes), and appending keeps a mixed-version desync
-            // failing with a named trailing-bytes/truncation error
-            // instead of misreading rate bits as element counts.
-            w.put_u64(stats.index_entries as u64);
-            w.put_u64(stats.index_hits);
-            w.put_u64(stats.index_misses);
-            w.put_u64(stats.index_build_nanos);
-            w.put_f64(stats.cache_hit_rate);
-            w.put_f64(stats.index_hit_rate);
-            w.put_u64(stats.open_connections);
-            w.put_u64(stats.accepted_connections);
-            // Observability tail, appended under the same convention —
-            // and, from this revision on, *optional on decode*: a frame
-            // ending right above is accepted with empty defaults, so a
-            // new client reading an old server's stats frame keeps
-            // working (the reverse — an old strict client reading this
-            // tail — still fails with its named trailing-bytes error,
-            // which the README's versioning note documents).
-            w.put_u64(stats.evicted_stat_entries);
-            w.put_u64(stats.stage_latencies.len() as u64);
-            for sl in &stats.stage_latencies {
-                put_wire_str(&mut w, &sl.stage);
-                put_wire_str(&mut w, &sl.transport);
-                w.put_u64(sl.count);
-                w.put_u64(sl.p50_nanos);
-                w.put_u64(sl.p90_nanos);
-                w.put_u64(sl.p99_nanos);
-                w.put_u64(sl.p999_nanos);
-            }
-            // Epoch tail, appended after the observability tail under
-            // the same convention: optional on decode as a block, so
-            // pre-epoch stats frames keep working.
-            w.put_u64(stats.series as u64);
-            w.put_u64(stats.partial_entries as u64);
-            w.put_u64(stats.partial_hits);
-            w.put_u64(stats.partial_misses);
-            // Encoded-memo tail: the third optional block, appended
-            // after the epoch tail under the same convention.
-            w.put_u64(stats.encoded_entries as u64);
-            w.put_u64(stats.encoded_hits);
-            w.put_u64(stats.encoded_misses);
-            w.put_u64(stats.encoded_bytes as u64);
-            // Pyramid tail: the fourth optional block, appended after
-            // the encoded-memo tail under the same convention.
-            w.put_u64(stats.pyramid_entries as u64);
-            w.put_u64(stats.pyramid_hits);
-            w.put_u64(stats.pyramid_misses);
-            w.put_u64(stats.pyramid_bytes as u64);
+            let mut w = writer(4096, OP_SNAPSHOT);
+            encode_snapshot(&mut w, stats);
             w.finish().to_vec()
         }
         Response::Error { message } => {
@@ -1032,6 +995,57 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             w.finish().to_vec()
         }
     }
+}
+
+fn encode_snapshot(w: &mut FrameWriter, snap: &Snapshot) {
+    w.put_u64(snap.families.len() as u64);
+    for fam in &snap.families {
+        put_wire_str(w, &fam.name);
+        put_wire_str(w, &fam.help);
+        w.put_u8(fam.kind as u8);
+        w.put_u64(fam.samples.len() as u64);
+        for s in &fam.samples {
+            put_wire_str(w, &s.name);
+            w.put_u64(s.labels.len() as u64);
+            for (k, v) in &s.labels {
+                put_wire_str(w, k);
+                put_wire_str(w, v);
+            }
+            w.put_f64(s.value);
+        }
+    }
+}
+
+/// Decodes an [`OP_SNAPSHOT`] payload. Vectors grow as elements decode
+/// (no preallocation from declared counts), so a lying count fails on
+/// the truncation it causes, naming the field.
+fn decode_snapshot(r: &mut FrameReader<'_>) -> Result<Snapshot, WireError> {
+    let mut snap = Snapshot::default();
+    for _ in 0..r.get_u64("family count")? {
+        let name = get_wire_str(r, "family name")?;
+        let help = get_wire_str(r, "family help")?;
+        let tag = r.get_u8("family kind")?;
+        let kind = *(FAMILY_KINDS.get(tag as usize))
+            .ok_or_else(|| WireError(format!("unknown family kind {tag:#04x}")))?;
+        let fam = snap.family(&name, &help, kind);
+        for _ in 0..r.get_u64("sample count")? {
+            let name = get_wire_str(r, "sample name")?;
+            let mut labels = Vec::new();
+            for _ in 0..r.get_u64("label count")? {
+                labels.push((
+                    get_wire_str(r, "label key")?,
+                    get_wire_str(r, "label value")?,
+                ));
+            }
+            let value = r.get_f64("sample value")?;
+            fam.samples.push(dpod_obs::Sample {
+                name,
+                labels,
+                value,
+            });
+        }
+    }
+    Ok(snap)
 }
 
 /// Encodes one response preferring the packed opcodes where they apply
@@ -1099,125 +1113,15 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
             }
             Response::Releases { releases }
         }
-        OP_STATS_RESP => {
-            let releases = r.get_u64("releases")? as usize;
-            let queries = r.get_u64("queries")?;
-            let cache_entries = r.get_u64("cache_entries")? as usize;
-            let cache_bytes = r.get_u64("cache_bytes")? as usize;
-            let cache_hits = r.get_u64("cache_hits")?;
-            let cache_misses = r.get_u64("cache_misses")?;
-            let n = r.get_u64("release_hits count")?;
-            let mut release_hits = Vec::with_capacity(usize::try_from(n).unwrap_or(0).min(1 << 16));
-            for _ in 0..n {
-                release_hits.push(ReleaseHits {
-                    name: get_wire_str(&mut r, "hit name")?,
-                    hits: r.get_u64("hit count")?,
-                });
-            }
-            let index_entries = r.get_u64("index_entries")? as usize;
-            let index_hits = r.get_u64("index_hits")?;
-            let index_misses = r.get_u64("index_misses")?;
-            let index_build_nanos = r.get_u64("index_build_nanos")?;
-            let cache_hit_rate = r.get_f64("cache_hit_rate")?;
-            let index_hit_rate = r.get_f64("index_hit_rate")?;
-            let open_connections = r.get_u64("open_connections")?;
-            let accepted_connections = r.get_u64("accepted_connections")?;
-            // Optional observability tail: absent on frames from
-            // pre-observability servers, which decode with empty
-            // defaults rather than erroring.
-            let (evicted_stat_entries, stage_latencies) = if r.remaining() > 0 {
-                let evicted = r.get_u64("evicted_stat_entries")?;
-                let n = r.get_u64("stage_latencies count")?;
-                let mut rows = Vec::with_capacity(usize::try_from(n).unwrap_or(0).min(1 << 8));
-                for _ in 0..n {
-                    rows.push(StageLatency {
-                        stage: get_wire_str(&mut r, "stage")?,
-                        transport: get_wire_str(&mut r, "stage transport")?,
-                        count: r.get_u64("stage count")?,
-                        p50_nanos: r.get_u64("stage p50")?,
-                        p90_nanos: r.get_u64("stage p90")?,
-                        p99_nanos: r.get_u64("stage p99")?,
-                        p999_nanos: r.get_u64("stage p999")?,
-                    });
-                }
-                (evicted, rows)
-            } else {
-                (0, Vec::new())
-            };
-            // Epoch tail: same optional-block convention, one level
-            // further out (a frame ending after the observability tail
-            // is a pre-epoch server's — decode with zero defaults).
-            let (series, partial_entries, partial_hits, partial_misses) = if r.remaining() > 0 {
-                (
-                    r.get_u64("series")? as usize,
-                    r.get_u64("partial_entries")? as usize,
-                    r.get_u64("partial_hits")?,
-                    r.get_u64("partial_misses")?,
-                )
-            } else {
-                (0, 0, 0, 0)
-            };
-            // Encoded-memo tail: third optional block (a frame ending
-            // after the epoch tail is a pre-memo server's — decode
-            // with zero defaults).
-            let (encoded_entries, encoded_hits, encoded_misses, encoded_bytes) =
-                if r.remaining() > 0 {
-                    (
-                        r.get_u64("encoded_entries")? as usize,
-                        r.get_u64("encoded_hits")?,
-                        r.get_u64("encoded_misses")?,
-                        r.get_u64("encoded_bytes")? as usize,
-                    )
-                } else {
-                    (0, 0, 0, 0)
-                };
-            // Pyramid tail: fourth optional block (a frame ending after
-            // the encoded-memo tail is a pre-pyramid server's — decode
-            // with zero defaults).
-            let (pyramid_entries, pyramid_hits, pyramid_misses, pyramid_bytes) =
-                if r.remaining() > 0 {
-                    (
-                        r.get_u64("pyramid_entries")? as usize,
-                        r.get_u64("pyramid_hits")?,
-                        r.get_u64("pyramid_misses")?,
-                        r.get_u64("pyramid_bytes")? as usize,
-                    )
-                } else {
-                    (0, 0, 0, 0)
-                };
-            Response::Stats {
-                stats: ServerStats {
-                    releases,
-                    queries,
-                    cache_entries,
-                    cache_bytes,
-                    cache_hits,
-                    cache_misses,
-                    index_entries,
-                    index_hits,
-                    index_misses,
-                    index_build_nanos,
-                    cache_hit_rate,
-                    index_hit_rate,
-                    open_connections,
-                    accepted_connections,
-                    release_hits,
-                    evicted_stat_entries,
-                    stage_latencies,
-                    series,
-                    partial_entries,
-                    partial_hits,
-                    partial_misses,
-                    encoded_entries,
-                    encoded_hits,
-                    encoded_misses,
-                    encoded_bytes,
-                    pyramid_entries,
-                    pyramid_hits,
-                    pyramid_misses,
-                    pyramid_bytes,
-                },
-            }
+        OP_SNAPSHOT => Response::Stats {
+            stats: decode_snapshot(&mut r)?,
+        },
+        OP_RETIRED_STATS => {
+            return Err(WireError(
+                "response opcode 0x84 (fixed-field stats frame) is retired; \
+                 stats travel as 0x88 snapshot frames"
+                    .into(),
+            ))
         }
         OP_ERROR => Response::Error {
             message: get_wire_str(&mut r, "message")?,
@@ -1727,48 +1631,7 @@ mod tests {
                 }],
             },
             Response::Stats {
-                stats: ServerStats {
-                    releases: 2,
-                    queries: 99,
-                    cache_entries: 1,
-                    cache_bytes: 4096,
-                    cache_hits: 98,
-                    cache_misses: 1,
-                    index_entries: 1,
-                    index_hits: 10,
-                    index_misses: 2,
-                    index_build_nanos: 123_456_789,
-                    cache_hit_rate: 98.0 / 99.0,
-                    index_hit_rate: 10.0 / 12.0,
-                    open_connections: 12,
-                    accepted_connections: 345,
-                    release_hits: vec![ReleaseHits {
-                        name: "city".into(),
-                        hits: 99,
-                    }],
-                    evicted_stat_entries: 3,
-                    stage_latencies: vec![StageLatency {
-                        stage: "execute".into(),
-                        transport: "binary".into(),
-                        count: 99,
-                        p50_nanos: 900,
-                        p90_nanos: 1_800,
-                        p99_nanos: 3_600,
-                        p999_nanos: 7_200,
-                    }],
-                    series: 1,
-                    partial_entries: 4,
-                    partial_hits: 6,
-                    partial_misses: 2,
-                    encoded_entries: 3,
-                    encoded_hits: 11,
-                    encoded_misses: 3,
-                    encoded_bytes: 4096,
-                    pyramid_entries: 2,
-                    pyramid_hits: 8,
-                    pyramid_misses: 2,
-                    pyramid_bytes: 2048,
-                },
+                stats: sample_snapshot(),
             },
             Response::Error {
                 message: "unknown release 'x'".into(),
@@ -1779,132 +1642,70 @@ mod tests {
         }
     }
 
-    /// A stats frame from a pre-observability server — every field up to
-    /// `accepted_connections`, nothing after — must still decode, with
-    /// the observability tail defaulting to empty. This pins the
-    /// forward-compatibility half of the stats-frame versioning story
-    /// (new client, old server); the reverse direction is covered by the
-    /// tail being strictly appended, never reordering existing fields.
-    #[test]
-    fn stats_frame_without_observability_tail_still_decodes() {
-        let stats = ServerStats {
-            releases: 2,
-            queries: 40,
-            cache_entries: 1,
-            cache_bytes: 1024,
-            cache_hits: 39,
-            cache_misses: 1,
-            index_entries: 1,
-            index_hits: 5,
-            index_misses: 1,
-            index_build_nanos: 777,
-            cache_hit_rate: 0.975,
-            index_hit_rate: 5.0 / 6.0,
-            open_connections: 2,
-            accepted_connections: 9,
-            release_hits: vec![ReleaseHits {
-                name: "city".into(),
-                hits: 40,
-            }],
-            evicted_stat_entries: 0,
-            stage_latencies: Vec::new(),
-            series: 0,
-            partial_entries: 0,
-            partial_hits: 0,
-            partial_misses: 0,
-            encoded_entries: 0,
-            encoded_hits: 0,
-            encoded_misses: 0,
-            encoded_bytes: 0,
-            pyramid_entries: 0,
-            pyramid_hits: 0,
-            pyramid_misses: 0,
-            pyramid_bytes: 0,
-        };
-        // Re-encode the frame the way the previous wire revision did:
-        // everything except the appended observability tail.
-        let mut w = writer(256, OP_STATS_RESP);
-        w.put_u64(stats.releases as u64);
-        w.put_u64(stats.queries);
-        w.put_u64(stats.cache_entries as u64);
-        w.put_u64(stats.cache_bytes as u64);
-        w.put_u64(stats.cache_hits);
-        w.put_u64(stats.cache_misses);
-        w.put_u64(stats.release_hits.len() as u64);
-        for rh in &stats.release_hits {
-            put_wire_str(&mut w, &rh.name);
-            w.put_u64(rh.hits);
-        }
-        w.put_u64(stats.index_entries as u64);
-        w.put_u64(stats.index_hits);
-        w.put_u64(stats.index_misses);
-        w.put_u64(stats.index_build_nanos);
-        w.put_f64(stats.cache_hit_rate);
-        w.put_f64(stats.index_hit_rate);
-        w.put_u64(stats.open_connections);
-        w.put_u64(stats.accepted_connections);
-        let legacy_frame = w.finish().to_vec();
-        // Sanity: the current encoder's output is a strict extension.
-        let current = encode_response(&Response::Stats {
-            stats: stats.clone(),
-        });
-        assert_eq!(
-            &current[..legacy_frame.len()],
-            &legacy_frame[..],
-            "observability fields must extend the frame, not reshape it"
-        );
-        let decoded = decode_response(&legacy_frame).expect("legacy frame decodes");
-        assert_eq!(decoded, Response::Stats { stats });
+    /// A small snapshot covering every family kind, labelled and bare
+    /// samples, and a summary's suffixed sample names.
+    fn sample_snapshot() -> Snapshot {
+        let mut snap = Snapshot::default();
+        snap.family("dpod_engine_memo_hits_total", "hits", MetricKind::Counter)
+            .sample(&[("memo", "pyramid")], 8.0)
+            .sample(&[("memo", "encoded")], 11.0);
+        snap.family("dpod_release_epsilon", "eps", MetricKind::Gauge)
+            .sample(&[("release", "ci\"ty")], 0.5);
+        snap.family("dpod_request_stage_nanoseconds", "lat", MetricKind::Summary)
+            .sample(&[("stage", "execute"), ("quantile", "0.99")], 3_600.0)
+            .samples
+            .push(dpod_obs::Sample {
+                name: "dpod_request_stage_nanoseconds_count".into(),
+                labels: vec![("stage".into(), "execute".into())],
+                value: 99.0,
+            });
+        snap.family("dpod_catalog_releases", "releases", MetricKind::Gauge);
+        snap
     }
 
-    /// The tail is all-or-nothing: a frame truncated *inside* the tail
-    /// is a named error, not a silent partial decode.
+    /// The retired fixed-field stats opcode is refused by name, not
+    /// misread as a snapshot or reported as an unknown opcode.
     #[test]
-    fn stats_frame_with_torn_tail_is_rejected() {
+    fn retired_stats_opcode_is_rejected_by_name() {
+        let mut w = writer(16, OP_RETIRED_STATS);
+        w.put_u64(1);
+        let err = decode_response(&w.finish()).expect_err("0x84 must be refused");
+        assert!(err.0.contains("0x84") && err.0.contains("retired"), "{err}");
+    }
+
+    /// A snapshot frame cut anywhere inside a family or a sample is a
+    /// named truncation error, never a partial decode.
+    #[test]
+    fn truncated_snapshot_frames_name_the_field() {
         let full = encode_response(&Response::Stats {
-            stats: ServerStats {
-                releases: 1,
-                queries: 1,
-                cache_entries: 0,
-                cache_bytes: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                index_entries: 0,
-                index_hits: 0,
-                index_misses: 0,
-                index_build_nanos: 0,
-                cache_hit_rate: 0.0,
-                index_hit_rate: 0.0,
-                open_connections: 0,
-                accepted_connections: 0,
-                release_hits: Vec::new(),
-                evicted_stat_entries: 7,
-                stage_latencies: vec![StageLatency {
-                    stage: "queue".into(),
-                    transport: "json".into(),
-                    count: 1,
-                    p50_nanos: 10,
-                    p90_nanos: 10,
-                    p99_nanos: 10,
-                    p999_nanos: 10,
-                }],
-                series: 1,
-                partial_entries: 0,
-                partial_hits: 0,
-                partial_misses: 0,
-                encoded_entries: 2,
-                encoded_hits: 3,
-                encoded_misses: 2,
-                encoded_bytes: 128,
-                pyramid_entries: 1,
-                pyramid_hits: 4,
-                pyramid_misses: 1,
-                pyramid_bytes: 256,
-            },
+            stats: sample_snapshot(),
         });
-        for cut in [full.len() - 1, full.len() - 9, full.len() - 40] {
-            assert!(decode_response(&full[..cut]).is_err(), "cut {cut}");
+        let header = 6; // magic + version + opcode
+        for cut in header..full.len() {
+            let err = decode_response(&full[..cut]).expect_err("truncation must fail");
+            assert!(err.0.contains("truncated"), "cut {cut}: {err}");
         }
+        // Cuts inside the first family's help, the last (empty)
+        // family's sample count and a sample's value name those fields.
+        let name = b"dpod_engine_memo_hits_total";
+        let help_at = full.windows(name.len()).position(|w| w == name).unwrap() + name.len();
+        let err = decode_response(&full[..help_at + 8 + 2]).unwrap_err();
+        assert!(err.0.contains("family help"), "{err}");
+        let err = decode_response(&full[..full.len() - 3]).unwrap_err();
+        assert!(err.0.contains("sample count"), "{err}");
+        let mut one = Snapshot::default();
+        one.family("dpod_x_total", "x", MetricKind::Counter)
+            .sample(&[("k", "v")], 1.0);
+        let frame = encode_response(&Response::Stats { stats: one });
+        let err = decode_response(&frame[..frame.len() - 3]).unwrap_err();
+        assert!(err.0.contains("sample value"), "{err}");
+        // An unknown family kind is named too.
+        let mut bad = full.to_vec();
+        let kind_at = help_at + 8 + "hits".len();
+        assert_eq!(full[kind_at], 0, "counter tag");
+        bad[kind_at] = 9;
+        let err = decode_response(&bad).unwrap_err();
+        assert!(err.0.contains("unknown family kind"), "{err}");
     }
 
     #[test]

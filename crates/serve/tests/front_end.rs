@@ -22,7 +22,7 @@
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
-use dpod_serve::protocol::{Request, Response};
+use dpod_serve::protocol::{Request, Response, Snapshot};
 use dpod_serve::{
     spawn_with, wire, Catalog, FrontEnd, Server, ServerHandle, SpawnOptions,
     WRITE_BACKPRESSURE_BYTES,
@@ -84,6 +84,20 @@ fn spawn_sharded(server: &Arc<Server>, event_loops: usize, workers: usize) -> Se
     .expect("bind");
     assert_eq!(handle.front_end(), FrontEnd::Event);
     handle
+}
+
+/// One unlabelled sample of the server's snapshot.
+fn series(server: &Server, name: &str) -> u64 {
+    server.snapshot().get(name, &[]).expect(name) as u64
+}
+
+/// `(open, accepted)` connection counts from a stats snapshot.
+fn connection_series(stats: &Snapshot) -> (u64, u64) {
+    let get = |name: &str| stats.get(name, &[]).expect("connection series") as u64;
+    (
+        get("dpod_server_open_connections"),
+        get("dpod_server_accepted_connections_total"),
+    )
 }
 
 fn json_round_trip(stream: &TcpStream, reader: &mut impl BufRead, req: &Request) -> Response {
@@ -300,17 +314,14 @@ fn many_idle_connections_are_all_served_by_two_workers() {
     let Response::Stats { stats } = server.handle(&Request::Stats) else {
         panic!("stats");
     };
-    assert!(stats.open_connections >= 40, "{}", stats.open_connections);
-    assert!(
-        stats.accepted_connections >= 40,
-        "{}",
-        stats.accepted_connections
-    );
+    let (open, accepted) = connection_series(&stats);
+    assert!(open >= 40, "{open}");
+    assert!(accepted >= 40, "{accepted}");
 
     // Dropping the clients drains the gauge.
     drop(conns);
     let deadline = Instant::now() + REPLY_TIMEOUT;
-    while server.open_connections() > 0 {
+    while series(&server, "dpod_server_open_connections") > 0 {
         assert!(Instant::now() < deadline, "open-connection gauge stuck");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -407,7 +418,7 @@ fn bit_identical_to_pool_mode(conns: usize, event_loops: usize) {
             );
         }
     }
-    assert!(server.accepted_connections() >= conns as u64);
+    assert!(series(&server, "dpod_server_accepted_connections_total") >= conns as u64);
     drop(socks);
     event.stop();
 }
@@ -463,7 +474,7 @@ fn deep_pipeline_past_the_pending_cap_is_fully_served() {
         assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
     }
     writer.join().unwrap();
-    assert_eq!(server.queries_answered(), N as u64);
+    assert_eq!(series(&server, "dpod_server_queries_total"), N as u64);
     handle.stop();
 }
 
@@ -490,7 +501,7 @@ fn graceful_drain_answers_everything_already_received() {
 
     // Wait until the server has answered them all…
     let deadline = Instant::now() + REPLY_TIMEOUT;
-    while server.queries_answered() < 50 {
+    while series(&server, "dpod_server_queries_total") < 50 {
         assert!(Instant::now() < deadline, "requests not processed");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -538,7 +549,7 @@ fn pool_front_end_drains_gracefully_too() {
     let mut line = String::new();
     assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
     let deadline = Instant::now() + REPLY_TIMEOUT;
-    while server.open_connections() > 0 {
+    while series(&server, "dpod_server_open_connections") > 0 {
         assert!(Instant::now() < deadline, "gauge not drained");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -557,14 +568,13 @@ fn connection_gauges_cross_the_wire() {
         let Response::Stats { stats } = client.request(&Request::Stats).unwrap() else {
             panic!("expected stats");
         };
-        if stats.open_connections == 3 && stats.accepted_connections == 3 {
+        let (open, accepted) = connection_series(&stats);
+        if open == 3 && accepted == 3 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "gauges never converged: {} open / {} accepted",
-            stats.open_connections,
-            stats.accepted_connections
+            "gauges never converged: {open} open / {accepted} accepted"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -576,8 +586,9 @@ fn connection_gauges_cross_the_wire() {
         let Response::Stats { stats } = client.request(&Request::Stats).unwrap() else {
             panic!("expected stats");
         };
-        if stats.open_connections == 1 {
-            assert_eq!(stats.accepted_connections, 3);
+        let (open, accepted) = connection_series(&stats);
+        if open == 1 {
+            assert_eq!(accepted, 3);
             break;
         }
         assert!(Instant::now() < deadline, "closed connections not observed");
@@ -664,7 +675,7 @@ fn multi_shard_drain_flushes_every_shard_within_one_deadline() {
 
     // Wait until every shard has answered its share…
     let deadline = Instant::now() + REPLY_TIMEOUT;
-    while server.queries_answered() < (CONNS * PER_CONN) as u64 {
+    while series(&server, "dpod_server_queries_total") < (CONNS * PER_CONN) as u64 {
         assert!(Instant::now() < deadline, "requests not processed");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -732,7 +743,7 @@ fn single_worker_across_four_shards_loses_no_wakeups() {
     for t in threads {
         t.join().expect("round trip stranded: lost wakeup");
     }
-    assert_eq!(server.queries_answered(), 400);
+    assert_eq!(series(&server, "dpod_server_queries_total"), 400);
     handle.stop();
 }
 
@@ -773,7 +784,7 @@ fn idle_sweep_reaps_connections_on_every_shard() {
         }
     }
     let deadline = Instant::now() + REPLY_TIMEOUT;
-    while server.open_connections() > 0 {
+    while series(&server, "dpod_server_open_connections") > 0 {
         assert!(Instant::now() < deadline, "idle sweep missed a shard");
         std::thread::sleep(Duration::from_millis(10));
     }

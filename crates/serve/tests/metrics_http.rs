@@ -1,6 +1,6 @@
 //! End-to-end observability tests: traffic through a live front end
-//! shows up in the `/metrics` exposition, the extended stats frame, and
-//! agrees across the two surfaces.
+//! shows up in the `/metrics` exposition and in `Stats` snapshots, and
+//! the surfaces agree sample for sample.
 
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
@@ -9,6 +9,7 @@ use dpod_serve::protocol::{Request, Response};
 use dpod_serve::{
     spawn_metrics_exporter, spawn_with, wire, Catalog, FrontEnd, Server, SpawnOptions,
 };
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -148,35 +149,30 @@ fn exposition_covers_served_traffic(front_end: FrontEnd) {
     let body = scrape(exporter.addr());
     assert_key_series(&body, front_end);
 
-    // The stats frame reports the same stage histograms.
+    // The stats snapshot reports the same stage histograms.
     let mut client = wire::Client::connect(handle.addr()).unwrap();
     client.send(&Request::Stats).unwrap();
     let Response::Stats { stats } = client.receive().unwrap() else {
         panic!("expected stats");
     };
-    let execute_rows: Vec<_> = stats
-        .stage_latencies
-        .iter()
-        .filter(|row| row.stage == "execute")
-        .collect();
-    assert!(
-        execute_rows
-            .iter()
-            .any(|r| r.transport == "json" && r.count >= 3),
-        "stats frame missing json execute-stage quantiles: {:?}",
-        stats.stage_latencies
-    );
-    assert!(
-        execute_rows
-            .iter()
-            .any(|r| r.transport == "binary" && r.count >= 3),
-        "stats frame missing binary execute-stage quantiles: {:?}",
-        stats.stage_latencies
-    );
-    for row in &stats.stage_latencies {
-        assert!(row.p50_nanos <= row.p90_nanos);
-        assert!(row.p90_nanos <= row.p99_nanos);
-        assert!(row.p99_nanos <= row.p999_nanos);
+    for transport in ["json", "binary"] {
+        let execute = &[("transport", transport), ("stage", "execute")];
+        let count = stats.get("dpod_request_stage_nanoseconds_count", execute);
+        assert!(
+            count.unwrap_or(0.0) >= 3.0,
+            "stats snapshot missing {transport} execute-stage quantiles: {stats:?}"
+        );
+        for stage in ["parse", "queue", "execute", "write"] {
+            let q = |q: &str| {
+                let labels = [("transport", transport), ("stage", stage), ("quantile", q)];
+                stats
+                    .get("dpod_request_stage_nanoseconds", &labels)
+                    .unwrap()
+            };
+            assert!(q("0.5") <= q("0.9"));
+            assert!(q("0.9") <= q("0.99"));
+            assert!(q("0.99") <= q("0.999"));
+        }
     }
 
     exporter.stop();
@@ -246,14 +242,14 @@ fn epoch_gauges_cover_the_series_lifecycle() {
     assert!(body.contains("dpod_series_epsilon_active{series=\"city\"} 1"));
     assert!(body.contains("dpod_epochs_published_total 2"));
     assert!(body.contains("dpod_epochs_retired_total 1"));
-    assert!(body.contains("dpod_engine_partial_entries 2"));
-    assert!(body.contains("dpod_engine_partial_misses_total 2"));
+    assert!(body.contains("dpod_engine_memo_entries{memo=\"partial\"} 2"));
+    assert!(body.contains("dpod_engine_memo_misses_total{memo=\"partial\"} 2"));
     exporter.stop();
 }
 
 /// The pyramid memo's whole surface is visible on `/metrics`: the four
-/// aggregate gauges and the per-level hit-counter rows, agreeing with
-/// the stats frame's pyramid tail.
+/// aggregate series and the per-level hit-counter rows, agreeing with
+/// the stats snapshot.
 #[test]
 fn pyramid_gauges_cover_drill_down_traffic() {
     use dpod_query::QueryPlan;
@@ -283,10 +279,16 @@ fn pyramid_gauges_cover_drill_down_traffic() {
 
     let exporter = spawn_metrics_exporter(Arc::clone(&server), "127.0.0.1:0").unwrap();
     let body = scrape(exporter.addr());
-    assert!(body.contains("dpod_engine_pyramid_entries 2"), "{body}");
-    assert!(body.contains("dpod_engine_pyramid_hits_total 1"), "{body}");
     assert!(
-        body.contains("dpod_engine_pyramid_misses_total 2"),
+        body.contains("dpod_engine_memo_entries{memo=\"pyramid\"} 2"),
+        "{body}"
+    );
+    assert!(
+        body.contains("dpod_engine_memo_hits_total{memo=\"pyramid\"} 1"),
+        "{body}"
+    );
+    assert!(
+        body.contains("dpod_engine_memo_misses_total{memo=\"pyramid\"} 2"),
         "{body}"
     );
     assert!(
@@ -295,19 +297,169 @@ fn pyramid_gauges_cover_drill_down_traffic() {
     );
     let bytes: usize = body
         .lines()
-        .find_map(|l| l.strip_prefix("dpod_engine_pyramid_bytes "))
+        .find_map(|l| l.strip_prefix("dpod_engine_memo_bytes{memo=\"pyramid\"} "))
         .and_then(|v| v.parse().ok())
         .expect("pyramid bytes gauge present");
     assert!(bytes > 0);
 
-    // The stats frame's pyramid tail reports the same counters.
+    // The stats snapshot reports the same counters.
     let Response::Stats { stats } = server.handle(&Request::Stats) else {
         panic!("expected stats");
     };
-    assert_eq!(stats.pyramid_entries, 2);
-    assert_eq!((stats.pyramid_hits, stats.pyramid_misses), (1, 2));
-    assert_eq!(stats.pyramid_bytes, bytes);
+    let pyramid = |name: &str| stats.get(name, &[("memo", "pyramid")]).unwrap() as usize;
+    assert_eq!(pyramid("dpod_engine_memo_entries"), 2);
+    assert_eq!(
+        (
+            pyramid("dpod_engine_memo_hits_total"),
+            pyramid("dpod_engine_memo_misses_total")
+        ),
+        (1, 2)
+    );
+    assert_eq!(pyramid("dpod_engine_memo_bytes"), bytes);
     exporter.stop();
+}
+
+/// Exposition lines keyed by `name{labels}`, values as rendered.
+fn exposition_samples(text: &str) -> BTreeMap<String, String> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (key, value) = l.rsplit_once(' ').expect("sample line");
+            (key.to_string(), value.to_string())
+        })
+        .collect()
+}
+
+/// The three surfaces render one snapshot: after mixed traffic (window
+/// and drill-down plans, a legacy batch, an LRU eviction), every sample
+/// of a `Stats` answer fetched over NDJSON and over `DPRB` equals the
+/// same sample of a `/metrics` scrape. Only the series the `Stats`
+/// requests themselves move are excluded.
+#[test]
+fn stats_and_metrics_render_one_snapshot() {
+    use dpod_query::{EpochSelector, QueryPlan, WindowMerge};
+
+    let release = |seed: u64| {
+        let mut m = DenseMatrix::<u64>::zeros(Shape::new(vec![8, 8]).unwrap());
+        m.add_at(&[2, 2], 500).unwrap();
+        let out = Ebp::default()
+            .sanitize(
+                &m,
+                Epsilon::new(0.5).unwrap(),
+                &mut dpod_dp::seeded_rng(seed),
+            )
+            .unwrap();
+        PublishedRelease::from_sanitized(&out)
+    };
+    let catalog = Arc::new(Catalog::new());
+    catalog.publish("city", release(1));
+    // A budget near one rebuild: a window over three epochs evicts.
+    let server = Arc::new(Server::new(catalog, 4096));
+    server.publish_epoch("city", 1, release(2)).unwrap();
+    server.publish_epoch("city", 2, release(3)).unwrap();
+    let handle = spawn_with(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        SpawnOptions {
+            workers: 3,
+            front_end: Some(FrontEnd::Pool),
+            ..SpawnOptions::default()
+        },
+    )
+    .unwrap();
+    let exporter = spawn_metrics_exporter(Arc::clone(&server), "127.0.0.1:0").unwrap();
+
+    let plan = |plan: QueryPlan| Request::Plan {
+        release: "city".into(),
+        plan,
+    };
+    let traffic = [
+        plan(QueryPlan::Window {
+            select: EpochSelector::LastK { k: 3 },
+            merge: WindowMerge::Sum,
+            plan: Box::new(QueryPlan::Total),
+        }),
+        plan(QueryPlan::DrillDown {
+            level: 1,
+            plan: Box::new(QueryPlan::Total),
+        }),
+        plan(QueryPlan::TopK { k: 2 }),
+        Request::Batch {
+            release: "city".into(),
+            ranges: vec![(vec![0, 0], vec![4, 4]), (vec![0, 0], vec![8, 8])],
+        },
+    ];
+    let json = TcpStream::connect(handle.addr()).unwrap();
+    let mut json_reader = BufReader::new(json.try_clone().unwrap());
+    let mut json_request = |req: &Request| {
+        let mut line = serde_json::to_string(req).unwrap();
+        line.push('\n');
+        (&json).write_all(line.as_bytes()).unwrap();
+        let mut answer = String::new();
+        json_reader.read_line(&mut answer).unwrap();
+        serde_json::from_str::<Response>(answer.trim()).unwrap()
+    };
+    let mut binary = wire::Client::connect(handle.addr()).unwrap();
+    for req in &traffic {
+        for resp in [json_request(req), binary.request(req).unwrap()] {
+            assert!(
+                !matches!(resp, Response::Error { .. }),
+                "{req:?} failed: {resp:?}"
+            );
+        }
+    }
+    let Response::Stats { stats: via_json } = json_request(&Request::Stats) else {
+        panic!("expected stats over NDJSON");
+    };
+    let Response::Stats { stats: via_wire } = binary.request(&Request::Stats).unwrap() else {
+        panic!("expected stats over DPRB");
+    };
+    let scraped = exposition_samples(&scrape(exporter.addr()));
+
+    // The traffic did what it was meant to: its own request kinds, and
+    // an eviction (three epochs touched, fewer resident).
+    for kind in ["plan_window", "plan_drill_down", "plan_top_k", "batch"] {
+        for transport in ["json", "binary"] {
+            let key = format!("dpod_requests_total{{transport=\"{transport}\",kind=\"{kind}\"}}");
+            assert_eq!(scraped.get(&key).map(String::as_str), Some("1"), "{key}");
+        }
+    }
+    assert_eq!(
+        scraped.get("dpod_requests_total{transport=\"json\",kind=\"plan_many\"}"),
+        Some(&"0".to_string()),
+        "window and drill-down plans must not count as plan_many"
+    );
+    let resident = &scraped["dpod_engine_memo_entries{memo=\"matrix\"}"];
+    assert!(
+        resident.parse::<u64>().unwrap() < 3,
+        "no eviction: {resident}"
+    );
+
+    let moved_by_stats = |key: &str| {
+        key.starts_with("dpod_request_stage_nanoseconds")
+            || (key.starts_with("dpod_requests_total{") && key.contains("kind=\"stats\""))
+    };
+    let compared = |m: &BTreeMap<String, String>| -> BTreeMap<String, String> {
+        m.iter()
+            .filter(|(k, _)| !moved_by_stats(k))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    };
+    let scraped = compared(&scraped);
+    assert!(scraped.len() > 50, "suspiciously few samples: {scraped:?}");
+    for (surface, snap) in [("NDJSON", &via_json), ("DPRB", &via_wire)] {
+        let rendered = compared(&exposition_samples(&snap.render_prometheus()));
+        for (key, value) in &scraped {
+            assert_eq!(
+                rendered.get(key),
+                Some(value),
+                "{surface} Stats vs /metrics: {key}"
+            );
+        }
+        assert_eq!(rendered.len(), scraped.len(), "{surface} has extra samples");
+    }
+    exporter.stop();
+    handle.stop();
 }
 
 /// A second scrape on a fresh connection must work (the exporter serves

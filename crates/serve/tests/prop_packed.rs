@@ -250,7 +250,8 @@ fn memo_hits_are_bit_identical_to_cold_execution() {
     let Response::Stats { stats } = a.handle(&Request::Stats) else {
         panic!("expected stats");
     };
-    assert_eq!(stats.encoded_hits, 9);
-    assert_eq!(stats.encoded_misses, 9);
-    assert!(stats.encoded_entries > 0 && stats.encoded_bytes > 0);
+    let encoded = |name: &str| stats.get(name, &[("memo", "encoded")]).unwrap() as u64;
+    assert_eq!(encoded("dpod_engine_memo_hits_total"), 9);
+    assert_eq!(encoded("dpod_engine_memo_misses_total"), 9);
+    assert!(encoded("dpod_engine_memo_entries") > 0 && encoded("dpod_engine_memo_bytes") > 0);
 }

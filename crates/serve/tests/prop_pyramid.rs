@@ -273,12 +273,13 @@ fn live_transports_agree_on_drill_downs() {
     }
     // The coarse levels answered above were routed through the pyramid
     // memo (level 0 short-circuits to the leaf and never touches it).
-    let stats = server.engine_stats();
+    let stats = server.snapshot();
+    let pyramid = |name: &str| stats.get(name, &[("memo", "pyramid")]).unwrap();
     assert!(
-        stats.pyramid_hits + stats.pyramid_misses >= 3,
+        pyramid("dpod_engine_memo_hits_total") + pyramid("dpod_engine_memo_misses_total") >= 3.0,
         "coarse answers must route through the pyramid memo: {stats:?}"
     );
-    assert!(stats.pyramid_bytes > 0);
+    assert!(pyramid("dpod_engine_memo_bytes") > 0.0);
     handle.stop();
 }
 

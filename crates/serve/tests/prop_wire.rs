@@ -1,5 +1,6 @@
 //! Property tests for the `DPRB` binary protocol: any request or
-//! response round-trips through the binary codec, and the binary path is
+//! response round-trips through the binary codec (stats snapshots
+//! through the NDJSON codec too), and the binary path is
 //! *JSON-path-equivalent* — an arbitrary request decoded from its binary
 //! encoding produces, against a live server, exactly the answers (in
 //! order) that the NDJSON encoding of the same request produces.
@@ -7,9 +8,8 @@
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
-use dpod_serve::protocol::{
-    ReleaseHits, ReleaseInfo, Request, Response, ServerStats, StageLatency,
-};
+use dpod_obs::{MetricKind, Sample};
+use dpod_serve::protocol::{ReleaseInfo, Request, Response, Snapshot};
 use dpod_serve::{wire, Catalog, Server};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -84,6 +84,38 @@ fn arb_request() -> impl Strategy<Value = Request> {
         })
 }
 
+/// Snapshots: 0–3 families of every kind, 0–3 samples each with 0–2
+/// labels, names and label values drawn from the release-name pool
+/// (empty and odd strings included), finite values.
+fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
+    let sample = (
+        arb_name(),
+        prop::collection::vec((arb_name(), arb_name()), 0..3),
+        any::<f64>(),
+    );
+    let family = (
+        arb_name(),
+        arb_name(),
+        0usize..3,
+        prop::collection::vec(sample, 0..4),
+    );
+    prop::collection::vec(family, 0..4).prop_map(|families| {
+        let mut snap = Snapshot::default();
+        for (name, help, kind, samples) in families {
+            let kind = [MetricKind::Counter, MetricKind::Gauge, MetricKind::Summary][kind];
+            snap.family(&name, &help, kind).samples = samples
+                .into_iter()
+                .map(|(name, labels, value)| Sample {
+                    name,
+                    labels,
+                    value,
+                })
+                .collect();
+        }
+        snap
+    })
+}
+
 fn arb_response() -> impl Strategy<Value = Response> {
     (
         0usize..5,
@@ -91,8 +123,9 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_name(),
         0u64..1_000_000,
         prop::collection::vec(1usize..64, 0..4),
+        arb_snapshot(),
     )
-        .prop_map(|(kind, values, name, counter, domain)| match kind {
+        .prop_map(|(kind, values, name, counter, domain, stats)| match kind {
             0 => Response::Value {
                 value: values.first().copied().unwrap_or(0.5),
             },
@@ -107,54 +140,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                     domain,
                 }],
             },
-            3 => Response::Stats {
-                stats: ServerStats {
-                    releases: domain.len(),
-                    queries: counter,
-                    cache_entries: 1,
-                    cache_bytes: counter as usize,
-                    cache_hits: counter / 2,
-                    cache_misses: counter / 3,
-                    index_entries: (counter % 5) as usize,
-                    index_hits: counter / 4,
-                    index_misses: counter / 5,
-                    index_build_nanos: counter.wrapping_mul(17),
-                    cache_hit_rate: (counter % 100) as f64 / 100.0,
-                    index_hit_rate: (counter % 7) as f64 / 7.0,
-                    open_connections: counter % 513,
-                    accepted_connections: counter.wrapping_mul(3),
-                    release_hits: vec![ReleaseHits {
-                        name: name.clone(),
-                        hits: counter,
-                    }],
-                    evicted_stat_entries: counter % 3,
-                    // 0–2 rows so the empty and populated tails both
-                    // travel through the codec.
-                    stage_latencies: (0..(counter % 3) as usize)
-                        .map(|i| StageLatency {
-                            stage: ["execute", "queue"][i % 2].to_string(),
-                            transport: ["binary", "json"][i % 2].to_string(),
-                            count: counter.wrapping_add(i as u64),
-                            p50_nanos: counter,
-                            p90_nanos: counter.wrapping_mul(2),
-                            p99_nanos: counter.wrapping_mul(4),
-                            p999_nanos: counter.wrapping_mul(8),
-                        })
-                        .collect(),
-                    series: domain.len(),
-                    partial_entries: (counter % 9) as usize,
-                    partial_hits: counter / 6,
-                    partial_misses: counter / 7,
-                    encoded_entries: (counter % 11) as usize,
-                    encoded_hits: counter / 8,
-                    encoded_misses: counter / 9,
-                    encoded_bytes: (counter % 4096) as usize,
-                    pyramid_entries: (counter % 13) as usize,
-                    pyramid_hits: counter / 10,
-                    pyramid_misses: counter / 11,
-                    pyramid_bytes: (counter % 8192) as usize,
-                },
-            },
+            3 => Response::Stats { stats },
             _ => Response::Error { message: name },
         })
 }
@@ -181,6 +167,21 @@ proptest! {
         let via_wire = wire::decode_response(&wire::encode_response(&resp))
             .map_err(|e| TestCaseError::fail(e.0))?;
         prop_assert_eq!(&via_wire, &resp);
+    }
+
+    /// A stats snapshot survives both codecs unchanged: `0x88` frames
+    /// and the NDJSON serde form.
+    #[test]
+    fn snapshots_round_trip_through_both_codecs(stats in arb_snapshot()) {
+        let resp = Response::Stats { stats };
+        let via_wire = wire::decode_response(&wire::encode_response(&resp))
+            .map_err(|e| TestCaseError::fail(e.0))?;
+        prop_assert_eq!(&via_wire, &resp);
+        let json = serde_json::to_string(&resp)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let via_json: Response = serde_json::from_str(&json)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(&via_json, &resp);
     }
 
     /// The tentpole equivalence: for ANY request — batches of arbitrary

@@ -75,7 +75,10 @@ fn ten_thousand_query_batch_matches_direct_range_sums() {
         let expected = reference[name].range_sum(q);
         assert_eq!(value, expected, "query {i} on {name} diverged");
     }
-    assert_eq!(server.queries_answered(), 10_000);
+    assert_eq!(
+        server.snapshot().get("dpod_server_queries_total", &[]),
+        Some(10_000.0)
+    );
     // Ranges are plan leaves answered from each release's index: one
     // build (and one rebuild beneath it) per release, warm hits after.
     let stats = server.engine_stats();
@@ -179,7 +182,7 @@ fn binary_tcp_clients_agree_with_direct_range_sums() {
     // Per-release hit telemetry saw all three analysts.
     let hits = server.release_hits();
     assert_eq!(hits.len(), 3);
-    assert!(hits.iter().all(|h| h.hits == 500), "{hits:?}");
+    assert!(hits.iter().all(|(_, n)| *n == 500), "{hits:?}");
     handle.stop();
 }
 
