@@ -29,10 +29,9 @@
 //!   marginal must clear 5× the leaf-indexed rate;
 //! * `tcp/eventloop-cN` — request/response `DPRB` traffic from N
 //!   concurrent connections (1, 64, 512) against the epoll front end
-//!   (one loop shard, pinned) on a fixed 8-worker pool, plus a
-//!   `tcp/pool-c64` row from the thread-per-connection fallback
-//!   at the same worker count — the many-analysts shape the event loop
-//!   exists for;
+//!   (one loop shard, pinned, answering on its own thread), plus a
+//!   `tcp/pool-c64` row from the thread-per-connection fallback on 8
+//!   workers — the many-analysts shape the event loop exists for;
 //! * `replay_plans_c1024_eventloop_shards4` — the replay load generator
 //!   at 1024 connections over **four** `SO_REUSEPORT` loop shards, the
 //!   fan-in where a single loop thread became the ceiling.
@@ -353,8 +352,9 @@ fn measure_tcp_plan_qps(
 
 /// Aggregate plans/sec from the `dpod replay --connections N` load
 /// generator (one readiness-driven client thread multiplexing all `N`
-/// request/response connections) against the chosen front end on a
-/// fixed 8-worker pool — the acceptance workload for the event-loop
+/// request/response connections) against the chosen front end (8
+/// workers size the pool; the event core serves on its `event_loops`
+/// shards) — the acceptance workload for the event-loop
 /// serving core. `event_loops` pins the shard count so the trajectory
 /// rows stay comparable across host core counts.
 fn measure_replay_plansps(
@@ -423,10 +423,10 @@ fn measure_replay_plansps(
 /// Aggregate queries/sec from `conns` concurrent request/response
 /// clients (each its own `DPRB` connection sending one query and
 /// waiting for the answer — the live-dashboard shape, no pipelining)
-/// against the chosen front end on a fixed 8-worker pool. This is the
-/// workload where connections ≫ workers separates the serving cores:
-/// the pool serializes into worker-sized waves, the event loop keeps
-/// every connection's request in flight.
+/// against the chosen front end (an 8-worker pool, or one loop shard).
+/// This is the workload where connections ≫ workers separates the
+/// serving cores: the pool serializes into worker-sized waves, the
+/// event loop keeps every connection's request in flight.
 fn measure_concurrent_qps(
     server: Arc<Server>,
     front_end: FrontEnd,
@@ -720,8 +720,8 @@ fn bench_serve_throughput(c: &mut Criterion) {
         measure_tcp_plan_qps(Arc::clone(&server), big, drill_range, big_pyr_n, true);
     server.remove_release(big);
 
-    // Concurrent-connection rows, fixed 8-worker pool: the event loop
-    // at 1 / 64 / 512 connections, and the pool fallback at 64 (where its
+    // Concurrent-connection rows: the event loop (one shard) at 1 / 64 /
+    // 512 connections, and the 8-worker pool fallback at 64 (where its
     // thread-per-connection model serializes into waves of 8).
     let (ev_n1, ev_n64, ev_n512, pool_n64) = if smoke() {
         (200, 6, 2, 6)

@@ -71,7 +71,7 @@ pub fn city_2d(cfg: &HarnessConfig, city: City) -> Dataset {
 
 /// OD matrix with `stops` intermediate stops (paper: 300 k trajectories;
 /// 4-D for origin/destination, 6-D with one stop). Granularity per
-/// DESIGN.md §3.12: 32/axis for 4-D, 10/axis for 6-D.
+/// [`HarnessConfig::od_cells`]: 32/axis for 4-D, 10/axis for 6-D.
 pub fn city_od(cfg: &HarnessConfig, city: City, stops: usize) -> Dataset {
     let cells = cfg.od_cells(stops);
     let label = format!("cityod/{}/s{stops}", city.name());

@@ -1,4 +1,5 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over the design choices this reproduction had to make where
+//! the paper leaves a parameter or policy open:
 //!
 //! * **A1** — DAF stop policy (Never vs count threshold vs
 //!   noise-dominated factor);
@@ -38,7 +39,7 @@ pub fn ablation(cfg: &HarnessConfig) -> Experiment {
     ];
     Experiment {
         id: "ablation".into(),
-        description: "Ablations over design choices (DESIGN.md §4, A1/A2/A4/A5/A6)".into(),
+        description: "Ablations over reproduction design choices (A1/A2/A4/A5/A6)".into(),
         panels,
     }
 }

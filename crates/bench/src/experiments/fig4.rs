@@ -11,7 +11,7 @@ use dpod_query::workload::QueryWorkload;
 
 /// Cluster spread values (σ as a fraction of the domain side). The paper
 /// sweeps the Gaussian variance; fractions keep the skew comparable across
-/// dimensionalities (DESIGN.md §4).
+/// dimensionalities.
 pub const SIGMA_FRACTIONS: [f64; 5] = [0.02, 0.05, 0.10, 0.20, 0.40];
 
 /// Dimensionalities of the synthetic sweep.

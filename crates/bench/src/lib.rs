@@ -10,8 +10,8 @@
 //! * the **Criterion benches** (`benches/`) — statistically sound runtime
 //!   measurements (Table 3) and substrate micro-benchmarks.
 //!
-//! DESIGN.md §4 maps every experiment id to its paper counterpart;
-//! EXPERIMENTS.md records paper-vs-measured outcomes.
+//! Each experiment id names its paper counterpart (`fig4`, `fig8`,
+//! `table3`, …); `ablation` covers choices the paper leaves open.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -100,8 +100,9 @@ impl HarnessConfig {
         }
     }
 
-    /// OD grid cells per axis for `stops` intermediate stops
-    /// (DESIGN.md §3.12).
+    /// OD grid cells per axis for `stops` intermediate stops: the paper's
+    /// 1000 per axis would need 1000⁴ cells in 4-D, so each extra
+    /// dimension coarsens the grid to keep a matrix in memory.
     pub fn od_cells(&self, stops: usize) -> usize {
         let full = match stops {
             0 => 32,

@@ -76,13 +76,17 @@ SERVE WIRE: newline-delimited JSON by default; e.g.
             clients advertise the varint-packed frame feature bit
             (fewer wire bytes; old servers refuse, old frames
             unchanged).
-SERVE CORE: many idle connections are served on a few workers via
-            epoll readiness loops (a thread-per-connection pool takes
-            over where epoll is unavailable). The event
-            core runs --event-loops N shards, each with its own epoll fd
-            and SO_REUSEPORT listener (default: DPOD_EVENT_LOOPS, then
-            min(4, cores/2)). --listen-backlog N sizes every listener's
-            accept queue (default 1024; kernel clamps to somaxconn).
+SERVE CORE: many idle connections are served by a few epoll
+            readiness loops (a thread-per-connection pool takes over
+            where epoll is unavailable). The event core runs
+            --event-loops N shards, each with its own epoll fd and
+            SO_REUSEPORT listener (default: DPOD_EVENT_LOOPS, then one
+            per core); a shard reads, answers and writes its own
+            connections, so N is the core's serving thread count and a
+            slow query delays only its own shard. --workers N sizes the
+            pool fallback only. --listen-backlog N sizes every
+            listener's accept queue (default 1024; kernel clamps to
+            somaxconn).
             SIGINT drains in flight responses across all shards, prints
             a final stats line, and exits 0. --metrics-addr additionally
             serves a Prometheus text-format exposition at GET /metrics

@@ -245,7 +245,8 @@ pub struct ServeArgs {
     pub catalog: std::path::PathBuf,
     /// Bind address (e.g. `127.0.0.1:7878`; port 0 picks a free port).
     pub addr: String,
-    /// Worker threads in the connection pool.
+    /// Worker threads of the thread-per-connection pool fallback (the
+    /// event core answers on its loop shards).
     pub workers: usize,
     /// Rebuild-cache budget in mebibytes (shared between matrix
     /// rebuilds and plan indexes).
@@ -256,8 +257,9 @@ pub struct ServeArgs {
     pub index_mb: usize,
     /// Accepted encodings (`auto` sniffs per connection).
     pub wire: WireMode,
-    /// Event-loop shards (`--event-loops`); `0` resolves to the
-    /// `DPOD_EVENT_LOOPS` environment variable, then `min(4, cores/2)`.
+    /// Event-loop shards (`--event-loops`), the event core's serving
+    /// threads; `0` resolves to the `DPOD_EVENT_LOOPS` environment
+    /// variable, then the core count.
     pub event_loops: usize,
     /// Accept-queue depth requested for every listener
     /// (`--listen-backlog`; the kernel clamps to `somaxconn`).
@@ -768,7 +770,7 @@ fn build_slo_report(reports: &[ConnReport], plans: usize, elapsed: f64) -> SloRe
 /// `dpod replay --connections N`: the load-generator path. The recorded
 /// stream is split round-robin over `n` concurrent connections (each a
 /// request/response client, like a live dashboard), proving a serving
-/// core scales past its worker count: aggregate plans/s and the spread
+/// core scales past its thread count: aggregate plans/s and the spread
 /// of per-connection p99 latencies are reported together.
 ///
 /// The generator itself is readiness-driven: **one** thread multiplexes

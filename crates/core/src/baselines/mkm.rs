@@ -9,8 +9,9 @@ use rand::RngCore;
 /// The MKM grid baseline (\[11\] — Lei's differentially-private M-estimators).
 ///
 /// Identical pipeline to EUG/EBP but with the dimensionality-aware
-/// granularity rule `m = (N̂ ε²/ln N̂)^(1/(d+2))` (see DESIGN.md §3.2 for
-/// the interpretation of the uncited formula). The paper highlights that
+/// granularity rule `m = (N̂ ε²/ln N̂)^(1/(d+2))` (the paper cites no
+/// formula; see [`crate::granularity::mkm_m`] for how this one is
+/// chosen). The paper highlights that
 /// this rule violates the ε-scale exchangeability principle of Hay et al.,
 /// which our granularity tests assert.
 #[derive(Debug, Clone, PartialEq)]

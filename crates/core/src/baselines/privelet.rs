@@ -15,8 +15,9 @@ use rand::RngCore;
 /// sensitivity of the coefficient vector is `∏ᵢ (1 + log₂ n_i)` and every
 /// coefficient receives noise of that scale over ε. This is the simplified
 /// uniform-weight variant of Xiao et al.'s Privelet (which uses per-level
-/// weights); DESIGN.md documents the simplification. Dimensions are padded
-/// to powers of two with (data-independent) zeros before the transform.
+/// weights): every coefficient gets the same noise scale. Dimensions
+/// are padded to powers of two with (data-independent) zeros before the
+/// transform.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Privelet;
 

@@ -14,7 +14,8 @@ use rand::RngCore;
 /// deeper levels, fanout 2^d), every node's count is sanitized, and a
 /// top-down mean-consistency pass redistributes each parent/children
 /// mismatch before the leaves are published (the simplified form of Hay et
-/// al.'s constrained inference — see DESIGN.md).
+/// al.'s constrained inference: a single top-down pass instead of its
+/// two-pass least-squares estimate).
 ///
 /// Height selection: `h` targets the EBP granularity, `2^h ≈ m_EBP`, after
 /// an ε/100 noisy total — so the leaf resolution is comparable to the grid

@@ -11,7 +11,7 @@
 ///
 /// `m0 ≤ 1` (or within float wobble of 1) degenerates Eq. (32) to 0/0; the
 /// limit is the uniform split `ε_i = ε'_tot / d`, which we return
-/// explicitly (DESIGN.md §3.11).
+/// explicitly rather than let the division produce NaN.
 ///
 /// # Panics
 /// Panics when `d == 0` or `eps_prime_tot <= 0` (programmer errors —

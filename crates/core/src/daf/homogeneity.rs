@@ -16,8 +16,9 @@ use rand::{Rng, RngCore};
 /// candidate with the lowest noisy objective. Lemma 4.1 bounds the
 /// objective's sensitivity by 2; with `p` candidates evaluated on the same
 /// node, sequential composition gives each a budget of `ε_prt/p`, i.e.
-/// noise scale `2p/ε_prt` (the paper's line 14 inverts this — DESIGN.md
-/// §3.5 documents why we implement the DP-correct direction).
+/// noise scale `2p/ε_prt`. The paper's line 14 inverts this ratio; we
+/// implement the direction that sequential composition over the `p`
+/// candidates requires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DafHomogeneity {
     /// When to prune a subtree into a leaf.

@@ -2,9 +2,9 @@
 //! rule), shared by the grid mechanisms and the DAF fanout computation.
 //!
 //! All formulas take the *sanitized* total count `n_hat` (clamped to ≥ 1 —
-//! Laplace noise can drive it negative, which the paper does not address;
-//! see DESIGN.md §3.1) and return a real-valued granularity that callers
-//! round and clamp to their domain.
+//! Laplace noise can drive it negative, which the paper does not address,
+//! and a granularity needs a positive count) and return a real-valued
+//! granularity that callers round and clamp to their domain.
 
 /// The paper's default `c₀ = 10/√2`, which makes the 2-D EUG formula
 /// `m = √(Nε/10)` — the familiar Uniform Grid rule of Qardaji et al.
@@ -64,8 +64,9 @@ pub fn ebp_m(d: usize, n_hat: f64, epsilon: f64) -> f64 {
 /// asymptotically optimal histogram bin count
 /// `m = (N̂ ε² / ln N̂)^(1/(d+2))`, which has both properties the paper
 /// attributes to MKM: it accounts for dimensionality, and it violates
-/// ε-scale exchangeability (ε appears squared, not as `Nε`). DESIGN.md §3.2
-/// discusses the interpretation.
+/// ε-scale exchangeability (ε appears squared, not as `Nε`). The paper
+/// names the rule's properties but not its formula, so this is our
+/// reading of Lei's M-estimator bin count.
 pub fn mkm_m(d: usize, n_hat: f64, epsilon: f64) -> f64 {
     debug_assert!(d >= 1 && epsilon > 0.0);
     let n = clamp_total(n_hat).max(2.0); // ln N must stay positive

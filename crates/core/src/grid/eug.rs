@@ -26,7 +26,8 @@ use rand::RngCore;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Eug {
     /// Fraction of the budget spent on the noisy total (the paper's ε₀;
-    /// DESIGN.md §3.3 — default 1/100).
+    /// default 1/100, so nearly all of the budget goes to the cell
+    /// counts).
     pub eps0_fraction: f64,
     /// The uniformity constant `c₀` (the paper sets `10/√2`).
     pub c0: f64,

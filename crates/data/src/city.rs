@@ -1,9 +1,10 @@
 //! A seeded generative city-population model.
 //!
-//! Substitutes for the proprietary Veraset GPS dataset used in §6.1 (see
-//! DESIGN.md §5): what the paper's mechanisms react to is the *density
-//! structure* of the population histogram — hotspots, corridors, sparse
-//! suburbs — not GPS semantics. The model is a mixture of Gaussian
+//! Substitutes for the proprietary Veraset GPS dataset used in the
+//! paper's §6.1, which is not available: what the paper's mechanisms
+//! react to is the *density structure* of the population histogram —
+//! hotspots, corridors, sparse suburbs — not GPS semantics. The model
+//! is a mixture of Gaussian
 //! hotspots over the unit square plus a uniform background, with presets
 //! calibrated to the three density archetypes the paper selects
 //! (New York: high, Denver: moderate, Detroit: low).

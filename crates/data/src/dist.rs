@@ -1,7 +1,8 @@
 //! From-scratch samplers used by the synthetic-data generators.
 //!
-//! `rand_distr` is deliberately not a dependency (DESIGN.md §6): the
-//! experiments need exactly two non-uniform laws — the normal (Box–Muller)
+//! `rand_distr` is deliberately not a dependency (the workspace builds
+//! offline against local shims — see the README): the experiments need
+//! exactly two non-uniform laws — the normal (Box–Muller)
 //! and the Zipf (finite inverse-CDF table) — and owning them keeps the
 //! entire data path inside this workspace's test surface.
 

@@ -9,7 +9,8 @@
 //!   (uniform cluster centre, variance-controlled skew);
 //! * [`zipf`] — the paper's synthetic *Zipf* matrices (skew parameter `a`);
 //! * [`city`] — a seeded generative population model standing in for the
-//!   proprietary Veraset data (DESIGN.md §5 documents the substitution),
+//!   proprietary Veraset data (its module docs explain why a density
+//!   model suffices),
 //!   with presets for New York, Denver and Detroit density archetypes;
 //! * [`trajectory`] — origin/stop/destination trip synthesis over a city;
 //! * [`od`] — OD-matrix construction from trajectories at any granularity

@@ -7,7 +7,9 @@
 //!
 //! The paper discretizes each city at 1000×1000 in 2-D but necessarily
 //! coarsens higher-dimensional matrices (1000⁴ cells would not fit in
-//! memory); `cells_per_dim` controls that granularity (DESIGN.md §3.12).
+//! memory); `cells_per_dim` controls that granularity (the experiment
+//! harness uses 32 per axis in 4-D and 10 in 6-D; see
+//! `dpod_bench::HarnessConfig::od_cells`).
 
 use crate::city::to_cell;
 use crate::trajectory::Trajectory;

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// queries over skewed data. Following the standard convention in this
 /// literature (Qardaji et al.; Hay et al.'s DPBench), the denominator is
 /// smoothed to `max(true, sanity_fraction · N)` where `N` is the dataset
-/// total (DESIGN.md §3.9).
+/// total, so near-empty query ranges cannot blow the relative error up.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MreOptions {
     /// The smoothing fraction ρ; denominator is at least `ρ·N`.

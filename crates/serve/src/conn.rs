@@ -19,8 +19,8 @@
 //!   be resynced: the stream is poisoned with one final error item.
 //!
 //! Framing, decoding (JSON parse, frame-body decode) and execution all
-//! run on worker threads: the event front end's loops only move raw
-//! bytes, and the pool front end's workers own their sockets.
+//! run on the thread that owns the connection: an event-loop shard on
+//! the event front end, a worker on the pool front end.
 
 use crate::metrics::{kind_index, Stage, Transport, KIND_UNDECODABLE};
 use crate::protocol::{Request, Response};
@@ -30,19 +30,18 @@ use dpod_obs::Span;
 use std::sync::Arc;
 
 /// One unit of work extracted from a connection's byte stream, in
-/// arrival order. The worker that owns the connection's queue turns
-/// each item into response bytes (possibly none, for blank lines).
+/// arrival order. The thread that owns the connection turns each item
+/// into response bytes (possibly none, for blank lines).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum WorkItem {
     /// One newline-delimited JSON request line (without the trailing
-    /// `\n`; may be blank). Decoded and answered on a worker.
+    /// `\n`; may be blank).
     JsonLine(Vec<u8>),
     /// One length-prefixed `DPRB` frame body (length already validated
-    /// against [`wire::MAX_FRAME_BYTES`]). Decoded and answered on a
-    /// worker.
+    /// against [`wire::MAX_FRAME_BYTES`]).
     Frame(Vec<u8>),
-    /// An unrecoverable transport violation or an encoding refusal: the
-    /// worker emits `message` as one final `Response::Error` (a `DPRB`
+    /// An unrecoverable transport violation or an encoding refusal:
+    /// [`run_job`] emits `message` as one final `Response::Error` (a `DPRB`
     /// frame when `as_binary`, a JSON line otherwise) and the
     /// connection closes once it flushes. Always the queue's last item.
     Desync {
@@ -148,12 +147,13 @@ impl Assembler {
         std::mem::take(&mut self.items)
     }
 
-    /// Whether unconsumed bytes are buffered — a request (or preamble)
-    /// caught mid-assembly. The event loop uses this to time the
-    /// `parse` stage: a partial's start is stamped when this first
-    /// turns true, and the next completed item records the spread.
-    pub(crate) fn has_partial(&self) -> bool {
-        self.buf.len() > self.pos
+    /// Unconsumed bytes buffered — a request (or preamble) caught
+    /// mid-assembly. The event loop uses this to time the `parse`
+    /// stage (a partial's start is stamped when this first turns
+    /// non-zero, and the next completed item records the spread) and
+    /// for its partial-request depth gauge.
+    pub(crate) fn buffered(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn poison(&mut self, item: WorkItem) {
@@ -342,7 +342,7 @@ impl Assembler {
 
 /// Turns one connection's ordered work items into response bytes.
 /// Returns `(bytes, close_after)`; the one item executor both front
-/// ends' workers call. Execution and serialization are fused in
+/// ends call. Execution and serialization are fused in
 /// [`Server::handle_encoded`] (that fusion is what lets a warm
 /// encoded-memo hit skip both), so the execute stage covers both.
 /// `packed` selects the packed `DPRB` response opcodes for peers that

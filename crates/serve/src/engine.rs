@@ -97,8 +97,8 @@ struct Cached {
     /// O(1) under the ledger refresh).
     partials_bytes: usize,
     /// Memoized final wire bytes per `(encoding, plan key)`: a warm hit
-    /// skips plan execution *and* encoding — the worker memcpys the
-    /// bytes to the socket. Rides the `(name, version)` entry exactly
+    /// skips plan execution *and* encoding — the serving thread
+    /// memcpys the bytes to the socket. Rides the `(name, version)` entry exactly
     /// like `partials`, so republish invalidation is free.
     encoded: HashMap<(u8, String), EncodedEntry>,
     /// Running byte total of `encoded` (as `partials_bytes`).

@@ -20,8 +20,8 @@
 //! * [`Server`] — the request front end: an in-process [`Server::handle`]
 //!   API driven directly by the CLI, tests and benches, plus two
 //!   std-only TCP serving cores ([`spawn_with`], see [`FrontEnd`]): an
-//!   epoll-driven event loop where open connections are cheap state
-//!   served by a small worker pool, and a thread-per-connection pool
+//!   epoll-driven event loop whose shards own open connections as
+//!   cheap state and answer their requests, and a thread-per-connection pool
 //!   that takes over where epoll is unavailable. Both frame bytes with
 //!   one parser and answer through one executor, speaking
 //!   newline-delimited JSON and/or the length-prefixed `DPRB` binary

@@ -21,8 +21,7 @@
 //!
 //! **Per-request stage latencies** (`dpod_request_stage_nanoseconds`,
 //! labelled `transport` × `stage`): `parse` (socket read → frame/line
-//! assembled), `queue` (assembled → a worker picks it up), `execute`
-//! (decode, answer and encode — fused in
+//! assembled), `execute` (decode, answer and encode — fused in
 //! [`Server::handle_encoded`], so an encoded-memo hit skips the last
 //! two), `write` (response bytes → socket). Recording is a wait-free
 //! histogram `fetch_add` (see `dpod_obs`), cheap enough for the ~10⁵
@@ -30,8 +29,9 @@
 //!
 //! **Event-loop health** (`dpod_eventloop_*`, labelled `shard`): per
 //! loop shard, cumulative epoll wait nanoseconds and wake count, the
-//! dispatched-unit byte-size distribution, read-side backpressure
-//! pauses, idle-sweep evictions, and the pending request-byte depth.
+//! distribution of request bytes framed per connection turn, read-side
+//! backpressure pauses, idle-sweep evictions, and the partial-request
+//! byte depth.
 //!
 //! **Request mix** (`dpod_requests_total`, labelled `transport` ×
 //! `kind`): one increment per decoded request, plan requests split by
@@ -74,16 +74,14 @@ const TRANSPORTS: [&str; 2] = ["json", "binary"];
 pub enum Stage {
     /// Socket read → request frame/line fully assembled.
     Parse = 0,
-    /// Assembled → a worker starts executing.
-    Queue = 1,
     /// Decode, answer and encode ([`Server::handle_encoded`]).
-    Execute = 2,
+    Execute = 1,
     /// Response bytes → socket.
-    Write = 3,
+    Write = 2,
 }
 
 /// `stage` label values, indexed by [`Stage`].
-const STAGES: [&str; 4] = ["parse", "queue", "execute", "write"];
+const STAGES: [&str; 3] = ["parse", "execute", "write"];
 
 /// Request-kind label count: `query`, `batch`, one `plan_<kind>` per
 /// [`PLAN_KINDS`] entry, then `list`, `stats`, `undecodable`.
@@ -126,7 +124,7 @@ pub struct ServeMetrics {
     pub(crate) registry: Registry,
     clock: Clock,
     /// `[transport][stage]` latency histograms, nanoseconds.
-    stages: [[Arc<Histogram>; 4]; 2],
+    stages: [[Arc<Histogram>; 3]; 2],
     /// `[transport][kind]` request counters.
     requests: [[Arc<Counter>; KIND_COUNT]; 2],
     /// Per-release hit-counter rows evicted to keep the map bounded.
@@ -153,14 +151,14 @@ pub(crate) struct ShardMetrics {
     pub(crate) epoll_wait_nanos: Arc<Counter>,
     /// Times this shard returned from `epoll_wait`.
     pub(crate) epoll_wakes: Arc<Counter>,
-    /// Raw request bytes per unit this shard dispatched to the pool.
+    /// Request bytes this shard read and framed per connection turn.
     pub(crate) dispatch_bytes: Arc<Histogram>,
     /// Times a connection's read side was paused for backpressure.
     pub(crate) backpressure_pauses: Arc<Counter>,
     /// Connections closed by this shard's idle sweep.
     pub(crate) sweep_evictions: Arc<Counter>,
-    /// Read-but-undispatched request bytes across the shard's
-    /// connections.
+    /// Request bytes read but not yet framed into a complete request
+    /// (partials in the assemblers) across the shard's connections.
     pub(crate) pending_bytes: Arc<Gauge>,
 }
 
@@ -241,7 +239,7 @@ impl ServeMetrics {
             ),
             dispatch_bytes: self.registry.histogram(
                 "dpod_eventloop_dispatch_unit_bytes",
-                "Raw request bytes per unit dispatched to the worker pool",
+                "Request bytes read and framed per connection turn",
                 labels,
             ),
             backpressure_pauses: counter(
@@ -254,14 +252,14 @@ impl ServeMetrics {
             ),
             pending_bytes: self.registry.gauge(
                 "dpod_eventloop_pending_bytes",
-                "Read-but-undispatched request bytes across the shard's connections",
+                "Request bytes buffered in partial requests across the shard's connections",
                 labels,
             ),
         }
     }
 
-    /// Nanosecond stamp on the hub's monotonic clock (queue-wait
-    /// accounting compares stamps across threads).
+    /// Nanosecond stamp on the hub's monotonic clock (`parse` stage
+    /// accounting compares stamps across turns).
     #[inline]
     pub fn now_nanos(&self) -> u64 {
         self.clock.now_nanos()

@@ -8,10 +8,12 @@
 //! [`spawn_with`] wraps the same dispatch behind a `TcpListener` using
 //! one of two front ends (no async runtime either way):
 //!
-//! * **`event`** — a readiness-driven core ([`crate::event`]): epoll
-//!   loops own every socket as cheap nonblocking state and dispatch raw
-//!   bytes to the worker pool — `N` workers serve `M ≫ N` connections,
-//!   so an idle analyst costs a few kilobytes, not a thread.
+//! * **`event`** — a readiness-driven core ([`crate::event`]): `L`
+//!   epoll loop shards own every socket as cheap nonblocking state and
+//!   run each request to completion — read, frame, answer, write — on
+//!   the shard that owns its connection. `L` threads serve `M ≫ L`
+//!   connections, so an idle analyst costs a few kilobytes, not a
+//!   thread.
 //! * **`pool`** — the fallback when epoll is unavailable: one acceptor
 //!   hands sockets to workers over an `mpsc` channel, each worker runs
 //!   one connection's blocking read–answer–write loop, and the
@@ -77,9 +79,9 @@ impl std::str::FromStr for WireMode {
 /// Which TCP serving core accepts and answers connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontEnd {
-    /// The readiness-driven core (the default): epoll loops own all
-    /// sockets, workers serve ready requests, open connections are
-    /// cheap state rather than threads.
+    /// The readiness-driven core (the default): epoll loop shards own
+    /// all sockets and answer ready requests themselves, open
+    /// connections are cheap state rather than threads.
     #[default]
     Event,
     /// The thread-per-connection pool: concurrency is capped at the
@@ -150,8 +152,8 @@ impl ResponseEncoding {
     }
 }
 
-/// A connection with no readable line for this long is closed so its
-/// worker can serve the next queued connection.
+/// A connection with no byte moving for this long is closed (on the
+/// pool fallback, so its worker can serve the next queued connection).
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Longest accepted request line; a client exceeding it (e.g. streaming
@@ -607,12 +609,14 @@ impl Server {
     }
 }
 
-/// Configuration for [`spawn_with`]: worker count, accepted encodings,
+/// Configuration for [`spawn_with`]: thread counts, accepted encodings,
 /// serving core, and timeouts. Construct with struct-update syntax over
 /// [`SpawnOptions::default`].
 #[derive(Debug, Clone)]
 pub struct SpawnOptions {
-    /// Worker threads answering requests (both front ends). Minimum 1.
+    /// Pool fallback only: worker threads, each serving one connection
+    /// at a time. Minimum 1. The event core spawns no workers — its
+    /// loop shards ([`SpawnOptions::event_loops`]) answer requests.
     pub workers: usize,
     /// Accepted encodings (`Auto` sniffs per connection).
     pub wire: WireMode,
@@ -626,9 +630,11 @@ pub struct SpawnOptions {
     /// front end) waits for in-flight responses to flush before
     /// dropping stragglers.
     pub drain_deadline: Duration,
-    /// Event-loop shards (event front end only). `0` (the default)
-    /// resolves to the `DPOD_EVENT_LOOPS` environment variable when
-    /// set, then to `min(4, cores/2)` with a floor of 1.
+    /// Event front end only: loop shards, which are the core's total
+    /// request-serving threads (each reads, frames, answers and writes
+    /// its own connections). `0` (the default) resolves to the
+    /// `DPOD_EVENT_LOOPS` environment variable when set, then to the
+    /// core count with a floor of 1.
     pub event_loops: usize,
     /// `listen(2)` backlog applied to every listener — the primary on
     /// both front ends, and each shard's `SO_REUSEPORT` sibling (each
@@ -652,9 +658,9 @@ impl Default for SpawnOptions {
 }
 
 /// Resolves [`SpawnOptions::event_loops`]: an explicit count wins, then
-/// the `DPOD_EVENT_LOOPS` environment variable, then `min(4, cores/2)`
-/// with a floor of 1 — shards beyond ~4 buy little while requests stay
-/// CPU-bound on the workers.
+/// the `DPOD_EVENT_LOOPS` environment variable, then one shard per core
+/// — the shards execute requests, so they are the core's CPU
+/// parallelism.
 fn resolve_event_loops(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -666,10 +672,7 @@ fn resolve_event_loops(requested: usize) -> usize {
     {
         return n;
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    (cores / 2).clamp(1, 4)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Pool-mode bookkeeping shared with the [`ServerHandle`] so graceful
@@ -847,8 +850,9 @@ pub fn spawn_retention_timer(
     })
 }
 
-/// Binds `addr` and serves `server` on `workers` pool threads with the
-/// default [`WireMode::Auto`] encoding sniff and default front end.
+/// Binds `addr` and serves `server` on the default front end with the
+/// default [`WireMode::Auto`] encoding sniff; `workers` sizes the pool
+/// fallback ([`SpawnOptions::workers`]).
 ///
 /// # Errors
 /// IO errors from binding the listener or creating the event loop.
@@ -867,8 +871,8 @@ pub fn spawn(
     )
 }
 
-/// Binds `addr` and serves `server` on `workers` pool threads, accepting
-/// the encodings `mode` allows, on the default front end.
+/// Binds `addr` and serves `server` on the default front end, accepting
+/// the encodings `mode` allows; `workers` sizes the pool fallback.
 ///
 /// # Errors
 /// IO errors from binding the listener or creating the event loop.
@@ -1002,7 +1006,6 @@ fn spawn_event_front_end(
         listeners.extend(siblings);
     }
     let cfg = crate::event::EventConfig {
-        workers: opts.workers.max(1),
         loops,
         mode: opts.wire,
         idle_timeout: opts.idle_timeout,

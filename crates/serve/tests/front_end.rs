@@ -3,21 +3,24 @@
 //!
 //! * slow-loris clients (bytes trickling in one at a time) are served
 //!   correctly on both encodings — partial reads assemble, they never
-//!   pin a worker;
+//!   pin a thread;
 //! * a pipelining client that stops draining responses trips write-side
-//!   backpressure and is *timed out*, while workers keep serving other
-//!   connections — no deadlock;
-//! * many idle connections (far more than workers) are all served: open
-//!   sockets are state, not threads;
-//! * 512 concurrent connections on an 8-worker pool answer
+//!   backpressure and is *timed out*, while its shard keeps serving
+//!   other connections — no deadlock;
+//! * many idle connections (far more than serving threads) are all
+//!   served: open sockets are state, not threads;
+//! * 512 concurrent connections on one loop shard answer
 //!   bit-identically to the thread-pool front end (the acceptance pin),
 //!   and 1024 connections over four `SO_REUSEPORT` loop shards do too;
 //! * graceful drain answers everything already received, flushes, and
 //!   closes — on both front ends, and across all shards within one
 //!   global deadline;
-//! * the per-shard Dekker wake handshake loses no dispatches even with
-//!   a single worker serving four shards, and each shard's idle sweep
-//!   reaps its own connections.
+//! * four shards answering concurrent round trips strand none of them,
+//!   and each shard's idle sweep reaps its own connections.
+
+// Tests spawn the event core with a `workers` count: it sizes only the
+// pool fallback, since the event core's loop shards answer requests
+// themselves.
 
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
@@ -200,8 +203,8 @@ fn slow_loris_dprb_client_is_served() {
 #[test]
 fn stalled_pipeliner_times_out_without_deadlocking_the_worker() {
     let server = test_server(&["city"]);
-    // One worker and a short idle timeout: if write backpressure ever
-    // parked the worker, the second client below could not be served.
+    // A short idle timeout: if write backpressure ever parked the
+    // serving shard, the second client below could not be served.
     let handle = spawn_with(
         Arc::clone(&server),
         "127.0.0.1:0",
@@ -282,8 +285,8 @@ fn many_idle_connections_are_all_served_by_two_workers() {
     let server = test_server(&["city"]);
     let handle = spawn_front_end(&server, FrontEnd::Event, 2);
 
-    // 40 connections ≫ 2 workers, all held open and idle before any of
-    // them speaks. Under the pool front end this layout would wedge
+    // 40 connections ≫ serving threads, all held open and idle before
+    // any of them speaks. Under the pool front end this layout would wedge
     // (worker-per-connection); here sockets are just state.
     let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = (0..40)
         .map(|_| {
@@ -329,8 +332,8 @@ fn many_idle_connections_are_all_served_by_two_workers() {
 }
 
 /// The acceptance pin, parameterized over the shard count: `conns`
-/// concurrent connections on an 8-worker pool, answered bit-identically
-/// to the thread-pool front end, across both encodings.
+/// concurrent connections on `event_loops` shards, answered
+/// bit-identically to the thread-pool front end, across both encodings.
 fn bit_identical_to_pool_mode(conns: usize, event_loops: usize) {
     let server = test_server(&["city", "transit"]);
     let event = spawn_sharded(&server, event_loops, 8);
@@ -439,11 +442,11 @@ fn four_shards_serve_1024_connections_bit_identically_to_pool_mode() {
 
 #[test]
 fn deep_pipeline_past_the_pending_cap_is_fully_served() {
-    // Regression: a client that pipelines far more requests than the
-    // loop's parsed-queue cap (4096) trips the read pause; once
-    // fast-path completions drain the queue, reads must resume — the
-    // original code left the pause armed and the connection starved
-    // until the idle sweep reset it.
+    // Regression: a client that pipelines far more requests than one
+    // turn reads must be served across many turns, its reads resuming
+    // whenever backpressure lifts — an early version left the read
+    // pause armed and the connection starved until the idle sweep
+    // reset it.
     let server = test_server(&["city"]);
     let handle = spawn_front_end(&server, FrontEnd::Event, 2);
     let stream = TcpStream::connect(handle.addr()).unwrap();
@@ -599,7 +602,7 @@ fn connection_gauges_cross_the_wire() {
 
 /// Cross-shard isolation: slow-loris connections trickling partial
 /// requests on every shard must not delay healthy clients — each shard
-/// parks the stalled sockets as state while workers stay free.
+/// parks the stalled sockets as state and keeps answering.
 #[test]
 fn loris_connections_do_not_stall_healthy_clients_across_shards() {
     let server = test_server(&["city"]);
@@ -707,10 +710,10 @@ fn multi_shard_drain_flushes_every_shard_within_one_deadline() {
     }
 }
 
-/// The Dekker-handshake pin under maximum contention: a *single* worker
-/// serves four shards, so every dispatch/completion crosses the
-/// sleeping/busy handshake with three other loops in flight. A lost
-/// wake strands a round trip and trips the read timeout.
+/// Four shards under concurrent lock-step round trips: every client
+/// waits for each answer before sending its next request, so a shard
+/// that missed a readiness event or wedged would strand a round trip
+/// and trip the read timeout.
 #[test]
 fn single_worker_across_four_shards_loses_no_wakeups() {
     let server = test_server(&["city"]);

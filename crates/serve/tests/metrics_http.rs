@@ -162,7 +162,15 @@ fn exposition_covers_served_traffic(front_end: FrontEnd) {
             count.unwrap_or(0.0) >= 3.0,
             "stats snapshot missing {transport} execute-stage quantiles: {stats:?}"
         );
-        for stage in ["parse", "queue", "execute", "write"] {
+        // Requests are answered on the thread that read them, so no
+        // stage times a hand-off: no `queue` series may be exported.
+        assert!(!body.contains("stage=\"queue\""), "{body}");
+        let queue = [("transport", transport), ("stage", "queue")];
+        assert_eq!(
+            stats.get("dpod_request_stage_nanoseconds_count", &queue),
+            None
+        );
+        for stage in ["parse", "execute", "write"] {
             let q = |q: &str| {
                 let labels = [("transport", transport), ("stage", stage), ("quantile", q)];
                 stats

@@ -89,8 +89,8 @@ fn error_decreases_with_budget() {
 fn coarser_queries_are_easier() {
     // Fig. 6: "for all methods, the error decreases when the query range
     // increases". Checked from 5% coverage upwards — below that the MRE
-    // denominator floor (DESIGN.md §3.9) dampens the tiny-query errors and
-    // the comparison stops being meaningful.
+    // denominator floor (`MreOptions::sanity_fraction`) dampens the
+    // tiny-query errors and the comparison stops being meaningful.
     let mut rng = dpod_dp::seeded_rng(6);
     let input = City::Denver
         .model()
