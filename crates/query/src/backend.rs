@@ -29,8 +29,10 @@
 use crate::plan::{PlanError, TopCell};
 use dpod_core::SanitizedMatrix;
 use dpod_fmatrix::{coarsen_to_level, AxisBox, DenseMatrix, PrefixSum, Shape};
-use dpod_obs::{Counter, CounterVec};
+use dpod_obs::{Counter, CounterVec, Gauge};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -58,6 +60,13 @@ pub struct IndexCounters {
     pub pyramid_misses: Arc<Counter>,
     /// Warm pyramid hits, by level.
     pub pyramid_level_hits: Arc<CounterVec>,
+    /// [`ReleaseIndex::resident_bytes`] of the live (not yet
+    /// [`retire`](ReleaseIndex::retire)d) indexes counting here.
+    pub resident_bytes: Arc<Gauge>,
+    /// Pyramid levels the live indexes memoized, and their bytes.
+    pub pyramid_entries: Arc<Gauge>,
+    /// See [`Self::pyramid_entries`].
+    pub pyramid_bytes: Arc<Gauge>,
 }
 
 impl Default for IndexCounters {
@@ -68,6 +77,9 @@ impl Default for IndexCounters {
             pyramid_hits: Arc::default(),
             pyramid_misses: Arc::default(),
             pyramid_level_hits: Arc::new(CounterVec::new("level", PYRAMID_LEVEL_SLOTS)),
+            resident_bytes: Arc::default(),
+            pyramid_entries: Arc::default(),
+            pyramid_bytes: Arc::default(),
         }
     }
 }
@@ -107,7 +119,7 @@ pub trait PlanBackend {
     /// # Errors
     /// [`PlanError`] when `level` exceeds the pyramid root.
     fn pyramid_level(&self, level: u32) -> Result<Arc<PyramidLevel>, PlanError> {
-        PyramidLevel::build(self.matrix(), level)
+        PyramidLevel::build(self.matrix(), level).map(Arc::new)
     }
 }
 
@@ -230,15 +242,15 @@ pub struct PyramidLevel {
 
 impl PyramidLevel {
     /// Builds level `level` from the release's dense estimate.
-    fn build(matrix: &SanitizedMatrix, level: u32) -> Result<Arc<PyramidLevel>, PlanError> {
+    fn build(matrix: &SanitizedMatrix, level: u32) -> Result<PyramidLevel, PlanError> {
         let table = coarsen_to_level(matrix.matrix(), level)
             .map_err(|e| PlanError(format!("bad drill-down: {e}")))?;
         let prefix = PrefixSum::from_f64(&table);
-        Ok(Arc::new(PyramidLevel {
+        Ok(PyramidLevel {
             level,
             table,
             prefix,
-        }))
+        })
     }
 
     /// Which pyramid level this table holds.
@@ -284,6 +296,25 @@ impl PyramidLevel {
     }
 }
 
+/// Estimated resident size of a rebuilt release: the dense estimate and
+/// its prefix table are each `size × 8` bytes, and a retained
+/// [`PartitionSummary::Boxes`](dpod_core::PartitionSummary) carries two
+/// heap-allocated corner vectors plus one count per box — significant for
+/// partition-heavy (DAF/quadtree) releases over large domains.
+fn release_bytes(m: &SanitizedMatrix) -> usize {
+    let tables = m.matrix().len() * 16;
+    let summary = match m.summary() {
+        dpod_core::PartitionSummary::PerEntry => 0,
+        dpod_core::PartitionSummary::Boxes { partitioning, .. } => {
+            let d = m.matrix().shape().ndim();
+            // Two Vec<usize> corners (24-byte header + 8·d payload each)
+            // plus the box struct and its noisy count.
+            partitioning.len() * (2 * (24 + 8 * d) + 32)
+        }
+    };
+    tables + summary + 512
+}
+
 /// The prepared backend: per-release memoization of every aggregate a
 /// plan can ask for.
 ///
@@ -294,13 +325,15 @@ impl PyramidLevel {
 /// is derived from the sanitized estimate, i.e. DP post-processing.
 ///
 /// Memory is self-accounted: [`Self::resident_bytes`] reports the
-/// index's *own* footprint (the shared matrix is charged by whoever owns
-/// it), growing as aggregates are first touched; marginal memoization
+/// release matrix plus what the index memoized, growing as aggregates
+/// are first touched; marginal memoization
 /// stops at the construction-time budget (further keep-sets are computed
 /// per query, never refused).
 #[derive(Debug)]
 pub struct ReleaseIndex {
     matrix: Arc<SanitizedMatrix>,
+    /// Bytes of the matrix and the index before it memoizes anything.
+    base_bytes: usize,
     total: OnceLock<f64>,
     /// All cell indices, descending by released estimate (ties by
     /// ascending index), sorted once on first top-k touch. `u32` halves
@@ -313,6 +346,10 @@ pub struct ReleaseIndex {
     marginal_bytes: AtomicUsize,
     pyramid_bytes: AtomicUsize,
     order_bytes: AtomicUsize,
+    /// Whether the index still counts into the shared residency gauges.
+    /// Held while bytes are charged and while [`Self::retire`] takes
+    /// them back, so the gauges never miss or double-count a byte.
+    live: Mutex<bool>,
     counters: IndexCounters,
 }
 
@@ -332,8 +369,11 @@ impl ReleaseIndex {
         marginal_budget: usize,
         counters: IndexCounters,
     ) -> Self {
+        let base_bytes = release_bytes(&matrix) + 256;
+        counters.resident_bytes.add(base_bytes as u64);
         ReleaseIndex {
             matrix,
+            base_bytes,
             total: OnceLock::new(),
             order: OnceLock::new(),
             marginals: Mutex::new(HashMap::new()),
@@ -342,6 +382,7 @@ impl ReleaseIndex {
             marginal_bytes: AtomicUsize::new(0),
             pyramid_bytes: AtomicUsize::new(0),
             order_bytes: AtomicUsize::new(0),
+            live: Mutex::new(true),
             counters,
         }
     }
@@ -358,6 +399,71 @@ impl ReleaseIndex {
         &self.matrix
     }
 
+    /// Adds `bytes` to `pool`, and to the shared gauges while the index
+    /// is live (`level` marks a pyramid level).
+    fn charge(&self, pool: &AtomicUsize, bytes: usize, level: bool) {
+        let live = self.live.lock().unwrap_or_else(|e| e.into_inner());
+        pool.fetch_add(bytes, Ordering::Relaxed);
+        if *live {
+            self.counters.resident_bytes.add(bytes as u64);
+            if level {
+                self.counters.pyramid_entries.add(1);
+                self.counters.pyramid_bytes.add(bytes as u64);
+            }
+        }
+    }
+
+    /// Stops this index counting toward the shared gauges and takes
+    /// back what it counted there. An owner calls it when it evicts the
+    /// index, or decides not to cache it, so bytes a straggling query
+    /// memoizes afterwards are never reported as resident. Idempotent.
+    pub fn retire(&self) {
+        let levels = self.pyramid.lock().unwrap_or_else(|e| e.into_inner());
+        let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
+        if std::mem::take(&mut *live) {
+            let c = &self.counters;
+            c.resident_bytes.sub(self.resident_bytes() as u64);
+            c.pyramid_entries.sub(levels.len() as u64);
+            c.pyramid_bytes.sub(self.pyramid_bytes() as u64);
+        }
+    }
+
+    /// The one memo fill behind marginal tables and pyramid levels: a
+    /// resident value is returned as is; otherwise `build` runs outside
+    /// the lock (a slow first touch never blocks warm lookups) and
+    /// yields the value with its byte cost, and the value is memoized
+    /// and charged to `pool` while the shared budget has room. A racing
+    /// builder's value wins. Returns the value and whether it was
+    /// resident.
+    fn fill<K, Q, V>(
+        &self,
+        memo: &Mutex<HashMap<K, Arc<V>>>,
+        pool: &AtomicUsize,
+        key: &Q,
+        build: impl FnOnce() -> Result<(V, usize), PlanError>,
+    ) -> Result<(Arc<V>, bool), PlanError>
+    where
+        K: Borrow<Q> + Hash + Eq,
+        Q: ?Sized + Hash + Eq + ToOwned<Owned = K>,
+    {
+        if let Some(v) = memo.lock().unwrap_or_else(|e| e.into_inner()).get(key) {
+            return Ok((Arc::clone(v), true));
+        }
+        let start = Instant::now();
+        let (built, cost) = build()?;
+        self.note_build(start);
+        let built = Arc::new(built);
+        let mut map = memo.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(v) = map.get(key) {
+            return Ok((Arc::clone(v), false));
+        }
+        if self.memo_bytes() + cost <= self.marginal_budget {
+            map.insert(key.to_owned(), Arc::clone(&built));
+            self.charge(pool, cost, std::ptr::eq(pool, &self.pyramid_bytes));
+        }
+        Ok((built, false))
+    }
+
     /// The memoized marginal over `keep`, built (and cached, budget
     /// permitting) on first touch.
     ///
@@ -365,33 +471,19 @@ impl ReleaseIndex {
     /// [`PlanError`] for an invalid keep-list — identical text to the
     /// scan path, so error answers are transport- and backend-invariant.
     pub fn marginal_table(&self, keep: &[usize]) -> Result<Arc<MarginalTable>, PlanError> {
-        {
-            let map = self.marginals.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(t) = map.get(keep) {
-                return Ok(Arc::clone(t));
-            }
-        }
-        // Build outside the lock: a slow first-touch marginal never
-        // blocks queries that hit already-memoized keep-sets.
-        let start = Instant::now();
-        let table = self
-            .matrix
-            .matrix()
-            .marginalize(keep)
-            .map_err(|e| PlanError(format!("bad marginal: {e}")))?;
-        let prefix = PrefixSum::from_f64(&table);
-        let built = Arc::new(MarginalTable { table, prefix });
-        self.note_build(start);
-        let cost = built.resident_bytes() + keep.len() * 8 + 48;
-        let mut map = self.marginals.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(t) = map.get(keep) {
-            return Ok(Arc::clone(t)); // a racing builder won; keep it
-        }
-        if self.memo_bytes() + cost <= self.marginal_budget {
-            self.marginal_bytes.fetch_add(cost, Ordering::Relaxed);
-            map.insert(keep.to_vec(), Arc::clone(&built));
-        }
-        Ok(built)
+        let build = || {
+            let table = self
+                .matrix
+                .matrix()
+                .marginalize(keep)
+                .map_err(|e| PlanError(format!("bad marginal: {e}")))?;
+            let prefix = PrefixSum::from_f64(&table);
+            let built = MarginalTable { table, prefix };
+            let cost = built.resident_bytes() + keep.len() * 8 + 48;
+            Ok((built, cost))
+        };
+        let (table, _) = self.fill(&self.marginals, &self.marginal_bytes, keep, build)?;
+        Ok(table)
     }
 
     /// The memoized pyramid level `level`, built (and cached, budget
@@ -404,30 +496,19 @@ impl ReleaseIndex {
     /// text to the scan path, so error answers are transport- and
     /// backend-invariant.
     pub fn pyramid_table(&self, level: u32) -> Result<Arc<PyramidLevel>, PlanError> {
-        {
-            let map = self.pyramid.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(l) = map.get(&level) {
-                self.counters.pyramid_hits.inc();
-                self.counters.pyramid_level_hits.inc(level as usize);
-                return Ok(Arc::clone(l));
-            }
+        let build = || {
+            let built = PyramidLevel::build(&self.matrix, level)?;
+            let cost = built.resident_bytes() + 48;
+            Ok((built, cost))
+        };
+        let found = self.fill(&self.pyramid, &self.pyramid_bytes, &level, build);
+        if let Ok((_, true)) = found {
+            self.counters.pyramid_hits.inc();
+            self.counters.pyramid_level_hits.inc(level as usize);
+        } else {
+            self.counters.pyramid_misses.inc();
         }
-        self.counters.pyramid_misses.inc();
-        // Build outside the lock, as for marginals: a slow first-touch
-        // level never blocks queries hitting already-memoized levels.
-        let start = Instant::now();
-        let built = PyramidLevel::build(&self.matrix, level)?;
-        self.note_build(start);
-        let cost = built.resident_bytes() + 48;
-        let mut map = self.pyramid.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(l) = map.get(&level) {
-            return Ok(Arc::clone(l)); // a racing builder won; keep it
-        }
-        if self.memo_bytes() + cost <= self.marginal_budget {
-            self.pyramid_bytes.fetch_add(cost, Ordering::Relaxed);
-            map.insert(level, Arc::clone(&built));
-        }
-        Ok(built)
+        found.map(|(l, _)| l)
     }
 
     /// Marginal range sum in one call: the memoized marginal over
@@ -453,19 +534,17 @@ impl ReleaseIndex {
             let values = m.as_slice();
             let mut order: Vec<u32> = (0..m.len() as u32).collect();
             order.sort_unstable_by(|&a, &b| rank_cmp(values, a as usize, b as usize));
-            self.order_bytes
-                .fetch_add(order.len() * 4 + 24, Ordering::Relaxed);
+            self.charge(&self.order_bytes, order.len() * 4 + 24, false);
             self.note_build(start);
             order
         }))
     }
 
-    /// This index's own resident bytes (the shared release matrix is
-    /// charged by its owner): memoized marginal tables and pyramid
-    /// levels plus the sorted cell order, growing as aggregates are
-    /// first touched.
+    /// Estimated resident bytes: the release matrix, memoized marginal
+    /// tables and pyramid levels, and the sorted cell order, growing as
+    /// aggregates are first touched.
     pub fn resident_bytes(&self) -> usize {
-        256 + self.memo_bytes() + self.order_bytes.load(Ordering::Relaxed)
+        self.base_bytes + self.memo_bytes() + self.order_bytes.load(Ordering::Relaxed)
     }
 
     /// Adds the time since `start` to the build-time counter.

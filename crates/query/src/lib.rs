@@ -42,7 +42,7 @@ pub use eval::{evaluate, EvalReport};
 pub use metrics::{MreOptions, SummaryStats};
 pub use od::{OdQuery, Region};
 pub use plan::{
-    merge_window_answers, Answer, EpochSelector, PlanError, QueryPlan, TopCell, WindowMerge,
-    PLAN_KINDS,
+    merge_window_answers, put_uvarint, Answer, EpochSelector, PlanError, QueryPlan, TopCell,
+    WindowMerge, PLAN_KINDS,
 };
 pub use workload::QueryWorkload;

@@ -195,6 +195,16 @@ pub enum WindowMerge {
     PerEpoch,
 }
 
+/// Appends one LEB128 varint: 7 value bits per byte, high bit set on
+/// every byte but the last. A u64 spans at most 10 bytes.
+pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
 /// Every plan shape's label, indexed by [`QueryPlan::kind_index`].
 pub const PLAN_KINDS: [&str; 8] = [
     "range",
@@ -228,6 +238,69 @@ impl QueryPlan {
     /// per plan value).
     pub fn kind(&self) -> &'static str {
         PLAN_KINDS[self.kind_index()]
+    }
+
+    /// Appends the plan's memo key to `out`: a tag byte per variant (its
+    /// [`Self::kind_index`]), then its fields, lists length-prefixed and
+    /// integers as [`put_uvarint`] varints. Every field is
+    /// self-delimiting, so the key is prefix-free and injective: two
+    /// plans write the same bytes exactly when they are equal.
+    pub fn write_key(&self, out: &mut Vec<u8>) {
+        let words = |out: &mut Vec<u8>, ws: &[usize]| {
+            ws.iter().for_each(|&w| put_uvarint(out, w as u64));
+        };
+        let list = |out: &mut Vec<u8>, ws: &[usize]| {
+            put_uvarint(out, ws.len() as u64);
+            words(out, ws);
+        };
+        let region = |out: &mut Vec<u8>, r: &Region| words(out, &[r.lo.0, r.lo.1, r.hi.0, r.hi.1]);
+        out.push(self.kind_index() as u8);
+        match self {
+            QueryPlan::Range { lo, hi } => {
+                list(out, lo);
+                list(out, hi);
+            }
+            QueryPlan::Od {
+                origin,
+                stops,
+                destination,
+            } => {
+                for leg in [origin, destination] {
+                    out.push(u8::from(leg.is_some()));
+                    leg.iter().for_each(|r| region(out, r));
+                }
+                put_uvarint(out, stops.len() as u64);
+                for (stop, r) in stops {
+                    put_uvarint(out, *stop as u64);
+                    region(out, r);
+                }
+            }
+            QueryPlan::Marginal { keep } => list(out, keep),
+            QueryPlan::TopK { k } => put_uvarint(out, *k as u64),
+            QueryPlan::Total => {}
+            QueryPlan::Many { plans } => {
+                put_uvarint(out, plans.len() as u64);
+                plans.iter().for_each(|p| p.write_key(out));
+            }
+            QueryPlan::Window {
+                select,
+                merge,
+                plan,
+            } => {
+                let (tag, ids) = match *select {
+                    EpochSelector::At { epoch } => (0, [epoch, 0]),
+                    EpochSelector::LastK { k } => (1, [k, 0]),
+                    EpochSelector::Range { from, to } => (2, [from, to]),
+                };
+                out.extend([tag, *merge as u8]);
+                ids.iter().for_each(|&id| put_uvarint(out, id));
+                plan.write_key(out);
+            }
+            QueryPlan::DrillDown { level, plan } => {
+                put_uvarint(out, u64::from(*level));
+                plan.write_key(out);
+            }
+        }
     }
 
     /// A full-extent OD plan; chain [`Self::with_origin`] /

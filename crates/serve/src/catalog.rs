@@ -39,8 +39,9 @@ pub struct CatalogEntry {
 /// A row with `deleted: true` is a *tombstone*: the release was removed,
 /// its frame file is gone, but its last version is retained so that a
 /// reload followed by a republish keeps the per-name version sequence
-/// monotonic (the `QueryEngine` cache keys on `(name, version)` and must
-/// never see a version reused for different data, even across a restart).
+/// monotonic (the `QueryEngine` cache tells a name's entries apart by
+/// version and must never see one reused for different data, even
+/// across a restart).
 /// `checksum` is an FNV-1a digest of the frame bytes: versions alone
 /// cannot prove a frame is current (a fresh catalog that never loaded
 /// this directory can re-assign an existing `(name, version)` pair to
@@ -92,8 +93,8 @@ impl SaveReport {
 /// One lock stripe: the live entries plus the last version ever
 /// assigned per name. `last_versions` outlives removal so that a
 /// remove-then-republish still advances the version — the
-/// `QueryEngine` cache keys on `(name, version)` and must never see a
-/// version reused for different data.
+/// `QueryEngine` cache tells a name's entries apart by version and must
+/// never see one reused for different data.
 #[derive(Debug, Default)]
 struct Shard {
     entries: HashMap<String, Arc<CatalogEntry>>,

@@ -1,65 +1,92 @@
-//! The query engine: memoized analyst-side rebuilds and plan indexes.
+//! The query engine: one cached entry per release, one memo per entry.
 //!
-//! A `PublishedRelease` is cheap to store but must be rebuilt into a
-//! [`SanitizedMatrix`] — dense estimate plus prefix-sum table — before it
-//! can answer `O(2^d)` range queries. The rebuild is `O(domain size)` and
-//! the table doubles the memory, so the engine memoizes rebuilds per
-//! `(name, version)` under an LRU byte budget: hot releases answer from
-//! cache, cold ones pay one rebuild, and a republish (new version) never
-//! serves stale answers because the version is part of the key.
+//! A `PublishedRelease` must be rebuilt (`O(domain size)`) into a
+//! [`SanitizedMatrix`](dpod_core::SanitizedMatrix) before it can answer,
+//! so the engine caches one entry per release name under an LRU byte
+//! budget. The entry holds the release's [`ReleaseIndex`], which owns the
+//! rebuilt matrix and fills its aggregate tables lazily, and one plan
+//! memo keyed by [`QueryPlan::write_key`] bytes: per plan, the answer as
+//! one epoch's window partial and the response bytes per
+//! [`ResponseEncoding`]. Re-serving a memoized answer is
+//! post-processing of a published release, so it costs no ε.
 //!
-//! Beside each rebuilt matrix the engine keeps a second, lazily-filled
-//! slot: the release's [`ReleaseIndex`] — memoized marginal tables,
-//! descending cell order and cached total — which turns aggregate plans
-//! (marginal, top-k, total) from full rescans into table lookups. Both
-//! slots share one byte budget and one LRU clock, and both are
-//! invalidated together: a republish or removal that drops the matrix
-//! drops its index with it, so a stale `(name, old_version)` index can
-//! never answer. Index bytes grow as aggregates are first touched, so
-//! the ledger is recomputed from the live entries whenever the budget is
-//! enforced rather than trusted from insert time.
+//! The entry records the catalog version it was built from, and the
+//! catalog only hands out a name's latest version: a lookup for another
+//! version misses, and caching the new version drops the old entry with
+//! every memo on it. A republish never serves stale answers, and
+//! republishing one epoch of a series invalidates only that epoch.
 //!
-//! Hit, miss and build-time counts are recorded once, at event time, in
-//! a `dpod_obs` [`Registry`] (the server's, so `/metrics` and `Stats`
-//! read them there). Every index the engine builds shares one set of
-//! handles, so counts outlive evicted indexes by construction.
+//! Hits, misses, build time and residency (entries and bytes per memo,
+//! and the cache total the budget is enforced against) live in a
+//! `dpod_obs` [`Registry`] (the server's, so `/metrics` and `Stats` read
+//! them there). Indexes add what they memoize to the total themselves.
 
-use crate::{CatalogEntry, ServeError};
-use dpod_core::SanitizedMatrix;
-use dpod_obs::{Counter, Registry};
-use dpod_query::{Answer, IndexCounters, ReleaseIndex};
+use crate::{Catalog, CatalogEntry, ResponseEncoding, ServeError};
+use dpod_obs::{Counter, Gauge, Registry};
+use dpod_query::{Answer, IndexCounters, QueryPlan, ReleaseIndex};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One memo's hit and miss counters:
-/// `dpod_engine_memo_{hits,misses}_total{memo}`.
+/// One memo's registry handles, labelled `memo`:
+/// `dpod_engine_memo_{hits,misses}_total` and the residency gauges
+/// `dpod_engine_memo_{entries,bytes}`.
 #[derive(Debug)]
 struct MemoCounters {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
+    entries: Arc<Gauge>,
+    bytes: Arc<Gauge>,
 }
 
 impl MemoCounters {
     fn register(registry: &Registry, memo: &str) -> Self {
         let labels = &[("memo", memo)];
+        let counter = |name: &str, help: &str| registry.counter(name, help, labels);
+        let gauge = |name: &str, help: &str| registry.gauge(name, help, labels);
         MemoCounters {
-            hits: registry.counter(
+            hits: counter(
                 "dpod_engine_memo_hits_total",
                 "Engine memo lookups answered from a resident entry, by memo",
-                labels,
             ),
-            misses: registry.counter(
+            misses: counter(
                 "dpod_engine_memo_misses_total",
                 "Engine memo lookups that had to compute the entry, by memo",
-                labels,
             ),
+            entries: gauge(
+                "dpod_engine_memo_entries",
+                "Engine memo entries resident, by memo",
+            ),
+            bytes: match memo {
+                // Matrix and index bytes show only in the cache total.
+                "matrix" | "index" => Arc::default(),
+                _ => gauge(
+                    "dpod_engine_memo_bytes",
+                    "Bytes a memo holds inside dpod_engine_cache_bytes, by memo",
+                ),
+            },
         }
+    }
+
+    /// Counts one resident entry of `bytes` in.
+    fn hold(&self, bytes: usize) {
+        self.entries.add(1);
+        self.bytes.add(bytes as u64);
+    }
+
+    /// Counts one resident entry of `bytes` out.
+    fn release(&self, bytes: usize) {
+        self.entries.sub(1);
+        self.bytes.sub(bytes as u64);
     }
 }
 
-/// A memoizing rebuild + index cache with a shared LRU byte budget.
+/// A memoizing release cache with a shared LRU byte budget.
 #[derive(Debug)]
 pub struct QueryEngine {
+    /// Consulted before a fresh result is cached: only the version the
+    /// catalog serves may enter the cache.
+    catalog: Arc<Catalog>,
     byte_budget: usize,
     /// Per-release cap on memoized marginal-table bytes, passed to each
     /// [`ReleaseIndex`] it builds.
@@ -69,65 +96,48 @@ pub struct QueryEngine {
     index: MemoCounters,
     partial: MemoCounters,
     encoded: MemoCounters,
-    /// Build time and pyramid-memo counters, shared by every index.
+    /// Build time and pyramid handles shared by every index, and
+    /// `resident_bytes`: the `dpod_engine_cache_bytes` total, which
+    /// indexes and entries both add to.
     index_counters: IndexCounters,
 }
 
 #[derive(Debug, Default)]
 struct LruState {
-    map: HashMap<(String, u64), Cached>,
+    map: HashMap<String, Cached>,
     tick: u64,
-    bytes: usize,
 }
 
+/// One cached release: its index and every answer memoized over it.
 #[derive(Debug)]
 struct Cached {
-    matrix: Arc<SanitizedMatrix>,
-    matrix_bytes: usize,
-    /// The release's prepared plan index, attached on first aggregate
-    /// query. Lives and dies with the matrix entry.
-    index: Option<Arc<ReleaseIndex>>,
-    /// Memoized per-epoch plan partials for window queries: canonical
-    /// plan key → the finished answer and its estimated bytes. Riding
-    /// on the `(name, version)` entry gives version-keyed invalidation
-    /// for free — republishing one epoch drops only that epoch's
-    /// partials, every other epoch's stay warm.
-    partials: HashMap<String, (Answer, usize)>,
-    /// Running byte total of `partials` (so [`Cached::bytes`] stays
-    /// O(1) under the ledger refresh).
-    partials_bytes: usize,
-    /// Memoized final wire bytes per `(encoding, plan key)`: a warm hit
-    /// skips plan execution *and* encoding — the serving thread
-    /// memcpys the bytes to the socket. Rides the `(name, version)` entry exactly
-    /// like `partials`, so republish invalidation is free.
-    encoded: HashMap<(u8, String), EncodedEntry>,
-    /// Running byte total of `encoded` (as `partials_bytes`).
-    encoded_bytes: usize,
-    /// What this entry currently contributes to `LruState::bytes`. Kept
-    /// beside the live size so a warm touch can apply an O(1) delta
-    /// (index bytes only grow) instead of rescanning every entry.
-    charged: usize,
+    /// The catalog version the index was built from.
+    version: u64,
+    index: Arc<ReleaseIndex>,
+    /// The plan memo, keyed by [`QueryPlan::write_key`] bytes.
+    plans: HashMap<Box<[u8]>, PlanMemo>,
+    /// Bytes charged for `plans`.
+    plan_bytes: usize,
     last_used: u64,
 }
 
-/// One memoized encoded response: the exact on-socket bytes and the
-/// query units the answer counts for (so warm hits bump the same
-/// accounting a cold execution would).
-#[derive(Debug)]
-struct EncodedEntry {
-    bytes: Arc<Vec<u8>>,
+/// Everything memoized for one plan on one release.
+#[derive(Debug, Default)]
+struct PlanMemo {
+    /// The answer as one epoch's share of a window plan, with the bytes
+    /// it was charged. Boxed: most plans never run inside a window.
+    partial: Option<Box<(Answer, usize)>>,
+    /// The exact response bytes, indexed by [`ResponseEncoding`].
+    encoded: [Option<Arc<Vec<u8>>>; ResponseEncoding::BinaryPacked as usize + 1],
+    /// Query units the answer counts for, so warm hits bump the same
+    /// accounting a cold execution would.
     units: u64,
 }
 
-impl Cached {
-    /// Current resident bytes: the rebuild plus whatever the index and
-    /// plan partials have memoized so far (both grow after insertion).
-    fn bytes(&self) -> usize {
-        self.matrix_bytes
-            + self.index.as_ref().map_or(0, |ix| ix.resident_bytes())
-            + self.partials_bytes
-            + self.encoded_bytes
-    }
+/// Bytes charged for one memoized response: payload, key and a small
+/// per-entry overhead.
+fn encoded_cost(key: &[u8], bytes: &[u8]) -> usize {
+    bytes.len() + key.len() + 64
 }
 
 /// Estimated resident bytes of one memoized answer (heap payload plus a
@@ -146,21 +156,37 @@ fn answer_bytes(answer: &Answer) -> usize {
     }
 }
 
+/// Runs `f` on `plan`'s memo key, written into a per-thread buffer so a
+/// warm lookup allocates nothing.
+fn with_plan_key<R>(plan: &QueryPlan, f: impl FnOnce(&[u8]) -> R) -> R {
+    thread_local! {
+        static KEY: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+    }
+    let mut key = KEY.take();
+    key.clear();
+    plan.write_key(&mut key);
+    let out = f(&key);
+    KEY.set(key);
+    out
+}
+
 /// Point-in-time cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Cached rebuilds currently resident.
+    /// Cached releases currently resident.
     pub entries: usize,
-    /// Estimated resident bytes (rebuilds plus index structures).
+    /// Estimated resident bytes: rebuilt matrices, what their indexes
+    /// memoized, window partials and encoded responses.
     pub bytes: usize,
-    /// Lifetime matrix-cache hits.
+    /// Lifetime matrix-cache hits. A matrix is looked up only when its
+    /// index misses, and both live in one entry, so this stays 0.
     pub hits: u64,
     /// Lifetime matrix-cache misses (— rebuilds performed).
     pub misses: u64,
-    /// Resident releases whose plan index is built.
+    /// Resident releases whose plan index is built (all of them).
     pub index_entries: usize,
-    /// Lifetime index-cache hits (aggregate plans answered by a
-    /// resident [`ReleaseIndex`]).
+    /// Lifetime index-cache hits (plans answered by a resident
+    /// [`ReleaseIndex`]).
     pub index_hits: u64,
     /// Lifetime index-cache misses (— indexes constructed).
     pub index_misses: u64,
@@ -198,34 +224,16 @@ pub struct EngineStats {
     pub pyramid_misses: u64,
 }
 
-/// Estimated resident size of one rebuilt release: the dense estimate and
-/// its prefix table are each `size × 8` bytes, and a retained
-/// [`PartitionSummary::Boxes`](dpod_core::PartitionSummary) carries two
-/// heap-allocated corner vectors plus one count per box — significant for
-/// partition-heavy (DAF/quadtree) releases over large domains.
-fn resident_bytes(m: &SanitizedMatrix) -> usize {
-    let tables = m.matrix().len() * 16;
-    let summary = match m.summary() {
-        dpod_core::PartitionSummary::PerEntry => 0,
-        dpod_core::PartitionSummary::Boxes { partitioning, .. } => {
-            let d = m.matrix().shape().ndim();
-            // Two Vec<usize> corners (24-byte header + 8·d payload each)
-            // plus the box struct and its noisy count.
-            partitioning.len() * (2 * (24 + 8 * d) + 32)
-        }
-    };
-    tables + summary + 512
-}
-
 impl QueryEngine {
-    /// An engine caching up to ~`byte_budget` bytes of rebuilt releases,
-    /// counting into a private registry.
+    /// An engine caching up to ~`byte_budget` bytes of `catalog`'s
+    /// releases, counting into a private registry.
     ///
     /// A single release larger than the whole budget is still cached (the
     /// alternative — rebuilding on every query — is strictly worse); the
     /// budget then holds exactly that one entry.
-    pub fn new(byte_budget: usize) -> Self {
+    pub fn new(catalog: Arc<Catalog>, byte_budget: usize) -> Self {
         Self::with_registry(
+            catalog,
             byte_budget,
             dpod_query::backend::DEFAULT_MARGINAL_BUDGET,
             &Registry::new(),
@@ -236,6 +244,7 @@ impl QueryEngine {
     /// tables at `index_marginal_cap` bytes (keep-sets past the cap are
     /// answered per query without caching) and counting into `registry`.
     pub fn with_registry(
+        catalog: Arc<Catalog>,
         byte_budget: usize,
         index_marginal_cap: usize,
         registry: &Registry,
@@ -244,6 +253,7 @@ impl QueryEngine {
             ["matrix", "index", "partial", "encoded", "pyramid"]
                 .map(|memo| MemoCounters::register(registry, memo));
         QueryEngine {
+            catalog,
             byte_budget,
             index_marginal_cap,
             state: Mutex::new(LruState::default()),
@@ -265,422 +275,325 @@ impl QueryEngine {
                     "level",
                     dpod_query::backend::PYRAMID_LEVEL_SLOTS,
                 ),
+                resident_bytes: registry.gauge(
+                    "dpod_engine_cache_bytes",
+                    "Engine cache resident bytes, every memo included",
+                    &[],
+                ),
+                pyramid_entries: pyramid.entries,
+                pyramid_bytes: pyramid.bytes,
             },
         }
     }
 
-    /// The configured byte budget.
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
+    fn lock(&self) -> MutexGuard<'_, LruState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Recomputes the byte ledger from the live entries (re-charging
-    /// each). Index bytes grow after insertion (memoization is lazy),
-    /// so the ledger is refreshed at every insert/evict point; warm
-    /// touches use an O(1) per-entry delta instead.
-    fn refresh_bytes(state: &mut LruState) {
-        let mut total = 0usize;
-        for cached in state.map.values_mut() {
-            cached.charged = cached.bytes();
-            total += cached.charged;
-        }
-        state.bytes = total;
+    /// The cache total: entries plus what their indexes memoized.
+    fn cache_bytes(&self) -> &Gauge {
+        &self.index_counters.resident_bytes
     }
 
     /// Evicts least-recently-used entries (never `keep`) until the
-    /// budget holds, reclaiming exactly what each victim had been
-    /// charged to the ledger.
-    fn enforce_budget(&self, state: &mut LruState, keep: &(String, u64)) {
-        while state.bytes > self.byte_budget && state.map.len() > 1 {
+    /// budget holds.
+    fn enforce_budget(&self, state: &mut LruState, keep: &str) {
+        while self.cache_bytes().get() as usize > self.byte_budget && state.map.len() > 1 {
             let victim = state
                 .map
                 .iter()
-                .filter(|(k, _)| *k != keep)
+                .filter(|(name, _)| name.as_str() != keep)
                 .min_by_key(|(_, c)| c.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(v) => {
-                    if let Some(evicted) = state.map.remove(&v) {
-                        state.bytes = state.bytes.saturating_sub(evicted.charged);
-                    }
-                }
+                .map(|(name, _)| name.clone());
+            match victim.and_then(|name| state.map.remove(&name)) {
+                Some(evicted) => self.forget(&evicted),
                 None => break,
             }
         }
     }
 
-    /// Returns the queryable rebuild of `entry`, from cache when warm.
-    ///
-    /// # Errors
-    /// [`ServeError`] when the artifact fails validation (tampered or
-    /// corrupt release) — the entry is *not* cached in that case.
-    pub fn sanitized(&self, entry: &CatalogEntry) -> Result<Arc<SanitizedMatrix>, ServeError> {
-        self.sanitized_if(entry, || true)
-    }
-
-    /// [`Self::sanitized`], but consulting `still_current` (under the
-    /// cache lock) before a freshly rebuilt entry is inserted: when it
-    /// returns `false` the rebuild is served to the caller *without*
-    /// being cached. Servers pass a catalog re-check here to close the
-    /// remove/rebuild race — a removal's [`Self::evict`] can run while a
-    /// rebuild is in flight, and caching afterwards would strand an
-    /// entry no future request can reach.
-    pub fn sanitized_if(
-        &self,
-        entry: &CatalogEntry,
-        still_current: impl Fn() -> bool,
-    ) -> Result<Arc<SanitizedMatrix>, ServeError> {
-        let key = (entry.name.clone(), entry.version);
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(&key) {
-                cached.last_used = tick;
-                self.matrix.hits.inc();
-                return Ok(Arc::clone(&cached.matrix));
+    /// Takes a dropped entry off the gauges, its index's bytes included.
+    fn forget(&self, cached: &Cached) {
+        self.cache_bytes().sub(cached.plan_bytes as u64);
+        self.matrix.release(0);
+        self.index.release(0);
+        for (key, memo) in &cached.plans {
+            if let Some(partial) = &memo.partial {
+                self.partial.release(partial.1);
+            }
+            for bytes in memo.encoded.iter().flatten() {
+                self.encoded.release(encoded_cost(key, bytes));
             }
         }
-        // Rebuild outside the lock: concurrent first-touch of the same
-        // release may rebuild twice, but a slow rebuild never blocks
-        // queries against other (cached) releases.
-        self.matrix.misses.inc();
-        let rebuilt = entry
-            .release
-            .as_ref()
-            .clone()
-            .into_sanitized()
-            .map_err(|e| ServeError(format!("release '{}' is invalid: {e}", entry.name)))?;
-        let matrix = Arc::new(rebuilt);
-        let bytes = resident_bytes(&matrix);
-
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
-        // Another thread may have raced the rebuild; keep the winner.
-        if let Some(cached) = state.map.get_mut(&key) {
-            cached.last_used = tick;
-            return Ok(Arc::clone(&cached.matrix));
-        }
-        // Versions are monotonic per name. If a *newer* version is
-        // already cached, this rebuild lost a race with a republish
-        // (the entry it resolved is no longer the latest): serve it to
-        // this caller but do not cache it, and leave the fresh entry
-        // alone.
-        if state.map.keys().any(|(n, v)| *n == key.0 && *v > key.1) {
-            return Ok(matrix);
-        }
-        // Caller-supplied currency check, serialized with `evict` by the
-        // lock held here: a rebuild that raced a removal (or republish)
-        // is served but never cached.
-        if !still_current() {
-            return Ok(matrix);
-        }
-        // A republish made any older version of this name unreachable
-        // (the catalog only hands out the latest), so its cached rebuild
-        // — and the plan index riding on it — is dead weight: drop it
-        // now instead of stranding its bytes until LRU pressure happens
-        // to find it.
-        let stale: Vec<(String, u64)> = state
-            .map
-            .keys()
-            .filter(|(name, version)| *name == key.0 && *version < key.1)
-            .cloned()
-            .collect();
-        for old in stale {
-            state.map.remove(&old);
-        }
-        state.map.insert(
-            key.clone(),
-            Cached {
-                matrix: Arc::clone(&matrix),
-                matrix_bytes: bytes,
-                index: None,
-                partials: HashMap::new(),
-                partials_bytes: 0,
-                encoded: HashMap::new(),
-                encoded_bytes: 0,
-                charged: 0, // set by the refresh below
-                last_used: tick,
-            },
-        );
-        // Evict least-recently-used entries (never the one just added)
-        // until the budget holds.
-        Self::refresh_bytes(&mut state);
-        self.enforce_budget(&mut state, &key);
-        Ok(matrix)
+        cached.index.retire();
     }
 
-    /// Returns the release's prepared [`ReleaseIndex`], from cache when
-    /// warm; a cold call builds (or reuses) the matrix rebuild through
-    /// [`Self::sanitized_if`] — inheriting its republish-staleness and
-    /// currency handling — then attaches a fresh index beside it.
+    /// The one fill routine behind every memo. `get` reads the value
+    /// from a resident entry of `entry`'s version; a hit returns it. On
+    /// a miss, `compute` runs outside the lock against the entry's
+    /// index (rebuilt and cached first when the entry is not resident),
+    /// and `put` caches the value in that entry, returning the bytes it
+    /// charged. A value is cached only while the entry is resident and
+    /// the catalog still serves its version (checked under the lock);
+    /// otherwise it is served uncached. A value a racing fill cached
+    /// first wins, and errors are never memoized.
     ///
-    /// # Errors
-    /// As for [`Self::sanitized`].
-    pub fn index(&self, entry: &CatalogEntry) -> Result<Arc<ReleaseIndex>, ServeError> {
-        self.index_if(entry, || true)
-    }
-
-    /// [`Self::index`], with the same `still_current` contract as
-    /// [`Self::sanitized_if`]: when the check fails, the freshly built
-    /// index is served to the caller but never cached.
-    ///
-    /// # Errors
-    /// As for [`Self::sanitized`].
-    pub fn index_if(
+    /// `memo` is the plan memo being filled, or `None` for the index
+    /// itself, whose lookup is the entry lookup.
+    fn fill<T>(
         &self,
         entry: &CatalogEntry,
-        still_current: impl Fn() -> bool,
-    ) -> Result<Arc<ReleaseIndex>, ServeError> {
-        let key = (entry.name.clone(), entry.version);
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        memo: Option<&MemoCounters>,
+        get: impl Fn(&Cached) -> Option<T>,
+        compute: impl FnOnce(&Arc<ReleaseIndex>) -> Result<T, ServeError>,
+        put: impl FnOnce(&mut Cached, &T) -> usize,
+    ) -> Result<T, ServeError> {
+        let name = entry.name.as_str();
+        let resident = {
+            let mut guard = self.lock();
+            let state = &mut *guard;
             state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(&key) {
-                cached.last_used = tick;
-                if let Some(ix) = &cached.index {
-                    self.index.hits.inc();
-                    let ix = Arc::clone(ix);
-                    // Index bytes grow between accesses (memoization is
-                    // lazy), so the warm path re-charges *this* entry —
-                    // an O(1) delta, not a rescan of every resident
-                    // entry — and re-enforces the budget when the
-                    // growth pushed the ledger over it.
-                    let now = cached.bytes();
-                    let delta = now.saturating_sub(cached.charged);
-                    cached.charged = now;
-                    state.bytes += delta;
-                    if delta > 0 && state.bytes > self.byte_budget {
-                        self.enforce_budget(&mut state, &key);
-                    }
-                    return Ok(ix);
+            let mut resident = None;
+            if let Some(c) = state
+                .map
+                .get_mut(name)
+                .filter(|c| c.version == entry.version)
+            {
+                c.last_used = state.tick;
+                if let Some(value) = get(c) {
+                    memo.unwrap_or(&self.index).hits.inc();
+                    // Index tables grow as plans execute.
+                    self.enforce_budget(state, name);
+                    return Ok(value);
                 }
+                resident = Some(Arc::clone(&c.index));
             }
+            resident
+        };
+        if let Some(memo) = memo {
+            memo.misses.inc();
         }
+        let index = match resident {
+            Some(index) => {
+                self.index.hits.inc();
+                index
+            }
+            None => self.rebuild(entry)?,
+        };
+        let value = compute(&index)?;
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let Some(c) = state.map.get_mut(name) else {
+            return Ok(value);
+        };
+        // A value that raced a removal, republish or eviction is served
+        // but never cached.
+        if !Arc::ptr_eq(&c.index, &index) || !self.is_current(entry) {
+            return Ok(value);
+        }
+        if let Some(winner) = get(c) {
+            return Ok(winner);
+        }
+        let cost = put(c, &value);
+        c.plan_bytes += cost;
+        self.cache_bytes().add(cost as u64);
+        memo.expect("a resident entry always yields its index")
+            .hold(cost);
+        self.enforce_budget(state, name);
+        Ok(value)
+    }
+
+    /// Rebuilds `entry`'s release into a fresh index and caches it as
+    /// the name's entry, replacing an older version's, unless the
+    /// catalog no longer serves `entry` or a racing rebuild got there
+    /// first. Rebuilds run outside the lock: concurrent first touches of
+    /// one release may rebuild twice, but a slow rebuild never blocks
+    /// queries against other releases.
+    fn rebuild(&self, entry: &CatalogEntry) -> Result<Arc<ReleaseIndex>, ServeError> {
         self.index.misses.inc();
-        // Resolve the matrix through the normal rebuild path (hit or
-        // miss), which owns all the staleness rules; then wrap it.
-        let matrix = self.sanitized_if(entry, &still_current)?;
+        self.matrix.misses.inc();
+        let matrix = entry.release.as_ref().clone().into_sanitized();
+        let matrix =
+            matrix.map_err(|e| ServeError(format!("release '{}' is invalid: {e}", entry.name)))?;
         let index = Arc::new(ReleaseIndex::with_counters(
-            matrix,
+            Arc::new(matrix),
             self.index_marginal_cap,
             self.index_counters.clone(),
         ));
-
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.lock();
+        let state = &mut *guard;
         state.tick += 1;
-        let tick = state.tick;
-        if let Some(cached) = state.map.get_mut(&key) {
-            // Attach only when the resident entry is exactly the matrix
-            // this index wraps (the entry may have raced a removal or
-            // republish while we built).
-            if Arc::ptr_eq(&cached.matrix, index.matrix()) {
-                cached.last_used = tick;
-                if let Some(existing) = &cached.index {
-                    return Ok(Arc::clone(existing)); // a racing builder won
-                }
-                cached.index = Some(Arc::clone(&index));
-                Self::refresh_bytes(&mut state);
-                self.enforce_budget(&mut state, &key);
-            }
+        // Versions are monotonic per name: a fresh index replaces an
+        // older version, never a newer one or a racing winner.
+        let held = state.map.get(&entry.name);
+        if let Some(c) = held.filter(|c| c.version == entry.version) {
+            index.retire();
+            return Ok(Arc::clone(&c.index));
         }
+        if held.is_some_and(|c| c.version > entry.version) || !self.is_current(entry) {
+            index.retire();
+            return Ok(index);
+        }
+        let cached = Cached {
+            version: entry.version,
+            index: Arc::clone(&index),
+            plans: HashMap::new(),
+            plan_bytes: 0,
+            last_used: state.tick,
+        };
+        if let Some(stale) = state.map.insert(entry.name.clone(), cached) {
+            self.forget(&stale);
+        }
+        self.matrix.hold(0);
+        self.index.hold(0);
+        self.enforce_budget(state, &entry.name);
         Ok(index)
     }
 
-    /// Answers one epoch's share of a window plan through the partial
-    /// memo: a warm `(entry, plan_key)` pair returns the memoized
-    /// answer without touching the release at all; a cold one resolves
-    /// the epoch's [`ReleaseIndex`] (through [`Self::index_if`], which
-    /// owns all the staleness rules), runs `compute` against it, and
-    /// memoizes the answer beside the index under the shared byte
-    /// budget. `plan_key` must be a canonical serialization of the
-    /// inner plan — the caller owns that contract.
-    ///
-    /// Because the memo rides the `(name, version)` cache entry, a
-    /// republish of one epoch invalidates exactly that epoch's partials
-    /// (its version changes; the stale entry is dropped on next
-    /// resolve) while every other epoch's stay warm — a sliding window
-    /// over k epochs after one republish re-executes one epoch, not k.
+    /// Whether the catalog still serves `entry`'s version. Asked under
+    /// the cache lock, which [`Self::evict`] also takes, so a result
+    /// computed while a removal or republish lands is served but never
+    /// cached, and cannot strand an entry no request can reach.
+    fn is_current(&self, entry: &CatalogEntry) -> bool {
+        self.catalog
+            .get(&entry.name)
+            .is_some_and(|current| current.version == entry.version)
+    }
+
+    /// Returns the release's prepared [`ReleaseIndex`], from cache when
+    /// warm; a cold call rebuilds the release and caches the index.
     ///
     /// # Errors
-    /// As for [`Self::sanitized`], plus whatever `compute` returns
-    /// (plan-validation failures are not memoized).
+    /// [`ServeError`] when the artifact fails validation (tampered or
+    /// corrupt release) — nothing is cached in that case.
+    pub fn index(&self, entry: &CatalogEntry) -> Result<Arc<ReleaseIndex>, ServeError> {
+        self.fill(
+            entry,
+            None,
+            |c| Some(Arc::clone(&c.index)),
+            |index| Ok(Arc::clone(index)),
+            |_, _| unreachable!("a resident entry always yields its index"),
+        )
+    }
+
+    /// Answers `plan` as one epoch's share of a window plan, memoized
+    /// per `(entry, plan)` like [`Self::encoded_response`]. A republish
+    /// of one epoch invalidates only
+    /// that epoch's partials, so a sliding window over k epochs after
+    /// one republish re-executes one epoch, not k.
+    ///
+    /// # Errors
+    /// As for [`Self::index`], plus plan-validation failures.
     pub fn window_partial(
         &self,
         entry: &CatalogEntry,
-        plan_key: &str,
-        still_current: impl Fn() -> bool,
-        compute: impl FnOnce(&ReleaseIndex) -> Result<Answer, ServeError>,
+        plan: &QueryPlan,
     ) -> Result<Answer, ServeError> {
-        let key = (entry.name.clone(), entry.version);
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(&key) {
-                if let Some((answer, _)) = cached.partials.get(plan_key) {
-                    cached.last_used = tick;
-                    self.partial.hits.inc();
-                    return Ok(answer.clone());
-                }
-            }
-        }
-        self.partial.misses.inc();
-        let index = self.index_if(entry, &still_current)?;
-        let answer = compute(&index)?;
-
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(cached) = state.map.get_mut(&key) {
-            // Memoize only against the entry this answer was computed
-            // from (the entry may have raced a removal or republish
-            // while the plan ran) — and keep a racing winner's answer.
-            if Arc::ptr_eq(&cached.matrix, index.matrix())
-                && !cached.partials.contains_key(plan_key)
-            {
-                cached.last_used = tick;
-                let bytes = answer_bytes(&answer) + plan_key.len();
-                cached
-                    .partials
-                    .insert(plan_key.to_string(), (answer.clone(), bytes));
-                cached.partials_bytes += bytes;
-                Self::refresh_bytes(&mut state);
-                self.enforce_budget(&mut state, &key);
-            }
-        }
-        Ok(answer)
+        with_plan_key(plan, |key| {
+            self.fill(
+                entry,
+                Some(&self.partial),
+                |c| c.plans.get(key)?.partial.as_ref().map(|p| p.0.clone()),
+                |index| {
+                    dpod_query::plan::execute_with(index.as_ref(), plan)
+                        .map_err(|e| ServeError(e.0))
+                },
+                |c, answer| {
+                    let cost = answer_bytes(answer) + key.len();
+                    let partial = Box::new((answer.clone(), cost));
+                    c.plans.entry(key.into()).or_default().partial = Some(partial);
+                    cost
+                },
+            )
+        })
     }
 
-    /// Serves one request's final wire bytes through the encoded memo:
-    /// a warm `(entry, encoding, plan_key)` triple returns the memoized
-    /// bytes — no plan execution, no serialization, the caller memcpys
-    /// them to the socket — together with the query units the answer
-    /// counts for. A cold triple runs `compute` (execute + encode, the
-    /// caller owns both) and memoizes its bytes beside the entry under
-    /// the shared LRU byte budget.
-    ///
-    /// The memo key rides the `(name, version)` cache entry like
-    /// `partials`, so a republish invalidates exactly the republished
-    /// release's bytes. `still_current` is consulted under the cache
-    /// lock before a fresh result is memoized: a compute that raced a
-    /// removal or republish is served to its caller but never cached.
-    /// `plan_key` must be a canonical serialization of the request's
-    /// plan and `enc` the response encoding discriminant — the caller
-    /// owns both contracts.
+    /// Serves one plan request's response bytes in `enc`: a warm
+    /// `(entry, plan, enc)` returns the memoized bytes — no execution,
+    /// no serialization — with the query units the answer counts for; a
+    /// cold one runs `compute` (execute and encode) against the
+    /// release's index and memoizes the result.
     ///
     /// # Errors
-    /// Whatever `compute` returns; errors are never memoized.
+    /// As for [`Self::index`], plus whatever `compute` returns.
     pub fn encoded_response(
         &self,
         entry: &CatalogEntry,
-        enc: u8,
-        plan_key: &str,
-        still_current: impl Fn() -> bool,
-        compute: impl FnOnce() -> Result<(Vec<u8>, u64), ServeError>,
+        enc: ResponseEncoding,
+        plan: &QueryPlan,
+        compute: impl FnOnce(&ReleaseIndex) -> Result<(Vec<u8>, u64), ServeError>,
     ) -> Result<(Arc<Vec<u8>>, u64), ServeError> {
-        let key = (entry.name.clone(), entry.version);
-        let memo_key = (enc, plan_key.to_string());
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(&key) {
-                if let Some(e) = cached.encoded.get(&memo_key) {
-                    cached.last_used = tick;
-                    self.encoded.hits.inc();
-                    return Ok((Arc::clone(&e.bytes), e.units));
-                }
-            }
-        }
-        self.encoded.misses.inc();
-        let (bytes, units) = compute()?;
-        let bytes = Arc::new(bytes);
-
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(cached) = state.map.get_mut(&key) {
-            // Memoize only while the entry is still the catalog's
-            // current version (checked under the lock, as
-            // `sanitized_if` does) — and keep a racing winner's bytes.
-            if still_current() && !cached.encoded.contains_key(&memo_key) {
-                cached.last_used = tick;
-                let cost = bytes.len() + memo_key.1.len() + 64;
-                cached.encoded.insert(
-                    memo_key,
-                    EncodedEntry {
-                        bytes: Arc::clone(&bytes),
-                        units,
-                    },
-                );
-                cached.encoded_bytes += cost;
-                Self::refresh_bytes(&mut state);
-                self.enforce_budget(&mut state, &key);
-            }
-        }
-        Ok((bytes, units))
+        let slot = enc as usize;
+        with_plan_key(plan, |key| {
+            self.fill(
+                entry,
+                Some(&self.encoded),
+                |c| {
+                    let memo = c.plans.get(key)?;
+                    Some((Arc::clone(memo.encoded[slot].as_ref()?), memo.units))
+                },
+                |index| compute(index).map(|(bytes, units)| (Arc::new(bytes), units)),
+                |c, (bytes, units)| {
+                    let memo = c.plans.entry(key.into()).or_default();
+                    memo.encoded[slot] = Some(Arc::clone(bytes));
+                    memo.units = *units;
+                    encoded_cost(key, bytes)
+                },
+            )
+        })
     }
 
-    /// Drops every cached rebuild of `name` (any version) — plan
-    /// indexes included — returning the bytes reclaimed. Used when a
-    /// release is removed outright: no future request can reach those
-    /// entries, so leaving them to LRU pressure would strand their
-    /// bytes on an idle server.
+    /// Drops the cached entry of `name` with every memo on it,
+    /// returning the bytes reclaimed. Used when a release is removed
+    /// outright: no future request can reach the entry, so leaving it to
+    /// LRU pressure would strand its bytes on an idle server.
     pub fn evict(&self, name: &str) -> usize {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let victims: Vec<(String, u64)> = state
-            .map
-            .keys()
-            .filter(|(n, _)| n == name)
-            .cloned()
-            .collect();
-        let mut reclaimed = 0;
-        for key in victims {
-            if let Some(dropped) = state.map.remove(&key) {
-                reclaimed += dropped.bytes();
-            }
-        }
-        Self::refresh_bytes(&mut state);
-        reclaimed
+        let dropped = self.lock().map.remove(name);
+        dropped.map_or(0, |dropped| {
+            self.forget(&dropped);
+            dropped.index.resident_bytes() + dropped.plan_bytes
+        })
     }
 
-    /// Drops every cached rebuild and index (counters are preserved).
+    /// Drops every cached entry (counters are preserved).
     pub fn clear(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.map.clear();
-        state.bytes = 0;
+        for (_, dropped) in self.lock().map.drain() {
+            self.forget(&dropped);
+        }
     }
 
-    /// Current residency, plus the lifetime counters read from their
-    /// registry handles.
+    /// Current residency and lifetime counters, read from the registry
+    /// handles.
     pub fn stats(&self) -> EngineStats {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        Self::refresh_bytes(&mut state);
-        let live_indexes = || state.map.values().filter_map(|c| c.index.as_ref());
+        let n = |g: &Gauge| g.get() as usize;
+        let ix = &self.index_counters;
         EngineStats {
-            pyramid_entries: live_indexes().map(|ix| ix.pyramid_entries()).sum(),
-            pyramid_bytes: live_indexes().map(|ix| ix.pyramid_bytes()).sum(),
-            pyramid_hits: self.index_counters.pyramid_hits.get(),
-            pyramid_misses: self.index_counters.pyramid_misses.get(),
-            entries: state.map.len(),
-            bytes: state.bytes,
+            entries: n(&self.matrix.entries),
+            bytes: n(self.cache_bytes()),
             hits: self.matrix.hits.get(),
             misses: self.matrix.misses.get(),
-            index_entries: live_indexes().count(),
+            index_entries: n(&self.index.entries),
             index_hits: self.index.hits.get(),
             index_misses: self.index.misses.get(),
-            partial_entries: state.map.values().map(|c| c.partials.len()).sum(),
+            partial_entries: n(&self.partial.entries),
             partial_hits: self.partial.hits.get(),
             partial_misses: self.partial.misses.get(),
-            encoded_entries: state.map.values().map(|c| c.encoded.len()).sum(),
+            encoded_entries: n(&self.encoded.entries),
             encoded_hits: self.encoded.hits.get(),
             encoded_misses: self.encoded.misses.get(),
-            encoded_bytes: state.map.values().map(|c| c.encoded_bytes).sum(),
-            index_build_nanos: self.index_counters.build_nanos.get(),
+            encoded_bytes: n(&self.encoded.bytes),
+            index_build_nanos: ix.build_nanos.get(),
+            pyramid_entries: n(&ix.pyramid_entries),
+            pyramid_bytes: n(&ix.pyramid_bytes),
+            pyramid_hits: ix.pyramid_hits.get(),
+            pyramid_misses: ix.pyramid_misses.get(),
         }
+    }
+
+    /// Plan memos resident across every entry.
+    #[cfg(test)]
+    pub(crate) fn plan_memos(&self) -> usize {
+        self.lock().map.values().map(|c| c.plans.len()).sum()
     }
 }
 
@@ -691,10 +604,13 @@ mod tests {
     use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
     use dpod_dp::Epsilon;
     use dpod_fmatrix::{AxisBox, DenseMatrix, Shape};
-    use dpod_query::PlanBackend;
+    use dpod_query::{PlanBackend, QueryPlan};
 
-    fn catalog_with(names: &[&str], side: usize) -> Catalog {
-        let c = Catalog::new();
+    const TOTAL: QueryPlan = QueryPlan::Total;
+    const BIN: ResponseEncoding = ResponseEncoding::Binary;
+
+    fn catalog_with(names: &[&str], side: usize) -> Arc<Catalog> {
+        let c = Arc::new(Catalog::new());
         for (i, name) in names.iter().enumerate() {
             let s = Shape::new(vec![side, side]).unwrap();
             let mut m = DenseMatrix::<u64>::zeros(s);
@@ -714,13 +630,13 @@ mod tests {
     #[test]
     fn second_access_hits_cache() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let e = c.get("a").unwrap();
-        let m1 = engine.sanitized(&e).unwrap();
-        let m2 = engine.sanitized(&e).unwrap();
+        let m1 = engine.index(&e).unwrap();
+        let m2 = engine.index(&e).unwrap();
         assert!(Arc::ptr_eq(&m1, &m2));
         let stats = engine.stats();
-        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.index_hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
     }
@@ -728,8 +644,8 @@ mod tests {
     #[test]
     fn republish_invalidates_by_version() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
-        let v1 = engine.sanitized(&c.get("a").unwrap()).unwrap();
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
+        let v1 = engine.index(&c.get("a").unwrap()).unwrap();
         // Republish under the same name.
         let s = Shape::new(vec![8, 8]).unwrap();
         let mut m = DenseMatrix::<u64>::zeros(s);
@@ -738,17 +654,17 @@ mod tests {
             .sanitize(&m, Epsilon::new(0.5).unwrap(), &mut dpod_dp::seeded_rng(42))
             .unwrap();
         c.publish("a", PublishedRelease::from_sanitized(&out));
-        let v2 = engine.sanitized(&c.get("a").unwrap()).unwrap();
+        let v2 = engine.index(&c.get("a").unwrap()).unwrap();
         assert!(!Arc::ptr_eq(&v1, &v2));
         let q = AxisBox::new(vec![0, 0], vec![8, 8]).unwrap();
-        assert_ne!(v1.range_sum(&q), v2.range_sum(&q));
+        assert_ne!(v1.matrix().range_sum(&q), v2.matrix().range_sum(&q));
     }
 
     #[test]
     fn remove_then_republish_never_serves_stale_answers() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
-        let old = engine.sanitized(&c.get("a").unwrap()).unwrap();
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
+        let old = engine.index(&c.get("a").unwrap()).unwrap();
         c.remove("a");
         // Republish different data under the same name.
         let s = Shape::new(vec![8, 8]).unwrap();
@@ -758,45 +674,45 @@ mod tests {
             .sanitize(&m, Epsilon::new(0.5).unwrap(), &mut dpod_dp::seeded_rng(90))
             .unwrap();
         c.publish("a", PublishedRelease::from_sanitized(&out));
-        let fresh = engine.sanitized(&c.get("a").unwrap()).unwrap();
+        let fresh = engine.index(&c.get("a").unwrap()).unwrap();
         assert!(
             !Arc::ptr_eq(&old, &fresh),
             "cache must not serve the removed release"
         );
         let q = AxisBox::new(vec![0, 0], vec![8, 8]).unwrap();
-        assert_eq!(fresh.range_sum(&q), out.range_sum(&q));
+        assert_eq!(fresh.matrix().range_sum(&q), out.range_sum(&q));
     }
 
     #[test]
     fn lru_evicts_cold_entries_under_budget() {
         let c = catalog_with(&["a", "b", "c"], 16);
         // Measure one rebuild's charged size, then budget for exactly two.
-        let probe = QueryEngine::new(usize::MAX);
-        probe.sanitized(&c.get("a").unwrap()).unwrap();
+        let probe = QueryEngine::new(Arc::clone(&c), usize::MAX);
+        probe.index(&c.get("a").unwrap()).unwrap();
         let per_entry = probe.stats().bytes;
-        let engine = QueryEngine::new(per_entry * 2 + per_entry / 2);
+        let engine = QueryEngine::new(Arc::clone(&c), per_entry * 2 + per_entry / 2);
         let (ea, eb, ec) = (
             c.get("a").unwrap(),
             c.get("b").unwrap(),
             c.get("c").unwrap(),
         );
-        engine.sanitized(&ea).unwrap();
-        engine.sanitized(&eb).unwrap();
-        engine.sanitized(&ea).unwrap(); // refresh a; b is now LRU
-        engine.sanitized(&ec).unwrap(); // evicts b
+        engine.index(&ea).unwrap();
+        engine.index(&eb).unwrap();
+        engine.index(&ea).unwrap(); // refresh a; b is now LRU
+        engine.index(&ec).unwrap(); // evicts b
         assert_eq!(engine.stats().entries, 2);
         let misses_before = engine.stats().misses;
-        engine.sanitized(&ea).unwrap(); // still cached
+        engine.index(&ea).unwrap(); // still cached
         assert_eq!(engine.stats().misses, misses_before);
-        engine.sanitized(&eb).unwrap(); // rebuilt
+        engine.index(&eb).unwrap(); // rebuilt
         assert_eq!(engine.stats().misses, misses_before + 1);
     }
 
     /// Charged resident size of one entry, measured with a throwaway
     /// engine (sizes vary per release with its partition structure).
-    fn charged_bytes(entry: &crate::CatalogEntry) -> usize {
-        let probe = QueryEngine::new(usize::MAX);
-        probe.sanitized(entry).unwrap();
+    fn charged_bytes(c: &Arc<Catalog>, entry: &crate::CatalogEntry) -> usize {
+        let probe = QueryEngine::new(Arc::clone(c), usize::MAX);
+        probe.index(entry).unwrap();
         probe.stats().bytes
     }
 
@@ -808,16 +724,20 @@ mod tests {
             c.get("b").unwrap(),
             c.get("c").unwrap(),
         );
-        let (sa, sb, sc) = (charged_bytes(&ea), charged_bytes(&eb), charged_bytes(&ec));
+        let (sa, sb, sc) = (
+            charged_bytes(&c, &ea),
+            charged_bytes(&c, &eb),
+            charged_bytes(&c, &ec),
+        );
         assert!(sa > 0 && sb > 0 && sc > 0);
 
         // Budget one byte short of all three: the third insert must
         // evict exactly the LRU entry and give its bytes back.
-        let engine = QueryEngine::new(sa + sb + sc - 1);
-        engine.sanitized(&ea).unwrap();
-        engine.sanitized(&eb).unwrap();
+        let engine = QueryEngine::new(Arc::clone(&c), sa + sb + sc - 1);
+        engine.index(&ea).unwrap();
+        engine.index(&eb).unwrap();
         assert_eq!(engine.stats().bytes, sa + sb);
-        engine.sanitized(&ec).unwrap(); // evicts a (the LRU)
+        engine.index(&ec).unwrap(); // evicts a (the LRU)
         let stats = engine.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(
@@ -830,11 +750,11 @@ mod tests {
     #[test]
     fn republish_drops_the_stale_version_immediately() {
         let c = catalog_with(&["a", "b"], 16);
-        let engine = QueryEngine::new(usize::MAX);
-        engine.sanitized(&c.get("a").unwrap()).unwrap();
+        let engine = QueryEngine::new(Arc::clone(&c), usize::MAX);
+        engine.index(&c.get("a").unwrap()).unwrap();
         let eb = c.get("b").unwrap();
-        engine.sanitized(&eb).unwrap();
-        let sb = charged_bytes(&eb);
+        engine.index(&eb).unwrap();
+        let sb = charged_bytes(&c, &eb);
 
         // Republish 'a': resolving the new version must replace — not
         // sit beside — the (a, v1) rebuild, under zero LRU pressure.
@@ -847,43 +767,45 @@ mod tests {
         c.publish("a", PublishedRelease::from_sanitized(&out));
         let ea2 = c.get("a").unwrap();
         assert_eq!(ea2.version, 2);
-        engine.sanitized(&ea2).unwrap();
+        engine.index(&ea2).unwrap();
 
         let stats = engine.stats();
         assert_eq!(stats.entries, 2, "stale (a, v1) must be dropped");
         assert_eq!(
             stats.bytes,
-            sb + charged_bytes(&ea2),
+            sb + charged_bytes(&c, &ea2),
             "the stale version's bytes must not strand in the budget"
         );
         // And the fresh version answers from cache.
         let misses = stats.misses;
-        engine.sanitized(&ea2).unwrap();
+        engine.index(&ea2).unwrap();
         assert_eq!(engine.stats().misses, misses);
     }
 
     #[test]
     fn rebuild_racing_a_removal_is_served_but_not_cached() {
         // Models the remove/rebuild race: by the time the rebuild is
-        // ready to cache, the caller's currency check fails (the
+        // ready to cache, the catalog no longer serves the entry (the
         // release was removed and `evict` already ran).
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let entry = c.get("a").unwrap();
-        let served = engine.sanitized_if(&entry, || false).unwrap();
+        c.remove("a");
+        let served = engine.index(&entry).unwrap();
         assert!(served.total().is_finite());
         let stats = engine.stats();
         assert_eq!(stats.entries, 0, "stale rebuild must not be cached");
         assert_eq!(stats.bytes, 0);
         // A current rebuild caches as usual.
-        engine.sanitized_if(&entry, || true).unwrap();
+        c.publish("a", entry.release.as_ref().clone());
+        engine.index(&c.get("a").unwrap()).unwrap();
         assert_eq!(engine.stats().entries, 1);
     }
 
     #[test]
     fn straggler_rebuild_of_an_old_version_cannot_evict_the_new_cache() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         // A request resolved the v1 entry… and then a republish lands
         // before its rebuild reaches the cache.
         let old_entry = c.get("a").unwrap();
@@ -895,34 +817,34 @@ mod tests {
             .unwrap();
         c.publish("a", PublishedRelease::from_sanitized(&out));
         let new_entry = c.get("a").unwrap();
-        let fresh = engine.sanitized(&new_entry).unwrap();
+        let fresh = engine.index(&new_entry).unwrap();
 
         // The straggler is served its v1 answer but must neither evict
         // the fresh (a, v2) entry nor cache the unreachable (a, v1).
-        let served = engine.sanitized(&old_entry).unwrap();
+        let served = engine.index(&old_entry).unwrap();
         assert!(!Arc::ptr_eq(&served, &fresh));
         assert_eq!(engine.stats().entries, 1);
-        let hits = engine.stats().hits;
-        let again = engine.sanitized(&new_entry).unwrap();
+        let hits = engine.stats().index_hits;
+        let again = engine.index(&new_entry).unwrap();
         assert!(Arc::ptr_eq(&again, &fresh), "v2 must still answer warm");
-        assert_eq!(engine.stats().hits, hits + 1);
+        assert_eq!(engine.stats().index_hits, hits + 1);
     }
 
     #[test]
     fn oversized_release_is_still_served() {
         let c = catalog_with(&["big"], 32);
-        let engine = QueryEngine::new(16); // far below one rebuild
+        let engine = QueryEngine::new(Arc::clone(&c), 16); // far below one rebuild
         let e = c.get("big").unwrap();
-        assert!(engine.sanitized(&e).is_ok());
+        assert!(engine.index(&e).is_ok());
         assert_eq!(engine.stats().entries, 1);
         // And it stays cached (evicting the only entry would thrash).
-        engine.sanitized(&e).unwrap();
-        assert_eq!(engine.stats().hits, 1);
+        engine.index(&e).unwrap();
+        assert_eq!(engine.stats().index_hits, 1);
     }
 
     #[test]
     fn invalid_release_errors_and_is_not_cached() {
-        let c = Catalog::new();
+        let c = Arc::new(Catalog::new());
         let mut release = {
             let s = Shape::new(vec![4, 4]).unwrap();
             let m = DenseMatrix::<u64>::zeros(s);
@@ -933,16 +855,16 @@ mod tests {
         };
         release.domain = vec![3, 3]; // tampered
         c.publish("bad", release);
-        let engine = QueryEngine::new(1 << 20);
-        assert!(engine.sanitized(&c.get("bad").unwrap()).is_err());
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
+        assert!(engine.index(&c.get("bad").unwrap()).is_err());
         assert_eq!(engine.stats().entries, 0);
     }
 
     #[test]
     fn clear_resets_residency() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
-        engine.sanitized(&c.get("a").unwrap()).unwrap();
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
+        engine.index(&c.get("a").unwrap()).unwrap();
         engine.clear();
         let stats = engine.stats();
         assert_eq!(stats.entries, 0);
@@ -966,7 +888,7 @@ mod tests {
     #[test]
     fn second_index_access_hits_cache() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let e = c.get("a").unwrap();
         let i1 = engine.index(&e).unwrap();
         let i2 = engine.index(&e).unwrap();
@@ -991,13 +913,13 @@ mod tests {
         // Probe each entry's fully-warmed footprint (matrix + index)
         // and the unwarmed index base, with throwaway engines.
         let warmed = |e: &crate::CatalogEntry| {
-            let probe = QueryEngine::new(usize::MAX);
+            let probe = QueryEngine::new(Arc::clone(&c), usize::MAX);
             warm_index(&probe.index(e).unwrap());
             probe.stats().bytes
         };
         let (wa, wb) = (warmed(&ea), warmed(&eb));
         let base_c = {
-            let probe = QueryEngine::new(usize::MAX);
+            let probe = QueryEngine::new(Arc::clone(&c), usize::MAX);
             probe.index(&ec).unwrap();
             probe.stats().bytes
         };
@@ -1005,7 +927,7 @@ mod tests {
         // Budget holds two warmed entries plus a bare third — minus one
         // byte, so attaching the third index must evict the LRU entry
         // and give back its *full* (matrix + grown index) bytes.
-        let engine = QueryEngine::new(wa + wb + base_c - 1);
+        let engine = QueryEngine::new(Arc::clone(&c), wa + wb + base_c - 1);
         warm_index(&engine.index(&ea).unwrap());
         warm_index(&engine.index(&eb).unwrap());
         assert_eq!(
@@ -1035,7 +957,7 @@ mod tests {
     #[test]
     fn republish_invalidates_the_stale_index() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let old_entry = c.get("a").unwrap();
         let old_ix = engine.index(&old_entry).unwrap();
         warm_index(&old_ix);
@@ -1076,35 +998,27 @@ mod tests {
     #[test]
     fn index_racing_a_removal_is_served_but_not_cached() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let entry = c.get("a").unwrap();
-        let served = engine.index_if(&entry, || false).unwrap();
+        c.remove("a");
+        let served = engine.index(&entry).unwrap();
         assert!(served.total().is_finite());
         let stats = engine.stats();
         assert_eq!(stats.entries, 0, "stale index must not be cached");
         assert_eq!(stats.index_entries, 0);
         // A current build caches as usual.
-        engine.index_if(&entry, || true).unwrap();
+        c.publish("a", entry.release.as_ref().clone());
+        engine.index(&c.get("a").unwrap()).unwrap();
         assert_eq!(engine.stats().index_entries, 1);
     }
 
     #[test]
     fn window_partials_memoize_per_entry() {
-        use dpod_query::{plan, QueryPlan};
+        use dpod_query::QueryPlan;
         let c = catalog_with(&["s@1", "s@2"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let plan = QueryPlan::Total;
-        let key = serde_json::to_string(&plan).unwrap();
-        let run = |entry: &crate::CatalogEntry| {
-            engine
-                .window_partial(
-                    entry,
-                    &key,
-                    || true,
-                    |ix| plan::execute_with(ix, &plan).map_err(|e| crate::ServeError(e.0)),
-                )
-                .unwrap()
-        };
+        let run = |entry: &crate::CatalogEntry| engine.window_partial(entry, &plan).unwrap();
         let e1 = c.get("s@1").unwrap();
         let e2 = c.get("s@2").unwrap();
         let a1 = run(&e1);
@@ -1122,21 +1036,11 @@ mod tests {
 
     #[test]
     fn republishing_one_epoch_keeps_the_others_partials_warm() {
-        use dpod_query::{plan, QueryPlan};
+        use dpod_query::QueryPlan;
         let c = catalog_with(&["s@1", "s@2"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let plan = QueryPlan::TopK { k: 2 };
-        let key = serde_json::to_string(&plan).unwrap();
-        let run = |entry: &crate::CatalogEntry| {
-            engine
-                .window_partial(
-                    entry,
-                    &key,
-                    || true,
-                    |ix| plan::execute_with(ix, &plan).map_err(|e| crate::ServeError(e.0)),
-                )
-                .unwrap()
-        };
+        let run = |entry: &crate::CatalogEntry| engine.window_partial(entry, &plan).unwrap();
         run(&c.get("s@1").unwrap());
         run(&c.get("s@2").unwrap());
 
@@ -1164,20 +1068,14 @@ mod tests {
 
     #[test]
     fn failed_window_partials_are_not_memoized() {
-        use dpod_query::{plan, QueryPlan};
+        use dpod_query::QueryPlan;
         let c = catalog_with(&["s@1"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         // An invalid plan (2-D release has no dimension 9).
         let plan = QueryPlan::Marginal { keep: vec![9] };
-        let key = serde_json::to_string(&plan).unwrap();
         let entry = c.get("s@1").unwrap();
         for _ in 0..2 {
-            let err = engine.window_partial(
-                &entry,
-                &key,
-                || true,
-                |ix| plan::execute_with(ix, &plan).map_err(|e| crate::ServeError(e.0)),
-            );
+            let err = engine.window_partial(&entry, &plan);
             assert!(err.is_err());
         }
         let stats = engine.stats();
@@ -1188,25 +1086,25 @@ mod tests {
     #[test]
     fn encoded_responses_memoize_per_entry_and_encoding() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let entry = c.get("a").unwrap();
         // The memo rides the release's cache entry (in production the
         // compute path resolves it); create it as an executor would.
-        engine.sanitized(&entry).unwrap();
-        // Two encodings of the "same plan" memoize independently.
-        let run = |enc: u8, payload: &[u8]| {
+        engine.index(&entry).unwrap();
+        // Two encodings of the same plan memoize independently.
+        let run = |enc: ResponseEncoding, payload: &[u8]| {
             let payload = payload.to_vec();
             engine
-                .encoded_response(&entry, enc, "plan-key", || true, move || Ok((payload, 3)))
+                .encoded_response(&entry, enc, &TOTAL, move |_| Ok((payload, 3)))
                 .unwrap()
         };
-        let (b1, u1) = run(0, b"json bytes");
+        let (b1, u1) = run(ResponseEncoding::Json, b"json bytes");
         assert_eq!((&b1[..], u1), (&b"json bytes"[..], 3));
-        let (b2, _) = run(1, b"frame bytes");
+        let (b2, _) = run(ResponseEncoding::Binary, b"frame bytes");
         assert_eq!(&b2[..], b"frame bytes");
         // Warm repeats return the first compute's bytes, bit for bit —
         // the second closure's payload is never consulted.
-        let (warm, units) = run(0, b"IGNORED");
+        let (warm, units) = run(ResponseEncoding::Json, b"IGNORED");
         assert!(Arc::ptr_eq(&warm, &b1));
         assert_eq!(units, 3);
         let stats = engine.stats();
@@ -1217,17 +1115,22 @@ mod tests {
         // Errors are never memoized.
         let err: Result<_, ServeError> = engine.encoded_response(
             &entry,
-            0,
-            "bad-plan",
-            || true,
-            || Err(ServeError("nope".into())),
+            ResponseEncoding::Json,
+            &QueryPlan::TopK { k: 1 },
+            |_| Err(ServeError("nope".into())),
         );
         assert!(err.is_err());
         assert_eq!(engine.stats().encoded_entries, 2);
 
         // A compute that raced a removal is served but not cached.
+        c.remove("a");
         let (served, _) = engine
-            .encoded_response(&entry, 0, "racing", || false, || Ok((vec![1, 2], 1)))
+            .encoded_response(
+                &entry,
+                ResponseEncoding::Json,
+                &QueryPlan::TopK { k: 2 },
+                |_| Ok((vec![1, 2], 1)),
+            )
             .unwrap();
         assert_eq!(&served[..], &[1, 2]);
         assert_eq!(engine.stats().encoded_entries, 2);
@@ -1237,11 +1140,11 @@ mod tests {
     fn encoded_memo_bytes_ride_the_shared_ledger() {
         let c = catalog_with(&["a", "b"], 16);
         let (ea, eb) = (c.get("a").unwrap(), c.get("b").unwrap());
-        let (sa, sb) = (charged_bytes(&ea), charged_bytes(&eb));
+        let (sa, sb) = (charged_bytes(&c, &ea), charged_bytes(&c, &eb));
 
-        let engine = QueryEngine::new(usize::MAX);
-        engine.sanitized(&ea).unwrap();
-        engine.sanitized(&eb).unwrap();
+        let engine = QueryEngine::new(Arc::clone(&c), usize::MAX);
+        engine.index(&ea).unwrap();
+        engine.index(&eb).unwrap();
         assert_eq!(
             engine.stats().bytes,
             sa + sb,
@@ -1249,7 +1152,7 @@ mod tests {
         );
         let payload = vec![0u8; 1 << 12];
         engine
-            .encoded_response(&ea, 1, "k", || true, || Ok((payload, 1)))
+            .encoded_response(&ea, BIN, &TOTAL, |_| Ok((payload, 1)))
             .unwrap();
         let stats = engine.stats();
         assert_eq!(stats.bytes, sa + sb + stats.encoded_bytes);
@@ -1266,10 +1169,10 @@ mod tests {
     #[test]
     fn republish_invalidates_the_encoded_memo() {
         let c = catalog_with(&["a"], 8);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let old = c.get("a").unwrap();
         engine
-            .encoded_response(&old, 1, "k", || true, || Ok((b"v1".to_vec(), 1)))
+            .encoded_response(&old, BIN, &TOTAL, |_| Ok((b"v1".to_vec(), 1)))
             .unwrap();
         // Republish under the same name: the next resolve drops the
         // stale entry, so the memo misses and re-computes.
@@ -1281,9 +1184,9 @@ mod tests {
             .unwrap();
         c.publish("a", PublishedRelease::from_sanitized(&out));
         let new = c.get("a").unwrap();
-        engine.sanitized(&new).unwrap(); // drops (a, v1) and its memo
+        engine.index(&new).unwrap(); // drops (a, v1) and its memo
         let (bytes, _) = engine
-            .encoded_response(&new, 1, "k", || true, || Ok((b"v2".to_vec(), 1)))
+            .encoded_response(&new, BIN, &TOTAL, |_| Ok((b"v2".to_vec(), 1)))
             .unwrap();
         assert_eq!(&bytes[..], b"v2");
         let stats = engine.stats();
@@ -1295,7 +1198,7 @@ mod tests {
     fn pyramid_stats_aggregate_across_indexes_and_survive_eviction() {
         use dpod_query::{plan, QueryPlan};
         let c = catalog_with(&["a"], 16);
-        let engine = QueryEngine::new(1 << 20);
+        let engine = QueryEngine::new(Arc::clone(&c), 1 << 20);
         let ix = engine.index(&c.get("a").unwrap()).unwrap();
         let drill = QueryPlan::DrillDown {
             level: 2,
@@ -1326,7 +1229,7 @@ mod tests {
     #[test]
     fn evict_drops_the_index_with_the_matrix() {
         let c = catalog_with(&["a"], 16);
-        let engine = QueryEngine::new(usize::MAX);
+        let engine = QueryEngine::new(Arc::clone(&c), usize::MAX);
         let ix = engine.index(&c.get("a").unwrap()).unwrap();
         warm_index(&ix);
         let charged = engine.stats().bytes;
@@ -1338,5 +1241,54 @@ mod tests {
         // Build time of the evicted index survives in the lifetime
         // counter.
         assert!(stats.index_build_nanos > 0);
+    }
+
+    /// Every residency gauge returns to zero once the cache is empty,
+    /// including after an evicted index, and an index that was never
+    /// cached, memoized more tables while a query still held them.
+    #[test]
+    fn residency_gauges_return_to_zero_once_every_entry_is_dropped() {
+        use dpod_query::plan;
+        let c = catalog_with(&["a", "b", "z"], 16);
+        let registry = Registry::new();
+        let engine = QueryEngine::with_registry(Arc::clone(&c), usize::MAX, 1 << 20, &registry);
+        let level = |level| QueryPlan::DrillDown {
+            level,
+            plan: Box::new(TOTAL),
+        };
+        for name in ["a", "b"] {
+            let entry = c.get(name).unwrap();
+            warm_index(&engine.index(&entry).unwrap());
+            engine.window_partial(&entry, &level(1)).unwrap();
+            engine
+                .encoded_response(&entry, BIN, &TOTAL, |_| Ok((vec![0; 100], 1)))
+                .unwrap();
+        }
+        let residency = || {
+            let snap = registry.snapshot();
+            let total = |name| snap.sum(name);
+            (
+                total("dpod_engine_memo_entries"),
+                total("dpod_engine_memo_bytes"),
+                total("dpod_engine_cache_bytes"),
+            )
+        };
+        let (entries, bytes, cached) = residency();
+        assert!(entries > 0.0 && bytes > 0.0 && cached > bytes);
+
+        // Evicted while a query still holds it: later growth is not
+        // resident.
+        let held = engine.index(&c.get("a").unwrap()).unwrap();
+        engine.evict("a");
+        plan::execute_with(&*held, &level(2)).unwrap();
+        // Rebuilt after its release was removed: served, never counted.
+        let gone = c.get("z").unwrap();
+        c.remove("z");
+        let straggler = engine.index(&gone).unwrap();
+        plan::execute_with(&*straggler, &level(2)).unwrap();
+        warm_index(&straggler);
+
+        engine.clear();
+        assert_eq!(residency(), (0.0, 0.0, 0.0));
     }
 }

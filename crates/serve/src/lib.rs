@@ -8,15 +8,11 @@
 //! * [`Catalog`] — a sharded, `RwLock`-striped in-memory store of named,
 //!   versioned releases, with directory persistence via the `DPRL` binary
 //!   frame (`dpod_fmatrix::codec::RELEASE_MAGIC`);
-//! * [`QueryEngine`] — rebuilds a release into its queryable
-//!   [`SanitizedMatrix`](dpod_core::SanitizedMatrix) (prefix-sum table
-//!   included) on first access and memoizes it under an LRU byte budget,
-//!   so steady-state range queries are `O(2^d)` lookups; beside each
-//!   rebuild it caches the release's prepared
-//!   [`ReleaseIndex`](dpod_query::ReleaseIndex) (memoized marginal
-//!   tables with their own prefix sums, descending cell order, cached
-//!   total) under the same budget, so warm aggregate plans skip the
-//!   rescan entirely;
+//! * [`QueryEngine`] — caches each release as its prepared
+//!   [`ReleaseIndex`](dpod_query::ReleaseIndex) (the rebuilt matrix with
+//!   lazily memoized aggregate tables) plus one memo of plan answers and
+//!   response bytes, under an LRU byte budget, so warm plans are table
+//!   lookups or a memcpy;
 //! * [`Server`] — the request front end: an in-process [`Server::handle`]
 //!   API driven directly by the CLI, tests and benches, plus two
 //!   std-only TCP serving cores ([`spawn_with`], see [`FrontEnd`]): an

@@ -8,9 +8,10 @@
 //! `dpod_obs` registry: request mix, stage latencies, event-loop health,
 //! connections, answered queries, epoch publishes and retirements, and
 //! the engine's memo hits, misses and index build time (the engine
-//! registers its handles into the same registry). [`Server::snapshot`]
-//! reads the registry and appends the families derived from state at
-//! read time: engine residency, the catalog, per-release hits, and ε.
+//! registers its handles into the same registry, residency gauges
+//! included). [`Server::snapshot`] reads the registry and appends the
+//! families derived from the catalog at read time: releases, series,
+//! per-release hits, and ε.
 //! That one
 //! snapshot is rendered three ways — `/metrics` prints it as Prometheus
 //! text, [`Response::Stats`](crate::protocol::Response::Stats) carries it
@@ -40,7 +41,9 @@
 //!
 //! **Engine memos** (`dpod_engine_memo_{hits,misses}_total` and
 //! `dpod_engine_memo_entries`, labelled `memo` = `matrix`, `index`,
-//! `partial`, `encoded` or `pyramid`), plus resident bytes.
+//! `partial`, `encoded` or `pyramid`; `dpod_engine_memo_bytes` for the
+//! last three) and `dpod_engine_cache_bytes`: residency gauges the
+//! engine moves as it caches and evicts.
 //!
 //! **ε** per release and per epoch, and `dpod_epsilon_spent_total`: the
 //! plain sum over catalogued releases — a report, not an enforced
@@ -291,22 +294,16 @@ impl ServeMetrics {
     }
 }
 
-/// `server`'s registry snapshot plus the families derived from state at
-/// read time: engine residency, the catalog, per-release hits, and ε.
+/// `server`'s registry snapshot plus the families derived from the
+/// catalog at read time: releases, series, per-release hits, and ε.
 pub(crate) fn snapshot(server: &Server) -> Snapshot {
     use MetricKind::{Counter, Gauge};
     let mut snap = server.metrics().registry.snapshot();
-    let e = server.engine_stats();
     let catalog = server.catalog();
     let releases = catalog.entries();
     let series = series::series_names(catalog);
     let epsilon: Vec<f64> = releases.iter().map(|r| r.release.epsilon).collect();
     for (name, help, value) in [
-        (
-            "dpod_engine_cache_bytes",
-            "Engine cache resident bytes, every memo included",
-            e.bytes as f64,
-        ),
         (
             "dpod_catalog_releases",
             "Releases currently catalogued",
@@ -329,30 +326,6 @@ pub(crate) fn snapshot(server: &Server) -> Snapshot {
         ),
     ] {
         snap.family(name, help, Gauge).sample(&[], value);
-    }
-    let memos = [
-        (
-            "dpod_engine_memo_entries",
-            "Engine memo entries resident, by memo",
-            vec![
-                ("matrix", e.entries),
-                ("index", e.index_entries),
-                ("partial", e.partial_entries),
-                ("encoded", e.encoded_entries),
-                ("pyramid", e.pyramid_entries),
-            ],
-        ),
-        (
-            "dpod_engine_memo_bytes",
-            "Bytes a memo holds inside dpod_engine_cache_bytes, by memo",
-            vec![("encoded", e.encoded_bytes), ("pyramid", e.pyramid_bytes)],
-        ),
-    ];
-    for (name, help, rows) in memos {
-        let fam = snap.family(name, help, Gauge);
-        for (memo, n) in rows {
-            fam.sample(&[("memo", memo)], n as f64);
-        }
     }
     let hits = snap.family(
         "dpod_release_hits_total",

@@ -92,8 +92,7 @@ pub enum FrontEnd {
 
 /// How [`Server::handle_encoded`] serializes a response into final
 /// socket bytes — one variant per wire shape a connection can be in.
-/// The discriminant keys the engine's encoded-response memo, so each
-/// encoding memoizes its own bytes.
+/// Each encoding memoizes its own bytes in the engine's plan memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResponseEncoding {
     /// One JSON document plus the trailing newline (NDJSON transport
@@ -107,15 +106,6 @@ pub enum ResponseEncoding {
 }
 
 impl ResponseEncoding {
-    /// The memo-key discriminant for this encoding.
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            ResponseEncoding::Json => 0,
-            ResponseEncoding::Binary => 1,
-            ResponseEncoding::BinaryPacked => 2,
-        }
-    }
-
     /// Serializes `resp` into complete socket bytes: JSON line with its
     /// `\n`, or a `DPRB` frame *with* its u32 length prefix. A response
     /// too large to frame degrades to an in-protocol error so the
@@ -208,12 +198,13 @@ impl Server {
     ) -> Self {
         let metrics = ServeMetrics::new();
         Server {
-            catalog,
             engine: QueryEngine::with_registry(
+                Arc::clone(&catalog),
                 cache_bytes,
                 index_marginal_bytes,
                 &metrics.registry,
             ),
+            catalog,
             release_hits: RwLock::new(HashMap::new()),
             metrics,
             ledgers: SeriesLedgers::new(),
@@ -227,10 +218,10 @@ impl Server {
     }
 
     /// Every metric family at this instant: the registry's counters,
-    /// gauges and histograms plus the families derived from state at
-    /// read time (engine residency, catalog, per-release hits, ε). This
-    /// one snapshot is what `/metrics`, `Stats` responses and the
-    /// `dpod serve` stats line render.
+    /// gauges and histograms plus the families derived from the catalog
+    /// at read time (releases, per-release hits, ε). This one snapshot
+    /// is what `/metrics`, `Stats` responses and the `dpod serve` stats
+    /// line render.
     pub fn snapshot(&self) -> Snapshot {
         crate::metrics::snapshot(self)
     }
@@ -325,8 +316,8 @@ impl Server {
     /// Answers a [`QueryPlan::Window`]: resolves the selector against
     /// the series' live epochs, executes the inner plan once per
     /// selected epoch (each through the engine's memoized per-epoch
-    /// partials, keyed by the inner plan's canonical JSON, so a sliding
-    /// window re-executes only the epochs it hasn't seen), then merges.
+    /// partials, so a sliding window re-executes only the epochs it
+    /// hasn't seen), then merges.
     fn answer_window(
         &self,
         series: &str,
@@ -343,23 +334,10 @@ impl Server {
         }
         let live = series::series_epochs(&self.catalog, series);
         let selected = series::select_epochs(select, &live)?;
-        let plan_key = serde_json::to_string(inner)
-            .map_err(|e| ServeError(format!("cannot key window plan: {e}")))?;
         let epochs: Vec<u64> = selected.iter().map(|info| info.epoch).collect();
         let mut answers = Vec::with_capacity(selected.len());
         for info in &selected {
-            let name = &info.entry.name;
-            let version = info.entry.version;
-            answers.push(self.engine.window_partial(
-                &info.entry,
-                &plan_key,
-                || {
-                    self.catalog
-                        .get(name)
-                        .is_some_and(|current| current.version == version)
-                },
-                |index| dpod_query::plan::execute_with(index, inner).map_err(|e| ServeError(e.0)),
-            )?);
+            answers.push(self.engine.window_partial(&info.entry, inner)?);
         }
         dpod_query::merge_window_answers(merge, &epochs, answers).map_err(|e| ServeError(e.0))
     }
@@ -438,13 +416,9 @@ impl Server {
         Ok(values)
     }
 
-    /// Executes one [`QueryPlan`] against a release (or, for `Window`
-    /// plans, a release series). Two-phase execution: resolve the
-    /// release's prepared index (built once per (name, version),
-    /// memoized structures answering warm aggregates), then execute
-    /// against it. Window plans take a second path: the name addresses
-    /// a release *series* and the plan fans across its epochs. Pure
-    /// execution — the caller owns the query counters.
+    /// Executes one [`QueryPlan`] against a release's index (or, for
+    /// `Window` plans, across a release series). Pure execution — the
+    /// caller owns the query counters.
     fn execute_plan(&self, release: &str, plan: &QueryPlan) -> Result<Answer, ServeError> {
         if let QueryPlan::Window {
             select,
@@ -463,67 +437,48 @@ impl Server {
     /// Answers one request as final socket-ready bytes in the given
     /// encoding — the transport loops memcpy the result to the wire.
     ///
-    /// For non-`Window` [`Request::Plan`] requests the bytes come from
-    /// the engine's encoded-response memo: a warm hit skips plan
-    /// execution *and* serialization (the source paper's
+    /// For non-`Window` [`Request::Plan`] requests on a catalogued
+    /// release the bytes come from the engine's plan memo: a warm hit
+    /// skips plan execution *and* serialization (the source paper's
     /// post-processing invariance makes re-serving identical bytes
     /// ε-free), while a miss executes, encodes once, and memoizes under
-    /// the shared cache ledger with the same catalog-currency re-check
-    /// the index cache uses. Every other request — and every error —
+    /// the shared cache ledger while the catalog still serves that
+    /// release version. Every other request — and every error —
     /// takes the plain [`Server::handle`] path and is encoded fresh.
     /// Query counters advance identically on warm and cold paths.
     pub fn handle_encoded(&self, request: &Request, enc: ResponseEncoding) -> Arc<Vec<u8>> {
-        if let Request::Plan { release, plan } = request {
-            if !matches!(plan, QueryPlan::Window { .. }) {
-                if let (Some(entry), Ok(plan_key)) =
-                    (self.catalog.get(release), serde_json::to_string(plan))
-                {
-                    let version = entry.version;
-                    let result = self.engine.encoded_response(
-                        &entry,
-                        enc.code(),
-                        &plan_key,
-                        || {
-                            self.catalog
-                                .get(release)
-                                .is_some_and(|current| current.version == version)
-                        },
-                        || {
-                            let answer = self.execute_plan(release, plan)?;
-                            let units = answer.units();
-                            Ok((enc.encode(&Response::Answer { answer }), units))
-                        },
-                    );
-                    return match result {
-                        Ok((bytes, units)) => {
-                            self.note_answered(release, units);
-                            bytes
-                        }
-                        Err(e) => Arc::new(enc.encode(&Response::Error { message: e.0 })),
-                    };
-                }
-                // Unknown release or unkeyable plan: fall through to the
-                // plain path, which produces the error response.
+        let memoized = match request {
+            Request::Plan { release, plan } if !matches!(plan, QueryPlan::Window { .. }) => self
+                .catalog
+                .get(release)
+                .map(|entry| (release, plan, entry)),
+            _ => None,
+        };
+        let Some((release, plan, entry)) = memoized else {
+            return Arc::new(enc.encode(&self.handle(request)));
+        };
+        let result = self.engine.encoded_response(&entry, enc, plan, |index| {
+            let answer =
+                dpod_query::plan::execute_with(index, plan).map_err(|e| ServeError(e.0))?;
+            let units = answer.units();
+            Ok((enc.encode(&Response::Answer { answer }), units))
+        });
+        match result {
+            Ok((bytes, units)) => {
+                self.note_answered(release, units);
+                bytes
             }
+            Err(e) => Arc::new(enc.encode(&Response::Error { message: e.0 })),
         }
-        Arc::new(enc.encode(&self.handle(request)))
     }
 
-    /// Resolves a release name to its prepared plan index. The engine
-    /// re-checks the catalog before caching a fresh build, closing the
-    /// race with [`Self::remove_release`] and republishes: an index
-    /// built while one lands is served but never cached, so its bytes
-    /// cannot strand in an entry no request can reach.
+    /// Resolves a release name to its prepared plan index.
     fn resolve_index(&self, release: &str) -> Result<Arc<ReleaseIndex>, ServeError> {
         let entry = self
             .catalog
             .get(release)
             .ok_or_else(|| ServeError(format!("unknown release '{release}'")))?;
-        self.engine.index_if(&entry, || {
-            self.catalog
-                .get(release)
-                .is_some_and(|current| current.version == entry.version)
-        })
+        self.engine.index(&entry)
     }
 
     /// Counts `n` answered queries, globally and against `release`.
@@ -2050,6 +2005,50 @@ mod tests {
         let answer = plan::execute(&rebuild(&server, "city"), &plan).unwrap();
         let cold = ResponseEncoding::Binary.encode(&Response::Answer { answer });
         assert_eq!(*warm, cold, "memoized bytes must match the cold scan");
+    }
+
+    /// A plan memoized as an epoch's window partial and as a direct
+    /// request's encoded bytes lives in one plan memo, and both forms
+    /// are the cold scan's answer.
+    #[test]
+    fn window_partial_and_encoded_bytes_share_one_plan_memo() {
+        let server = epoch_server();
+        let plan = QueryPlan::TopK { k: 3 };
+        let expected = plan::execute(&rebuild(&server, "city@2"), &plan).unwrap();
+        let window = Request::Plan {
+            release: "city".into(),
+            plan: QueryPlan::Window {
+                select: EpochSelector::At { epoch: 2 },
+                merge: WindowMerge::PerEpoch,
+                plan: Box::new(plan.clone()),
+            },
+        };
+        let Response::Answer { answer } = server.handle(&window) else {
+            panic!("window plan must answer");
+        };
+        assert_eq!(
+            answer,
+            Answer::Epochs {
+                epochs: vec![2],
+                answers: vec![expected.clone()]
+            }
+        );
+        let direct = Request::Plan {
+            release: "city@2".into(),
+            plan,
+        };
+        let bytes = server.handle_encoded(&direct, ResponseEncoding::Json);
+        let answer_line = ResponseEncoding::Json.encode(&Response::Answer { answer: expected });
+        assert_eq!(*bytes, answer_line);
+
+        let stats = server.engine.stats();
+        assert_eq!((stats.partial_entries, stats.encoded_entries), (1, 1));
+        assert_eq!(server.engine.plan_memos(), 1);
+        // Both forms answer warm from that memo.
+        server.handle(&window);
+        server.handle_encoded(&direct, ResponseEncoding::Json);
+        let stats = server.engine.stats();
+        assert_eq!((stats.partial_hits, stats.encoded_hits), (1, 1));
     }
 
     /// The acceptance criterion: a `Window{last_k}` plan answers

@@ -129,6 +129,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 /// Frame magic, shared with the workspace frame registry.
 pub use dpod_fmatrix::codec::{WIRE_MAGIC, WIRE_VERSION};
+pub use dpod_query::put_uvarint;
 
 /// Upper bound on one frame body; a peer declaring more is disconnected
 /// (64 MiB holds a ~1.3M-range 2-d batch or a ~8M-value response).
@@ -257,16 +258,6 @@ pub fn zigzag(v: i64) -> u64 {
 #[must_use]
 pub fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
-}
-
-/// Appends one LEB128 varint: 7 value bits per byte, high bit set on
-/// every byte but the last. A u64 spans at most 10 bytes.
-pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
 }
 
 /// Reads one LEB128 varint from `bytes` at `*pos`, advancing the cursor
