@@ -19,10 +19,9 @@ use dpod_core::{
     grid::Eug,
     DynMechanism, Mechanism, MechanismError, SanitizedMatrix,
 };
-use dpod_dp::{geometric::GeometricMechanism, Epsilon};
+use dpod_dp::Noise;
 use dpod_fmatrix::DenseMatrix;
 use dpod_query::workload::QueryWorkload;
-use rand::RngCore;
 
 /// The fixed budget for the ablations (the paper's strictest setting).
 pub const EPSILON: f64 = 0.1;
@@ -253,13 +252,12 @@ impl<M: Mechanism> Mechanism for NonNegative<M> {
         self.0.name()
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
-        Ok(self.0.sanitize(input, epsilon, rng)?.non_negative())
+        Ok(self.0.release(input, noise)?.non_negative())
     }
 }
 
@@ -346,20 +344,20 @@ impl Mechanism for GeometricIdentity {
         "IDENTITY-geometric"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
-        let geo = GeometricMechanism::counting();
+        // Disjoint entries: one share of the whole budget, as in IDENTITY.
+        let share = noise.rest("entries")?;
         let mut out = DenseMatrix::<f64>::zeros(input.shape().clone());
         for (i, &v) in input.as_slice().iter().enumerate() {
-            out.set_flat(i, geo.randomize(v as i64, epsilon, rng) as f64);
+            out.set_flat(i, noise.geometric(v as i64, share) as f64);
         }
         Ok(SanitizedMatrix::from_entries(
             self.name(),
-            epsilon.value(),
+            noise.total(),
             out,
         ))
     }

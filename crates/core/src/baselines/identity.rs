@@ -1,7 +1,6 @@
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::{laplace::LaplaceMechanism, Epsilon};
+use dpod_dp::Noise;
 use dpod_fmatrix::DenseMatrix;
-use rand::RngCore;
 
 /// The IDENTITY baseline (\[7\], Table 2): add `Lap(1/ε)` to every matrix
 /// entry independently.
@@ -17,22 +16,21 @@ impl Mechanism for Identity {
         "IDENTITY"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
         // Entries are disjoint singleton partitions: parallel composition
         // lets each receive the full budget.
-        let lap = LaplaceMechanism::counting();
+        let share = noise.rest("entries")?;
         let mut out = DenseMatrix::<f64>::zeros(input.shape().clone());
         for (i, &v) in input.as_slice().iter().enumerate() {
-            out.set_flat(i, lap.randomize(v as f64, epsilon, rng));
+            out.set_flat(i, noise.laplace(v as f64, share));
         }
         Ok(SanitizedMatrix::from_entries(
             self.name(),
-            epsilon.value(),
+            noise.total(),
             out,
         ))
     }
@@ -41,6 +39,7 @@ impl Mechanism for Identity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpod_dp::Epsilon;
     use dpod_fmatrix::Shape;
 
     fn eps(v: f64) -> Epsilon {

@@ -1,10 +1,8 @@
-use crate::granularity::{mkm_m, round_granularity};
-use crate::grid_engine::{noisy_total, sanitize_grid};
+use crate::granularity::mkm_m;
+use crate::grid_engine::grid_release;
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::Epsilon;
+use dpod_dp::Noise;
 use dpod_fmatrix::DenseMatrix;
-use dpod_partition::UniformGrid;
-use rand::RngCore;
 
 /// The MKM grid baseline (\[11\] — Lei's differentially-private M-estimators).
 ///
@@ -40,29 +38,19 @@ impl Mechanism for Mkm {
         "MKM"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
-        let nt = noisy_total(input, epsilon, self.eps0_fraction, rng)?;
-        let d = input.ndim();
-        let m = self.granularity(d, nt.n_hat, nt.accountant.remaining());
-        let cells: Vec<usize> = input
-            .shape()
-            .dims()
-            .iter()
-            .map(|&len| round_granularity(m, len))
-            .collect();
-        let grid = UniformGrid::new(input.shape(), &cells).map_err(MechanismError::Invalid)?;
-        sanitize_grid(input, &grid, nt.accountant, epsilon, self.name(), rng)
+        grid_release(input, self.eps0_fraction, self.name(), noise, mkm_m)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpod_dp::Epsilon;
     use dpod_fmatrix::Shape;
 
     fn eps(v: f64) -> Epsilon {

@@ -1,7 +1,6 @@
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::{laplace::sample_laplace, Epsilon};
+use dpod_dp::Noise;
 use dpod_fmatrix::{DenseMatrix, Shape};
-use rand::RngCore;
 
 /// Privelet — wavelet-domain noise (extension baseline; \[18\] in the paper).
 ///
@@ -32,11 +31,10 @@ impl Mechanism for Privelet {
         "Privelet"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
         let dims = input.shape().dims();
         let padded_dims = padded_dims(dims);
@@ -65,9 +63,11 @@ impl Mechanism for Privelet {
             .iter()
             .map(|&n| 1.0 + (n as f64).log2())
             .product();
-        let scale = sensitivity / epsilon.value();
+        let share = noise
+            .rest("wavelet coefficients")?
+            .with_sensitivity(sensitivity, "wavelet coefficients")?;
         for v in buf.as_mut_slice() {
-            *v += sample_laplace(rng, scale);
+            *v = noise.laplace(*v, share);
         }
         for dim in 0..padded_shape.ndim() {
             haar_along_dim(&mut buf, dim, Direction::Inverse);
@@ -82,7 +82,7 @@ impl Mechanism for Privelet {
         }
         Ok(SanitizedMatrix::from_entries(
             self.name(),
-            epsilon.value(),
+            noise.total(),
             out,
         ))
     }
@@ -168,6 +168,7 @@ fn haar_inverse(x: &mut [f64], scratch: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpod_dp::Epsilon;
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()

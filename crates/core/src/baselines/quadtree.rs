@@ -1,10 +1,10 @@
 use crate::daf::level_budgets;
 use crate::granularity::ebp_m;
+use crate::grid_engine::noisy_total;
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::{laplace::sample_laplace, Epsilon};
+use dpod_dp::{Noise, Share};
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::{tree::TreeNode, Partitioning};
-use rand::RngCore;
 
 /// A 2^d-ary hierarchical baseline (extension; \[4\] in the paper).
 ///
@@ -49,11 +49,10 @@ impl Mechanism for QuadTree {
         "QuadTree"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
         if !(self.eps0_fraction > 0.0 && self.eps0_fraction < 1.0) {
             return Err(MechanismError::Invalid(format!(
@@ -65,12 +64,11 @@ impl Mechanism for QuadTree {
         let prefix = PrefixSum::from_counts(input);
 
         // Height: match the EBP per-dimension granularity.
-        let (height, mut remaining) = match self.height {
-            Some(h) => (h, epsilon.value()),
+        let height = match self.height {
+            Some(h) => h,
             None => {
-                let eps0 = epsilon.value() * self.eps0_fraction;
-                let n_hat = input.total() + sample_laplace(rng, 1.0 / eps0);
-                let m = ebp_m(d, n_hat, epsilon.value() - eps0);
+                let n_hat = noisy_total(input, self.eps0_fraction, noise)?;
+                let m = ebp_m(d, n_hat, noise.remaining());
                 let h = (m.max(1.0).log2().ceil() as usize).max(1);
                 // Cap: no dimension can be split below single cells.
                 let max_h = input
@@ -81,16 +79,17 @@ impl Mechanism for QuadTree {
                     .max()
                     .unwrap_or(1)
                     .max(1);
-                (h.min(max_h), epsilon.value() - eps0)
+                h.min(max_h)
             }
         };
 
-        // Per-level budgets: root + `height` levels, geometric in the
-        // fanout 2^d (reusing the DAF closed form).
+        // One share per level (its nodes are disjoint): root + `height`
+        // levels, geometric in the fanout 2^d (the DAF closed form).
         let fanout = (2usize).pow(d as u32) as f64;
-        let level_eps = level_budgets(remaining, fanout, height + 1);
-        remaining = 0.0;
-        let _ = remaining;
+        let levels = level_budgets(noise.remaining(), fanout, height + 1)
+            .into_iter()
+            .map(|e| noise.share(e, "tree level"))
+            .collect::<Result<Vec<Share>, _>>()?;
 
         // Build the tree, sanitizing every node.
         let mut root = build_level(
@@ -98,8 +97,8 @@ impl Mechanism for QuadTree {
             0,
             height,
             &prefix,
-            &level_eps,
-            rng,
+            &levels,
+            noise,
         );
 
         // Top-down mean consistency: spread the parent/children mismatch
@@ -113,7 +112,7 @@ impl Mechanism for QuadTree {
         let partitioning = Partitioning::new_unchecked(input.shape().clone(), boxes);
         Ok(SanitizedMatrix::from_partitions(
             self.name(),
-            epsilon.value(),
+            noise.total(),
             input.shape().clone(),
             partitioning,
             counts,
@@ -127,11 +126,11 @@ fn build_level(
     depth: usize,
     height: usize,
     prefix: &PrefixSum<i128>,
-    level_eps: &[f64],
-    rng: &mut dyn RngCore,
+    levels: &[Share],
+    noise: &mut Noise<'_>,
 ) -> TreeNode<QtPayload> {
     let count = prefix.box_count(&bounds) as f64;
-    let ncount = count + sample_laplace(rng, 1.0 / level_eps[depth]);
+    let ncount = noise.laplace(count, levels[depth]);
     let mut node = TreeNode::leaf(
         bounds.clone(),
         depth,
@@ -147,7 +146,7 @@ fn build_level(
         if children.len() > 1 {
             node.children = children
                 .into_iter()
-                .map(|cb| build_level(cb, depth + 1, height, prefix, level_eps, rng))
+                .map(|cb| build_level(cb, depth + 1, height, prefix, levels, noise))
                 .collect();
         }
     }
@@ -190,6 +189,7 @@ fn make_consistent(node: &mut TreeNode<QtPayload>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpod_dp::Epsilon;
     use dpod_fmatrix::Shape;
 
     fn eps(v: f64) -> Epsilon {

@@ -1,8 +1,7 @@
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::{laplace::LaplaceMechanism, Epsilon};
+use dpod_dp::Noise;
 use dpod_fmatrix::DenseMatrix;
 use dpod_partition::Partitioning;
-use rand::RngCore;
 
 /// The UNIFORM (a.k.a. *singular*) baseline (\[8\], Table 2): treat the whole
 /// matrix as a single partition, release one noisy total, and answer every
@@ -17,18 +16,17 @@ impl Mechanism for Uniform {
         "UNIFORM"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
-        let lap = LaplaceMechanism::counting();
-        let noisy = lap.randomize(input.total(), epsilon, rng);
+        let share = noise.rest("total")?;
+        let noisy = noise.laplace(input.total(), share);
         let partitioning = Partitioning::single(input.shape().clone());
         Ok(SanitizedMatrix::from_partitions(
             self.name(),
-            epsilon.value(),
+            noise.total(),
             input.shape().clone(),
             partitioning,
             vec![noisy],
@@ -39,6 +37,7 @@ impl Mechanism for Uniform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpod_dp::Epsilon;
     use dpod_fmatrix::{AxisBox, Shape};
 
     fn eps(v: f64) -> Epsilon {

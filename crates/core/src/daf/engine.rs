@@ -6,11 +6,9 @@
 use crate::daf::{budget::level_budgets, StopPolicy, ROOT_BUDGET_FRACTION};
 use crate::granularity::{ebp_m, round_granularity};
 use crate::{MechanismError, SanitizedMatrix};
-use dpod_dp::laplace::sample_laplace;
-use dpod_dp::Epsilon;
+use dpod_dp::{DpError, Noise, Share};
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::{tree::TreeNode, Partitioning};
-use rand::RngCore;
 
 /// Bookkeeping attached to every DAF tree node; the integration tests
 /// assert the budget-telescoping invariant from it.
@@ -41,8 +39,8 @@ pub(crate) trait SplitPlanner {
     fn partition_budget_fraction(&self) -> f64;
 
     /// Chooses `fanout − 1` strictly increasing interior cuts for `bounds`
-    /// along `dim`. `eps_prt` is the partitioning budget for this node
-    /// (0 ⇒ the planner must be deterministic and data-independent).
+    /// along `dim` with the node's partitioning share (`None` ⇒ cuts must
+    /// be deterministic and data-independent).
     #[allow(clippy::too_many_arguments)] // mirrors Alg. 3's parameter list
     fn choose_cuts(
         &self,
@@ -51,9 +49,9 @@ pub(crate) trait SplitPlanner {
         bounds: &AxisBox,
         dim: usize,
         fanout: usize,
-        eps_prt: f64,
-        rng: &mut dyn RngCore,
-    ) -> Vec<usize>;
+        prt: Option<Share>,
+        noise: &mut Noise<'_>,
+    ) -> Result<Vec<usize>, DpError>;
 }
 
 /// Equal-width interior boundaries for splitting `[lo, hi)` into `fanout`
@@ -81,8 +79,9 @@ pub(crate) struct DafRun<'a, P: SplitPlanner> {
     stop: StopPolicy,
     eps_tot: f64,
     d: usize,
-    /// ε_1..ε_d from Eq. (32); filled in after the root fixes m₀.
-    level_eps: Vec<f64>,
+    /// One share per depth 1..=d (a level's nodes are disjoint), charged
+    /// once the root fixes m₀: Eq. (32) budgets, then the rest for depth d.
+    levels: Vec<Share>,
 }
 
 impl<'a, P: SplitPlanner> DafRun<'a, P> {
@@ -90,9 +89,8 @@ impl<'a, P: SplitPlanner> DafRun<'a, P> {
         input: &'a DenseMatrix<u64>,
         planner: &'a P,
         stop: StopPolicy,
-        epsilon: Epsilon,
         mechanism_name: &str,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<(SanitizedMatrix, TreeNode<DafPayload>), MechanismError> {
         let d = input.ndim();
         let mut run = DafRun {
@@ -100,11 +98,11 @@ impl<'a, P: SplitPlanner> DafRun<'a, P> {
             prefix: PrefixSum::from_counts(input),
             planner,
             stop,
-            eps_tot: epsilon.value(),
+            eps_tot: noise.total(),
             d,
-            level_eps: Vec::new(),
+            levels: Vec::new(),
         };
-        let tree = run.run_root(rng)?;
+        let tree = run.run_root(noise)?;
         debug_assert!(tree.check_split_invariant().is_ok());
         let sanitized = sanitized_from_tree(mechanism_name, run.eps_tot, input.shape(), &tree);
         Ok((sanitized, tree))
@@ -113,19 +111,24 @@ impl<'a, P: SplitPlanner> DafRun<'a, P> {
     /// Processes the root (depth 0): fixes m₀, derives the per-level
     /// budgets, then recurses. The root never prunes (Alg. 2 places the
     /// stop check in the non-root branch).
-    fn run_root(&mut self, rng: &mut dyn RngCore) -> Result<TreeNode<DafPayload>, MechanismError> {
+    fn run_root(&mut self, noise: &mut Noise<'_>) -> Result<TreeNode<DafPayload>, MechanismError> {
         let bounds = AxisBox::full(self.input.shape());
         let count = self.prefix.box_count(&bounds);
-        let eps0 = self.eps_tot * ROOT_BUDGET_FRACTION;
-        let q = self.planner.partition_budget_fraction();
-        let (eps_prt, eps_data) = split_level_budget(eps0, q);
-        let ncount = count as f64 + sample_laplace(rng, 1.0 / eps_data);
+        let root = noise.share(self.eps_tot * ROOT_BUDGET_FRACTION, "DAF root")?;
+        let eps0 = root.epsilon();
+        let (prt, data) = split_level(root, self.planner.partition_budget_fraction())?;
+        let ncount = noise.laplace(count as f64, data);
         let acc = eps0;
         let remaining = self.eps_tot - acc;
 
         // Root fanout m₀ (Alg. 2 line 11): EBP rule over all d dimensions.
         let m0_real = ebp_m(self.d, ncount.max(1.0), remaining);
-        self.level_eps = level_budgets(remaining, m0_real, self.d);
+        let level_eps = level_budgets(remaining, m0_real, self.d);
+        self.levels = level_eps[..self.d - 1]
+            .iter()
+            .map(|&e| noise.share(e, "DAF level"))
+            .collect::<Result<_, _>>()?;
+        self.levels.push(noise.rest("DAF leaf level")?);
 
         let mut root = TreeNode::leaf(
             bounds.clone(),
@@ -133,14 +136,14 @@ impl<'a, P: SplitPlanner> DafRun<'a, P> {
             DafPayload {
                 count,
                 ncount,
-                eps_count: eps_data,
+                eps_count: data.epsilon(),
                 eps_spent: eps0,
                 acc_after: acc,
                 published: false,
             },
         );
         let fanout = round_granularity(m0_real, bounds.extent(0));
-        root.children = self.split_and_recurse(&bounds, 0, fanout, eps_prt, acc, rng)?;
+        root.children = self.split_and_recurse(&bounds, 0, fanout, prt, acc, noise)?;
         Ok(root)
     }
 
@@ -151,20 +154,20 @@ impl<'a, P: SplitPlanner> DafRun<'a, P> {
         bounds: &AxisBox,
         dim: usize,
         fanout: usize,
-        eps_prt: f64,
+        prt: Option<Share>,
         acc: f64,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<Vec<TreeNode<DafPayload>>, MechanismError> {
         let cuts = if fanout <= 1 {
             Vec::new()
         } else {
             self.planner
-                .choose_cuts(self.input, &self.prefix, bounds, dim, fanout, eps_prt, rng)
+                .choose_cuts(self.input, &self.prefix, bounds, dim, fanout, prt, noise)?
         };
         let child_boxes = bounds.split_many(dim, &cuts)?;
         let mut children = Vec::with_capacity(child_boxes.len());
         for cb in child_boxes {
-            children.push(self.recurse(cb, dim + 1, acc, rng)?);
+            children.push(self.recurse(cb, dim + 1, acc, noise)?);
         }
         Ok(children)
     }
@@ -175,15 +178,20 @@ impl<'a, P: SplitPlanner> DafRun<'a, P> {
         bounds: AxisBox,
         depth: usize,
         acc: f64,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<TreeNode<DafPayload>, MechanismError> {
         let count = self.prefix.box_count(&bounds);
 
         // Depth d: terminal level — spend everything left (Alg. 2 line 6).
         if depth == self.d {
-            let eps_leaf = self.eps_tot - acc;
-            debug_assert!(eps_leaf > 0.0, "remaining budget exhausted at depth d");
-            let ncount = count as f64 + sample_laplace(rng, 1.0 / eps_leaf);
+            let leaf = self.levels[depth - 1];
+            let eps_leaf = leaf.epsilon();
+            debug_assert_eq!(
+                eps_leaf,
+                self.eps_tot - acc,
+                "leaf share is the path's rest"
+            );
+            let ncount = noise.laplace(count as f64, leaf);
             return Ok(TreeNode::leaf(
                 bounds,
                 depth,
@@ -199,18 +207,19 @@ impl<'a, P: SplitPlanner> DafRun<'a, P> {
         }
 
         // Internal level: Eq. (32) budget, q-split, sanitize, fanout.
-        let eps_level = self.level_eps[depth - 1];
-        let q = self.planner.partition_budget_fraction();
-        let (eps_prt, eps_data) = split_level_budget(eps_level, q);
-        let mut ncount = count as f64 + sample_laplace(rng, 1.0 / eps_data);
+        let level = self.levels[depth - 1];
+        let eps_level = level.epsilon();
+        let (prt, data) = split_level(level, self.planner.partition_budget_fraction())?;
+        let mut ncount = noise.laplace(count as f64, data);
         let mut acc = acc + eps_level;
         let remaining = self.eps_tot - acc;
         let m_real = ebp_m(self.d - depth, ncount.max(1.0), remaining);
 
         // Stop check (Alg. 2 lines 17–20): prune and re-sanitize with the
-        // whole remaining path budget.
+        // whole remaining path budget: the levels below, already charged.
         if self.stop.should_stop(ncount, remaining) {
-            ncount = count as f64 + sample_laplace(rng, 1.0 / remaining);
+            let topup = noise.within(remaining, &self.levels[depth..], "DAF pruned leaf")?;
+            ncount = noise.laplace(count as f64, topup);
             let spent_here = eps_level + remaining;
             acc += remaining;
             debug_assert!((acc - self.eps_tot).abs() < 1e-9);
@@ -235,13 +244,13 @@ impl<'a, P: SplitPlanner> DafRun<'a, P> {
             DafPayload {
                 count,
                 ncount,
-                eps_count: eps_data,
+                eps_count: data.epsilon(),
                 eps_spent: eps_level,
                 acc_after: acc,
                 published: false,
             },
         );
-        node.children = self.split_and_recurse(&bounds, depth, fanout, eps_prt, acc, rng)?;
+        node.children = self.split_and_recurse(&bounds, depth, fanout, prt, acc, noise)?;
         Ok(node)
     }
 }
@@ -262,11 +271,13 @@ pub(crate) fn sanitized_from_tree(
     SanitizedMatrix::from_partitions(mechanism_name, eps_tot, shape.clone(), partitioning, counts)
 }
 
-/// Splits one level's budget into (partitioning, data) shares; `q == 0`
+/// Splits one level's share into (partitioning, data) parts; `q == 0`
 /// gives everything to the data side (DAF-Entropy).
-fn split_level_budget(eps_level: f64, q: f64) -> (f64, f64) {
-    debug_assert!((0.0..1.0).contains(&q));
-    (eps_level * q, eps_level * (1.0 - q))
+fn split_level(level: Share, q: f64) -> Result<(Option<Share>, Share), DpError> {
+    if q == 0.0 {
+        return Ok((None, level));
+    }
+    level.split(q).map(|(prt, data)| (Some(prt), data))
 }
 
 #[cfg(test)]
@@ -288,11 +299,14 @@ mod tests {
 
     #[test]
     fn split_level_budget_conserves() {
-        let (p, d) = split_level_budget(0.5, 0.3);
-        assert!((p - 0.15).abs() < 1e-12);
-        assert!((d - 0.35).abs() < 1e-12);
-        let (p0, d0) = split_level_budget(0.5, 0.0);
-        assert_eq!(p0, 0.0);
-        assert_eq!(d0, 0.5);
+        let mut rng = dpod_dp::seeded_rng(1);
+        let mut noise = Noise::new(dpod_dp::Epsilon::new(1.0).unwrap(), &mut rng);
+        let level = noise.share(0.5, "level").unwrap();
+        let (p, d) = split_level(level, 0.3).unwrap();
+        assert!((p.unwrap().epsilon() - 0.15).abs() < 1e-12);
+        assert!((d.epsilon() - 0.35).abs() < 1e-12);
+        let (p0, d0) = split_level(level, 0.0).unwrap();
+        assert!(p0.is_none());
+        assert_eq!(d0, level);
     }
 }

@@ -1,7 +1,8 @@
 use crate::daf::engine::{equal_cuts, DafPayload, DafRun, SplitPlanner};
 use crate::daf::StopPolicy;
+use crate::mechanism::with_noise;
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::Epsilon;
+use dpod_dp::{DpError, Epsilon, Noise, Share};
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::tree::TreeNode;
 use rand::RngCore;
@@ -63,21 +64,23 @@ impl DafEntropy {
         epsilon: Epsilon,
         rng: &mut dyn RngCore,
     ) -> Result<(SanitizedMatrix, TreeNode<DafPayload>), MechanismError> {
-        let (sanitized, mut tree) = DafRun::execute(
-            input,
-            &EqualWidthPlanner,
-            self.stop,
-            epsilon,
-            self.name(),
-            rng,
-        )?;
+        with_noise(epsilon, rng, |noise| self.release_with_tree(input, noise))
+    }
+
+    fn release_with_tree(
+        &self,
+        input: &DenseMatrix<u64>,
+        noise: &mut Noise<'_>,
+    ) -> Result<(SanitizedMatrix, TreeNode<DafPayload>), MechanismError> {
+        let (sanitized, mut tree) =
+            DafRun::execute(input, &EqualWidthPlanner, self.stop, self.name(), noise)?;
         if !self.consistency {
             return Ok((sanitized, tree));
         }
         crate::daf::consistency::enforce_consistency(&mut tree);
         let refined = crate::daf::engine::sanitized_from_tree(
             self.name(),
-            epsilon.value(),
+            noise.total(),
             input.shape(),
             &tree,
         );
@@ -100,10 +103,10 @@ impl SplitPlanner for EqualWidthPlanner {
         bounds: &AxisBox,
         dim: usize,
         fanout: usize,
-        _eps_prt: f64,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<usize> {
-        equal_cuts(bounds.lo()[dim], bounds.hi()[dim], fanout)
+        _prt: Option<Share>,
+        _noise: &mut Noise<'_>,
+    ) -> Result<Vec<usize>, DpError> {
+        Ok(equal_cuts(bounds.lo()[dim], bounds.hi()[dim], fanout))
     }
 }
 
@@ -112,13 +115,12 @@ impl Mechanism for DafEntropy {
         "DAF-Entropy"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
-        Ok(self.sanitize_with_tree(input, epsilon, rng)?.0)
+        Ok(self.release_with_tree(input, noise)?.0)
     }
 }
 

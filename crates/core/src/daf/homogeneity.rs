@@ -1,11 +1,11 @@
 use crate::daf::engine::{equal_cuts, DafPayload, DafRun, SplitPlanner};
 use crate::daf::StopPolicy;
+use crate::mechanism::with_noise;
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::laplace::sample_laplace;
-use dpod_dp::Epsilon;
+use dpod_dp::{DpError, Epsilon, Noise, Share};
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::tree::TreeNode;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// DAF-Homogeneity (Algorithm 3, §4.3).
 ///
@@ -52,6 +52,14 @@ impl DafHomogeneity {
         epsilon: Epsilon,
         rng: &mut dyn RngCore,
     ) -> Result<(SanitizedMatrix, TreeNode<DafPayload>), MechanismError> {
+        with_noise(epsilon, rng, |noise| self.release_with_tree(input, noise))
+    }
+
+    fn release_with_tree(
+        &self,
+        input: &DenseMatrix<u64>,
+        noise: &mut Noise<'_>,
+    ) -> Result<(SanitizedMatrix, TreeNode<DafPayload>), MechanismError> {
         if !(self.q > 0.0 && self.q < 1.0) {
             return Err(MechanismError::Invalid(format!(
                 "partition budget ratio q must be in (0,1), got {}",
@@ -67,7 +75,7 @@ impl DafHomogeneity {
             q: self.q,
             p: self.candidates,
         };
-        DafRun::execute(input, &planner, self.stop, epsilon, self.name(), rng)
+        DafRun::execute(input, &planner, self.stop, self.name(), noise)
     }
 }
 
@@ -76,13 +84,12 @@ impl Mechanism for DafHomogeneity {
         "DAF-Homogeneity"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
-        Ok(self.sanitize_with_tree(input, epsilon, rng)?.0)
+        Ok(self.release_with_tree(input, noise)?.0)
     }
 }
 
@@ -103,30 +110,30 @@ impl SplitPlanner for HomogeneityPlanner {
         bounds: &AxisBox,
         dim: usize,
         fanout: usize,
-        eps_prt: f64,
-        rng: &mut dyn RngCore,
-    ) -> Vec<usize> {
+        prt: Option<Share>,
+        noise: &mut Noise<'_>,
+    ) -> Result<Vec<usize>, DpError> {
         debug_assert!(fanout >= 2);
         // Segment skeleton: the equal-width boundaries delimit the segment
         // each candidate cut is drawn from (§4.3: "drawing uniformly random
         // split positions from every partition").
         let skeleton = equal_cuts(bounds.lo()[dim], bounds.hi()[dim], fanout);
-        if eps_prt <= 0.0 {
-            return skeleton; // degenerate budget ⇒ fall back to equal width
-        }
-        // Laplace scale for each candidate's objective (sensitivity 2,
-        // budget ε_prt/p per candidate).
-        let scale = 2.0 * self.p as f64 / eps_prt;
+        let Some(prt) = prt else {
+            return Ok(skeleton); // no partitioning budget ⇒ equal width
+        };
+        // Each candidate's objective has sensitivity 2 at budget ε_prt/p:
+        // the p of them are one sensitivity-2p query at ε_prt.
+        let scored = prt.with_sensitivity(2.0 * self.p as f64, "candidate cuts")?;
         let mut best: Option<(f64, Vec<usize>)> = None;
         for _ in 0..self.p {
-            let cuts = draw_candidate(bounds, dim, &skeleton, rng);
+            let cuts = draw_candidate(bounds, dim, &skeleton, noise);
             let objective = homogeneity_objective(input, prefix, bounds, dim, &cuts);
-            let noisy = objective + sample_laplace(rng, scale);
+            let noisy = noise.laplace(objective, scored);
             if best.as_ref().is_none_or(|(b, _)| noisy < *b) {
                 best = Some((noisy, cuts));
             }
         }
-        best.expect("p >= 1 candidates").1
+        Ok(best.expect("p >= 1 candidates").1)
     }
 }
 
@@ -137,14 +144,14 @@ fn draw_candidate(
     bounds: &AxisBox,
     dim: usize,
     skeleton: &[usize],
-    rng: &mut dyn RngCore,
+    noise: &mut Noise<'_>,
 ) -> Vec<usize> {
     let lo = bounds.lo()[dim];
     let mut cuts = Vec::with_capacity(skeleton.len());
     let mut seg_start = lo;
     for &seg_end in skeleton {
         // Integer-uniform over [seg_start+1, seg_end].
-        let cut = rng.gen_range(seg_start + 1..=seg_end);
+        let cut = noise.uniform(seg_start + 1..=seg_end);
         cuts.push(cut);
         seg_start = seg_end;
     }
@@ -219,8 +226,9 @@ mod tests {
         let b = AxisBox::full(&s);
         let skeleton = equal_cuts(0, 100, 5);
         let mut rng = dpod_dp::seeded_rng(1);
+        let mut noise = Noise::new(eps(1.0), &mut rng);
         for _ in 0..200 {
-            let cuts = draw_candidate(&b, 0, &skeleton, &mut rng);
+            let cuts = draw_candidate(&b, 0, &skeleton, &mut noise);
             assert_eq!(cuts.len(), 4);
             for w in cuts.windows(2) {
                 assert!(w[0] < w[1], "{cuts:?}");
@@ -245,7 +253,11 @@ mod tests {
         let planner = HomogeneityPlanner { q: 0.3, p: 12 };
         let b = AxisBox::full(m.shape());
         let mut rng = dpod_dp::seeded_rng(2);
-        let cuts = planner.choose_cuts(&m, &prefix, &b, 0, 2, 100.0, &mut rng);
+        let mut noise = Noise::new(eps(100.0), &mut rng);
+        let prt = noise.rest("partitioning").unwrap();
+        let cuts = planner
+            .choose_cuts(&m, &prefix, &b, 0, 2, Some(prt), &mut noise)
+            .unwrap();
         // One cut; homogeneity prefers it near the step at 20.
         assert!(
             (cuts[0] as i64 - 20).unsigned_abs() <= 6,

@@ -1,10 +1,9 @@
 use crate::granularity::{eug_m, round_granularity, DEFAULT_C0};
 use crate::grid_engine::noisy_total;
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::{laplace::LaplaceMechanism, Epsilon};
+use dpod_dp::Noise;
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::{Partitioning, UniformGrid};
-use rand::RngCore;
 
 /// Adaptive Grid (extension; the "AG" of Qardaji et al. \[15\], which the
 /// paper's §5 groups with UG as partially data-dependent).
@@ -46,11 +45,10 @@ impl Mechanism for AdaptiveGrid {
         "AG"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
         if !(self.alpha > 0.0 && self.alpha < 1.0) {
             return Err(MechanismError::Invalid(format!(
@@ -65,15 +63,12 @@ impl Mechanism for AdaptiveGrid {
             )));
         }
         let d = input.ndim();
-        let mut nt = noisy_total(input, epsilon, self.eps0_fraction, rng)?;
-        let eps_rest = nt.accountant.remaining();
-        let eps1 = nt
-            .accountant
-            .spend(eps_rest * self.alpha, "level-1 cell counts")?;
-        let eps2 = nt.accountant.spend_rest("level-2 cell counts")?;
+        let n_hat = noisy_total(input, self.eps0_fraction, noise)?;
+        let eps1 = noise.share(noise.remaining() * self.alpha, "level-1 cell counts")?;
+        let eps2 = noise.rest("level-2 cell counts")?;
 
         // Level 1: half the EUG granularity at the level-1 budget.
-        let m1 = (eug_m(d, nt.n_hat, eps1.value(), self.c0, None) / 2.0).max(1.0);
+        let m1 = (eug_m(d, n_hat, eps1.epsilon(), self.c0, None) / 2.0).max(1.0);
         let cells1: Vec<usize> = input
             .shape()
             .dims()
@@ -82,7 +77,6 @@ impl Mechanism for AdaptiveGrid {
             .collect();
         let level1 = UniformGrid::new(input.shape(), &cells1).map_err(MechanismError::Invalid)?;
 
-        let lap = LaplaceMechanism::counting();
         let prefix = PrefixSum::from_counts(input);
 
         // Level 2: per level-1 cell, size a sub-grid from the noisy count
@@ -90,13 +84,13 @@ impl Mechanism for AdaptiveGrid {
         let mut boxes: Vec<AxisBox> = Vec::new();
         let mut counts: Vec<f64> = Vec::new();
         for cell in level1.iter_boxes() {
-            let n1 = lap.randomize(prefix.box_count(&cell) as f64, eps1, rng);
-            let m2 = eug_m(d, n1, eps2.value(), self.c0 / 2.0, None);
+            let n1 = noise.laplace(prefix.box_count(&cell) as f64, eps1);
+            let m2 = eug_m(d, n1, eps2.epsilon(), self.c0 / 2.0, None);
             let sub_cells: Vec<usize> = (0..d)
                 .map(|dim| round_granularity(m2, cell.extent(dim)))
                 .collect();
             for sub in subgrid_boxes(&cell, &sub_cells) {
-                let n2 = lap.randomize(prefix.box_count(&sub) as f64, eps2, rng);
+                let n2 = noise.laplace(prefix.box_count(&sub) as f64, eps2);
                 boxes.push(sub);
                 counts.push(n2);
             }
@@ -104,7 +98,7 @@ impl Mechanism for AdaptiveGrid {
         let partitioning = Partitioning::new_unchecked(input.shape().clone(), boxes);
         Ok(SanitizedMatrix::from_partitions(
             self.name(),
-            epsilon.value(),
+            noise.total(),
             input.shape().clone(),
             partitioning,
             counts,
@@ -157,6 +151,7 @@ fn subgrid_boxes(cell: &AxisBox, cells: &[usize]) -> Vec<AxisBox> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpod_dp::Epsilon;
     use dpod_fmatrix::Shape;
 
     fn eps(v: f64) -> Epsilon {

@@ -1,10 +1,8 @@
-use crate::granularity::{eug_m, round_granularity, DEFAULT_C0};
-use crate::grid_engine::{noisy_total, sanitize_grid};
+use crate::granularity::{eug_m, DEFAULT_C0};
+use crate::grid_engine::grid_release;
 use crate::{Mechanism, MechanismError, SanitizedMatrix};
-use dpod_dp::Epsilon;
+use dpod_dp::Noise;
 use dpod_fmatrix::DenseMatrix;
-use dpod_partition::UniformGrid;
-use rand::RngCore;
 
 /// Extended Uniform Grid (Algorithm 1, §3.1).
 ///
@@ -68,11 +66,10 @@ impl Mechanism for Eug {
         "EUG"
     }
 
-    fn sanitize(
+    fn release(
         &self,
         input: &DenseMatrix<u64>,
-        epsilon: Epsilon,
-        rng: &mut dyn RngCore,
+        noise: &mut Noise<'_>,
     ) -> Result<SanitizedMatrix, MechanismError> {
         if !(self.c0 > 0.0 && self.c0.is_finite()) {
             return Err(MechanismError::Invalid(format!(
@@ -87,17 +84,9 @@ impl Mechanism for Eug {
                 )));
             }
         }
-        let nt = noisy_total(input, epsilon, self.eps0_fraction, rng)?;
-        let d = input.ndim();
-        let m = self.granularity(d, nt.n_hat, nt.accountant.remaining());
-        let cells: Vec<usize> = input
-            .shape()
-            .dims()
-            .iter()
-            .map(|&len| round_granularity(m, len))
-            .collect();
-        let grid = UniformGrid::new(input.shape(), &cells).map_err(MechanismError::Invalid)?;
-        sanitize_grid(input, &grid, nt.accountant, epsilon, self.name(), rng)
+        grid_release(input, self.eps0_fraction, self.name(), noise, |d, n, e| {
+            self.granularity(d, n, e)
+        })
     }
 }
 
@@ -105,6 +94,7 @@ impl Mechanism for Eug {
 mod tests {
     use super::*;
     use crate::PartitionSummary;
+    use dpod_dp::Epsilon;
     use dpod_fmatrix::Shape;
 
     fn eps(v: f64) -> Epsilon {

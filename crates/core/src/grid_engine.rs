@@ -1,64 +1,61 @@
-//! Shared engine for the grid-based mechanisms (EUG, EBP, MKM, UNIFORM):
-//! given a granularity, build the equi-width grid, sanitize each cell's
-//! total with the Laplace mechanism, and package a [`SanitizedMatrix`].
+//! Shared engine for the grid-based mechanisms (EUG, EBP, MKM, AG): the
+//! noisy total on ε₀, then an equi-width grid's cells on the rest.
 
+use crate::granularity::round_granularity;
 use crate::{MechanismError, SanitizedMatrix};
-use dpod_dp::{laplace::LaplaceMechanism, BudgetAccountant, Epsilon};
+use dpod_dp::Noise;
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::UniformGrid;
-use rand::RngCore;
 
-/// Result of the shared noisy-total preamble (Alg. 1 lines 1–2).
-pub(crate) struct NoisyTotal {
-    /// The sanitized total count `N̂` (unclamped; formulas clamp).
-    pub n_hat: f64,
-    /// Budget remaining for data perturbation.
-    pub accountant: BudgetAccountant,
-}
-
-/// Spends `eps0_fraction` of the budget on a noisy total count.
+/// Charges `eps0_fraction` of the budget and returns the noisy total
+/// count `N̂` (Alg. 1 lines 1–2; unclamped, formulas clamp).
 pub(crate) fn noisy_total(
     input: &DenseMatrix<u64>,
-    epsilon: Epsilon,
     eps0_fraction: f64,
-    rng: &mut dyn RngCore,
-) -> Result<NoisyTotal, MechanismError> {
+    noise: &mut Noise<'_>,
+) -> Result<f64, MechanismError> {
     if !(eps0_fraction > 0.0 && eps0_fraction < 1.0) {
         return Err(MechanismError::Invalid(format!(
             "eps0_fraction must be in (0,1), got {eps0_fraction}"
         )));
     }
-    let mut accountant = BudgetAccountant::new(epsilon);
-    let e0 = accountant.spend(epsilon.value() * eps0_fraction, "noisy total")?;
-    let lap = LaplaceMechanism::counting();
-    let n_hat = lap.randomize(input.total(), e0, rng);
-    Ok(NoisyTotal { n_hat, accountant })
+    let e0 = noise.share(noise.total() * eps0_fraction, "noisy total")?;
+    Ok(noise.laplace(input.total(), e0))
 }
 
-/// Sanitizes every cell of `grid` with the remaining budget and packages
-/// the release. `mechanism_name` labels the output.
-pub(crate) fn sanitize_grid(
+/// Algorithm 1: the noisy total `N̂`, the granularity
+/// `m = granularity(d, N̂, ε_rest)`, an `m^d` equi-width grid, and its
+/// cells released with the rest of the budget. `mechanism_name` labels
+/// the output.
+pub(crate) fn grid_release(
     input: &DenseMatrix<u64>,
-    grid: &UniformGrid,
-    mut accountant: BudgetAccountant,
-    total_epsilon: Epsilon,
+    eps0_fraction: f64,
     mechanism_name: &str,
-    rng: &mut dyn RngCore,
+    noise: &mut Noise<'_>,
+    granularity: impl Fn(usize, f64, f64) -> f64,
 ) -> Result<SanitizedMatrix, MechanismError> {
+    let n_hat = noisy_total(input, eps0_fraction, noise)?;
+    let m = granularity(input.ndim(), n_hat, noise.remaining());
+    let cells: Vec<usize> = input
+        .shape()
+        .dims()
+        .iter()
+        .map(|&len| round_granularity(m, len))
+        .collect();
+    let grid = UniformGrid::new(input.shape(), &cells).map_err(MechanismError::Invalid)?;
     // Disjoint partitions ⇒ parallel composition: each cell's count query
     // consumes the same (remaining) budget once, not once per cell.
-    let e_data = accountant.spend_rest("grid cell counts")?;
-    let lap = LaplaceMechanism::counting();
+    let e_data = noise.rest("grid cell counts")?;
     let prefix = PrefixSum::from_counts(input);
     let boxes: Vec<AxisBox> = grid.iter_boxes().collect();
     let noisy: Vec<f64> = boxes
         .iter()
-        .map(|b| lap.randomize(prefix.box_count(b) as f64, e_data, rng))
+        .map(|b| noise.laplace(prefix.box_count(b) as f64, e_data))
         .collect();
     let partitioning = grid.to_partitioning();
     Ok(SanitizedMatrix::from_partitions(
         mechanism_name,
-        total_epsilon.value(),
+        noise.total(),
         input.shape().clone(),
         partitioning,
         noisy,
@@ -68,6 +65,7 @@ pub(crate) fn sanitize_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpod_dp::Epsilon;
     use dpod_fmatrix::Shape;
 
     fn eps(v: f64) -> Epsilon {
@@ -84,28 +82,30 @@ mod tests {
     fn noisy_total_spends_fraction() {
         let m = matrix(&[8, 8], 10);
         let mut rng = dpod_dp::seeded_rng(1);
-        let nt = noisy_total(&m, eps(1.0), 0.01, &mut rng).unwrap();
-        assert!((nt.accountant.spent() - 0.01).abs() < 1e-12);
+        let mut noise = Noise::new(eps(1.0), &mut rng);
+        let n_hat = noisy_total(&m, 0.01, &mut noise).unwrap();
+        assert!((noise.spent() - 0.01).abs() < 1e-12);
         // With ε₀ = 0.01 the noise scale is 100; N = 640.
-        assert!((nt.n_hat - 640.0).abs() < 2_000.0);
+        assert!((n_hat - 640.0).abs() < 2_000.0);
     }
 
     #[test]
     fn noisy_total_rejects_bad_fraction() {
         let m = matrix(&[4], 1);
         let mut rng = dpod_dp::seeded_rng(2);
-        assert!(noisy_total(&m, eps(1.0), 0.0, &mut rng).is_err());
-        assert!(noisy_total(&m, eps(1.0), 1.0, &mut rng).is_err());
+        let mut noise = Noise::new(eps(1.0), &mut rng);
+        assert!(noisy_total(&m, 0.0, &mut noise).is_err());
+        assert!(noisy_total(&m, 1.0, &mut noise).is_err());
     }
 
     #[test]
     fn sanitize_grid_releases_every_cell() {
         let m = matrix(&[6, 6], 100);
-        let grid = UniformGrid::isotropic(m.shape(), 3);
         let mut rng = dpod_dp::seeded_rng(3);
-        let acc = BudgetAccountant::new(eps(2.0));
-        let out = sanitize_grid(&m, &grid, acc, eps(2.0), "test", &mut rng).unwrap();
+        let mut noise = Noise::new(eps(2.0), &mut rng);
+        let out = grid_release(&m, 0.01, "test", &mut noise, |_, _, _| 3.0).unwrap();
         assert_eq!(out.num_partitions(), 9);
+        assert!((noise.spent() - 2.0).abs() < 1e-12);
         // Each 2×2 block holds 400; with ε=2 noise is tiny relative to that.
         let err = (out.total() - 3_600.0).abs();
         assert!(err < 100.0, "total error {err}");
@@ -114,10 +114,9 @@ mod tests {
     #[test]
     fn grid_output_close_to_truth_at_high_budget() {
         let m = matrix(&[10, 10], 50);
-        let grid = UniformGrid::isotropic(m.shape(), 5);
         let mut rng = dpod_dp::seeded_rng(4);
-        let acc = BudgetAccountant::new(eps(50.0));
-        let out = sanitize_grid(&m, &grid, acc, eps(50.0), "hi", &mut rng).unwrap();
+        let mut noise = Noise::new(eps(50.0), &mut rng);
+        let out = grid_release(&m, 0.01, "hi", &mut noise, |_, _, _| 5.0).unwrap();
         for c in m.shape().iter_coords() {
             let est = out.entry(&c).unwrap();
             assert!((est - 50.0).abs() < 5.0, "entry {c:?}: {est}");

@@ -1,5 +1,5 @@
 use crate::SanitizedMatrix;
-use dpod_dp::{DpError, Epsilon};
+use dpod_dp::{DpError, Epsilon, Noise};
 use dpod_fmatrix::{DenseMatrix, FmError};
 use rand::RngCore;
 use std::fmt;
@@ -50,9 +50,9 @@ impl From<FmError> for MechanismError {
 /// A differentially-private frequency-matrix sanitization mechanism.
 ///
 /// The contract (Problem 1 of the paper): given the exact count matrix `F`
-/// and a total budget ε, release an ε-DP estimate of `F`. Implementations
-/// must spend **at most** ε along any sequential-composition path; the
-/// workspace's integration tests verify this through instrumented runs.
+/// and a total budget ε, release an ε-DP estimate of `F`, spending **at
+/// most** ε. Every noisy value is drawn through the [`Noise`] handle, and
+/// [`Mechanism::sanitize`] refuses a release whose shares exceed ε.
 ///
 /// The trait is object-safe (`&mut dyn RngCore`) so experiment harnesses
 /// can hold heterogeneous mechanism suites.
@@ -61,18 +61,44 @@ pub trait Mechanism {
     /// figure legends, e.g. `"EBP"`, `"DAF-Entropy"`).
     fn name(&self) -> &'static str;
 
-    /// Sanitizes `input` under total budget `epsilon`.
+    /// Releases `input`, drawing all noise through `noise`.
     ///
     /// # Errors
     /// [`MechanismError`] when the configuration is invalid for the input
-    /// (wrong dimensionality, exhausted budget, …). Mechanisms never panic
+    /// (wrong dimensionality, a refused share, …). Mechanisms never panic
     /// on valid inputs.
+    fn release(
+        &self,
+        input: &DenseMatrix<u64>,
+        noise: &mut Noise<'_>,
+    ) -> Result<SanitizedMatrix, MechanismError>;
+
+    /// Sanitizes `input` under total budget `epsilon` through a fresh
+    /// noise handle.
+    ///
+    /// # Errors
+    /// As [`Mechanism::release`]; [`MechanismError::Dp`] when a share was
+    /// refused, even if the release carried on.
     fn sanitize(
         &self,
         input: &DenseMatrix<u64>,
         epsilon: Epsilon,
         rng: &mut dyn RngCore,
-    ) -> Result<SanitizedMatrix, MechanismError>;
+    ) -> Result<SanitizedMatrix, MechanismError> {
+        with_noise(epsilon, rng, |noise| self.release(input, noise))
+    }
+}
+
+/// Runs `release` on a fresh [`Noise`] handle; fails if it refused a share.
+pub(crate) fn with_noise<T>(
+    epsilon: Epsilon,
+    rng: &mut dyn RngCore,
+    release: impl FnOnce(&mut Noise<'_>) -> Result<T, MechanismError>,
+) -> Result<T, MechanismError> {
+    let mut noise = Noise::new(epsilon, rng);
+    let out = release(&mut noise)?;
+    noise.check()?;
+    Ok(out)
 }
 
 #[cfg(test)]

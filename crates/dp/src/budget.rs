@@ -1,7 +1,5 @@
 use crate::{DpError, Epsilon, Result};
-use parking_lot::Mutex;
 use serde::Serialize;
-use std::sync::Arc;
 
 /// Relative tolerance for float drift in budget arithmetic.
 ///
@@ -84,7 +82,7 @@ impl BudgetAccountant {
             return Err(DpError::InvalidEpsilon { value: epsilon });
         }
         let remaining = self.remaining();
-        let slack = BUDGET_SLACK * self.total.max(1.0);
+        let slack = BUDGET_SLACK * self.total;
         if epsilon > remaining + slack {
             return Err(DpError::BudgetExhausted {
                 requested: epsilon,
@@ -154,8 +152,8 @@ impl BudgetAccountant {
 ///
 /// This is what the serving layer's ε-budget gauges are built from: a
 /// monitoring scrape needs the three totals (not the entry-by-entry
-/// history) as one consistent reading, which a pile of separate
-/// `total()` / `spent()` calls on a [`SharedAccountant`] cannot give.
+/// history) as one consistent reading, taken under the same lock as the
+/// spends it reports.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BudgetSnapshot {
     /// Total budget the accountant started with.
@@ -180,66 +178,18 @@ impl BudgetAccountant {
     }
 }
 
-/// A thread-safe accountant for instrumenting concurrent experiments.
-///
-/// The mechanisms themselves are single-threaded per sanitization run (the
-/// DAF recursion is inherently sequential in its budget arithmetic), but
-/// the reproduction harness runs many sanitizations in parallel and the
-/// integration tests attach one shared ledger across a whole experiment.
-#[derive(Debug, Clone)]
-pub struct SharedAccountant {
-    inner: Arc<Mutex<BudgetAccountant>>,
-}
-
-impl SharedAccountant {
-    /// A fresh shared accountant holding `total` budget.
-    pub fn new(total: Epsilon) -> Self {
-        SharedAccountant {
-            inner: Arc::new(Mutex::new(BudgetAccountant::new(total))),
-        }
-    }
-
-    /// See [`BudgetAccountant::spend`].
-    ///
-    /// # Errors
-    /// Same as [`BudgetAccountant::spend`].
-    pub fn spend(&self, epsilon: f64, label: &str) -> Result<Epsilon> {
-        self.inner.lock().spend(epsilon, label)
-    }
-
-    /// See [`BudgetAccountant::release`].
-    ///
-    /// # Errors
-    /// Same as [`BudgetAccountant::release`].
-    pub fn release(&self, epsilon: f64, label: &str) -> Result<f64> {
-        self.inner.lock().release(epsilon, label)
-    }
-
-    /// See [`BudgetAccountant::remaining`].
-    pub fn remaining(&self) -> f64 {
-        self.inner.lock().remaining()
-    }
-
-    /// See [`BudgetAccountant::spent`].
-    pub fn spent(&self) -> f64 {
-        self.inner.lock().spent()
-    }
-
-    /// Snapshot of the ledger.
-    pub fn ledger(&self) -> Vec<LedgerEntry> {
-        self.inner.lock().ledger().to_vec()
-    }
-
-    /// See [`BudgetAccountant::snapshot`] — one lock acquisition, so the
-    /// three totals are mutually consistent even under concurrent spends.
-    pub fn snapshot(&self) -> BudgetSnapshot {
-        self.inner.lock().snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+
+    /// An accountant shared across threads the way the serving layer's
+    /// per-series ledgers hold one: behind a lock.
+    type Shared = Arc<Mutex<BudgetAccountant>>;
+
+    fn shared(total: f64) -> Shared {
+        Arc::new(Mutex::new(BudgetAccountant::new(eps(total))))
+    }
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -280,6 +230,19 @@ mod tests {
     }
 
     #[test]
+    fn slack_is_relative_at_small_totals() {
+        let mut acc = BudgetAccountant::new(eps(1e-10));
+        assert!(matches!(
+            acc.spend(2e-10, "double"),
+            Err(DpError::BudgetExhausted { .. })
+        ));
+        assert_eq!(acc.spent(), 0.0);
+        // Drift within the relative slack is still clamped.
+        let granted = acc.spend(1e-10 * (1.0 + 1e-12), "all").unwrap();
+        assert_eq!(granted.value(), 1e-10);
+    }
+
+    #[test]
     fn spend_rest_drains_budget() {
         let mut acc = BudgetAccountant::new(eps(0.7));
         acc.spend(0.25, "half").unwrap();
@@ -307,9 +270,9 @@ mod tests {
         assert!((snap.spent - 0.5).abs() < 1e-12);
         assert!((snap.remaining - 0.5).abs() < 1e-12);
         assert_eq!(snap.entries, 2);
-        let shared = SharedAccountant::new(eps(0.7));
-        shared.spend(0.7, "all").unwrap();
-        let snap = shared.snapshot();
+        let mut all = BudgetAccountant::new(eps(0.7));
+        all.spend(0.7, "all").unwrap();
+        let snap = all.snapshot();
         assert_eq!(snap.remaining, 0.0);
         assert_eq!(snap.entries, 1);
     }
@@ -356,29 +319,32 @@ mod tests {
     /// observation, however the threads interleave.
     #[test]
     fn snapshot_stays_consistent_under_racing_spend_and_release() {
-        let acc = SharedAccountant::new(eps(1.0));
+        let acc = shared(1.0);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
         let mut workers = Vec::new();
         for t in 0..4u64 {
-            let acc = acc.clone();
+            let acc = Arc::clone(&acc);
             workers.push(std::thread::spawn(move || {
                 for i in 0..500 {
                     // Publish an epoch's worth, then retire it.
-                    if acc.spend(0.01, &format!("t{t} epoch {i}")).is_ok() {
-                        acc.release(0.01, &format!("t{t} retire {i}")).unwrap();
+                    let mut ledger = acc.lock().unwrap();
+                    if ledger.spend(0.01, &format!("t{t} epoch {i}")).is_ok() {
+                        drop(ledger);
+                        let mut ledger = acc.lock().unwrap();
+                        ledger.release(0.01, &format!("t{t} retire {i}")).unwrap();
                     }
                 }
             }));
         }
         let scrapers: Vec<_> = (0..2)
             .map(|_| {
-                let acc = acc.clone();
+                let acc = Arc::clone(&acc);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut seen = 0usize;
                     loop {
-                        let snap = acc.snapshot();
+                        let snap = acc.lock().unwrap().snapshot();
                         assert!(snap.spent >= 0.0, "spent went negative: {snap:?}");
                         assert!(
                             snap.spent <= snap.total + 1e-9,
@@ -404,6 +370,7 @@ mod tests {
         for s in scrapers {
             assert!(s.join().unwrap() > 0, "scraper never ran");
         }
+        let acc = acc.lock().unwrap();
         // Every spend was matched by a release: the pool is whole again.
         assert!(acc.spent().abs() < 1e-9);
         assert!((acc.remaining() - 1.0).abs() < 1e-9);
@@ -414,11 +381,11 @@ mod tests {
 
     #[test]
     fn shared_accountant_is_thread_safe() {
-        let acc = SharedAccountant::new(eps(1.0));
+        let acc = shared(1.0);
         let handles: Vec<_> = (0..8)
             .map(|i| {
-                let acc = acc.clone();
-                std::thread::spawn(move || acc.spend(0.1, &format!("t{i}")).is_ok())
+                let acc = Arc::clone(&acc);
+                std::thread::spawn(move || acc.lock().unwrap().spend(0.1, &format!("t{i}")).is_ok())
             })
             .collect();
         let successes = handles
@@ -428,6 +395,6 @@ mod tests {
             .count();
         // 8 threads each requesting 0.1 of a 1.0 budget: all succeed.
         assert_eq!(successes, 8);
-        assert!((acc.spent() - 0.8).abs() < 1e-9);
+        assert!((acc.lock().unwrap().spent() - 0.8).abs() < 1e-9);
     }
 }

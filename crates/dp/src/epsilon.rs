@@ -10,10 +10,7 @@ use std::fmt;
 ///
 /// ```
 /// use dpod_dp::Epsilon;
-/// let e = Epsilon::new(0.5).unwrap();
-/// let (part, rest) = e.split_fraction(0.1).unwrap();
-/// assert!((part.value() - 0.05).abs() < 1e-12);
-/// assert!((rest.value() - 0.45).abs() < 1e-12);
+/// assert_eq!(Epsilon::new(0.5).unwrap().value(), 0.5);
 /// assert!(Epsilon::new(-1.0).is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
@@ -37,32 +34,6 @@ impl Epsilon {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// Splits the budget into `(fraction · ε, (1 − fraction) · ε)`.
-    ///
-    /// Used for the paper's ε₀ (Alg. 1) and DAF-Homogeneity's
-    /// `(ε_prt, ε_data)` split (Eq. 20).
-    ///
-    /// # Errors
-    /// [`DpError::InvalidFraction`] unless `fraction ∈ (0, 1)`.
-    pub fn split_fraction(self, fraction: f64) -> Result<(Epsilon, Epsilon)> {
-        if !(fraction > 0.0 && fraction < 1.0) {
-            return Err(DpError::InvalidFraction { value: fraction });
-        }
-        Ok((
-            Epsilon(self.0 * fraction),
-            Epsilon(self.0 * (1.0 - fraction)),
-        ))
-    }
-
-    /// Divides the budget evenly across `n` sequential uses.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn divide(self, n: usize) -> Epsilon {
-        assert!(n > 0, "cannot divide a budget across zero uses");
-        Epsilon(self.0 / n as f64)
-    }
 }
 
 impl fmt::Display for Epsilon {
@@ -81,27 +52,5 @@ mod tests {
             assert!(Epsilon::new(bad).is_err(), "accepted {bad}");
         }
         assert!(Epsilon::new(1e-12).is_ok());
-    }
-
-    #[test]
-    fn split_fraction_conserves_budget() {
-        let e = Epsilon::new(0.3).unwrap();
-        let (a, b) = e.split_fraction(0.25).unwrap();
-        assert!((a.value() + b.value() - 0.3).abs() < 1e-15);
-        assert!(e.split_fraction(0.0).is_err());
-        assert!(e.split_fraction(1.0).is_err());
-        assert!(e.split_fraction(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn divide_splits_evenly() {
-        let e = Epsilon::new(1.0).unwrap();
-        assert!((e.divide(4).value() - 0.25).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero uses")]
-    fn divide_by_zero_panics() {
-        let _ = Epsilon::new(1.0).unwrap().divide(0);
     }
 }

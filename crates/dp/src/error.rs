@@ -22,10 +22,13 @@ pub enum DpError {
         /// Label of the offending spend, for diagnostics.
         label: String,
     },
-    /// A budget fraction was outside `(0, 1)`.
-    InvalidFraction {
-        /// The rejected value.
-        value: f64,
+    /// A share's Laplace scale `sensitivity/ε` is not finite: ε is too
+    /// small to draw from.
+    NonFiniteScale {
+        /// The overflowed scale.
+        scale: f64,
+        /// Label of the refused share, for diagnostics.
+        label: String,
     },
 }
 
@@ -46,8 +49,8 @@ impl fmt::Display for DpError {
                 f,
                 "budget exhausted at '{label}': requested {requested}, remaining {remaining}"
             ),
-            DpError::InvalidFraction { value } => {
-                write!(f, "invalid budget fraction {value}: must be in (0, 1)")
+            DpError::NonFiniteScale { scale, label } => {
+                write!(f, "noise scale {scale} at '{label}' is not finite")
             }
         }
     }

@@ -1,4 +1,5 @@
-//! The two-sided geometric ("discrete Laplace") mechanism.
+//! The two-sided geometric ("discrete Laplace") sampler behind
+//! [`crate::Noise::geometric`].
 //!
 //! An integer-valued alternative to Laplace noise for count queries; the
 //! paper lists "more sophisticated mechanisms in addition to Laplace noise
@@ -8,7 +9,6 @@
 //! `Pr[k] ∝ α^{|k|}` where `α = e^{−ε/s}`; this satisfies ε-DP for
 //! integer-valued queries of L1-sensitivity `s`.
 
-use crate::{DpError, Epsilon, Result};
 use rand::RngCore;
 
 /// Draws one sample of two-sided geometric noise with parameter `alpha ∈ (0,1)`.
@@ -39,75 +39,44 @@ fn sample_geometric(rng: &mut dyn RngCore, alpha: f64) -> i64 {
     (u.ln() / alpha.ln()).floor() as i64
 }
 
-/// The geometric mechanism for integer count queries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeometricMechanism {
-    sensitivity: f64,
-}
-
-impl GeometricMechanism {
-    /// A mechanism for integer queries with the given L1-sensitivity.
-    ///
-    /// # Errors
-    /// [`DpError::InvalidSensitivity`] unless finite and `> 0`.
-    pub fn new(sensitivity: f64) -> Result<Self> {
-        if !sensitivity.is_finite() || sensitivity <= 0.0 {
-            return Err(DpError::InvalidSensitivity { value: sensitivity });
-        }
-        Ok(GeometricMechanism { sensitivity })
-    }
-
-    /// The sensitivity-1 mechanism for disjoint count queries.
-    pub fn counting() -> Self {
-        GeometricMechanism { sensitivity: 1.0 }
-    }
-
-    /// The decay parameter `α = e^{−ε/s}` at budget `epsilon`.
-    #[inline]
-    pub fn alpha(&self, epsilon: Epsilon) -> f64 {
-        (-epsilon.value() / self.sensitivity).exp()
-    }
-
-    /// Noise standard deviation `√(2α)/(1−α)` at budget `epsilon`.
-    pub fn noise_std(&self, epsilon: Epsilon) -> f64 {
-        let a = self.alpha(epsilon);
-        (2.0 * a).sqrt() / (1.0 - a)
-    }
-
-    /// Releases `true_count + noise` as an integer.
-    #[inline]
-    pub fn randomize(&self, true_count: i64, epsilon: Epsilon, rng: &mut dyn RngCore) -> i64 {
-        true_count + sample_two_sided_geometric(rng, self.alpha(epsilon))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::seeded_rng;
+    use crate::{seeded_rng, DpError, Epsilon, Noise};
+
+    fn eps(v: f64) -> Epsilon {
+        Epsilon::new(v).unwrap()
+    }
 
     #[test]
     fn rejects_bad_sensitivity() {
-        assert!(GeometricMechanism::new(0.0).is_err());
-        assert!(GeometricMechanism::new(f64::INFINITY).is_err());
+        let mut rng = seeded_rng(1);
+        let s = Noise::new(eps(1.0), &mut rng).rest("counts").unwrap();
+        assert!(matches!(
+            s.with_sensitivity(0.0, "counts"),
+            Err(DpError::InvalidSensitivity { .. })
+        ));
+        assert!(s.with_sensitivity(f64::INFINITY, "counts").is_err());
     }
 
     #[test]
     fn alpha_decreases_with_epsilon() {
-        let m = GeometricMechanism::counting();
-        let a1 = m.alpha(Epsilon::new(0.1).unwrap());
-        let a2 = m.alpha(Epsilon::new(1.0).unwrap());
-        assert!(a1 > a2, "more budget must mean faster decay");
-        assert!(a1 < 1.0 && a2 > 0.0);
+        // More budget must mean faster decay: fewer draws away from 0.
+        let spread = |e: f64| {
+            let mut rng = seeded_rng(2);
+            let mut noise = Noise::new(eps(e), &mut rng);
+            let s = noise.rest("counts").unwrap();
+            (0..20_000).filter(|_| noise.geometric(0, s) != 0).count()
+        };
+        assert!(spread(0.1) > spread(1.0));
     }
 
     #[test]
     fn noise_is_zero_mean_integer() {
-        let m = GeometricMechanism::counting();
-        let e = Epsilon::new(0.5).unwrap();
         let mut rng = seeded_rng(77);
+        let mut noise = Noise::new(eps(0.5), &mut rng);
+        let s = noise.rest("counts").unwrap();
         let n = 100_000;
-        let sum: i64 = (0..n).map(|_| m.randomize(0, e, &mut rng)).sum();
+        let sum: i64 = (0..n).map(|_| noise.geometric(0, s)).sum();
         let mean = sum as f64 / n as f64;
         // std ≈ √(2α)/(1−α) ≈ 3.2; s.e. of mean ≈ 0.01
         assert!(mean.abs() < 0.06, "mean {mean} too far from 0");
@@ -115,18 +84,20 @@ mod tests {
 
     #[test]
     fn variance_matches_closed_form() {
-        let m = GeometricMechanism::counting();
-        let e = Epsilon::new(1.0).unwrap();
         let mut rng = seeded_rng(13);
+        let mut noise = Noise::new(eps(1.0), &mut rng);
+        let s = noise.rest("counts").unwrap();
         let n = 200_000;
-        let samples: Vec<i64> = (0..n).map(|_| m.randomize(0, e, &mut rng)).collect();
+        let samples: Vec<i64> = (0..n).map(|_| noise.geometric(0, s)).collect();
         let mean = samples.iter().sum::<i64>() as f64 / n as f64;
         let var = samples
             .iter()
             .map(|&x| (x as f64 - mean).powi(2))
             .sum::<f64>()
             / n as f64;
-        let expected = m.noise_std(e).powi(2);
+        // Var = 2α/(1−α)² with α = e^{−ε}.
+        let a = (-1.0f64).exp();
+        let expected = 2.0 * a / ((1.0 - a) * (1.0 - a));
         assert!(
             (var - expected).abs() / expected < 0.05,
             "variance {var} vs expected {expected}"
@@ -137,16 +108,16 @@ mod tests {
     fn pmf_ratio_respects_dp_bound() {
         // Empirical PMF ratio between neighbouring counts 0 and 1 must stay
         // within e^ε (with sampling slack).
-        let eps = 0.8;
-        let m = GeometricMechanism::counting();
-        let e = Epsilon::new(eps).unwrap();
+        let e = 0.8;
         let mut rng = seeded_rng(3);
+        let mut noise = Noise::new(eps(e), &mut rng);
+        let s = noise.rest("counts").unwrap();
         let n = 300_000;
         let mut h0 = std::collections::HashMap::new();
         let mut h1 = std::collections::HashMap::new();
         for _ in 0..n {
-            *h0.entry(m.randomize(0, e, &mut rng)).or_insert(0u32) += 1;
-            *h1.entry(m.randomize(1, e, &mut rng)).or_insert(0u32) += 1;
+            *h0.entry(noise.geometric(0, s)).or_insert(0u32) += 1;
+            *h1.entry(noise.geometric(1, s)).or_insert(0u32) += 1;
         }
         for (k, &a) in &h0 {
             let b = h1.get(k).copied().unwrap_or(0);
@@ -154,7 +125,7 @@ mod tests {
                 continue;
             }
             let ratio = a as f64 / b as f64;
-            let bound = eps.exp() * 1.1;
+            let bound = e.exp() * 1.1;
             assert!(
                 ratio < bound && 1.0 / ratio < bound,
                 "k={k}: ratio {ratio} violates bound"

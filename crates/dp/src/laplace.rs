@@ -1,9 +1,9 @@
-//! The Laplace mechanism (Eq. 2 of the paper).
+//! The Laplace sampler behind [`crate::Noise::laplace`] (Eq. 2 of the
+//! paper).
 //!
 //! For a query with L1-sensitivity `s` and budget ε, noise is drawn from
 //! `Lap(b)` with scale `b = s/ε`; the paper writes this `Lap(s/ε)`.
 
-use crate::{DpError, Epsilon, Result};
 use rand::RngCore;
 
 /// Draws one sample from the zero-mean Laplace distribution with scale `b`.
@@ -29,83 +29,40 @@ pub fn sample_laplace(rng: &mut dyn RngCore, scale: f64) -> f64 {
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
 
-/// The Laplace mechanism for real-valued queries of known L1-sensitivity.
-///
-/// ```
-/// use dpod_dp::{laplace::LaplaceMechanism, Epsilon};
-/// let mech = LaplaceMechanism::new(1.0).unwrap();
-/// let mut rng = dpod_dp::seeded_rng(7);
-/// let noisy = mech.randomize(42.0, Epsilon::new(0.5).unwrap(), &mut rng);
-/// assert!((noisy - 42.0).abs() < 100.0); // noise has scale 2
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaplaceMechanism {
-    sensitivity: f64,
-}
-
-impl LaplaceMechanism {
-    /// A mechanism for queries with the given L1-sensitivity.
-    ///
-    /// Disjoint-partition count queries — the only queries the paper's
-    /// mechanisms release — have sensitivity 1 ([`LaplaceMechanism::counting`]).
-    ///
-    /// # Errors
-    /// [`DpError::InvalidSensitivity`] unless finite and `> 0`.
-    pub fn new(sensitivity: f64) -> Result<Self> {
-        if !sensitivity.is_finite() || sensitivity <= 0.0 {
-            return Err(DpError::InvalidSensitivity { value: sensitivity });
-        }
-        Ok(LaplaceMechanism { sensitivity })
-    }
-
-    /// The sensitivity-1 mechanism for disjoint count queries.
-    pub fn counting() -> Self {
-        LaplaceMechanism { sensitivity: 1.0 }
-    }
-
-    /// The query sensitivity `s`.
-    #[inline]
-    pub fn sensitivity(&self) -> f64 {
-        self.sensitivity
-    }
-
-    /// Noise scale `b = s/ε` used at budget `epsilon`.
-    #[inline]
-    pub fn scale(&self, epsilon: Epsilon) -> f64 {
-        self.sensitivity / epsilon.value()
-    }
-
-    /// Standard deviation `√2·b` of the released noise at budget `epsilon`.
-    #[inline]
-    pub fn noise_std(&self, epsilon: Epsilon) -> f64 {
-        std::f64::consts::SQRT_2 * self.scale(epsilon)
-    }
-
-    /// Releases `true_value + Lap(s/ε)`.
-    #[inline]
-    pub fn randomize(&self, true_value: f64, epsilon: Epsilon, rng: &mut dyn RngCore) -> f64 {
-        true_value + sample_laplace(rng, self.scale(epsilon))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded_rng;
+    use crate::{seeded_rng, DpError, Epsilon, Noise};
+
+    fn eps(v: f64) -> Epsilon {
+        Epsilon::new(v).unwrap()
+    }
 
     #[test]
     fn rejects_bad_sensitivity() {
-        assert!(LaplaceMechanism::new(0.0).is_err());
-        assert!(LaplaceMechanism::new(-2.0).is_err());
-        assert!(LaplaceMechanism::new(f64::NAN).is_err());
+        let mut rng = seeded_rng(1);
+        let share = Noise::new(eps(1.0), &mut rng).rest("q").unwrap();
+        for bad in [0.0, -2.0, f64::NAN] {
+            assert!(matches!(
+                share.with_sensitivity(bad, "q"),
+                Err(DpError::InvalidSensitivity { .. })
+            ));
+        }
     }
 
     #[test]
     fn scale_and_std() {
-        let m = LaplaceMechanism::new(2.0).unwrap();
-        let e = Epsilon::new(0.5).unwrap();
-        assert!((m.scale(e) - 4.0).abs() < 1e-12);
-        assert!((m.noise_std(e) - 4.0 * std::f64::consts::SQRT_2).abs() < 1e-12);
+        let mut rng = seeded_rng(2);
+        let mut noise = Noise::new(eps(0.5), &mut rng);
+        let share = noise.rest("q").unwrap().with_sensitivity(2.0, "q").unwrap();
+        assert!((share.scale() - 4.0).abs() < 1e-12);
+        // The released noise has standard deviation √2·b.
+        let n = 100_000;
+        let var = (0..n)
+            .map(|_| noise.laplace(0.0, share).powi(2))
+            .sum::<f64>()
+            / n as f64;
+        assert!((var.sqrt() / (4.0 * std::f64::consts::SQRT_2) - 1.0).abs() < 0.03);
     }
 
     #[test]
@@ -148,17 +105,16 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let m = LaplaceMechanism::counting();
-        let e = Epsilon::new(0.1).unwrap();
-        let a: Vec<f64> = {
-            let mut rng = seeded_rng(5);
-            (0..10).map(|_| m.randomize(0.0, e, &mut rng)).collect()
+        let draw = |seed| {
+            let mut rng = seeded_rng(seed);
+            let mut noise = Noise::new(eps(0.1), &mut rng);
+            let share = noise.rest("cells").unwrap();
+            (0..10)
+                .map(|_| noise.laplace(0.0, share))
+                .collect::<Vec<_>>()
         };
-        let b: Vec<f64> = {
-            let mut rng = seeded_rng(5);
-            (0..10).map(|_| m.randomize(0.0, e, &mut rng)).collect()
-        };
-        assert_eq!(a, b);
+        assert_eq!(draw(5), draw(5));
+        assert_ne!(draw(5), draw(6));
     }
 
     /// Empirical ε-DP check on a single counting query: the densities of
@@ -167,29 +123,29 @@ mod tests {
     /// the sampler.
     #[test]
     fn empirical_dp_ratio_single_query() {
-        let eps = 1.0;
-        let m = LaplaceMechanism::counting();
-        let e = Epsilon::new(eps).unwrap();
+        let eps_value = 1.0;
         let n = 400_000;
         let mut rng = seeded_rng(31);
-        let hist = |true_v: f64, rng: &mut rand::rngs::StdRng| {
+        let mut noise = Noise::new(eps(eps_value), &mut rng);
+        let share = noise.rest("count").unwrap();
+        let mut hist = |true_v: f64| {
             let mut buckets = vec![0u32; 40];
             for _ in 0..n {
-                let x = m.randomize(true_v, e, rng);
+                let x = noise.laplace(true_v, share);
                 // Buckets of width 0.25 over [−5, 5].
                 let b = (((x + 5.0) / 0.25) as isize).clamp(0, 39) as usize;
                 buckets[b] += 1;
             }
             buckets
         };
-        let h0 = hist(0.0, &mut rng);
-        let h1 = hist(1.0, &mut rng);
+        let h0 = hist(0.0);
+        let h1 = hist(1.0);
         for (i, (&a, &b)) in h0.iter().zip(&h1).enumerate() {
             if a < 500 || b < 500 {
                 continue; // skip sparsely populated tails
             }
             let ratio = a as f64 / b as f64;
-            let bound = eps.exp() * 1.15; // 15% sampling slack
+            let bound = eps_value.exp() * 1.15; // 15% sampling slack
             assert!(
                 ratio < bound && 1.0 / ratio < bound,
                 "bucket {i}: ratio {ratio} violates e^eps bound"

@@ -3,15 +3,15 @@
 //! Differential-privacy primitives for the `dp-odmatrix` workspace:
 //!
 //! * [`Epsilon`] — a validated privacy-budget value;
-//! * [`laplace`] — the Laplace mechanism (§2.1 of the paper, Eq. 2);
-//! * [`geometric`] — the two-sided geometric mechanism (integer-valued
-//!   alternative mentioned in the paper's future work; used by ablations);
-//! * [`BudgetAccountant`] / [`SharedAccountant`] — sequential-composition
-//!   ledgers that make every mechanism's budget arithmetic auditable and
-//!   testable.
+//! * [`Noise`] — the one noise path: every mechanism charges ε in
+//!   [`Share`]s and draws its noise through this per-release handle;
+//! * [`laplace`] / [`geometric`] — its samplers: Laplace noise (Eq. 2 of
+//!   the paper) and the integer-valued alternative ablation A5 uses;
+//! * [`BudgetAccountant`] — the sequential-composition ledger, per release
+//!   inside [`Noise`] and per series in the server.
 //!
-//! All sampling is parameterized by `&mut dyn rand::RngCore` so mechanisms
-//! stay object-safe and every experiment is reproducible from a seed.
+//! Each draw is on a shared `&mut dyn rand::RngCore`, so mechanisms stay
+//! object-safe and every experiment is reproducible from a seed.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -21,10 +21,12 @@ mod epsilon;
 mod error;
 pub mod geometric;
 pub mod laplace;
+mod noise;
 
-pub use budget::{BudgetAccountant, BudgetSnapshot, LedgerEntry, SharedAccountant, BUDGET_SLACK};
+pub use budget::{BudgetAccountant, BudgetSnapshot, LedgerEntry, BUDGET_SLACK};
 pub use epsilon::Epsilon;
 pub use error::DpError;
+pub use noise::{Noise, Share};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DpError>;

@@ -32,15 +32,6 @@ proptest! {
         prop_assert!((ledger_sum - acc.spent()).abs() < 1e-9);
     }
 
-    /// split_fraction conserves the budget exactly for any valid fraction.
-    #[test]
-    fn split_fraction_conserves(v in 1e-6f64..100.0, f in 0.001f64..0.999) {
-        let e = Epsilon::new(v).unwrap();
-        let (a, b) = e.split_fraction(f).unwrap();
-        prop_assert!(((a.value() + b.value()) - v).abs() <= 1e-12 * v.max(1.0));
-        prop_assert!(a.value() > 0.0 && b.value() > 0.0);
-    }
-
     /// Seeded sampling is reproducible.
     #[test]
     fn laplace_deterministic_per_seed(seed in any::<u64>()) {
