@@ -53,7 +53,7 @@ EPOCHS: --epoch T publishes NAME as epoch T of its series (catalog
         entry NAME@T; epoch ids are monotonic per series — republish a
         live epoch or advance past the frontier, never resurrect a
         retired one). --retain K then tombstones every epoch older than
-        the newest K, releasing their ε back to the series ledger.
+        the newest K; their ε leaves the series' active total.
         --series-budget EPS refuses any publish whose post-retention
         live epochs would together hold more than EPS of active ε. A
         pre-epoch release named NAME serves as epoch 0 of series NAME.
@@ -111,6 +111,9 @@ fn run(args: &[String]) -> Result<String, CliError> {
     let Some(cmd) = args.first() else {
         return Err("no command given".into());
     };
+    let Some(keys) = option_keys(cmd) else {
+        return Err(format!("unknown command '{cmd}'").into());
+    };
     // `replay` takes its stream file positionally (`dpod replay FILE`);
     // every other argument everywhere is `--key value`.
     let mut rest = &args[1..];
@@ -121,7 +124,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             rest = &rest[1..];
         }
     }
-    let opts = Opts::parse(rest)?;
+    let opts = Opts::parse(rest, keys)?;
     match cmd.as_str() {
         "generate" => {
             let text = commands::generate(&GenerateArgs {
@@ -280,8 +283,57 @@ fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "mechanisms" => Ok(format!("{}\n", registry::mechanism_names().join("\n"))),
-        other => Err(format!("unknown command '{other}'").into()),
+        other => unreachable!("option_keys accepted unknown command '{other}'"),
     }
+}
+
+/// The `--key`s `cmd` reads, or `None` for an unknown command. Options
+/// are checked against this list before a command does any work, so a
+/// typo (`--series-budgt`) fails instead of silently dropping a limit.
+fn option_keys(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "generate" => &["city", "trips", "stops", "seed", "out"],
+        "sanitize" => &["input", "cells", "epsilon", "mechanism", "seed", "out"],
+        "publish" => &[
+            "input",
+            "name",
+            "catalog",
+            "cells",
+            "epsilon",
+            "mechanism",
+            "seed",
+            "epoch",
+            "retain",
+            "series-budget",
+        ],
+        "serve" => &[
+            "catalog",
+            "addr",
+            "workers",
+            "cache-mb",
+            "index-mb",
+            "wire",
+            "event-loops",
+            "listen-backlog",
+            "metrics-addr",
+            "retain-ttl",
+            "retain-last",
+        ],
+        "inspect" => &["release"],
+        "query" => &["release", "connect", "binary", "range"],
+        "replay" => &[
+            "file",
+            "release",
+            "connect",
+            "binary",
+            "cold",
+            "answers",
+            "connections",
+            "slo-report",
+        ],
+        "mechanisms" => &[],
+        _ => return None,
+    })
 }
 
 /// The noise seed for `sanitize` and `publish`. Without `--seed` it is
@@ -311,19 +363,26 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Self, CliError> {
-        let mut pairs = Vec::new();
+    /// Parses `args`, refusing any key outside `keys` and any key other
+    /// than `--range` given twice.
+    fn parse(args: &[String], keys: &[&str]) -> Result<Self, CliError> {
+        let mut pairs: Vec<(String, String)> = Vec::new();
         let mut ranges = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{a}'").into());
             };
+            if !keys.contains(&key) {
+                return Err(format!("unknown option --{key}").into());
+            }
             let value = it
                 .next()
                 .ok_or_else(|| CliError(format!("--{key} needs a value")))?;
             if key == "range" {
                 ranges.push(value.clone());
+            } else if pairs.iter().any(|(k, _)| k == key) {
+                return Err(format!("--{key} given more than once").into());
             } else {
                 pairs.push((key.to_string(), value.clone()));
             }

@@ -115,8 +115,9 @@ pub fn sanitize_to_release(
 /// written — when the series' *active* ε (live epochs after this
 /// publish and after the `retain` prune) would exceed the ceiling.
 /// Retention refunds count: a sliding window whose retired epochs give
-/// back their ε can publish forever under a fixed ceiling, which is the
-/// continual-release accounting the epoch ledgers implement.
+/// back their ε can publish forever under a fixed ceiling. The active ε
+/// is read off the catalog, the same sum `/metrics` reports as
+/// `dpod_series_epsilon_active`.
 ///
 /// # Errors
 /// [`CliError`] for pipeline failures, catalog IO, an epoch that is not

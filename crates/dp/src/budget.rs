@@ -115,66 +115,9 @@ impl BudgetAccountant {
         self.spend(rest, label)
     }
 
-    /// Returns `epsilon` of previously-spent budget to the pool,
-    /// reporting how much actually flowed back.
-    ///
-    /// This is the retention path of a continually-published series: when
-    /// an expired epoch is tombstoned, the ε it consumed is no longer
-    /// held against the series and may be re-spent on future epochs. The
-    /// refund is clamped to what is currently spent (so `spent` never
-    /// goes negative, however the caller races removals) and recorded as
-    /// a negative ledger entry, keeping the history replayable: summing
-    /// the ledger always reproduces `spent`.
-    ///
-    /// # Errors
-    /// [`DpError::InvalidEpsilon`] for non-positive or non-finite
-    /// requests.
-    pub fn release(&mut self, epsilon: f64, label: &str) -> Result<f64> {
-        if !epsilon.is_finite() || epsilon <= 0.0 {
-            return Err(DpError::InvalidEpsilon { value: epsilon });
-        }
-        let refunded = epsilon.min(self.spent);
-        self.spent -= refunded;
-        self.ledger.push(LedgerEntry {
-            label: label.to_string(),
-            epsilon: -refunded,
-        });
-        Ok(refunded)
-    }
-
     /// The recorded expenditure history.
     pub fn ledger(&self) -> &[LedgerEntry] {
         &self.ledger
-    }
-}
-
-/// A point-in-time view of a budget ledger, shaped for metrics export.
-///
-/// This is what the serving layer's ε-budget gauges are built from: a
-/// monitoring scrape needs the three totals (not the entry-by-entry
-/// history) as one consistent reading, taken under the same lock as the
-/// spends it reports.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BudgetSnapshot {
-    /// Total budget the accountant started with.
-    pub total: f64,
-    /// Budget spent so far.
-    pub spent: f64,
-    /// Budget still available (never negative).
-    pub remaining: f64,
-    /// Number of recorded expenditures.
-    pub entries: usize,
-}
-
-impl BudgetAccountant {
-    /// A consistent snapshot of the budget state for metrics export.
-    pub fn snapshot(&self) -> BudgetSnapshot {
-        BudgetSnapshot {
-            total: self.total,
-            spent: self.spent,
-            remaining: self.remaining(),
-            entries: self.ledger.len(),
-        }
     }
 }
 
@@ -183,8 +126,7 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
 
-    /// An accountant shared across threads the way the serving layer's
-    /// per-series ledgers hold one: behind a lock.
+    /// An accountant shared across threads behind a lock.
     type Shared = Arc<Mutex<BudgetAccountant>>;
 
     fn shared(total: f64) -> Shared {
@@ -258,125 +200,6 @@ mod tests {
         assert!(acc.spend(0.0, "zero").is_err());
         assert!(acc.spend(-0.1, "negative").is_err());
         assert!(acc.spend(f64::NAN, "nan").is_err());
-    }
-
-    #[test]
-    fn snapshot_reports_consistent_totals() {
-        let mut acc = BudgetAccountant::new(eps(1.0));
-        acc.spend(0.3, "a").unwrap();
-        acc.spend(0.2, "b").unwrap();
-        let snap = acc.snapshot();
-        assert_eq!(snap.total, 1.0);
-        assert!((snap.spent - 0.5).abs() < 1e-12);
-        assert!((snap.remaining - 0.5).abs() < 1e-12);
-        assert_eq!(snap.entries, 2);
-        let mut all = BudgetAccountant::new(eps(0.7));
-        all.spend(0.7, "all").unwrap();
-        let snap = all.snapshot();
-        assert_eq!(snap.remaining, 0.0);
-        assert_eq!(snap.entries, 1);
-    }
-
-    #[test]
-    fn release_refunds_spent_budget() {
-        let mut acc = BudgetAccountant::new(eps(1.0));
-        acc.spend(0.6, "epoch 1").unwrap();
-        acc.spend(0.3, "epoch 2").unwrap();
-        // Retiring epoch 1 returns its ε for future epochs.
-        let refunded = acc.release(0.6, "retire epoch 1").unwrap();
-        assert!((refunded - 0.6).abs() < 1e-12);
-        assert!((acc.spent() - 0.3).abs() < 1e-12);
-        assert!((acc.remaining() - 0.7).abs() < 1e-12);
-        // The refund is a ledger row, and the ledger still sums to spent.
-        assert_eq!(acc.ledger().len(), 3);
-        let sum: f64 = acc.ledger().iter().map(|e| e.epsilon).sum();
-        assert!((sum - acc.spent()).abs() < 1e-12);
-        // The returned budget is spendable again.
-        acc.spend(0.7, "epoch 3").unwrap();
-        assert!(acc.remaining() < 1e-12);
-    }
-
-    #[test]
-    fn release_clamps_to_spent_and_rejects_invalid() {
-        let mut acc = BudgetAccountant::new(eps(1.0));
-        acc.spend(0.2, "a").unwrap();
-        // Over-refunding (a racing double-remove) clamps: spent never
-        // goes negative, remaining never exceeds total.
-        let refunded = acc.release(0.5, "over").unwrap();
-        assert!((refunded - 0.2).abs() < 1e-12);
-        assert_eq!(acc.spent(), 0.0);
-        assert_eq!(acc.remaining(), 1.0);
-        assert!(acc.release(0.0, "zero").is_err());
-        assert!(acc.release(-0.1, "negative").is_err());
-        assert!(acc.release(f64::NAN, "nan").is_err());
-    }
-
-    /// Regression: scraping `snapshot()` while publishes spend and
-    /// removals release must never observe double-counted or torn
-    /// totals, and must never panic. Every snapshot is taken under the
-    /// same lock as the mutations, so `total == spent + remaining` (up
-    /// to float rounding) and `0 ≤ spent ≤ total` must hold in every
-    /// observation, however the threads interleave.
-    #[test]
-    fn snapshot_stays_consistent_under_racing_spend_and_release() {
-        let acc = shared(1.0);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-
-        let mut workers = Vec::new();
-        for t in 0..4u64 {
-            let acc = Arc::clone(&acc);
-            workers.push(std::thread::spawn(move || {
-                for i in 0..500 {
-                    // Publish an epoch's worth, then retire it.
-                    let mut ledger = acc.lock().unwrap();
-                    if ledger.spend(0.01, &format!("t{t} epoch {i}")).is_ok() {
-                        drop(ledger);
-                        let mut ledger = acc.lock().unwrap();
-                        ledger.release(0.01, &format!("t{t} retire {i}")).unwrap();
-                    }
-                }
-            }));
-        }
-        let scrapers: Vec<_> = (0..2)
-            .map(|_| {
-                let acc = Arc::clone(&acc);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut seen = 0usize;
-                    loop {
-                        let snap = acc.lock().unwrap().snapshot();
-                        assert!(snap.spent >= 0.0, "spent went negative: {snap:?}");
-                        assert!(
-                            snap.spent <= snap.total + 1e-9,
-                            "spent exceeds total: {snap:?}"
-                        );
-                        assert!(
-                            (snap.total - (snap.spent + snap.remaining)).abs() < 1e-9,
-                            "torn snapshot: {snap:?}"
-                        );
-                        seen += 1;
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                    seen
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for s in scrapers {
-            assert!(s.join().unwrap() > 0, "scraper never ran");
-        }
-        let acc = acc.lock().unwrap();
-        // Every spend was matched by a release: the pool is whole again.
-        assert!(acc.spent().abs() < 1e-9);
-        assert!((acc.remaining() - 1.0).abs() < 1e-9);
-        // And the full history (spends + refunds) is still replayable.
-        let sum: f64 = acc.ledger().iter().map(|e| e.epsilon).sum();
-        assert!(sum.abs() < 1e-9);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   [`Share`]s and draws its noise through this per-release handle;
 //! * [`laplace`] / [`geometric`] — its samplers: Laplace noise (Eq. 2 of
 //!   the paper) and the integer-valued alternative ablation A5 uses;
-//! * [`BudgetAccountant`] — the sequential-composition ledger, per release
-//!   inside [`Noise`] and per series in the server.
+//! * [`BudgetAccountant`] — the sequential-composition ledger each
+//!   [`Noise`] charges a release's shares against.
 //!
 //! Each draw is on a shared `&mut dyn rand::RngCore`, so mechanisms stay
 //! object-safe and every experiment is reproducible from a seed.
@@ -23,7 +23,7 @@ pub mod geometric;
 pub mod laplace;
 mod noise;
 
-pub use budget::{BudgetAccountant, BudgetSnapshot, LedgerEntry, BUDGET_SLACK};
+pub use budget::{BudgetAccountant, LedgerEntry, BUDGET_SLACK};
 pub use epsilon::Epsilon;
 pub use error::DpError;
 pub use noise::{Noise, Share};

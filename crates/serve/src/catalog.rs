@@ -1,11 +1,10 @@
-//! The release catalog: a sharded, lock-striped store of named, versioned
+//! The release catalog: one `RwLock`-guarded store of named, versioned
 //! releases with directory persistence.
 //!
-//! Sharding bounds contention under the north-star workload (many analyst
-//! threads resolving names while curators publish): each name hashes to
-//! one of [`Catalog::shards`] independent `RwLock`-protected maps, so
-//! reads of different names never serialize and a publish only blocks the
-//! one shard it lands in.
+//! A [`CatalogEntry`] is the one home of a release's serving state: its
+//! version, its artifact (and so its ε), and its answered-query count.
+//! Requests resolve an entry once and count their hits on it, so a
+//! removed release takes its count with it.
 
 use crate::ServeError;
 use dpod_core::PublishedRelease;
@@ -15,10 +14,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-
-/// Default shard count (power of two; plenty for tens of worker threads).
-const DEFAULT_SHARDS: usize = 16;
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Name of the JSON manifest written next to the `.dprl` frames.
 const MANIFEST: &str = "catalog.json";
@@ -32,6 +28,21 @@ pub struct CatalogEntry {
     pub version: u64,
     /// The published artifact (shared, immutable).
     pub release: Arc<PublishedRelease>,
+    /// Queries answered against this name since it was last published
+    /// fresh; shared with the entry a republish replaces.
+    hits: Arc<AtomicU64>,
+}
+
+impl CatalogEntry {
+    /// Queries answered against this release name.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Counts `n` answered queries against this release name.
+    pub(crate) fn note_hits(&self, n: u64) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// Manifest row persisted alongside the binary frames.
@@ -90,13 +101,13 @@ impl SaveReport {
     }
 }
 
-/// One lock stripe: the live entries plus the last version ever
-/// assigned per name. `last_versions` outlives removal so that a
-/// remove-then-republish still advances the version — the
+/// The catalog's state under its one lock: the live entries plus the
+/// last version ever assigned per name. `last_versions` outlives removal
+/// so that a remove-then-republish still advances the version — the
 /// `QueryEngine` cache tells a name's entries apart by version and must
 /// never see one reused for different data.
 #[derive(Debug, Default)]
-struct Shard {
+struct Inner {
     entries: HashMap<String, Arc<CatalogEntry>>,
     last_versions: HashMap<String, u64>,
 }
@@ -111,57 +122,47 @@ struct Shard {
 /// point-in-time snapshot.
 static SAVE_LOCK: Mutex<()> = Mutex::new(());
 
-/// A sharded, `RwLock`-striped in-memory release store.
-#[derive(Debug)]
+/// An `RwLock`-guarded in-memory release store.
+#[derive(Debug, Default)]
 pub struct Catalog {
-    shards: Vec<RwLock<Shard>>,
-}
-
-impl Default for Catalog {
-    fn default() -> Self {
-        Self::new()
-    }
+    inner: RwLock<Inner>,
 }
 
 impl Catalog {
-    /// An empty catalog with the default shard count.
+    /// An empty catalog.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self::default()
     }
 
-    /// An empty catalog with `shards` lock stripes (minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        Catalog {
-            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
-        }
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Number of lock stripes.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, name: &str) -> &RwLock<Shard> {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Publishes `release` under `name`, returning the new version
     /// (1 for a never-before-seen name, previous + 1 otherwise — versions
-    /// keep advancing across [`Self::remove`], never repeating).
+    /// keep advancing across [`Self::remove`], never repeating). A
+    /// republish of a live name keeps its hit count; a name published
+    /// fresh or after a removal starts at zero.
     pub fn publish(&self, name: &str, release: PublishedRelease) -> u64 {
-        let shard = self.shard_for(name);
-        let mut shard = shard.write().unwrap_or_else(|e| e.into_inner());
-        let version = shard.last_versions.get(name).copied().unwrap_or(0) + 1;
-        shard.last_versions.insert(name.to_string(), version);
-        shard.entries.insert(
+        let mut inner = self.write();
+        let version = inner.last_versions.get(name).copied().unwrap_or(0) + 1;
+        inner.last_versions.insert(name.to_string(), version);
+        let hits = inner
+            .entries
+            .get(name)
+            .map(|old| Arc::clone(&old.hits))
+            .unwrap_or_default();
+        inner.entries.insert(
             name.to_string(),
             Arc::new(CatalogEntry {
                 name: name.to_string(),
                 version,
                 release: Arc::new(release),
+                hits,
             }),
         );
         version
@@ -169,38 +170,17 @@ impl Catalog {
 
     /// Resolves `name` to its current entry.
     pub fn get(&self, name: &str) -> Option<Arc<CatalogEntry>> {
-        self.shard_for(name)
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .get(name)
-            .cloned()
+        self.read().entries.get(name).cloned()
     }
 
     /// Removes `name`, returning whether it existed.
     pub fn remove(&self, name: &str) -> bool {
-        self.shard_for(name)
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .remove(name)
-            .is_some()
+        self.write().entries.remove(name).is_some()
     }
 
     /// All current entries, sorted by name.
     pub fn entries(&self) -> Vec<Arc<CatalogEntry>> {
-        let mut out: Vec<Arc<CatalogEntry>> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .entries
-                    .values()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut out: Vec<Arc<CatalogEntry>> = self.read().entries.values().cloned().collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
@@ -212,33 +192,12 @@ impl Catalog {
 
     /// Number of catalogued releases.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).entries.len())
-            .sum()
+        self.read().entries.len()
     }
 
     /// `true` when no releases are catalogued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// One consistent pass over the shards: the live entries plus every
-    /// last version this catalog has assigned. Both views of a name come
-    /// from the same lock acquisition (a name lives in exactly one
-    /// shard), so a concurrent publish is either wholly visible or
-    /// wholly absent — it can never appear in `last_versions` but not in
-    /// the entries, which would be misread as a removal.
-    fn snapshot(&self) -> (Vec<Arc<CatalogEntry>>, Vec<(String, u64)>) {
-        let mut entries = Vec::new();
-        let mut versions = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
-            entries.extend(shard.entries.values().cloned());
-            versions.extend(shard.last_versions.iter().map(|(n, v)| (n.clone(), *v)));
-        }
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        (entries, versions)
     }
 
     /// Persists the catalog to `dir` *incrementally*: one `DPRL` frame
@@ -272,7 +231,20 @@ impl Catalog {
             .map(|rows| rows.into_iter().map(|r| (r.name.clone(), r)).collect())
             .unwrap_or_default();
 
-        let (entries, last_versions) = self.snapshot();
+        // One read lock covers both views, so a concurrent publish is
+        // either wholly visible or wholly absent — never in
+        // `last_versions` but not the entries (misread as a removal).
+        let (entries, last_versions) = {
+            let inner = self.read();
+            let mut entries: Vec<Arc<CatalogEntry>> = inner.entries.values().cloned().collect();
+            entries.sort_by(|a, b| a.name.cmp(&b.name));
+            let versions: Vec<(String, u64)> = inner
+                .last_versions
+                .iter()
+                .map(|(n, v)| (n.clone(), *v))
+                .collect();
+            (entries, versions)
+        };
         let live: HashSet<&str> = entries.iter().map(|e| e.name.as_str()).collect();
         let mut report = SaveReport::default();
         let mut manifest = Vec::with_capacity(entries.len());
@@ -386,24 +358,22 @@ impl Catalog {
                 .map_err(|e| ServeError(format!("cannot read {}: {e}", manifest_path.display())))?;
             let manifest: Vec<ManifestEntry> = serde_json::from_str(&text)
                 .map_err(|e| ServeError(format!("bad manifest: {e}")))?;
+            let mut inner = catalog.write();
             for row in manifest {
-                let shard = catalog.shard_for(&row.name);
                 if row.deleted {
-                    let mut shard = shard.write().unwrap_or_else(|e| e.into_inner());
-                    let floor = shard.last_versions.entry(row.name).or_insert(0);
+                    let floor = inner.last_versions.entry(row.name).or_insert(0);
                     *floor = (*floor).max(row.version);
                     continue;
                 }
-                let path = dir.join(&row.file);
-                let release = read_release(&path)?;
-                let mut shard = shard.write().unwrap_or_else(|e| e.into_inner());
-                shard.last_versions.insert(row.name.clone(), row.version);
-                shard.entries.insert(
+                let release = read_release(&dir.join(&row.file))?;
+                inner.last_versions.insert(row.name.clone(), row.version);
+                inner.entries.insert(
                     row.name.clone(),
                     Arc::new(CatalogEntry {
                         name: row.name,
                         version: row.version,
                         release: Arc::new(release),
+                        hits: Arc::default(),
                     }),
                 );
             }

@@ -5,9 +5,10 @@
 //! analysts *query* them — at volume. This crate turns the workspace's
 //! one-shot `PublishedRelease` artifact into a long-lived service:
 //!
-//! * [`Catalog`] — a sharded, `RwLock`-striped in-memory store of named,
+//! * [`Catalog`] — one `RwLock`-guarded in-memory store of named,
 //!   versioned releases, with directory persistence via the `DPRL` binary
-//!   frame (`dpod_fmatrix::codec::RELEASE_MAGIC`);
+//!   frame (`dpod_fmatrix::codec::RELEASE_MAGIC`); each [`CatalogEntry`]
+//!   also carries its release's answered-query count;
 //! * [`QueryEngine`] — caches each release as its prepared
 //!   [`ReleaseIndex`](dpod_query::ReleaseIndex) (the rebuilt matrix with
 //!   lazily memoized aggregate tables) plus one memo of plan answers and
@@ -55,11 +56,10 @@ pub use engine::{EngineStats, QueryEngine};
 #[cfg(unix)]
 pub use event::WRITE_BACKPRESSURE_BYTES;
 pub use metrics::{spawn_metrics_exporter, MetricsExporter, ServeMetrics, Stage, Transport};
-pub use series::{EpochInfo, SeriesLedgers, EPOCH_SEP};
+pub use series::{EpochInfo, EPOCH_SEP};
 pub use server::{
     spawn, spawn_retention_timer, spawn_wire, spawn_with, FrontEnd, ResponseEncoding, Server,
     ServerHandle, SpawnOptions, WireMode, DEFAULT_CACHE_BYTES, IDLE_TIMEOUT, MAX_LINE_BYTES,
-    MAX_RELEASE_HIT_ENTRIES,
 };
 
 /// Serving-layer error: a displayable message naming the failing operation.

@@ -130,8 +130,6 @@ pub struct ServeMetrics {
     stages: [[Arc<Histogram>; 3]; 2],
     /// `[transport][kind]` request counters.
     requests: [[Arc<Counter>; KIND_COUNT]; 2],
-    /// Per-release hit-counter rows evicted to keep the map bounded.
-    pub(crate) evicted_stat_entries: Arc<Counter>,
     /// Queries answered (one per range or plan leaf).
     pub(crate) queries: Arc<Counter>,
     /// Connections a TCP front end has started serving.
@@ -191,10 +189,6 @@ impl ServeMetrics {
         let hub = ServeMetrics {
             stages,
             requests,
-            evicted_stat_entries: counter(
-                "dpod_server_evicted_stat_entries_total",
-                "Per-release hit-counter rows evicted to bound the stats map",
-            ),
             queries: counter("dpod_server_queries_total", "Queries answered since start"),
             conn_accepted: counter(
                 "dpod_server_accepted_connections_total",
@@ -332,8 +326,11 @@ pub(crate) fn snapshot(server: &Server) -> Snapshot {
         "Queries answered per release",
         Counter,
     );
-    for (name, n) in server.release_hits() {
-        hits.sample(&[("release", &name)], n as f64);
+    for r in &releases {
+        let n = r.hits();
+        if n > 0 {
+            hits.sample(&[("release", &r.name)], n as f64);
+        }
     }
     let eps = snap.family(
         "dpod_release_epsilon",

@@ -10,7 +10,7 @@
 //! single-epoch series and round-trips byte-identically — manifest
 //! back-compat comes for free (pinned by test below).
 //!
-//! Three concerns live here:
+//! Two concerns live here:
 //!
 //! * **Naming** — [`epoch_entry_name`]/[`split_epoch_name`] map between
 //!   series coordinates and catalog names; [`series_epochs`] lists a
@@ -19,21 +19,20 @@
 //!   the monotonic rule (republish a live epoch, or append past the
 //!   frontier; never resurrect a retired id), and [`expired_epochs`]
 //!   computes what a `--retain k` policy tombstones.
-//! * **ε accounting** — [`SeriesLedgers`] keeps one
-//!   [`BudgetAccountant`] ledger per series: each publish *spends* the
-//!   epoch's ε, each retention expiry *releases* it back, so the
-//!   accountant's `spent` is always the ε active across the series'
-//!   live epochs and the ledger is the full publish/retire history.
+//!
+//! A series' active ε is not stored anywhere: it is the sum of its live
+//! epochs' ε, read off the catalog (`dpod_series_epsilon_active` and
+//! `dpod publish --series-budget` both derive it that way), so retiring
+//! an epoch refunds its ε simply by removing the entry.
 //!
 //! Window query *execution* (fanning one plan across selected epochs
 //! and merging) lives in [`crate::Server`]; the pure selection step,
 //! [`select_epochs`], lives here so the CLI and tests share it.
 
 use crate::{Catalog, CatalogEntry, ServeError};
-use dpod_dp::{BudgetAccountant, BudgetSnapshot};
 use dpod_query::EpochSelector;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The character separating a series name from its epoch id in a
 /// catalog entry name. Series names must not contain it.
@@ -215,75 +214,6 @@ pub fn select_epochs(
     }
 }
 
-/// Per-series ε ledgers: one [`BudgetAccountant`] per series recording
-/// every publish (a spend) and retention expiry (a release). The
-/// accountant's `spent` is therefore the ε active across the series'
-/// live epochs, and its ledger is the publish/retire history `/metrics`
-/// and the stats surface read.
-///
-/// The ledger total is an accounting ceiling, not an enforcement
-/// mechanism — the curator already enforced per-release budgets at
-/// publication time — so series are opened with an effectively
-/// unbounded total.
-#[derive(Debug, Default)]
-pub struct SeriesLedgers {
-    inner: Mutex<HashMap<String, BudgetAccountant>>,
-}
-
-impl SeriesLedgers {
-    /// A fresh, empty ledger set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records publishing epoch `epoch` of `series` with budget
-    /// `epsilon`. A non-finite or non-positive ε is ignored (nothing to
-    /// account).
-    pub fn note_publish(&self, series: &str, epoch: u64, epsilon: f64) {
-        if !epsilon.is_finite() || epsilon <= 0.0 {
-            return;
-        }
-        let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let acct = map.entry(series.to_string()).or_insert_with(|| {
-            BudgetAccountant::new(
-                dpod_dp::Epsilon::new(f64::MAX).expect("f64::MAX is a valid ceiling"),
-            )
-        });
-        let _ = acct.spend(epsilon, &format!("epoch {epoch}"));
-    }
-
-    /// Records retiring epoch `epoch` of `series`, refunding `epsilon`
-    /// back into the series ledger.
-    pub fn note_retire(&self, series: &str, epoch: u64, epsilon: f64) {
-        if !epsilon.is_finite() || epsilon <= 0.0 {
-            return;
-        }
-        let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(acct) = map.get_mut(series) {
-            let _ = acct.release(epsilon, &format!("retire epoch {epoch}"));
-        }
-    }
-
-    /// The ε currently active (spent minus released) for `series`, or
-    /// `None` when nothing was ever published through this ledger.
-    pub fn active_epsilon(&self, series: &str) -> Option<f64> {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(series).map(BudgetAccountant::spent)
-    }
-
-    /// Consistent snapshots of every series ledger, sorted by series
-    /// name (for metrics export).
-    pub fn snapshots(&self) -> Vec<(String, BudgetSnapshot)> {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<(String, BudgetSnapshot)> = map
-            .iter()
-            .map(|(name, acct)| (name.clone(), acct.snapshot()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,26 +337,6 @@ mod tests {
         assert!(select_epochs(&EpochSelector::Range { from: 7, to: 3 }, &epochs).is_err());
         assert!(select_epochs(&EpochSelector::Range { from: 8, to: 9 }, &epochs).is_err());
         assert!(select_epochs(&EpochSelector::LastK { k: 1 }, &[]).is_err());
-    }
-
-    #[test]
-    fn ledgers_track_active_epsilon_through_publish_and_retire() {
-        let ledgers = SeriesLedgers::new();
-        ledgers.note_publish("city", 1, 0.5);
-        ledgers.note_publish("city", 2, 0.25);
-        assert!((ledgers.active_epsilon("city").unwrap() - 0.75).abs() < 1e-12);
-        ledgers.note_retire("city", 1, 0.5);
-        assert!((ledgers.active_epsilon("city").unwrap() - 0.25).abs() < 1e-12);
-        // The ledger records the full history: two spends, one release.
-        let snaps = ledgers.snapshots();
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].0, "city");
-        assert_eq!(snaps[0].1.entries, 3);
-        // Invalid ε is ignored, not an error.
-        ledgers.note_publish("city", 3, f64::NAN);
-        ledgers.note_retire("city", 3, -1.0);
-        assert_eq!(ledgers.snapshots()[0].1.entries, 3);
-        assert!(ledgers.active_epsilon("ghost").is_none());
     }
 
     /// Satellite: a pre-epoch save-dir — plain names, no `@` anywhere —

@@ -31,14 +31,14 @@
 use crate::conn::{run_job, Assembler};
 use crate::metrics::ServeMetrics;
 use crate::protocol::{ReleaseInfo, Request, Response, Snapshot};
-use crate::series::{self, SeriesLedgers};
-use crate::{wire, Catalog, QueryEngine, ServeError};
-use dpod_query::{Answer, EpochSelector, QueryPlan, ReleaseIndex, WindowMerge};
+use crate::series;
+use crate::{wire, Catalog, CatalogEntry, QueryEngine, ServeError};
+use dpod_query::{Answer, EpochSelector, QueryPlan, WindowMerge};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default rebuild-cache budget: 256 MiB.
@@ -150,30 +150,15 @@ pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// bytes with no newline to exhaust memory) is disconnected.
 pub const MAX_LINE_BYTES: u64 = 8 << 20;
 
-/// Most per-release hit-counter rows the stats map holds. Removing
-/// releases through [`Server::remove_release`] prunes rows eagerly; this
-/// cap is the backstop for catalogs churned around it (operators calling
-/// [`Catalog::remove`] directly), trading the stalest rows for a bound
-/// instead of leaking. Evictions are counted in
-/// `dpod_server_evicted_stat_entries_total`.
-pub const MAX_RELEASE_HIT_ENTRIES: usize = 1024;
-
 /// The serving core: catalog + engine + counters.
 #[derive(Debug)]
 pub struct Server {
     catalog: Arc<Catalog>,
     engine: QueryEngine,
-    /// Lifetime answered-query count per release name. Reads (the hot
-    /// path) only take the `RwLock` shared; the exclusive lock is held
-    /// once per name, on first touch.
-    release_hits: RwLock<HashMap<String, AtomicU64>>,
     /// The metric registry's handles, shared by every front end and the
     /// engine (stage latencies, request mix, connections, queries,
     /// epochs, memo counters).
     metrics: ServeMetrics,
-    /// Per-series ε ledgers: publishes spend, retention expiries refund
-    /// (see [`crate::series::SeriesLedgers`]).
-    ledgers: SeriesLedgers,
 }
 
 impl Server {
@@ -205,9 +190,7 @@ impl Server {
                 &metrics.registry,
             ),
             catalog,
-            release_hits: RwLock::new(HashMap::new()),
             metrics,
-            ledgers: SeriesLedgers::new(),
         }
     }
 
@@ -243,26 +226,22 @@ impl Server {
         &self.catalog
     }
 
-    /// Removes `release` from the catalog, prunes its per-release hit
-    /// counter, and evicts its cached rebuild, returning whether it
+    /// Removes `release` from the catalog (its hit count goes with the
+    /// entry) and evicts its cached rebuild, returning whether it
     /// existed. Operators managing a served catalog should remove
-    /// through this method rather than [`Catalog::remove`] directly —
-    /// the counter map is keyed by name and would otherwise grow
-    /// without bound as releases churn, and the engine's rebuild would
-    /// strand its bytes in the cache until LRU pressure found it.
+    /// through this method rather than [`Catalog::remove`] directly, or
+    /// the engine's rebuild strands its bytes in the cache until LRU
+    /// pressure finds it.
     pub fn remove_release(&self, release: &str) -> bool {
         let existed = self.catalog.remove(release);
-        let mut map = self.release_hits.write().unwrap_or_else(|e| e.into_inner());
-        map.remove(release);
-        drop(map);
         self.engine.evict(release);
         existed
     }
 
     /// Publishes `release` as epoch `epoch` of `series` (catalog entry
-    /// `series@epoch`), enforcing the monotonic epoch rule and spending
-    /// the release's ε into the series ledger. Returns the entry's new
-    /// catalog version (`> 1` on a republish of a live epoch).
+    /// `series@epoch`), enforcing the monotonic epoch rule. Returns the
+    /// entry's new catalog version (`> 1` on a republish of a live
+    /// epoch).
     ///
     /// # Errors
     /// [`ServeError`] when the series name contains
@@ -276,19 +255,17 @@ impl Server {
         release: dpod_core::release::PublishedRelease,
     ) -> Result<u64, ServeError> {
         series::validate_publish_epoch(&self.catalog, series, epoch)?;
-        let epsilon = release.epsilon;
         let version = self
             .catalog
             .publish(&series::epoch_entry_name(series, epoch), release);
-        self.ledgers.note_publish(series, epoch, epsilon);
         self.metrics.epochs_published.inc();
         Ok(version)
     }
 
     /// Applies a `retain`-newest retention policy to `series`: every
     /// older epoch is removed through [`Server::remove_release`] (so its
-    /// cached rebuild, index, window partials and hit counter go with
-    /// it) and its ε is refunded into the series ledger. Returns the
+    /// cached rebuild, index, window partials and hit count go with
+    /// it), which drops its ε from the series' active total. Returns the
     /// retired epoch ids, oldest first.
     ///
     /// # Errors
@@ -299,18 +276,11 @@ impl Server {
         let mut retired = Vec::with_capacity(expired.len());
         for info in expired {
             if self.remove_release(&info.entry.name) {
-                self.ledgers
-                    .note_retire(series, info.epoch, info.entry.release.epsilon);
                 self.metrics.epochs_retired.inc();
                 retired.push(info.epoch);
             }
         }
         Ok(retired)
-    }
-
-    /// The per-series ε ledgers (publish spends, retention refunds).
-    pub fn ledgers(&self) -> &SeriesLedgers {
-        &self.ledgers
     }
 
     /// Answers a [`QueryPlan::Window`]: resolves the selector against
@@ -357,9 +327,9 @@ impl Server {
                 }
             }
             Request::Plan { release, plan } => match self.execute_plan(release, plan) {
-                Ok(answer) => {
+                Ok((answer, entry)) => {
                     // One query per leaf answered; none for a failure.
-                    self.note_answered(release, answer.units());
+                    self.note_answered(entry.as_deref(), answer.units());
                     Response::Answer { answer }
                 }
                 Err(e) => Response::Error { message: e.0 },
@@ -397,7 +367,8 @@ impl Server {
         release: &str,
         ranges: impl IntoIterator<Item = (&'a Vec<usize>, &'a Vec<usize>)>,
     ) -> Result<Vec<f64>, ServeError> {
-        let index = self.resolve_index(release)?;
+        let entry = self.resolve(release)?;
+        let index = self.engine.index(&entry)?;
         let values = ranges
             .into_iter()
             .map(|(lo, hi)| {
@@ -412,25 +383,34 @@ impl Server {
                 }
             })
             .collect::<Result<Vec<f64>, _>>()?;
-        self.note_answered(release, values.len() as u64);
+        self.note_answered(Some(&entry), values.len() as u64);
         Ok(values)
     }
 
     /// Executes one [`QueryPlan`] against a release's index (or, for
-    /// `Window` plans, across a release series). Pure execution — the
-    /// caller owns the query counters.
-    fn execute_plan(&self, release: &str, plan: &QueryPlan) -> Result<Answer, ServeError> {
+    /// `Window` plans, across a release series), returning the answer
+    /// and the entry its hits count on — for a `Window`, the entry named
+    /// like the series, if one is live. Pure execution — the caller owns
+    /// the query counters.
+    fn execute_plan(
+        &self,
+        release: &str,
+        plan: &QueryPlan,
+    ) -> Result<(Answer, Option<Arc<CatalogEntry>>), ServeError> {
         if let QueryPlan::Window {
             select,
             merge,
             plan: inner,
         } = plan
         {
-            self.answer_window(release, select, *merge, inner)
+            let answer = self.answer_window(release, select, *merge, inner)?;
+            Ok((answer, self.catalog.get(release)))
         } else {
-            self.resolve_index(release).and_then(|ix| {
-                dpod_query::plan::execute_with(ix.as_ref(), plan).map_err(|e| ServeError(e.0))
-            })
+            let entry = self.resolve(release)?;
+            let index = self.engine.index(&entry)?;
+            let answer = dpod_query::plan::execute_with(index.as_ref(), plan)
+                .map_err(|e| ServeError(e.0))?;
+            Ok((answer, Some(entry)))
         }
     }
 
@@ -448,13 +428,12 @@ impl Server {
     /// Query counters advance identically on warm and cold paths.
     pub fn handle_encoded(&self, request: &Request, enc: ResponseEncoding) -> Arc<Vec<u8>> {
         let memoized = match request {
-            Request::Plan { release, plan } if !matches!(plan, QueryPlan::Window { .. }) => self
-                .catalog
-                .get(release)
-                .map(|entry| (release, plan, entry)),
+            Request::Plan { release, plan } if !matches!(plan, QueryPlan::Window { .. }) => {
+                self.catalog.get(release).map(|entry| (plan, entry))
+            }
             _ => None,
         };
-        let Some((release, plan, entry)) = memoized else {
+        let Some((plan, entry)) = memoized else {
             return Arc::new(enc.encode(&self.handle(request)));
         };
         let result = self.engine.encoded_response(&entry, enc, plan, |index| {
@@ -465,97 +444,40 @@ impl Server {
         });
         match result {
             Ok((bytes, units)) => {
-                self.note_answered(release, units);
+                self.note_answered(Some(&entry), units);
                 bytes
             }
             Err(e) => Arc::new(enc.encode(&Response::Error { message: e.0 })),
         }
     }
 
-    /// Resolves a release name to its prepared plan index.
-    fn resolve_index(&self, release: &str) -> Result<Arc<ReleaseIndex>, ServeError> {
-        let entry = self
-            .catalog
+    /// Resolves a release name to its catalog entry.
+    fn resolve(&self, release: &str) -> Result<Arc<CatalogEntry>, ServeError> {
+        self.catalog
             .get(release)
-            .ok_or_else(|| ServeError(format!("unknown release '{release}'")))?;
-        self.engine.index(&entry)
+            .ok_or_else(|| ServeError(format!("unknown release '{release}'")))
     }
 
-    /// Counts `n` answered queries, globally and against `release`.
-    fn note_answered(&self, release: &str, n: u64) {
+    /// Counts `n` answered queries, globally and on the entry they were
+    /// answered from.
+    fn note_answered(&self, entry: Option<&CatalogEntry>, n: u64) {
         self.metrics.queries.add(n);
-        self.note_hits(release, n);
+        if let Some(entry) = entry {
+            entry.note_hits(n);
+        }
     }
 
-    /// Records `n` answered queries against `release`.
-    fn note_hits(&self, release: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
-        {
-            let map = self.release_hits.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(counter) = map.get(release) {
-                counter.fetch_add(n, Ordering::Relaxed);
-                return;
-            }
-        }
-        let mut map = self.release_hits.write().unwrap_or_else(|e| e.into_inner());
-        // First touch of this name: re-check the catalog *inside* the
-        // exclusive lock. An in-flight request can race
-        // [`Self::remove_release`] (its entry was resolved before the
-        // removal); inserting here would re-create the counter that was
-        // just pruned — a permanent leak. With the check under the same
-        // lock the prune takes, either this insert happens first and the
-        // prune removes it, or the removal happened first and the
-        // catalog lookup fails.
-        if self.catalog.get(release).is_none() {
-            return;
-        }
-        // Bound the map before growing it. The eager prune in
-        // [`Self::remove_release`] keeps well-behaved servers far below
-        // the cap; this path only fires when releases were removed
-        // behind the server's back ([`Catalog::remove`] directly), so
-        // first retire rows whose names left the catalog — the same
-        // retire-on-remove outcome, just deferred — and only then, if
-        // the catalog itself outgrew the cap, drop the coldest row.
-        if map.len() >= MAX_RELEASE_HIT_ENTRIES && !map.contains_key(release) {
-            let stale: Vec<String> = map
-                .keys()
-                .filter(|name| self.catalog.get(name).is_none())
-                .cloned()
-                .collect();
-            for name in stale {
-                map.remove(&name);
-                self.metrics.evicted_stat_entries.inc();
-            }
-            while map.len() >= MAX_RELEASE_HIT_ENTRIES {
-                let coldest = map
-                    .iter()
-                    .min_by_key(|(name, hits)| (hits.load(Ordering::Relaxed), (*name).clone()))
-                    .map(|(name, _)| name.clone());
-                let Some(name) = coldest else { break };
-                map.remove(&name);
-                self.metrics.evicted_stat_entries.inc();
-            }
-        }
-        map.entry(release.to_string())
-            .or_insert_with(|| AtomicU64::new(0))
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lifetime `(release, answered queries)` counts, sorted by name. A
-    /// name's row lives as long as the release is served: removing it
-    /// through [`Server::remove_release`] prunes the row, and a later
-    /// republish starts a fresh count. The map is also capped at
-    /// [`MAX_RELEASE_HIT_ENTRIES`].
+    /// Lifetime `(release, answered queries)` counts of the catalogued
+    /// releases with at least one hit, sorted by name. A count lives on
+    /// its [`CatalogEntry`]: a republish keeps it, a removal drops it,
+    /// and a name published again after a removal starts from zero.
     pub fn release_hits(&self) -> Vec<(String, u64)> {
-        let map = self.release_hits.read().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<(String, u64)> = map
+        self.catalog
+            .entries()
             .iter()
-            .map(|(name, hits)| (name.clone(), hits.load(Ordering::Relaxed)))
-            .collect();
-        out.sort();
-        out
+            .map(|e| (e.name.clone(), e.hits()))
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Engine counters (for benches and tests).
@@ -1613,7 +1535,7 @@ mod tests {
 
     /// Publishes one sanitized release under `names` on the server's
     /// catalog (cloning the release is much cheaper than re-sanitizing
-    /// per name, and the hit-counter map only cares about names).
+    /// per name, and hit counts only care about names).
     fn publish_clones(server: &Server, names: impl Iterator<Item = String>) {
         let s = Shape::new(vec![8, 8]).unwrap();
         let mut m = DenseMatrix::<u64>::zeros(s);
@@ -1635,82 +1557,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn release_hit_map_stays_bounded_under_catalog_churn() {
-        let server = test_server(&[]);
-        let n = MAX_RELEASE_HIT_ENTRIES + 8;
-        publish_clones(&server, (0..n).map(|i| format!("r{i:05}")));
-        // One hot release that must survive every coldest-row eviction.
-        for _ in 0..10 {
-            server.handle(&query_for("r00000"));
-        }
-        for i in 1..n {
-            server.handle(&query_for(&format!("r{i:05}")));
-        }
-        let hits = server.release_hits();
-        assert!(
-            hits.len() <= MAX_RELEASE_HIT_ENTRIES,
-            "map grew past the cap: {}",
-            hits.len()
-        );
-        assert!(
-            hits.iter().any(|(n, h)| n == "r00000" && *h == 10),
-            "the hottest row must not be the one evicted"
-        );
-        let evicted = server.metrics().evicted_stat_entries.get();
-        assert!(evicted >= 8, "expected ≥8 evictions, saw {evicted}");
-        // The stats snapshot carries the same counter.
-        let Response::Stats { stats } = server.handle(&Request::Stats) else {
-            panic!("expected stats");
-        };
-        assert_eq!(
-            stats.get("dpod_server_evicted_stat_entries_total", &[]),
-            Some(server.metrics().evicted_stat_entries.get() as f64)
-        );
-        let rows = stats
+    /// The `dpod_release_hits_total` rows of a fresh snapshot, by name.
+    fn hit_rows(server: &Server) -> Vec<(String, f64)> {
+        server
+            .snapshot()
             .samples()
             .filter(|s| s.name == "dpod_release_hits_total")
-            .count();
-        assert!(rows <= MAX_RELEASE_HIT_ENTRIES);
+            .map(|s| (s.labels[0].1.clone(), s.value))
+            .collect()
     }
 
+    /// Hit counts live on the catalog entry: a release removed straight
+    /// through the catalog loses its row at once, a republish of a live
+    /// name keeps its count, and a name republished after a removal
+    /// starts again from zero.
     #[test]
-    fn stale_hit_rows_are_retired_before_live_ones_are_evicted() {
+    fn hit_rows_follow_the_catalog() {
         let server = test_server(&[]);
-        publish_clones(
-            &server,
-            (0..MAX_RELEASE_HIT_ENTRIES).map(|i| format!("r{i:05}")),
-        );
-        for i in 0..MAX_RELEASE_HIT_ENTRIES {
-            server.handle(&query_for(&format!("r{i:05}")));
-        }
-        assert_eq!(server.release_hits().len(), MAX_RELEASE_HIT_ENTRIES);
-
-        // Remove releases *behind the server's back* (straight through
-        // the catalog, bypassing `remove_release`'s eager prune), so
-        // their rows go stale.
-        for i in 0..4 {
-            assert!(server.catalog().remove(&format!("r{i:05}")));
-        }
-        assert_eq!(server.release_hits().len(), MAX_RELEASE_HIT_ENTRIES);
-
-        // The next first-touch insert retires the stale rows instead of
-        // evicting live ones.
-        publish_clones(&server, std::iter::once("fresh".to_string()));
-        server.handle(&query_for("fresh"));
-        let hits = server.release_hits();
-        assert!(hits.iter().any(|(n, _)| n == "fresh"));
-        assert!(
-            !hits
+        let rows = |pairs: &[(&str, f64)]| {
+            pairs
                 .iter()
-                .any(|(n, _)| n.as_str() < "r00004" && n != "fresh"),
-            "stale rows must be the ones retired"
-        );
-        assert!(
-            hits.iter().any(|(n, _)| n == "r00004"),
-            "live rows survive when stale ones cover the deficit"
-        );
-        assert_eq!(server.metrics().evicted_stat_entries.get(), 4);
+                .map(|&(n, v)| (n.to_string(), v))
+                .collect::<Vec<_>>()
+        };
+        publish_clones(&server, ["gone", "kept"].into_iter().map(String::from));
+        for name in ["kept", "kept", "gone"] {
+            server.handle(&query_for(name));
+        }
+        assert_eq!(hit_rows(&server), rows(&[("gone", 1.0), ("kept", 2.0)]));
+
+        assert!(server.catalog().remove("gone"));
+        assert_eq!(hit_rows(&server), rows(&[("kept", 2.0)]));
+
+        publish_clones(&server, std::iter::once("kept".to_string()));
+        server.handle(&query_for("kept"));
+        assert_eq!(hit_rows(&server), rows(&[("kept", 3.0)]));
+
+        publish_clones(&server, std::iter::once("gone".to_string()));
+        server.handle(&query_for("gone"));
+        assert_eq!(hit_rows(&server), rows(&[("gone", 1.0), ("kept", 3.0)]));
+        assert_eq!(server.metrics().queries.get(), 5);
     }
 
     #[test]
@@ -1922,6 +1808,14 @@ mod tests {
         PublishedRelease::from_sanitized(&out)
     }
 
+    /// The series' active ε as the stats snapshot reports it.
+    fn series_active_epsilon(server: &Server, series: &str) -> f64 {
+        server
+            .snapshot()
+            .get("dpod_series_epsilon_active", &[("series", series)])
+            .expect("series is catalogued")
+    }
+
     /// A server carrying epochs 1–3 of series `city`.
     fn epoch_server() -> Arc<Server> {
         let server = Arc::new(Server::new(Arc::new(Catalog::new()), 1 << 20));
@@ -1948,8 +1842,8 @@ mod tests {
         assert_eq!(server.catalog().len(), 1, "timer should retire epochs 1-2");
         assert!(server.catalog().get("city@3").is_some());
         assert_eq!(server.metrics().epochs_retired.get(), 2);
-        // Refunds landed: one live epoch's ε remains on the ledger.
-        let active = server.ledgers().active_epsilon("city").unwrap();
+        // Refunds landed: one live epoch's ε remains active.
+        let active = series_active_epsilon(&server, "city");
         assert!((active - 0.5).abs() < 1e-12, "{active}");
         // Dropping the last strong reference ends the timer thread.
         drop(server);
@@ -2181,19 +2075,20 @@ mod tests {
         assert_eq!(partial("dpod_engine_memo_misses_total"), Some(4.0));
     }
 
-    /// Retention tombstones expired epochs, refunds their ε into the
-    /// series ledger, and the monotonic rule keeps their ids retired.
+    /// Retention tombstones expired epochs, drops their ε from the
+    /// series' active total, and the monotonic rule keeps their ids
+    /// retired.
     #[test]
     fn retention_retires_epochs_and_refunds_epsilon() {
         use dpod_query::{EpochSelector, QueryPlan, WindowMerge};
         let server = epoch_server();
-        let active_before = server.ledgers().active_epsilon("city").unwrap();
+        let active_before = series_active_epsilon(&server, "city");
         assert!((active_before - 1.5).abs() < 1e-9, "{active_before}");
 
         let retired = server.apply_retention("city", 2).unwrap();
         assert_eq!(retired, vec![1]);
         assert_eq!(server.metrics().epochs_retired.get(), 1);
-        let active_after = server.ledgers().active_epsilon("city").unwrap();
+        let active_after = series_active_epsilon(&server, "city");
         assert!((active_after - 1.0).abs() < 1e-9, "{active_after}");
 
         // The retired epoch is gone from serving and from selection.
