@@ -19,8 +19,7 @@ USAGE:
                 [--epoch T [--retain K] [--series-budget EPS]]
   dpod serve    --catalog DIR [--addr HOST:PORT] [--workers N]
                 [--cache-mb M] [--index-mb M] [--wire auto|json|binary]
-                [--event-loops N] [--listen-backlog N]
-                [--metrics-addr HOST:PORT]
+                [--event-loops N] [--metrics-addr HOST:PORT]
                 [--retain-ttl SECS [--retain-last K]]
   dpod inspect  --release release.json
   dpod query    --release release.json --range SPEC [--range SPEC]...
@@ -81,12 +80,12 @@ SERVE CORE: many idle connections are served by a few epoll
             where epoll is unavailable). The event core runs
             --event-loops N shards, each with its own epoll fd and
             SO_REUSEPORT listener (default: DPOD_EVENT_LOOPS, then one
-            per core); a shard reads, answers and writes its own
+            per core; one shard if the shared port cannot be bound); a
+            shard accepts, reads, answers and writes its own
             connections, so N is the core's serving thread count and a
             slow query delays only its own shard. --workers N sizes the
-            pool fallback only. --listen-backlog N sizes every
-            listener's accept queue (default 1024; kernel clamps to
-            somaxconn).
+            pool fallback only. Every listener asks for the deepest
+            accept queue the kernel allows (somaxconn).
             SIGINT drains in flight responses across all shards, prints
             a final stats line, and exits 0. --metrics-addr additionally
             serves a Prometheus text-format exposition at GET /metrics
@@ -175,27 +174,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let input = opts.require("input")?;
             let csv_text = std::fs::read_to_string(&input)
                 .map_err(|e| CliError(format!("cannot read {input}: {e}")))?;
-            let epoch = match opts.get("epoch") {
-                Some(v) => Some(
-                    v.parse::<u64>()
-                        .map_err(|_| CliError(format!("--epoch: cannot parse '{v}'")))?,
-                ),
-                None => None,
-            };
-            let retain = match opts.get("retain") {
-                Some(v) => Some(
-                    v.parse::<usize>()
-                        .map_err(|_| CliError(format!("--retain: cannot parse '{v}'")))?,
-                ),
-                None => None,
-            };
-            let series_budget = match opts.get("series-budget") {
-                Some(v) => Some(
-                    v.parse::<f64>()
-                        .map_err(|_| CliError(format!("--series-budget: cannot parse '{v}'")))?,
-                ),
-                None => None,
-            };
             commands::publish(
                 &csv_text,
                 &SanitizeArgs {
@@ -206,9 +184,9 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 },
                 &opts.require("name")?,
                 &PathBuf::from(opts.require("catalog")?),
-                epoch,
-                retain,
-                series_budget,
+                opts.parse_opt("epoch")?,
+                opts.parse_opt("retain")?,
+                opts.parse_opt("series-budget")?,
             )
         }
         "replay" => {
@@ -236,34 +214,30 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 index_mb: opts.parse_or("index-mb", 64)?,
                 wire: opts.parse_or("wire", dpod_serve::WireMode::Auto)?,
                 event_loops: opts.parse_or("event-loops", 0)?,
-                listen_backlog: opts.parse_or("listen-backlog", 1024)?,
                 metrics_addr: opts.get("metrics-addr").map(str::to_string),
-                retain_ttl: match opts.get("retain-ttl") {
-                    Some(v) => Some(v.parse::<u64>().map_err(|_| {
-                        CliError(format!("--retain-ttl: cannot parse '{v}' (seconds)"))
-                    })?),
-                    None => None,
-                },
+                retain_ttl: opts
+                    .parse_opt("retain-ttl")
+                    .map_err(|e| CliError(format!("{e} (seconds)")))?,
                 retain_last: opts.parse_or("retain-last", 1)?,
             })?;
             eprintln!(
                 "dpod-serve listening on {} ({} releases in {} series; {:?} front end, \
-                 {} event loop{}, listen backlog {})",
+                 {} event loop{})",
                 handle.addr(),
                 server.catalog().len(),
                 dpod_serve::series::series_names(server.catalog()).len(),
                 handle.front_end(),
                 handle.event_loops(),
                 if handle.event_loops() == 1 { "" } else { "s" },
-                handle.listen_backlog(),
             );
             if let Some(exporter) = &metrics {
                 eprintln!("metrics exposition on http://{}/metrics", exporter.addr());
             }
             // Serve until SIGINT, printing one operator stats line per
             // minute (traffic, connections, cache and index hit-rates).
-            // On SIGINT: stop accepting, drain in-flight responses,
-            // print a final stats line, and exit 0.
+            // On SIGINT: stop accepting, drain in-flight responses
+            // within the default drain deadline, print a final stats
+            // line, and exit 0.
             let sigint_armed = polling::signal::install_sigint().is_ok();
             let started = std::time::Instant::now();
             let mut next_stats = std::time::Duration::from_secs(60);
@@ -272,7 +246,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 std::thread::sleep(std::time::Duration::from_millis(200));
                 if sigint_armed && polling::signal::sigint_received() {
                     eprintln!("SIGINT: draining in-flight responses…");
-                    handle.drain(std::time::Duration::from_secs(5));
+                    handle.stop();
                     drop(metrics);
                     return Ok(format!("shutdown | {}\n", tracker.line(&server)));
                 }
@@ -314,7 +288,6 @@ fn option_keys(cmd: &str) -> Option<&'static [&'static str]> {
             "index-mb",
             "wire",
             "event-loops",
-            "listen-backlog",
             "metrics-addr",
             "retain-ttl",
             "retain-last",
@@ -403,13 +376,18 @@ impl Opts {
             .ok_or_else(|| CliError(format!("--{key} is required")))
     }
 
+    /// The parsed value of `--key`, or `None` when it was not given.
+    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError(format!("--{key}: cannot parse '{v}'")))
+            })
+            .transpose()
+    }
+
     fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError(format!("--{key}: cannot parse '{v}'"))),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 
     fn parse_require<T: std::str::FromStr>(&self, key: &str) -> Result<T, CliError> {

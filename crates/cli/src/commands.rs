@@ -147,9 +147,6 @@ pub fn publish(
     } else {
         Catalog::new()
     };
-    if let (Some(budget), Some(t)) = (series_budget, epoch) {
-        check_series_budget(&catalog, name, t, release.epsilon, retain, budget)?;
-    }
     let (label, version, retired) = match epoch {
         None => (
             format!("'{name}'"),
@@ -170,6 +167,9 @@ pub fn publish(
                     expired.iter().map(|i| i.epoch).collect()
                 }
             };
+            if let Some(budget) = series_budget {
+                check_series_budget(&catalog, name, budget)?;
+            }
             (format!("'{name}' epoch {t}"), version, retired)
         }
     };
@@ -197,44 +197,21 @@ pub fn publish(
     ))
 }
 
-/// Enforces `--series-budget`: simulates the live epoch set *after*
-/// publishing ε at epoch `t` and after the `retain`-newest prune, and
-/// refuses (before anything is mutated or written) when the surviving
-/// active ε would exceed `budget`. The small tolerance absorbs the
-/// float summation of many per-epoch ε values at an exact ceiling.
-fn check_series_budget(
-    catalog: &Catalog,
-    name: &str,
-    t: u64,
-    epsilon: f64,
-    retain: Option<usize>,
-    budget: f64,
-) -> Result<(), CliError> {
-    let mut sim: Vec<(u64, f64)> = series::series_epochs(catalog, name)
-        .iter()
-        .map(|info| (info.epoch, info.entry.release.epsilon))
-        .collect();
-    // A republish of a live epoch replaces its ε; a new epoch adds one.
-    match sim.iter_mut().find(|(e, _)| *e == t) {
-        Some(slot) => slot.1 = epsilon,
-        None => {
-            sim.push((t, epsilon));
-            sim.sort_by_key(|(e, _)| *e);
-        }
-    }
-    if let Some(k) = retain.filter(|&k| k > 0) {
-        if sim.len() > k {
-            let cut = sim.len() - k;
-            sim.drain(..cut);
-        }
-    }
-    let active: f64 = sim.iter().map(|(_, eps)| eps).sum();
+/// Enforces `--series-budget` on the in-memory catalog, after the
+/// publish and the retention prune but before anything is saved: refuses
+/// when the series' live epochs hold more than `budget` of active ε. A
+/// republish of a live epoch replaced its entry, so its ε counts once.
+/// The small tolerance absorbs the float summation of many per-epoch ε
+/// values at an exact ceiling.
+fn check_series_budget(catalog: &Catalog, name: &str, budget: f64) -> Result<(), CliError> {
+    let live = series::series_epochs(catalog, name);
+    let active: f64 = live.iter().map(|info| info.entry.release.epsilon).sum();
     if active > budget + 1e-12 {
         return Err(CliError(format!(
             "refusing publish: series '{name}' active \u{3b5} would be {active} \
              ({} live epoch{}), over the --series-budget ceiling {budget}",
-            sim.len(),
-            if sim.len() == 1 { "" } else { "s" },
+            live.len(),
+            if live.len() == 1 { "" } else { "s" },
         )));
     }
     Ok(())
@@ -262,9 +239,6 @@ pub struct ServeArgs {
     /// threads; `0` resolves to the `DPOD_EVENT_LOOPS` environment
     /// variable, then the core count.
     pub event_loops: usize,
-    /// Accept-queue depth requested for every listener
-    /// (`--listen-backlog`; the kernel clamps to `somaxconn`).
-    pub listen_backlog: i32,
     /// Bind address for the Prometheus-text `/metrics` exposition
     /// (`--metrics-addr`); `None` disables the exporter.
     pub metrics_addr: Option<String>,
@@ -317,7 +291,6 @@ pub fn start_server(
             workers: args.workers,
             wire: args.wire,
             event_loops: args.event_loops,
-            listen_backlog: args.listen_backlog,
             ..SpawnOptions::default()
         },
     )
@@ -1523,7 +1496,6 @@ mod tests {
             index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
-            listen_backlog: 1024,
             metrics_addr: None,
             retain_ttl: None,
             retain_last: 1,
@@ -1593,13 +1565,19 @@ mod tests {
         publish(&csv_text, &args, "denver", &dir, Some(1), Some(2), b).unwrap();
         publish(&csv_text, &args, "denver", &dir, Some(2), Some(2), b).unwrap();
         // A third without retention pruning would hold 3ε — refused,
-        // and nothing is written (epoch 3 stays unpublished).
+        // and nothing is written: the manifest is byte-identical and
+        // epoch 3 stays unpublished.
+        let manifest = std::fs::read(dir.join("catalog.json")).unwrap();
         let err = publish(&csv_text, &args, "denver", &dir, Some(3), None, b).unwrap_err();
         assert!(err.0.contains("series-budget"), "{err}");
+        assert_eq!(std::fs::read(dir.join("catalog.json")).unwrap(), manifest);
         // With the window of 2 the oldest epoch's refund pays for the
         // new one: active ε stays at 2.0 and the publish is accepted.
         let msg = publish(&csv_text, &args, "denver", &dir, Some(3), Some(2), b).unwrap();
         assert!(msg.contains("retired epoch 1"), "{msg}");
+        // A republish of a live epoch replaces its ε: still 2.0 active.
+        let msg = publish(&csv_text, &args, "denver", &dir, Some(3), None, b).unwrap();
+        assert!(msg.contains("epoch 3 v2"), "{msg}");
         // The ceiling needs an epoch series to meter.
         assert!(publish(&csv_text, &args, "denver", &dir, None, None, b).is_err());
 
@@ -1650,7 +1628,6 @@ mod tests {
             index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
-            listen_backlog: 1024,
             metrics_addr: None,
             retain_ttl: None,
             retain_last: 1,
@@ -1700,7 +1677,6 @@ mod tests {
             index_mb: 1,
             wire: WireMode::Auto,
             event_loops: 0,
-            listen_backlog: 1024,
             metrics_addr: None,
             retain_ttl: None,
             retain_last: 1,
@@ -1761,7 +1737,6 @@ mod tests {
             index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
-            listen_backlog: 1024,
             metrics_addr: None,
             retain_ttl: None,
             retain_last: 1,
@@ -1873,7 +1848,6 @@ mod tests {
             index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
-            listen_backlog: 1024,
             metrics_addr: None,
             retain_ttl: None,
             retain_last: 1,
@@ -1968,7 +1942,6 @@ mod tests {
             index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
-            listen_backlog: 1024,
             metrics_addr: None,
             retain_ttl: None,
             retain_last: 1,

@@ -37,14 +37,13 @@
 //! ## Shard ownership and accept
 //!
 //! Every connection belongs to exactly one shard for its whole life:
-//! the shard that registered it owns its slab entry, parser, readiness
-//! events, timeouts, and writes. With `SO_REUSEPORT`
-//! ([`polling::net::bind_reuseport`]) each shard accepts from its *own*
-//! listener bound to the same address and the kernel spreads incoming
-//! connections across them. Where `SO_REUSEPORT` is unavailable the
-//! shards fall back to **striped accept**: shard 0 owns the single
-//! listener and hands accepted sockets round-robin to its peers over
-//! per-shard channels.
+//! the shard that accepted it owns its slab entry, parser, readiness
+//! events, timeouts, and writes. Each shard accepts from its *own*
+//! listener: several shards bind the same address with `SO_REUSEPORT`
+//! ([`polling::net::bind_reuseport`]) and the kernel spreads incoming
+//! connections across them. Where that bind fails,
+//! [`crate::spawn_with`] runs one shard on one plain listener, so no
+//! socket ever crosses a thread.
 //!
 //! ## Backpressure and timeouts
 //!
@@ -76,7 +75,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Outbound bytes buffered for one connection above which its shard
@@ -100,18 +99,8 @@ const TOKEN_WAKER: u64 = u64::MAX - 1;
 /// Tunables handed down from [`crate::SpawnOptions`].
 #[derive(Debug, Clone)]
 pub(crate) struct EventConfig {
-    /// Loop shards (each its own epoll fd + slab); clamped to ≥ 1.
-    pub loops: usize,
     pub mode: WireMode,
     pub idle_timeout: Duration,
-}
-
-/// A peer shard's intake for striped accept: the owning shard sends the
-/// freshly accepted socket and wakes the peer to register it.
-#[derive(Debug)]
-struct ShardLink {
-    incoming: mpsc::Sender<TcpStream>,
-    waker: Arc<Waker>,
 }
 
 /// Per-connection state, owned and touched only by its shard.
@@ -160,28 +149,14 @@ fn transport_of(item: &WorkItem) -> Transport {
     }
 }
 
-/// Everything one shard needs, assembled before its thread starts so
-/// all fallible setup happens up front.
-struct ShardParts {
-    poller: Poller,
-    waker: Arc<Waker>,
-    listener: Option<TcpListener>,
-    incoming_rx: mpsc::Receiver<TcpStream>,
-}
-
 /// What [`spawn`] hands back to the [`crate::ServerHandle`]: one join
 /// handle and one waker per loop shard, index-aligned.
 pub(crate) type SpawnedShards = (Vec<std::thread::JoinHandle<()>>, Vec<Arc<Waker>>);
 
-/// Spawns the event front end: `cfg.loops` loop shards over the given
-/// listeners — the front end's only threads — and the waker/shutdown
-/// plumbing the [`crate::ServerHandle`] drives.
-///
-/// `listeners` is either one listener **per shard** (all bound to the
-/// same address via `SO_REUSEPORT` — the kernel spreads accepts) or a
-/// **single** listener (shard 0 accepts and hands sockets round-robin
-/// to its peers: the striped-accept fallback for platforms without
-/// `SO_REUSEPORT`).
+/// Spawns the event front end: one loop shard per listener — the front
+/// end's only threads — and the waker/shutdown plumbing the
+/// [`crate::ServerHandle`] drives. Several listeners must share one
+/// address through `SO_REUSEPORT`, so the kernel spreads accepts.
 ///
 /// # Errors
 /// Creating a poller or waker (notably `Unsupported` off Linux, which
@@ -194,99 +169,58 @@ pub(crate) fn spawn(
     shutdown: Arc<AtomicBool>,
     drain_ms: Arc<AtomicU64>,
 ) -> std::io::Result<SpawnedShards> {
-    let loops = cfg.loops.max(1);
-    debug_assert!(
-        listeners.len() == loops || listeners.len() == 1,
-        "one listener per shard (SO_REUSEPORT) or a single striped one"
-    );
-    let striped = listeners.len() < loops;
-
-    // All fallible setup first: a `?` here drops every half-built part
-    // before any thread exists.
-    let mut listeners = listeners.into_iter();
-    let mut shards = Vec::with_capacity(loops);
-    let mut links = Vec::with_capacity(loops);
-    for _ in 0..loops {
-        let poller = Poller::new()?;
-        let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER)?);
-        let listener = listeners.next();
-        if let Some(l) = &listener {
-            l.set_nonblocking(true)?;
-            poller.add(l.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        }
-        let (incoming_tx, incoming_rx) = mpsc::channel::<TcpStream>();
-        links.push(ShardLink {
-            incoming: incoming_tx,
-            waker: Arc::clone(&waker),
-        });
-        shards.push(ShardParts {
-            poller,
-            waker,
-            listener,
-            incoming_rx,
-        });
-    }
-    let links = Arc::new(links);
-
     // The drain deadline is shared: whichever shard observes shutdown
     // first anchors it, and all shards converge on the same instant.
     let drain_anchor = Arc::new(Mutex::new(None::<Instant>));
-    let mut joins = Vec::with_capacity(loops);
-    let mut wakers = Vec::with_capacity(loops);
-    for (shard, parts) in shards.into_iter().enumerate() {
-        wakers.push(Arc::clone(&parts.waker));
-        let state = EventLoop {
+    // All fallible setup first: a `?` here drops every half-built shard
+    // before any thread exists.
+    let mut shards = Vec::with_capacity(listeners.len());
+    for (shard, listener) in listeners.into_iter().enumerate() {
+        let poller = Poller::new()?;
+        let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER)?);
+        listener.set_nonblocking(true)?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
+        shards.push(EventLoop {
             server: Arc::clone(&server),
-            poller: parts.poller,
-            listener: parts.listener,
+            poller,
+            listener: Some(listener),
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
-            shard,
-            loops,
-            striped,
-            next_stripe: (shard + 1) % loops,
-            peers: Arc::clone(&links),
-            incoming_rx: parts.incoming_rx,
-            waker: parts.waker,
+            waker,
             metrics: server.metrics().shard(shard),
             cfg: cfg.clone(),
             shutdown: Arc::clone(&shutdown),
             drain_ms: Arc::clone(&drain_ms),
             drain_anchor: Arc::clone(&drain_anchor),
             scratch: vec![0u8; 64 << 10],
-        };
-        joins.push(std::thread::spawn(move || {
-            // Batch scheduling class: on core-starved hosts a shard then
-            // wakes with fuller readiness batches instead of preempting
-            // clients after every single request (harmless otherwise).
-            let _ = polling::sched::set_current_thread_batch();
-            state.run();
-        }));
+        });
     }
+    let wakers = shards.iter().map(|s| Arc::clone(&s.waker)).collect();
+    let joins = shards
+        .into_iter()
+        .map(|state| {
+            std::thread::spawn(move || {
+                // Batch scheduling class: on core-starved hosts a shard
+                // then wakes with fuller readiness batches instead of
+                // preempting clients after every single request
+                // (harmless otherwise).
+                let _ = polling::sched::set_current_thread_batch();
+                state.run();
+            })
+        })
+        .collect();
     Ok((joins, wakers))
 }
 
 struct EventLoop {
     server: Arc<Server>,
     poller: Poller,
+    /// This shard's own listener; taken (closed) when draining starts.
     listener: Option<TcpListener>,
     conns: Vec<Option<EvConn>>,
     gens: Vec<u32>,
     free: Vec<usize>,
-    /// This shard's index (metrics label; striping skips self-sends).
-    shard: usize,
-    /// Total shard count, for the striped-accept round-robin.
-    loops: usize,
-    /// Single-listener mode: the listener-owning shard deals accepted
-    /// sockets to its peers instead of the kernel spreading them.
-    striped: bool,
-    /// Next shard in the striped round-robin.
-    next_stripe: usize,
-    /// Every shard's intake (index-aligned), for striped handoff.
-    peers: Arc<Vec<ShardLink>>,
-    /// Sockets handed to this shard by the striping accept shard.
-    incoming_rx: mpsc::Receiver<TcpStream>,
     waker: Arc<Waker>,
     /// This shard's labelled health series.
     metrics: ShardMetrics,
@@ -319,9 +253,7 @@ impl EventLoop {
                 // Stop accepting: deregister and close the listen socket
                 // (pending backlog entries are reset by the kernel), and
                 // pause reads everywhere — already-read requests were
-                // answered in their turn and still get flushed. Keyed on
-                // the deadline, not the listener: striped non-zero
-                // shards never had one.
+                // answered in their turn and still get flushed.
                 if let Some(listener) = self.listener.take() {
                     let _ = self.poller.delete(listener.as_raw_fd());
                 }
@@ -390,50 +322,18 @@ impl EventLoop {
                     }
                 }
             }
-            self.collect_incoming();
             self.sweep_timeouts();
         }
     }
 
-    /// Registers sockets striped over from the accepting shard. During
-    /// drain, late handoffs are dropped (reset) — same fate as unserved
-    /// backlog entries on the closed listener.
-    fn collect_incoming(&mut self) {
-        while let Ok(stream) = self.incoming_rx.try_recv() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                continue;
-            }
-            self.register(stream);
-        }
-    }
-
     fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
+        while let Some(listener) = &self.listener {
             match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if self.striped && self.loops > 1 {
-                        let target = self.next_stripe;
-                        self.next_stripe = (self.next_stripe + 1) % self.loops;
-                        if target != self.shard {
-                            match self.peers[target].incoming.send(stream) {
-                                Ok(()) => {
-                                    self.peers[target].waker.wake();
-                                    continue;
-                                }
-                                // Peer shard is gone: serve it here.
-                                Err(e) => self.register(e.0),
-                            }
-                            continue;
-                        }
-                    }
-                    self.register(stream);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Ok((stream, _peer)) => self.register(stream),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return, // transient accept failure; retry on next event
+                // `WouldBlock`, or a transient accept failure retried on
+                // the next readiness event.
+                Err(_) => return,
             }
         }
     }
@@ -678,99 +578,6 @@ impl EventLoop {
             self.server.connection_closed();
             self.gens[slot] = self.gens[slot].wrapping_add(1);
             self.free.push(slot);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::protocol::{Request, Response};
-    use crate::Catalog;
-    use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
-    use dpod_dp::Epsilon;
-    use dpod_fmatrix::{DenseMatrix, Shape};
-    use std::io::{BufRead, BufReader};
-
-    fn test_server() -> Arc<Server> {
-        let catalog = Arc::new(Catalog::new());
-        let shape = Shape::new(vec![16, 16]).unwrap();
-        let mut m = DenseMatrix::<u64>::zeros(shape);
-        m.add_at(&[3, 9], 700).unwrap();
-        let out = Ebp::default()
-            .sanitize(&m, Epsilon::new(0.5).unwrap(), &mut dpod_dp::seeded_rng(11))
-            .unwrap();
-        catalog.publish("city", PublishedRelease::from_sanitized(&out));
-        Arc::new(Server::new(catalog, 1 << 22))
-    }
-
-    /// The `SO_REUSEPORT`-less fallback, driven directly: one listener,
-    /// four shards. Shard 0 accepts and stripes sockets round-robin to
-    /// its peers, so three of the four shards serve connections they
-    /// never accepted — every round trip below crosses the handoff
-    /// channel plus an unconditional peer wake.
-    #[test]
-    fn striped_accept_serves_connections_on_listenerless_shards() {
-        let server = test_server();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let drain_ms = Arc::new(AtomicU64::new(0));
-        let cfg = EventConfig {
-            loops: 4,
-            mode: WireMode::Auto,
-            idle_timeout: Duration::from_secs(30),
-        };
-        let (joins, wakers) = spawn(
-            Arc::clone(&server),
-            vec![listener],
-            cfg,
-            Arc::clone(&shutdown),
-            drain_ms,
-        )
-        .expect("striped spawn");
-        assert_eq!(joins.len(), 4);
-
-        // More connections than shards: the round-robin wraps and every
-        // shard (listener-owning or not) serves several.
-        let req = serde_json::to_string(&Request::Query {
-            release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![16, 16],
-        })
-        .unwrap();
-        let mut conns = Vec::new();
-        for _ in 0..12 {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .unwrap();
-            conns.push(stream);
-        }
-        let mut values = Vec::new();
-        for stream in &conns {
-            (&*stream).write_all(format!("{req}\n").as_bytes()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut answer = String::new();
-            reader.read_line(&mut answer).unwrap();
-            let Response::Value { value } =
-                serde_json::from_str::<Response>(answer.trim()).unwrap()
-            else {
-                panic!("striped connection unanswered: {answer:?}");
-            };
-            values.push(value);
-        }
-        assert_eq!(values.len(), 12);
-        assert!(values.windows(2).all(|w| w[0] == w[1]), "answers diverged");
-        assert_eq!(server.metrics().queries.get(), 12);
-
-        drop(conns);
-        shutdown.store(true, Ordering::SeqCst);
-        for w in &wakers {
-            w.wake();
-        }
-        for j in joins {
-            j.join().unwrap();
         }
     }
 }

@@ -17,10 +17,11 @@
 //! * [`Server`] — the request front end: an in-process [`Server::handle`]
 //!   API driven directly by the CLI, tests and benches, plus two
 //!   std-only TCP serving cores ([`spawn_with`], see [`FrontEnd`]): an
-//!   epoll-driven event loop whose shards own open connections as
-//!   cheap state and answer their requests, and a thread-per-connection pool
-//!   that takes over where epoll is unavailable. Both frame bytes with
-//!   one parser and answer through one executor, speaking
+//!   epoll-driven event loop whose shards each accept from their own
+//!   `SO_REUSEPORT` listener, own open connections as cheap state and
+//!   answer their requests, and a thread-per-connection pool, the only
+//!   core where epoll is unavailable. Both frame bytes with one parser,
+//!   answer through one executor and stop through one drain, speaking
 //!   newline-delimited JSON and/or the length-prefixed `DPRB` binary
 //!   protocol ([`wire`]), selected per connection by a preamble sniff
 //!   ([`WireMode`]).

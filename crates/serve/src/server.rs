@@ -9,12 +9,13 @@
 //! one of two front ends (no async runtime either way):
 //!
 //! * **`event`** — a readiness-driven core ([`crate::event`]): `L`
-//!   epoll loop shards own every socket as cheap nonblocking state and
-//!   run each request to completion — read, frame, answer, write — on
-//!   the shard that owns its connection. `L` threads serve `M ≫ L`
-//!   connections, so an idle analyst costs a few kilobytes, not a
-//!   thread.
-//! * **`pool`** — the fallback when epoll is unavailable: one acceptor
+//!   epoll loop shards, each accepting from its own `SO_REUSEPORT`
+//!   listener, own every socket as cheap nonblocking state and run each
+//!   request to completion — read, frame, answer, write — on the shard
+//!   that owns its connection. `L` threads serve `M ≫ L` connections,
+//!   so an idle analyst costs a few kilobytes, not a thread. Where the
+//!   shared-port bind fails, one shard serves one plain listener.
+//! * **`pool`** — the only core off Linux (no epoll): one acceptor
 //!   hands sockets to workers over an `mpsc` channel, each worker runs
 //!   one connection's blocking read–answer–write loop, and the
 //!   [`IDLE_TIMEOUT`] reclaims workers from clients that go quiet.
@@ -23,7 +24,8 @@
 //! answer its items with the same [`crate::conn::run_job`], so they
 //! serve identical bytes (pinned by a differential test) and both
 //! maintain the open/accepted-connection series in
-//! [`Server::snapshot`]. Each connection speaks one of two encodings,
+//! [`Server::snapshot`]; both stop the same way, through
+//! [`ServerHandle::drain`]. Each connection speaks one of two encodings,
 //! selected by its first bytes (see [`WireMode`]): the `DPRB` binary
 //! preamble switches to length-prefixed frames ([`crate::wire`]),
 //! anything else is served as newline-delimited JSON.
@@ -503,21 +505,15 @@ pub struct SpawnOptions {
     /// Close a connection once no byte moves in either direction for
     /// this long (quiet analysts and stalled pipeliners alike).
     pub idle_timeout: Duration,
-    /// Graceful-shutdown bound: how long [`ServerHandle::stop`] (event
-    /// front end) waits for in-flight responses to flush before
-    /// dropping stragglers.
+    /// Graceful-shutdown bound: how long [`ServerHandle::stop`] waits
+    /// for in-flight responses to flush before dropping stragglers.
     pub drain_deadline: Duration,
     /// Event front end only: loop shards, which are the core's total
-    /// request-serving threads (each reads, frames, answers and writes
-    /// its own connections). `0` (the default) resolves to the
+    /// request-serving threads (each accepts, reads, frames, answers and
+    /// writes its own connections). `0` (the default) resolves to the
     /// `DPOD_EVENT_LOOPS` environment variable when set, then to the
     /// core count with a floor of 1.
     pub event_loops: usize,
-    /// `listen(2)` backlog applied to every listener — the primary on
-    /// both front ends, and each shard's `SO_REUSEPORT` sibling (each
-    /// gets its own full queue). The kernel clamps to
-    /// `net.core.somaxconn`.
-    pub listen_backlog: i32,
 }
 
 impl Default for SpawnOptions {
@@ -529,7 +525,6 @@ impl Default for SpawnOptions {
             idle_timeout: IDLE_TIMEOUT,
             drain_deadline: Duration::from_secs(5),
             event_loops: 0,
-            listen_backlog: 1024,
         }
     }
 }
@@ -594,8 +589,6 @@ pub struct ServerHandle {
     front_end: FrontEnd,
     /// Event-loop shards actually spawned (1 in pool mode).
     loops: usize,
-    /// The `listen(2)` backlog requested for every listener.
-    backlog: i32,
     /// Event mode: one join handle per loop shard. Pool mode: the
     /// acceptor.
     joins: Vec<std::thread::JoinHandle<()>>,
@@ -620,37 +613,22 @@ impl ServerHandle {
     }
 
     /// Event-loop shards actually spawned (after fallback and
-    /// environment resolution; `1` on the pool front end).
+    /// environment resolution; `1` on the pool front end, or where the
+    /// shards' `SO_REUSEPORT` listeners could not be bound).
     pub fn event_loops(&self) -> usize {
         self.loops
     }
 
-    /// The `listen(2)` backlog requested for every listener (the kernel
-    /// clamps to `net.core.somaxconn`).
-    pub fn listen_backlog(&self) -> i32 {
-        self.backlog
-    }
-
-    /// Stops the server. On the event front end this is a graceful
-    /// drain bounded by [`SpawnOptions::drain_deadline`]: accepting
-    /// stops, every request already received is answered and flushed,
-    /// then the loop exits. On the pool front end it keeps the legacy
-    /// semantics — accepting stops and joins, but connections already
-    /// handed to workers are served until the peer closes or idles out.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            waker.wake();
-        }
-        for handle in self.joins.drain(..) {
-            let _ = handle.join();
-        }
+    /// [`ServerHandle::drain`] bounded by
+    /// [`SpawnOptions::drain_deadline`], on both front ends.
+    pub fn stop(self) {
+        let deadline = Duration::from_millis(self.drain_ms.load(Ordering::SeqCst));
+        self.drain(deadline);
     }
 
     /// Graceful shutdown on both front ends: stops accepting, drains
     /// in-flight responses, and returns once everything quiesced or
-    /// `deadline` passed (stragglers are dropped). `dpod serve` calls
-    /// this on SIGINT.
+    /// `deadline` passed (stragglers are dropped).
     pub fn drain(mut self, deadline: Duration) {
         self.drain_ms
             .store(deadline.as_millis() as u64, Ordering::SeqCst);
@@ -782,67 +760,69 @@ pub fn spawn_with(
     addr: impl ToSocketAddrs,
     opts: SpawnOptions,
 ) -> std::io::Result<ServerHandle> {
-    let requested = opts.front_end.unwrap_or_default();
-    // Probe epoll support up front so the fallback can reuse the bound
-    // listener (off Linux the polling shim reports `Unsupported`).
-    let front_end = match requested {
-        FrontEnd::Event if polling::Poller::new().is_ok() => FrontEnd::Event,
-        _ => FrontEnd::Pool,
-    };
-    let loops = match front_end {
-        FrontEnd::Event => resolve_event_loops(opts.event_loops),
-        FrontEnd::Pool => 1,
-    };
-    let backlog = opts.listen_backlog.max(1);
-    // With several shards the primary listener itself must carry
-    // SO_REUSEPORT (set before bind) or the sibling shard listeners
-    // cannot share its address; when that bind fails — no SO_REUSEPORT
-    // on this platform — the event front end stripes accepts from the
-    // one plain listener instead.
-    let listener = if loops > 1 {
-        match first_addr(&addr).and_then(|a| polling::net::bind_reuseport(a, backlog)) {
-            Ok(l) => l,
-            Err(_) => bind_with_backlog(&addr, backlog)?,
+    // Probe epoll support up front: off Linux the polling shim reports
+    // `Unsupported` and the pool serves instead.
+    match opts.front_end.unwrap_or_default() {
+        FrontEnd::Event if polling::Poller::new().is_ok() => {
+            let loops = resolve_event_loops(opts.event_loops);
+            let listeners = shard_listeners(&addr, loops, |a| {
+                polling::net::bind_reuseport(a, LISTEN_BACKLOG)
+            })?;
+            spawn_event_front_end(server, listeners, &opts)
         }
-    } else {
-        bind_with_backlog(&addr, backlog)?
-    };
-    let local = listener.local_addr()?;
-    match front_end {
-        FrontEnd::Event => spawn_event_front_end(server, listener, &opts, local, loops, backlog),
-        FrontEnd::Pool => Ok(spawn_pool_front_end(server, listener, &opts, local)),
+        _ => spawn_pool_front_end(server, bind_plain(&addr)?, &opts),
     }
 }
 
-/// Resolves `addr` to its first candidate, the one
-/// [`polling::net::bind_reuseport`] (a raw `socket`/`bind` sequence,
-/// not an iterator over candidates) binds.
-fn first_addr(addr: &impl ToSocketAddrs) -> std::io::Result<SocketAddr> {
-    addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "address resolved to no candidates",
-        )
-    })
+/// The `listen(2)` backlog every listener requests. The kernel silently
+/// caps it at `net.core.somaxconn`, so each accept queue is as deep as
+/// the host allows.
+const LISTEN_BACKLOG: i32 = i32::MAX;
+
+/// One listener per event-loop shard, all on one address through
+/// `bind_shared` (an `SO_REUSEPORT` bind), so the kernel spreads accepts
+/// across the shards. With one shard, or when any of those binds fails,
+/// it is a single plain listener instead, served by one shard.
+fn shard_listeners(
+    addr: &impl ToSocketAddrs,
+    loops: usize,
+    bind_shared: impl Fn(SocketAddr) -> std::io::Result<TcpListener>,
+) -> std::io::Result<Vec<TcpListener>> {
+    // `bind_shared` is a raw `socket`/`bind` sequence, so it takes the
+    // first resolved candidate; the siblings then bind the port the
+    // first listener got (port 0 picks one).
+    let bind_all = |a: SocketAddr| -> std::io::Result<Vec<TcpListener>> {
+        let first = bind_shared(a)?;
+        let local = first.local_addr()?;
+        let mut all = vec![first];
+        for _ in 1..loops {
+            all.push(bind_shared(local)?);
+        }
+        Ok(all)
+    };
+    if loops > 1 {
+        if let Some(Ok(all)) = addr.to_socket_addrs()?.next().map(bind_all) {
+            return Ok(all);
+        }
+    }
+    Ok(vec![bind_plain(addr)?])
 }
 
-/// Plain `std` bind plus a production-sized `listen(2)` queue.
-/// `TcpListener::bind` hardcodes an accept backlog of 128, which a
-/// fleet of analysts reconnecting at once (or a load generator starting
-/// up) overflows into multi-second SYN-retransmit stalls; re-apply
-/// `listen(2)` with the configured queue (the kernel clamps to
-/// `net.core.somaxconn`). A failed resize is surfaced as a startup
+/// `std`'s bind plus the full `listen(2)` queue: `TcpListener::bind`
+/// hardcodes a backlog of 128, which a fleet of analysts reconnecting at
+/// once (or a load generator starting up) overflows into multi-second
+/// SYN-retransmit stalls. A failed resize is surfaced as a startup
 /// warning — except `Unsupported`, the shim's documented answer off
 /// Linux, where 128 simply stands.
-fn bind_with_backlog(addr: &impl ToSocketAddrs, backlog: i32) -> std::io::Result<TcpListener> {
+fn bind_plain(addr: &impl ToSocketAddrs) -> std::io::Result<TcpListener> {
     let listener = TcpListener::bind(addr)?;
     #[cfg(unix)]
     {
         use std::os::unix::io::AsRawFd;
-        if let Err(e) = polling::net::set_listen_backlog(listener.as_raw_fd(), backlog) {
-            if e.kind() != std::io::ErrorKind::Unsupported {
+        if let Err(e) = polling::net::set_listen_backlog(listener.as_raw_fd(), LISTEN_BACKLOG) {
+            if e.kind() != ErrorKind::Unsupported {
                 eprintln!(
-                    "dpod-serve: warning: failed to resize listen backlog to {backlog}: {e} \
+                    "dpod-serve: warning: failed to resize the listen backlog: {e} \
                      (the kernel default stands)"
                 );
             }
@@ -854,36 +834,15 @@ fn bind_with_backlog(addr: &impl ToSocketAddrs, backlog: i32) -> std::io::Result
 #[cfg(unix)]
 fn spawn_event_front_end(
     server: Arc<Server>,
-    listener: TcpListener,
+    listeners: Vec<TcpListener>,
     opts: &SpawnOptions,
-    local: SocketAddr,
-    loops: usize,
-    backlog: i32,
 ) -> std::io::Result<ServerHandle> {
+    let addr = listeners[0].local_addr()?;
+    let loops = listeners.len();
     server.metrics().note_front_end("event");
     let shutdown = Arc::new(AtomicBool::new(false));
     let drain_ms = Arc::new(AtomicU64::new(opts.drain_deadline.as_millis() as u64));
-    // One listener per shard when the kernel can spread accepts
-    // (SO_REUSEPORT); otherwise the single listener is striped by
-    // shard 0. All-or-nothing: with only a partial sibling set the
-    // kernel would spread accepts over fewer queues than shards and
-    // leave the rest idle.
-    let mut listeners = vec![listener];
-    if loops > 1 {
-        let mut siblings = Vec::with_capacity(loops - 1);
-        for _ in 1..loops {
-            match polling::net::bind_reuseport(local, backlog) {
-                Ok(l) => siblings.push(l),
-                Err(_) => {
-                    siblings.clear();
-                    break;
-                }
-            }
-        }
-        listeners.extend(siblings);
-    }
     let cfg = crate::event::EventConfig {
-        loops,
         mode: opts.wire,
         idle_timeout: opts.idle_timeout,
     };
@@ -895,11 +854,10 @@ fn spawn_event_front_end(
         Arc::clone(&drain_ms),
     )?;
     Ok(ServerHandle {
-        addr: local,
+        addr,
         shutdown,
         front_end: FrontEnd::Event,
         loops,
-        backlog,
         joins,
         wakers,
         drain_ms,
@@ -910,11 +868,8 @@ fn spawn_event_front_end(
 #[cfg(not(unix))]
 fn spawn_event_front_end(
     _server: Arc<Server>,
-    _listener: TcpListener,
+    _listeners: Vec<TcpListener>,
     _opts: &SpawnOptions,
-    _local: SocketAddr,
-    _loops: usize,
-    _backlog: i32,
 ) -> std::io::Result<ServerHandle> {
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
@@ -927,8 +882,8 @@ fn spawn_pool_front_end(
     server: Arc<Server>,
     listener: TcpListener,
     opts: &SpawnOptions,
-    local: SocketAddr,
-) -> ServerHandle {
+) -> std::io::Result<ServerHandle> {
+    let addr = listener.local_addr()?;
     server.metrics().note_front_end("pool");
     let shutdown = Arc::new(AtomicBool::new(false));
     let workers = opts.workers.max(1);
@@ -997,17 +952,16 @@ fn spawn_pool_front_end(
         }
     });
 
-    ServerHandle {
-        addr: local,
+    Ok(ServerHandle {
+        addr,
         shutdown,
         front_end: FrontEnd::Pool,
         loops: 1,
-        backlog: opts.listen_backlog.max(1),
         joins: vec![acceptor],
         wakers: Vec::new(),
         drain_ms: Arc::new(AtomicU64::new(opts.drain_deadline.as_millis() as u64)),
         pool: Some(pool_state),
-    }
+    })
 }
 
 /// Serves one connection on a pool worker until the peer closes, the
@@ -1755,6 +1709,49 @@ mod tests {
             j.join().unwrap();
         }
         assert_eq!(server.metrics().queries.get(), 100);
+        handle.stop();
+    }
+
+    /// A sibling `SO_REUSEPORT` bind that fails leaves one plain
+    /// listener: the event core runs one shard on it, and it answers.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_sibling_bind_serves_on_one_shard() {
+        let binds = AtomicU64::new(0);
+        let listeners = shard_listeners(&"127.0.0.1:0", 4, |a| {
+            if binds.fetch_add(1, Ordering::SeqCst) == 0 {
+                polling::net::bind_reuseport(a, LISTEN_BACKLOG)
+            } else {
+                Err(ErrorKind::AddrInUse.into())
+            }
+        })
+        .unwrap();
+        assert_eq!(
+            binds.load(Ordering::SeqCst),
+            2,
+            "stops at the first failure"
+        );
+        assert_eq!(listeners.len(), 1);
+
+        let server = test_server(&["city"]);
+        let handle =
+            spawn_event_front_end(Arc::clone(&server), listeners, &SpawnOptions::default())
+                .unwrap();
+        assert_eq!(handle.event_loops(), 1);
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let req = Request::Query {
+            release: "city".into(),
+            lo: vec![0, 0],
+            hi: vec![2, 2],
+        };
+        (&stream)
+            .write_all(format!("{}\n", serde_json::to_string(&req).unwrap()).as_bytes())
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp: Response = serde_json::from_str(line.trim()).unwrap();
+        assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
         handle.stop();
     }
 

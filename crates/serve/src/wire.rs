@@ -759,18 +759,18 @@ fn decode_answer(r: &mut FrameReader<'_>, depth: usize, packed: bool) -> Result<
     }
 }
 
+/// The dimensionality every corner of a batch shares, or `None` for an
+/// empty or heterogeneous batch (or one too wide for the `u16` field),
+/// which travels as length-prefixed corners instead.
+fn homogeneous_ndim(ranges: &[(Vec<usize>, Vec<usize>)]) -> Option<usize> {
+    let d = ranges.first()?.0.len();
+    ((d as u64) < u64::from(MIXED_NDIM)
+        && ranges.iter().all(|(lo, hi)| lo.len() == d && hi.len() == d))
+    .then_some(d)
+}
+
 fn encode_batch(release: &str, ranges: &[(Vec<usize>, Vec<usize>)]) -> Vec<u8> {
-    let homogeneous_ndim = match ranges.first() {
-        Some((lo, _)) if (lo.len() as u64) < u64::from(MIXED_NDIM) => {
-            let d = lo.len();
-            ranges
-                .iter()
-                .all(|(lo, hi)| lo.len() == d && hi.len() == d)
-                .then_some(d)
-        }
-        _ => None,
-    };
-    match homogeneous_ndim {
+    match homogeneous_ndim(ranges) {
         Some(d) => {
             let mut w = writer(release.len() + 32 + ranges.len() * 2 * d * 8, OP_BATCH);
             put_wire_str(&mut w, release);
@@ -806,17 +806,7 @@ fn encode_batch(release: &str, ranges: &[(Vec<usize>, Vec<usize>)]) -> Vec<u8> {
 /// Heterogeneous and empty batches gain nothing from packing and fall
 /// back to the legacy encoding, which every decoder accepts.
 fn encode_batch_packed(release: &str, ranges: &[(Vec<usize>, Vec<usize>)]) -> Vec<u8> {
-    let homogeneous_ndim = match ranges.first() {
-        Some((lo, _)) if (lo.len() as u64) < u64::from(MIXED_NDIM) => {
-            let d = lo.len();
-            ranges
-                .iter()
-                .all(|(lo, hi)| lo.len() == d && hi.len() == d)
-                .then_some(d)
-        }
-        _ => None,
-    };
-    let Some(d) = homogeneous_ndim else {
+    let Some(d) = homogeneous_ndim(ranges) else {
         return encode_batch(release, ranges);
     };
     let blob = pack_words(
@@ -870,14 +860,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
             let ndim = r.get_u16("batch ndim")? as usize;
             let count = usize::try_from(r.get_u64("batch count")?)
                 .map_err(|_| WireError("batch count overflows".into()))?;
-            if ndim == 0 && count > MAX_ZERO_DIM_RANGES {
-                return Err(WireError(format!(
-                    "zero-dimension batch count {count} exceeds limit {MAX_ZERO_DIM_RANGES}"
-                )));
-            }
-            let words_n = count
-                .checked_mul(2 * ndim)
-                .ok_or_else(|| WireError("batch coordinate count overflows".into()))?;
+            let words_n = batch_words(ndim, count)?;
             let blob = r.get_bytes("packed batch coordinates")?;
             let words = unpack_words(blob, words_n, "packed batch coordinates")?;
             let ranges = if ndim == 0 {
@@ -915,6 +898,20 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
 /// bytes per `[[],[]]` under its 8 MiB line cap.
 const MAX_ZERO_DIM_RANGES: usize = 1 << 20;
 
+/// The coordinate count `count × 2·ndim` a homogeneous batch declares,
+/// refused when it overflows or when zero-dimension ranges exceed
+/// [`MAX_ZERO_DIM_RANGES`].
+fn batch_words(ndim: usize, count: usize) -> Result<usize, WireError> {
+    if ndim == 0 && count > MAX_ZERO_DIM_RANGES {
+        return Err(WireError(format!(
+            "zero-dimension batch count {count} exceeds limit {MAX_ZERO_DIM_RANGES}"
+        )));
+    }
+    count
+        .checked_mul(2 * ndim)
+        .ok_or_else(|| WireError("batch coordinate count overflows".into()))
+}
+
 /// Reads `count × 2·ndim` raw u64 coordinates. The byte budget is
 /// checked against the frame remainder before the vectors allocate.
 fn decode_packed_ranges(
@@ -922,15 +919,7 @@ fn decode_packed_ranges(
     ndim: usize,
     count: usize,
 ) -> Result<RangeList, WireError> {
-    if ndim == 0 && count > MAX_ZERO_DIM_RANGES {
-        return Err(WireError(format!(
-            "zero-dimension batch count {count} exceeds limit {MAX_ZERO_DIM_RANGES}"
-        )));
-    }
-    let words = count
-        .checked_mul(2 * ndim)
-        .ok_or_else(|| WireError("batch coordinate count overflows".into()))?;
-    let raw = r.get_raw_u64s(words, "batch coordinates")?;
+    let raw = r.get_raw_u64s(batch_words(ndim, count)?, "batch coordinates")?;
     let mut ranges = Vec::with_capacity(count);
     let mut it = raw;
     for _ in 0..count {

@@ -86,6 +86,7 @@ fn spawn_sharded(server: &Arc<Server>, event_loops: usize, workers: usize) -> Se
     )
     .expect("bind");
     assert_eq!(handle.front_end(), FrontEnd::Event);
+    assert_eq!(handle.event_loops(), event_loops, "one listener per shard");
     handle
 }
 
@@ -525,36 +526,47 @@ fn graceful_drain_answers_everything_already_received() {
     assert_eq!(answers, 50, "drain lost in-flight responses");
 }
 
+/// The pool stops the way the event core does: `drain` and `stop` (the
+/// configured drain deadline) both shut an idle-open connection
+/// promptly instead of waiting out the 30 s idle timeout.
 #[test]
 fn pool_front_end_drains_gracefully_too() {
-    let server = test_server(&["city"]);
-    let handle = spawn_front_end(&server, FrontEnd::Pool, 1);
-    let stream = TcpStream::connect(handle.addr()).unwrap();
-    stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let resp = json_round_trip(
-        &stream,
-        &mut reader,
-        &Request::Query {
-            release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![4, 4],
-        },
-    );
-    assert!(matches!(resp, Response::Value { .. }));
+    for via_stop in [false, true] {
+        let server = test_server(&["city"]);
+        let handle = spawn_front_end(&server, FrontEnd::Pool, 1);
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let resp = json_round_trip(
+            &stream,
+            &mut reader,
+            &Request::Query {
+                release: "city".into(),
+                lo: vec![0, 0],
+                hi: vec![4, 4],
+            },
+        );
+        assert!(matches!(resp, Response::Value { .. }));
 
-    // The connection is idle-open; drain must shut it down promptly
-    // (not wait out the 30 s idle timeout) and return.
-    let t0 = Instant::now();
-    handle.drain(Duration::from_secs(3));
-    assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
-    // The worker observed EOF and closed: the client reads EOF back.
-    let mut line = String::new();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
-    let deadline = Instant::now() + REPLY_TIMEOUT;
-    while series(&server, "dpod_server_open_connections") > 0 {
-        assert!(Instant::now() < deadline, "gauge not drained");
-        std::thread::sleep(Duration::from_millis(5));
+        let t0 = Instant::now();
+        if via_stop {
+            handle.stop();
+        } else {
+            handle.drain(Duration::from_secs(3));
+        }
+        // The worker observed EOF and closed: the client reads EOF back.
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
+        assert!(
+            t0.elapsed() < REPLY_TIMEOUT / 2,
+            "shutdown (stop: {via_stop}) took {:?}",
+            t0.elapsed()
+        );
+        let deadline = Instant::now() + REPLY_TIMEOUT;
+        while series(&server, "dpod_server_open_connections") > 0 {
+            assert!(Instant::now() < deadline, "gauge not drained");
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }
 

@@ -654,8 +654,8 @@ pub mod net {
     ///
     /// # Errors
     /// The OS error from `socket`/`setsockopt`/`bind`/`listen`;
-    /// `Unsupported` off Linux (callers fall back to striped accept
-    /// from a single listener).
+    /// `Unsupported` off Linux (callers fall back to one plain
+    /// listener).
     pub fn bind_reuseport(addr: SocketAddr, backlog: i32) -> io::Result<TcpListener> {
         sys::net::bind_reuseport(addr, backlog)
     }
