@@ -337,13 +337,14 @@ pub fn stats_line(snap: &Snapshot) -> String {
     let (pyramid, pyramid_rate) = memo("pyramid");
     format!(
         "served {} queries | conns: {} open / {} accepted | matrix cache: {matrix} entries, \
-         {:.1} MiB, {matrix_rate:.0}% hit | index: {index} built, {index_rate:.0}% hit, \
-         {:.1} ms building | epochs: {} series, {partial} window partials, \
-         {partial_rate:.0}% hit | pyramid: {pyramid} levels, {pyramid_rate:.0}% hit",
+         {:.1} MiB, {matrix_rate:.0}% hit, {:.1} ms rebuilding | index: {index} built, \
+         {index_rate:.0}% hit, {:.1} ms building | epochs: {} series, {partial} window \
+         partials, {partial_rate:.0}% hit | pyramid: {pyramid} levels, {pyramid_rate:.0}% hit",
         get("dpod_server_queries_total", &[]),
         get("dpod_server_open_connections", &[]),
         get("dpod_server_accepted_connections_total", &[]),
         get("dpod_engine_cache_bytes", &[]) / (1 << 20) as f64,
+        get("dpod_engine_rebuild_nanoseconds_total", &[]) / 1e6,
         get("dpod_engine_index_build_nanoseconds_total", &[]) / 1e6,
         get("dpod_catalog_series", &[]),
     )
@@ -1879,6 +1880,7 @@ mod tests {
         assert!(line.contains("served"), "{line}");
         assert!(line.contains("% hit"), "{line}");
         assert!(line.contains("built"), "{line}");
+        assert!(line.contains("ms rebuilding"), "{line}");
         assert!(line.contains("pyramid"), "{line}");
         handle.stop();
 

@@ -177,10 +177,12 @@ fn homogeneity_objective(
             continue;
         }
         let mean = prefix.box_count(cluster) as f64 / vol as f64;
-        objective += input
-            .box_values(cluster)
-            .map(|(_, v)| (v as f64 - mean).abs())
-            .sum::<f64>();
+        // One accumulator across the cluster's runs, cell by cell in
+        // row-major order.
+        objective += input.box_slices(cluster).fold(0.0, |acc, run| {
+            run.iter()
+                .fold(acc, |acc, &v| acc + (v as f64 - mean).abs())
+        });
     }
     objective
 }

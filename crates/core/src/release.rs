@@ -313,6 +313,19 @@ mod tests {
         }
         assert!(bad.into_sanitized().is_err());
 
+        // An extra empty box with its own count (tampered channel): it
+        // claims no cell, so its count would vanish from every answer.
+        let mut bad = good.clone();
+        if let ReleaseBody::Partitions { boxes, counts } = &mut bad.body {
+            boxes.push((vec![1, 1], vec![1, 3]));
+            counts.push(42.0);
+        }
+        let err = bad.into_sanitized().unwrap_err().to_string();
+        assert!(
+            err.contains("box") && err.contains("covers no cell"),
+            "{err}"
+        );
+
         // Non-finite counts.
         let mut bad = good.clone();
         if let ReleaseBody::Partitions { counts, .. } = &mut bad.body {

@@ -159,42 +159,16 @@ impl<T: Element> DenseMatrix<T> {
     /// implementation used in tests and for small boxes.
     pub fn box_sum_naive(&self, b: &AxisBox) -> f64 {
         debug_assert!(b.fits(&self.shape), "box must fit the matrix domain");
-        if b.is_empty() {
-            return 0.0;
-        }
-        // Walk contiguous runs along the last dimension for cache efficiency.
-        let d = self.ndim();
-        let run = b.extent(d - 1);
-        let mut total = 0.0;
-        let mut prefix = b.lo().to_vec();
-        loop {
-            let start = self.shape.flat_index_unchecked(&prefix);
-            total += self.data[start..start + run]
-                .iter()
-                .map(|v| v.to_f64())
-                .sum::<f64>();
-            // Odometer over the leading d−1 dimensions.
-            let mut dim = d - 1;
-            loop {
-                if dim == 0 {
-                    return total;
-                }
-                dim -= 1;
-                prefix[dim] += 1;
-                if prefix[dim] < b.hi()[dim] {
-                    break;
-                }
-                prefix[dim] = b.lo()[dim];
-            }
-        }
+        self.box_slices(b).fold(0.0, |total, run| {
+            total + run.iter().map(|v| v.to_f64()).sum::<f64>()
+        })
     }
 
-    /// Iterates `(flat_index, value)` over the cells of `b` in row-major
-    /// order.
-    pub fn box_values<'a>(&'a self, b: &'a AxisBox) -> impl Iterator<Item = (usize, T)> + 'a {
+    /// The cells of `b` as contiguous last-dimension slices, in row-major
+    /// order (one slice per [`BoxRuns`] run; none for an empty box).
+    pub fn box_slices<'a>(&'a self, b: &'a AxisBox) -> impl Iterator<Item = &'a [T]> + 'a {
         debug_assert!(b.fits(&self.shape));
-        BoxRuns::new(&self.shape, b)
-            .flat_map(move |(start, run)| (start..start + run).map(move |i| (i, self.data[i])))
+        BoxRuns::new(&self.shape, b).map(move |(start, run)| &self.data[start..start + run])
     }
 
     /// Applies `f` to every value, producing a matrix of another element type.
@@ -208,8 +182,7 @@ impl<T: Element> DenseMatrix<T> {
     /// Fills every cell of `b` with `value`.
     pub fn fill_box(&mut self, b: &AxisBox, value: T) {
         debug_assert!(b.fits(&self.shape));
-        let runs: Vec<(usize, usize)> = BoxRuns::new(&self.shape, b).collect();
-        for (start, run) in runs {
+        for (start, run) in BoxRuns::new(&self.shape, b) {
             self.data[start..start + run].fill(value);
         }
     }
@@ -270,32 +243,45 @@ impl DenseMatrix<u64> {
     }
 }
 
-/// Iterator over `(start_flat_index, run_length)` for the contiguous
-/// last-dimension runs of a box. Shared by the dense scans above.
-struct BoxRuns<'a> {
-    shape: &'a Shape,
+/// The one run walker: iterates `(start_flat_index, run_length)` over
+/// the contiguous last-dimension runs of a box, in row-major order.
+///
+/// Every dense scan over a box (filling, summing, slicing, partition
+/// validation) walks these runs instead of single cells, so it steps
+/// its odometer once per run and touches memory sequentially. An empty
+/// box yields no run.
+///
+/// ```
+/// use dpod_fmatrix::{AxisBox, BoxRuns, Shape};
+/// let s = Shape::new(vec![3, 4]).unwrap();
+/// let b = AxisBox::new(vec![1, 1], vec![3, 3]).unwrap();
+/// let runs: Vec<_> = BoxRuns::new(&s, &b).collect();
+/// assert_eq!(runs, vec![(5, 2), (9, 2)]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct BoxRuns<'a> {
+    strides: &'a [usize],
     b: &'a AxisBox,
-    prefix: Option<Vec<usize>>,
+    /// Coordinates of the next run's first cell (the last one stays at
+    /// `lo`).
+    coords: Vec<usize>,
+    /// Flat index of the next run's first cell; `None` once done.
+    next: Option<usize>,
     run: usize,
 }
 
 impl<'a> BoxRuns<'a> {
-    fn new(shape: &'a Shape, b: &'a AxisBox) -> Self {
-        let run = if b.is_empty() {
-            0
-        } else {
-            b.extent(shape.ndim() - 1)
-        };
-        let prefix = if b.is_empty() {
-            None
-        } else {
-            Some(b.lo().to_vec())
-        };
+    /// The runs of `b`, which must have `shape`'s dimensionality and fit
+    /// its domain.
+    pub fn new(shape: &'a Shape, b: &'a AxisBox) -> Self {
+        debug_assert!(b.fits(shape), "box must fit the domain");
+        let empty = b.is_empty();
         BoxRuns {
-            shape,
+            strides: shape.strides(),
             b,
-            prefix,
-            run,
+            coords: b.lo().to_vec(),
+            next: (!empty).then(|| shape.flat_index_unchecked(b.lo())),
+            run: if empty { 0 } else { b.extent(shape.ndim() - 1) },
         }
     }
 }
@@ -304,22 +290,24 @@ impl Iterator for BoxRuns<'_> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let current = self.prefix.take()?;
-        let start = self.shape.flat_index_unchecked(&current);
-        let mut succ = current;
-        let mut dim = self.shape.ndim() - 1;
-        loop {
+        let start = self.next?;
+        // Odometer over the leading dimensions, moving the flat index
+        // with each step instead of recomputing it.
+        let (lo, hi) = (self.b.lo(), self.b.hi());
+        let mut at = start;
+        let mut dim = self.coords.len() - 1;
+        self.next = loop {
             if dim == 0 {
-                break;
+                break None;
             }
             dim -= 1;
-            succ[dim] += 1;
-            if succ[dim] < self.b.hi()[dim] {
-                self.prefix = Some(succ);
-                break;
+            if self.coords[dim] + 1 < hi[dim] {
+                self.coords[dim] += 1;
+                break Some(at + self.strides[dim]);
             }
-            succ[dim] = self.b.lo()[dim];
-        }
+            at -= (self.coords[dim] - lo[dim]) * self.strides[dim];
+            self.coords[dim] = lo[dim];
+        };
         Some((start, self.run))
     }
 }
@@ -386,11 +374,13 @@ mod tests {
     }
 
     #[test]
-    fn box_values_yields_all_cells() {
+    fn box_slices_yield_all_cells() {
         let m = DenseMatrix::<u64>::from_vec(shape(&[2, 3]), vec![1, 2, 3, 4, 5, 6]).unwrap();
         let b = AxisBox::new(vec![0, 1], vec![2, 3]).unwrap();
-        let vals: Vec<u64> = m.box_values(&b).map(|(_, v)| v).collect();
-        assert_eq!(vals, vec![2, 3, 5, 6]);
+        let runs: Vec<&[u64]> = m.box_slices(&b).collect();
+        assert_eq!(runs, vec![&[2, 3][..], &[5, 6][..]]);
+        let empty = AxisBox::new(vec![1, 1], vec![1, 3]).unwrap();
+        assert_eq!(m.box_slices(&empty).count(), 0);
     }
 
     #[test]

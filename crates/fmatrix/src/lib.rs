@@ -12,6 +12,8 @@
 //!   *d-orthotope*), used both as partitions and as range queries;
 //! * [`DenseMatrix`] — a dense, strided FM over any [`Element`] type
 //!   (`u64` raw counts, `f64` sanitized counts);
+//! * [`BoxRuns`] — the contiguous last-dimension runs of a box, the one
+//!   walker every dense box scan (fill, sum, partition validation) uses;
 //! * [`SparseMatrix`] — a hash-based FM for building high-dimensional OD
 //!   matrices from trajectory streams before densifying;
 //! * [`PrefixSum`] — d-dimensional summed-area tables answering any box sum
@@ -41,7 +43,7 @@ mod shape;
 mod sparse;
 
 pub use axisbox::AxisBox;
-pub use dense::{DenseMatrix, Element};
+pub use dense::{BoxRuns, DenseMatrix, Element};
 pub use error::FmError;
 pub use marginal::marginal_shape;
 pub use prefix::PrefixSum;

@@ -67,30 +67,41 @@ impl<T: Element + std::ops::Add<Output = T>> DenseMatrix<T> {
     pub fn marginalize(&self, keep: &[usize]) -> Result<DenseMatrix<T>> {
         let out_shape = marginal_shape(self.shape(), keep)?;
         let mut out = DenseMatrix::<T>::zeros(out_shape);
-        // Single pass over the source; the kept coordinates of each cell
-        // are accumulated via precomputed stride contributions.
-        let out_strides: Vec<usize> = out.shape().strides().to_vec();
+        // One pass over the source by innermost runs: each source dim
+        // contributes `coord · stride` of the kept output axis it maps
+        // to (0 when summed out), so a run's output offset costs one
+        // dot product over the leading dims.
+        let d = self.ndim();
+        let last = d - 1;
+        let mut contrib = vec![0usize; d];
+        for (&dim, &stride) in keep.iter().zip(out.shape().strides()) {
+            contrib[dim] = stride;
+        }
+        let keeps_last = contrib[last] == 1;
         let src_dims = self.shape().dims().to_vec();
-        let mut coords = vec![0usize; self.ndim()];
-        for &v in self.as_slice() {
-            let mut out_idx = 0;
-            for (k, &dim) in keep.iter().enumerate() {
-                out_idx += coords[dim] * out_strides[k];
+        let out_data = out.as_mut_slice();
+        let mut coords = vec![0usize; last];
+        // Each output cell sees the same additions, in the same order,
+        // as a per-cell walk: `cur + v` for every source cell that maps
+        // to it, in row-major source order.
+        for run in self.as_slice().chunks_exact(src_dims[last]) {
+            let base: usize = coords.iter().zip(&contrib).map(|(c, s)| c * s).sum();
+            if keeps_last {
+                // The run lands on one output row, cell for cell.
+                for (o, &v) in out_data[base..base + run.len()].iter_mut().zip(run) {
+                    *o = *o + v;
+                }
+            } else {
+                // The whole run folds into one output cell.
+                out_data[base] = run.iter().fold(out_data[base], |acc, &v| acc + v);
             }
-            let cur = out.get_flat(out_idx);
-            out.set_flat(out_idx, cur + v);
-            // Odometer increment (cheaper than div/mod per cell).
-            let mut d = self.ndim();
-            loop {
-                if d == 0 {
+            // Odometer over the leading dims (cheaper than div/mod).
+            for (c, &dim) in coords.iter_mut().zip(&src_dims[..last]).rev() {
+                *c += 1;
+                if *c < dim {
                     break;
                 }
-                d -= 1;
-                coords[d] += 1;
-                if coords[d] < src_dims[d] {
-                    break;
-                }
-                coords[d] = 0;
+                *c = 0;
             }
         }
         Ok(out)

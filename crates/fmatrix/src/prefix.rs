@@ -25,7 +25,10 @@ impl SatValue for f64 {}
 /// mechanism uses this to obtain partition totals in `O(2^d)` instead of
 /// `O(volume)`, and the query evaluator uses it for exact true answers.
 ///
-/// Build cost: `O(d · size)`; memory: one accumulator per cell.
+/// Build cost: `O(d · size)` additions, done as row-wise passes over
+/// contiguous slices and, for tables larger than the cache block, one
+/// first-dimension row at a time; bit-identical to a per-line build at
+/// stride. Memory: one accumulator per cell. Box sums allocate nothing.
 ///
 /// ```
 /// use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum, Shape};
@@ -42,33 +45,28 @@ pub struct PrefixSum<A> {
 
 impl<A: SatValue> PrefixSum<A> {
     /// Builds a table from any dense matrix via an element conversion.
+    ///
+    /// The table is the result of one pass per dimension, in order:
+    /// along a dimension with stride `s > 1` the pass adds each `s`-long
+    /// row slice into the next (`row[i] = row[i−1] + row[i]`, element by
+    /// element), so it streams contiguous memory; along the last
+    /// dimension (`s = 1`) it keeps one running sum per line. A table
+    /// larger than 256 KiB is built depth first, one row of its first
+    /// dimension at a time, so it is read and written about once
+    /// instead of once per dimension. Either way every cell gets the
+    /// same additions, with the same operands in the same order, as a
+    /// per-line walk at stride, so the table is bit-identical to it.
     pub fn build<T: Element>(matrix: &DenseMatrix<T>, conv: impl Fn(T) -> A) -> Self {
         let shape = matrix.shape().clone();
         let mut table: Vec<A> = matrix.as_slice().iter().map(|&v| conv(v)).collect();
-        // One running-sum pass per dimension turns raw values into the SAT.
-        let size = shape.size();
-        for dim in 0..shape.ndim() {
-            let stride = shape.strides()[dim];
-            let extent = shape.dim(dim);
-            if extent == 1 {
-                continue;
-            }
-            // Walk all lines along `dim`: indices i where coordinate(dim) == 0.
-            let block = stride * extent;
-            let mut base = 0;
-            while base < size {
-                for off in 0..stride {
-                    let mut idx = base + off;
-                    let mut acc = table[idx];
-                    for _ in 1..extent {
-                        idx += stride;
-                        acc = acc + table[idx];
-                        table[idx] = acc;
-                    }
-                }
-                base += block;
-            }
-        }
+        let mut saved = vec![Vec::new(); shape.ndim() - 1];
+        sat_in_place(
+            &mut table,
+            shape.dims(),
+            shape.strides(),
+            &mut saved,
+            CACHE_BLOCK_BYTES,
+        );
         PrefixSum { shape, table }
     }
 
@@ -76,21 +74,6 @@ impl<A: SatValue> PrefixSum<A> {
     #[inline]
     pub fn shape(&self) -> &Shape {
         &self.shape
-    }
-
-    /// Sum of all entries with coordinates `≤ coords` component-wise
-    /// (inclusive). Returns the zero value when any coordinate is `None`
-    /// (used internally for the `lo − 1` corners).
-    #[inline]
-    fn corner(&self, coords: &[Option<usize>]) -> A {
-        let mut idx = 0usize;
-        for (i, c) in coords.iter().enumerate() {
-            match c {
-                None => return A::default(),
-                Some(v) => idx += v * self.shape.strides()[i],
-            }
-        }
-        self.table[idx]
     }
 
     /// Sum of the matrix entries inside the half-open box `b`.
@@ -104,24 +87,95 @@ impl<A: SatValue> PrefixSum<A> {
         }
         let d = self.shape.ndim();
         debug_assert!(d <= 32, "inclusion-exclusion uses a u32 corner mask");
+        let strides = self.shape.strides();
         let mut total = A::default();
-        let mut corner = vec![None; d];
         // Inclusion–exclusion over the 2^d corners: bit i selects hi−1 (no
-        // subtraction) vs lo−1 (subtract one step) in dimension i.
+        // subtraction) vs lo−1 (subtract one step) in dimension i. A
+        // corner below the domain (lo = 0 on a subtracted axis) sums to
+        // zero, and still takes its add or subtract.
         for mask in 0..(1u32 << d) {
             let mut sign_negative = false;
-            for (i, slot) in corner.iter_mut().enumerate() {
-                if mask & (1 << i) == 0 {
-                    *slot = Some(b.hi()[i] - 1);
+            let mut offset = Some(0usize);
+            for (i, &stride) in strides.iter().enumerate() {
+                let coord = if mask & (1 << i) == 0 {
+                    Some(b.hi()[i] - 1)
                 } else {
                     sign_negative ^= true;
-                    *slot = b.lo()[i].checked_sub(1);
-                }
+                    b.lo()[i].checked_sub(1)
+                };
+                offset = offset.zip(coord).map(|(at, c)| at + c * stride);
             }
-            let v = self.corner(&corner);
+            let v = offset.map_or_else(A::default, |at| self.table[at]);
             total = if sign_negative { total - v } else { total + v };
         }
         total
+    }
+}
+
+/// Blocks of a table up to this many bytes take their passes breadth
+/// first: such a block stays in cache from one pass to the next.
+const CACHE_BLOCK_BYTES: usize = 256 << 10;
+
+/// Turns `block`, a row-major array over `dims` with `strides`, into its
+/// summed-area table in place.
+///
+/// A block of at most `cached_bytes` (or over one dimension) takes one
+/// pass per dimension. A larger one is finished row by row along its
+/// first dimension: row `i` first gets row `i−1` added to it, as that
+/// row stood after this first pass (kept in `saved[0]`), and is then
+/// finished over the remaining dimensions while it is still in cache.
+/// Every later pass acts within one row, so this does exactly the
+/// additions of the pass-per-dimension order.
+fn sat_in_place<A: SatValue>(
+    block: &mut [A],
+    dims: &[usize],
+    strides: &[usize],
+    saved: &mut [Vec<A>],
+    cached_bytes: usize,
+) {
+    let fits = std::mem::size_of_val(block) <= cached_bytes;
+    let Some((prev, deeper)) = saved.split_first_mut().filter(|_| !fits) else {
+        for (&extent, &stride) in dims.iter().zip(strides) {
+            if extent > 1 {
+                for lines in block.chunks_exact_mut(stride * extent) {
+                    add_along(lines, extent, stride);
+                }
+            }
+        }
+        return;
+    };
+    let extent = dims[0];
+    for (i, row) in block.chunks_exact_mut(strides[0]).enumerate() {
+        if i > 0 {
+            for (cur, &before) in row.iter_mut().zip(prev.iter()) {
+                *cur = before + *cur;
+            }
+        }
+        if i + 1 < extent {
+            prev.clear();
+            prev.extend_from_slice(row);
+        }
+        sat_in_place(row, &dims[1..], &strides[1..], deeper, cached_bytes);
+    }
+}
+
+/// One pass along a dimension over `lines`: `extent` rows of `stride`
+/// cells each, every row added into the next.
+fn add_along<A: SatValue>(lines: &mut [A], extent: usize, stride: usize) {
+    if stride == 1 {
+        let mut acc = lines[0];
+        for v in &mut lines[1..] {
+            acc = acc + *v;
+            *v = acc;
+        }
+        return;
+    }
+    for k in 1..extent {
+        let (done, rest) = lines.split_at_mut(k * stride);
+        let prev = &done[(k - 1) * stride..];
+        for (cur, &before) in rest[..stride].iter_mut().zip(prev) {
+            *cur = before + *cur;
+        }
     }
 }
 
@@ -245,6 +299,31 @@ mod tests {
         let p = PrefixSum::from_counts(&m);
         let empty = AxisBox::new(vec![1, 0], vec![1, 2]).unwrap();
         assert_eq!(p.box_count(&empty), 0);
+    }
+
+    #[test]
+    fn depth_first_build_matches_pass_per_dimension_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for dims in [
+            vec![7],
+            vec![1, 1],
+            vec![5, 1, 3],
+            vec![1, 4, 6],
+            vec![3, 4, 2, 5],
+            vec![2, 1, 3, 1, 4],
+        ] {
+            let s = shape(&dims);
+            let data: Vec<f64> = (0..s.size())
+                .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-3..6)))
+                .collect();
+            let build = |cached_bytes| {
+                let mut table = data.clone();
+                let mut saved = vec![Vec::new(); s.ndim() - 1];
+                sat_in_place(&mut table, s.dims(), s.strides(), &mut saved, cached_bytes);
+                table.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            };
+            assert_eq!(build(0), build(usize::MAX), "dims {dims:?}");
+        }
     }
 
     #[test]

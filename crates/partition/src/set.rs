@@ -1,5 +1,5 @@
 use crate::UniformGrid;
-use dpod_fmatrix::{AxisBox, DenseMatrix, Shape};
+use dpod_fmatrix::{AxisBox, BoxRuns, Shape};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -30,6 +30,12 @@ pub enum ValidationError {
         /// Index of the offending box.
         index: usize,
     },
+    /// A box covers no cell (`lo == hi` on some axis). It would claim
+    /// nothing, so a count released for it would be silently dropped.
+    EmptyBox {
+        /// Index of the offending box.
+        index: usize,
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -46,6 +52,9 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::DimensionMismatch { index } => {
                 write!(f, "box {index} has wrong dimensionality")
+            }
+            ValidationError::EmptyBox { index } => {
+                write!(f, "box {index} covers no cell")
             }
         }
     }
@@ -131,18 +140,23 @@ impl Partitioning {
         self.boxes.is_empty()
     }
 
-    /// Checks that the boxes are pairwise disjoint and exactly cover the
-    /// domain.
+    /// Checks that every box is non-empty, that the boxes are pairwise
+    /// disjoint, and that they exactly cover the domain.
     ///
-    /// Cost: `O(size)` via a coverage bitmap (each cell must be hit exactly
-    /// once), which simultaneously proves disjointness and coverage without
-    /// the `O(n²)` pairwise test.
+    /// Boxes are checked in order: dimensionality, then fit, then
+    /// emptiness, then each box claims its cells in a coverage bitmap
+    /// (one byte per domain cell) by contiguous last-dimension runs
+    /// ([`BoxRuns`]). A cell claimed twice is an overlap, reported with
+    /// the lowest-indexed box that owns the first such cell in row-major
+    /// order; a final count of claimed cells proves coverage. Cost:
+    /// `O(size)` with no allocation per cell, instead of the `O(n²)`
+    /// pairwise test.
     ///
     /// # Errors
     /// The first violation found, as a [`ValidationError`].
     pub fn validate(&self) -> Result<(), ValidationError> {
         let size = self.domain.size();
-        let mut hits: DenseMatrix<u32> = DenseMatrix::zeros(self.domain.clone());
+        let mut claimed = vec![false; size];
         let mut covered = 0usize;
         for (i, b) in self.boxes.iter().enumerate() {
             if b.ndim() != self.domain.ndim() {
@@ -151,10 +165,14 @@ impl Partitioning {
             if !b.fits(&self.domain) {
                 return Err(ValidationError::OutOfDomain { index: i });
             }
-            for c in b.iter_points() {
-                let idx = self.domain.flat_index_unchecked(&c);
-                if hits.get_flat(idx) != 0 {
+            if b.is_empty() {
+                return Err(ValidationError::EmptyBox { index: i });
+            }
+            for (start, run) in BoxRuns::new(&self.domain, b) {
+                let cells = &mut claimed[start..start + run];
+                if let Some(taken) = cells.iter().position(|&c| c) {
                     // Identify the previous owner for the error message.
+                    let c = self.domain.coords(start + taken);
                     let first = self
                         .boxes
                         .iter()
@@ -162,8 +180,8 @@ impl Partitioning {
                         .unwrap_or(0);
                     return Err(ValidationError::Overlap { first, second: i });
                 }
-                hits.set_flat(idx, 1);
-                covered += 1;
+                cells.fill(true);
+                covered += run;
             }
         }
         if covered != size {
@@ -225,6 +243,21 @@ mod tests {
         let err =
             Partitioning::new_validated(shape(&[4, 4]), vec![bx(&[0, 0], &[4, 5])]).unwrap_err();
         assert!(matches!(err, ValidationError::OutOfDomain { .. }));
+    }
+
+    #[test]
+    fn empty_box_detected_after_fit() {
+        let err = Partitioning::new_validated(
+            shape(&[4, 4]),
+            vec![bx(&[0, 0], &[4, 4]), bx(&[1, 1], &[1, 3])],
+        )
+        .unwrap_err();
+        assert_eq!(err, ValidationError::EmptyBox { index: 1 });
+        // Fit is checked first: an empty box outside the domain is
+        // out of domain.
+        let err =
+            Partitioning::new_validated(shape(&[4, 4]), vec![bx(&[5, 0], &[5, 4])]).unwrap_err();
+        assert_eq!(err, ValidationError::OutOfDomain { index: 0 });
     }
 
     #[test]

@@ -10,23 +10,35 @@
 //! [`ResponseEncoding`]. Re-serving a memoized answer is
 //! post-processing of a published release, so it costs no ε.
 //!
+//! A rebuild has two halves: *build* turns a release into a fresh
+//! index outside the cache lock, and *adopt* caches it under the lock
+//! if the catalog still serves that version. A lookup that misses runs
+//! both on the querying thread.
+//! [`Server::publish_epoch`](crate::Server::publish_epoch) runs the build
+//! on the publisher's thread instead, before the catalog swap, when
+//! analysts are already querying the series, and adopts the index
+//! after it, so the first plan over the new epoch finds it resident.
+//!
 //! The entry records the catalog version it was built from, and the
 //! catalog only hands out a name's latest version: a lookup for another
 //! version misses, and caching the new version drops the old entry with
 //! every memo on it. A republish never serves stale answers, and
 //! republishing one epoch of a series invalidates only that epoch.
 //!
-//! Hits, misses, build time and residency (entries and bytes per memo,
-//! and the cache total the budget is enforced against) live in a
-//! `dpod_obs` [`Registry`] (the server's, so `/metrics` and `Stats` read
-//! them there). Indexes add what they memoize to the total themselves.
+//! Hits, misses, rebuild and index build time, and residency (entries
+//! and bytes per memo, and the cache total the budget is enforced
+//! against) live in a `dpod_obs` [`Registry`] (the server's, so
+//! `/metrics` and `Stats` read them there). Indexes add what they
+//! memoize to the total themselves.
 
 use crate::{Catalog, CatalogEntry, ResponseEncoding, ServeError};
+use dpod_core::PublishedRelease;
 use dpod_obs::{Counter, Gauge, Registry};
 use dpod_query::{Answer, IndexCounters, QueryPlan, ReleaseIndex};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// One memo's registry handles, labelled `memo`:
 /// `dpod_engine_memo_{hits,misses}_total` and the residency gauges
@@ -96,6 +108,9 @@ pub struct QueryEngine {
     index: MemoCounters,
     partial: MemoCounters,
     encoded: MemoCounters,
+    /// `dpod_engine_rebuild_nanoseconds_total`: time spent turning
+    /// releases into indexes, on lookups and at publish alike.
+    rebuild_nanos: Arc<Counter>,
     /// Build time and pyramid handles shared by every index, and
     /// `resident_bytes`: the `dpod_engine_cache_bytes` total, which
     /// indexes and entries both add to.
@@ -208,6 +223,10 @@ pub struct EngineStats {
     pub encoded_misses: u64,
     /// Resident bytes held by the encoded-response memo.
     pub encoded_bytes: usize,
+    /// Cumulative wall-clock nanoseconds spent rebuilding releases into
+    /// indexes (validation, the per-cell estimate and its prefix
+    /// table), whether a lookup missed or a publish warmed the entry.
+    pub rebuild_nanos: u64,
     /// Cumulative wall-clock nanoseconds spent building index
     /// structures (marginal tables, cell orders, pyramid levels),
     /// evicted indexes included.
@@ -261,6 +280,11 @@ impl QueryEngine {
             index,
             partial,
             encoded,
+            rebuild_nanos: registry.counter(
+                "dpod_engine_rebuild_nanoseconds_total",
+                "Cumulative nanoseconds spent rebuilding releases into indexes",
+                &[],
+            ),
             index_counters: IndexCounters {
                 build_nanos: registry.counter(
                     "dpod_engine_index_build_nanoseconds_total",
@@ -388,7 +412,7 @@ impl QueryEngine {
         };
         // A value that raced a removal, republish or eviction is served
         // but never cached.
-        if !Arc::ptr_eq(&c.index, &index) || !self.is_current(entry) {
+        if !Arc::ptr_eq(&c.index, &index) || !self.is_current(name, entry.version) {
             return Ok(value);
         }
         if let Some(winner) = get(c) {
@@ -403,61 +427,100 @@ impl QueryEngine {
         Ok(value)
     }
 
-    /// Rebuilds `entry`'s release into a fresh index and caches it as
-    /// the name's entry, replacing an older version's, unless the
-    /// catalog no longer serves `entry` or a racing rebuild got there
-    /// first. Rebuilds run outside the lock: concurrent first touches of
-    /// one release may rebuild twice, but a slow rebuild never blocks
-    /// queries against other releases.
+    /// Rebuilds `entry`'s release and caches the index as the name's
+    /// entry: [`Self::build`] then [`Self::adopt`]. The build runs
+    /// outside the lock: concurrent first touches of one release may
+    /// rebuild twice, but a slow rebuild never blocks queries against
+    /// other releases.
     fn rebuild(&self, entry: &CatalogEntry) -> Result<Arc<ReleaseIndex>, ServeError> {
+        let index = self.build(&entry.name, &entry.release)?;
+        Ok(self.adopt(&entry.name, entry.version, index))
+    }
+
+    /// The build half of a rebuild, run without the lock: validates
+    /// `release` (to be served as `name`) and rebuilds it into a fresh
+    /// index, counting a matrix and an index miss and the time taken.
+    ///
+    /// # Errors
+    /// [`ServeError`] when the release fails validation.
+    pub(crate) fn build(
+        &self,
+        name: &str,
+        release: &PublishedRelease,
+    ) -> Result<Arc<ReleaseIndex>, ServeError> {
         self.index.misses.inc();
         self.matrix.misses.inc();
-        let matrix = entry.release.as_ref().clone().into_sanitized();
-        let matrix =
-            matrix.map_err(|e| ServeError(format!("release '{}' is invalid: {e}", entry.name)))?;
-        let index = Arc::new(ReleaseIndex::with_counters(
-            Arc::new(matrix),
-            self.index_marginal_cap,
-            self.index_counters.clone(),
-        ));
+        let started = Instant::now();
+        let matrix = release.clone().into_sanitized();
+        let index = matrix.map(|matrix| {
+            Arc::new(ReleaseIndex::with_counters(
+                Arc::new(matrix),
+                self.index_marginal_cap,
+                self.index_counters.clone(),
+            ))
+        });
+        self.rebuild_nanos
+            .add(started.elapsed().as_nanos().try_into().unwrap_or(u64::MAX));
+        index.map_err(|e| ServeError(format!("release '{name}' is invalid: {e}")))
+    }
+
+    /// The adopt half of a rebuild, run under the lock: caches `index`
+    /// as `name`'s entry at catalog `version`, replacing an older
+    /// version's, and returns it, unless the catalog no longer serves
+    /// that version or a racing rebuild got there first. Then the index
+    /// is retired, and the racing winner (or the uncached index) is
+    /// returned.
+    pub(crate) fn adopt(
+        &self,
+        name: &str,
+        version: u64,
+        index: Arc<ReleaseIndex>,
+    ) -> Arc<ReleaseIndex> {
         let mut guard = self.lock();
         let state = &mut *guard;
         state.tick += 1;
         // Versions are monotonic per name: a fresh index replaces an
         // older version, never a newer one or a racing winner.
-        let held = state.map.get(&entry.name);
-        if let Some(c) = held.filter(|c| c.version == entry.version) {
+        let held = state.map.get(name);
+        if let Some(c) = held.filter(|c| c.version == version) {
             index.retire();
-            return Ok(Arc::clone(&c.index));
+            return Arc::clone(&c.index);
         }
-        if held.is_some_and(|c| c.version > entry.version) || !self.is_current(entry) {
+        if held.is_some_and(|c| c.version > version) || !self.is_current(name, version) {
             index.retire();
-            return Ok(index);
+            return index;
         }
         let cached = Cached {
-            version: entry.version,
+            version,
             index: Arc::clone(&index),
             plans: HashMap::new(),
             plan_bytes: 0,
             last_used: state.tick,
         };
-        if let Some(stale) = state.map.insert(entry.name.clone(), cached) {
+        if let Some(stale) = state.map.insert(name.to_string(), cached) {
             self.forget(&stale);
         }
         self.matrix.hold(0);
         self.index.hold(0);
-        self.enforce_budget(state, &entry.name);
-        Ok(index)
+        self.enforce_budget(state, name);
+        index
     }
 
-    /// Whether the catalog still serves `entry`'s version. Asked under
+    /// Whether any of `names` has a resident entry, of any version:
+    /// someone has queried it since it was last evicted.
+    pub(crate) fn any_resident<'a>(&self, mut names: impl Iterator<Item = &'a str>) -> bool {
+        let state = self.lock();
+        names.any(|name| state.map.contains_key(name))
+    }
+
+    /// Whether the catalog still serves `name` at `version`. Asked under
     /// the cache lock, which [`Self::evict`] also takes, so a result
     /// computed while a removal or republish lands is served but never
     /// cached, and cannot strand an entry no request can reach.
-    fn is_current(&self, entry: &CatalogEntry) -> bool {
+    fn is_current(&self, name: &str, version: u64) -> bool {
         self.catalog
-            .get(&entry.name)
-            .is_some_and(|current| current.version == entry.version)
+            .get(name)
+            .is_some_and(|current| current.version == version)
     }
 
     /// Returns the release's prepared [`ReleaseIndex`], from cache when
@@ -582,6 +645,7 @@ impl QueryEngine {
             encoded_hits: self.encoded.hits.get(),
             encoded_misses: self.encoded.misses.get(),
             encoded_bytes: n(&self.encoded.bytes),
+            rebuild_nanos: self.rebuild_nanos.get(),
             index_build_nanos: ix.build_nanos.get(),
             pyramid_entries: n(&ix.pyramid_entries),
             pyramid_bytes: n(&ix.pyramid_bytes),

@@ -245,11 +245,21 @@ impl Server {
     /// entry's new catalog version (`> 1` on a republish of a live
     /// epoch).
     ///
+    /// When analysts are already querying the series — any other live
+    /// epoch of it has a resident engine entry — this thread rebuilds
+    /// the new epoch's index before the catalog swap and caches it
+    /// after, so no query pays for the publish: the rebuild shows in
+    /// the publish's own time instead of the next plan's. A series
+    /// nobody is querying publishes at catalog speed and rebuilds on
+    /// its first query.
+    ///
     /// # Errors
     /// [`ServeError`] when the series name contains
-    /// [`EPOCH_SEP`](crate::EPOCH_SEP) or `epoch` is behind the series
+    /// [`EPOCH_SEP`](crate::EPOCH_SEP), `epoch` is behind the series
     /// frontier and not live (see
-    /// [`series::validate_publish_epoch`](crate::series::validate_publish_epoch)).
+    /// [`series::validate_publish_epoch`](crate::series::validate_publish_epoch)),
+    /// or the series is being queried and `release` fails validation.
+    /// The catalog is left unchanged in every case.
     pub fn publish_epoch(
         &self,
         series: &str,
@@ -257,9 +267,20 @@ impl Server {
         release: dpod_core::release::PublishedRelease,
     ) -> Result<u64, ServeError> {
         series::validate_publish_epoch(&self.catalog, series, epoch)?;
-        let version = self
-            .catalog
-            .publish(&series::epoch_entry_name(series, epoch), release);
+        let name = series::epoch_entry_name(series, epoch);
+        let live = series::series_epochs(&self.catalog, series);
+        let served = self.engine.any_resident(
+            live.iter()
+                .filter(|info| info.epoch != epoch)
+                .map(|info| info.entry.name.as_str()),
+        );
+        let warm = served
+            .then(|| self.engine.build(&name, &release))
+            .transpose()?;
+        let version = self.catalog.publish(&name, release);
+        if let Some(index) = warm {
+            self.engine.adopt(&name, version, index);
+        }
         self.metrics.epochs_published.inc();
         Ok(version)
     }
@@ -2070,6 +2091,105 @@ mod tests {
         assert_eq!(stats.get("dpod_catalog_series", &[]), Some(1.0));
         assert_eq!(partial("dpod_engine_memo_hits_total"), Some(6.0));
         assert_eq!(partial("dpod_engine_memo_misses_total"), Some(4.0));
+    }
+
+    /// A `Window{LastK: 2}` of the origin marginal over series `city`,
+    /// answered as DPRB bytes.
+    fn last_two_marginal(server: &Server) -> Arc<Vec<u8>> {
+        use dpod_query::{EpochSelector, QueryPlan, WindowMerge};
+        let request = Request::Plan {
+            release: "city".into(),
+            plan: QueryPlan::Window {
+                select: EpochSelector::LastK { k: 2 },
+                merge: WindowMerge::Sum,
+                plan: Box::new(QueryPlan::Marginal { keep: vec![0] }),
+            },
+        };
+        server.handle_encoded(&request, ResponseEncoding::Binary)
+    }
+
+    /// Publishing into a series analysts are querying builds the new
+    /// epoch's index on the publisher's thread: the next window plan
+    /// rebuilds nothing, and answers byte-for-byte as a cold server.
+    #[test]
+    fn publishing_into_a_served_series_warms_the_new_epoch() {
+        let server = epoch_server();
+        last_two_marginal(&server);
+        let rebuilt = server.engine_stats();
+        assert_eq!(rebuilt.misses, 2, "epochs 2 and 3 rebuild on first touch");
+
+        server.publish_epoch("city", 4, epoch_release(104)).unwrap();
+        let published = server.engine_stats();
+        assert_eq!(published.misses, 3, "the publish rebuilt epoch 4");
+        assert_eq!(published.entries, 3);
+        assert!(published.rebuild_nanos > rebuilt.rebuild_nanos);
+
+        let warm = last_two_marginal(&server);
+        assert_eq!(server.engine_stats().misses, published.misses);
+
+        let cold = Server::new(Arc::new(Catalog::new()), 1 << 20);
+        for epoch in 1..=4u64 {
+            cold.publish_epoch("city", epoch, epoch_release(100 + epoch))
+                .unwrap();
+        }
+        assert_eq!(cold.engine_stats().misses, 0);
+        assert_eq!(warm, last_two_marginal(&cold));
+    }
+
+    /// A series nobody is querying publishes at catalog speed, even
+    /// while other releases are resident: nothing is rebuilt until its
+    /// first query.
+    #[test]
+    fn publishing_into_an_unserved_series_stays_lazy() {
+        let server = epoch_server();
+        server.catalog().publish("other", epoch_release(7));
+        server.handle(&query_for("other"));
+        let before = server.engine_stats();
+        assert_eq!((before.misses, before.entries), (1, 1));
+
+        server.publish_epoch("city", 4, epoch_release(104)).unwrap();
+        let after = server.engine_stats();
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(after.rebuild_nanos, before.rebuild_nanos);
+        assert_eq!(after.entries, 1, "no entry for the new epoch");
+
+        last_two_marginal(&server);
+        assert_eq!(server.engine_stats().misses, before.misses + 2);
+    }
+
+    /// An invalid release sent to a served series is refused before the
+    /// catalog swap: the catalog, its versions and the series frontier
+    /// stay as they were.
+    #[test]
+    fn invalid_release_into_a_served_series_is_refused() {
+        use dpod_core::ReleaseBody;
+        let server = epoch_server();
+        last_two_marginal(&server);
+        let versions = |server: &Server| -> Vec<(String, u64)> {
+            let entries = server.catalog().entries();
+            entries
+                .iter()
+                .map(|e| (e.name.clone(), e.version))
+                .collect()
+        };
+        let before = versions(&server);
+
+        let mut bad = epoch_release(104);
+        let ReleaseBody::Partitions { boxes, counts } = &mut bad.body else {
+            panic!("EBP publishes partitions");
+        };
+        boxes.push((vec![1, 1], vec![1, 3]));
+        counts.push(42.0);
+        for epoch in [3, 4] {
+            let err = server
+                .publish_epoch("city", epoch, bad.clone())
+                .unwrap_err();
+            assert!(err.0.contains("covers no cell"), "{err}");
+        }
+        assert_eq!(versions(&server), before);
+        let live = series::series_epochs(server.catalog(), "city");
+        assert_eq!(live.last().map(|info| info.epoch), Some(3));
+        assert_eq!(server.metrics().epochs_published.get(), 3);
     }
 
     /// Retention tombstones expired epochs, drops their ε from the
