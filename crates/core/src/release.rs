@@ -12,7 +12,7 @@
 
 use crate::{MechanismError, PartitionSummary, SanitizedMatrix};
 use dpod_fmatrix::codec::{FrameReader, FrameWriter, RELEASE_MAGIC, RELEASE_VERSION};
-use dpod_fmatrix::{AxisBox, DenseMatrix, Shape};
+use dpod_fmatrix::{AxisBox, DenseMatrix, FmError, Shape};
 use dpod_partition::Partitioning;
 use serde::{Deserialize, Serialize};
 
@@ -90,12 +90,8 @@ impl PublishedRelease {
         let shape = Shape::new(self.domain.clone()).map_err(MechanismError::Fm)?;
         match self.body {
             ReleaseBody::PerEntry { values } => {
+                check_entries(&shape, &values)?;
                 let matrix = DenseMatrix::from_vec(shape, values).map_err(MechanismError::Fm)?;
-                if matrix.as_slice().iter().any(|v| !v.is_finite()) {
-                    return Err(MechanismError::Invalid(
-                        "per-entry release contains non-finite values".into(),
-                    ));
-                }
                 Ok(SanitizedMatrix::from_entries(
                     &self.mechanism,
                     self.epsilon,
@@ -103,24 +99,7 @@ impl PublishedRelease {
                 ))
             }
             ReleaseBody::Partitions { boxes, counts } => {
-                if boxes.len() != counts.len() {
-                    return Err(MechanismError::Invalid(format!(
-                        "{} boxes but {} counts",
-                        boxes.len(),
-                        counts.len()
-                    )));
-                }
-                if counts.iter().any(|v| !v.is_finite()) {
-                    return Err(MechanismError::Invalid(
-                        "release contains non-finite counts".into(),
-                    ));
-                }
-                let boxes: Vec<AxisBox> = boxes
-                    .into_iter()
-                    .map(|(lo, hi)| AxisBox::new(lo, hi).map_err(MechanismError::Fm))
-                    .collect::<Result<_, _>>()?;
-                let partitioning = Partitioning::new_validated(shape.clone(), boxes)
-                    .map_err(|e| MechanismError::Invalid(format!("invalid partitioning: {e}")))?;
+                let partitioning = checked_partitioning(shape.clone(), &boxes, &counts)?;
                 Ok(SanitizedMatrix::from_partitions(
                     &self.mechanism,
                     self.epsilon,
@@ -128,6 +107,23 @@ impl PublishedRelease {
                     partitioning,
                     counts,
                 ))
+            }
+        }
+    }
+
+    /// Runs every check [`Self::into_sanitized`] runs, with the same
+    /// errors, without building the matrix: for the partition form that
+    /// is one pass over a byte-per-cell coverage bitmap
+    /// ([`Partitioning::validate`]).
+    ///
+    /// # Errors
+    /// As for [`Self::into_sanitized`].
+    pub fn validate(&self) -> Result<(), MechanismError> {
+        let shape = Shape::new(self.domain.clone()).map_err(MechanismError::Fm)?;
+        match &self.body {
+            ReleaseBody::PerEntry { values } => check_entries(&shape, values),
+            ReleaseBody::Partitions { boxes, counts } => {
+                checked_partitioning(shape, boxes, counts).map(drop)
             }
         }
     }
@@ -248,6 +244,49 @@ impl PublishedRelease {
     }
 }
 
+/// The per-entry form's checks: one finite value per domain cell.
+fn check_entries(shape: &Shape, values: &[f64]) -> Result<(), MechanismError> {
+    if values.len() != shape.size() {
+        return Err(MechanismError::Fm(FmError::LengthMismatch {
+            expected: shape.size(),
+            got: values.len(),
+        }));
+    }
+    if values.iter().any(|v| !v.is_finite()) {
+        return Err(MechanismError::Invalid(
+            "per-entry release contains non-finite values".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The partition form's checks: one finite count per box, and boxes
+/// that are a disjoint cover of `shape`.
+fn checked_partitioning(
+    shape: Shape,
+    boxes: &[(Vec<usize>, Vec<usize>)],
+    counts: &[f64],
+) -> Result<Partitioning, MechanismError> {
+    if boxes.len() != counts.len() {
+        return Err(MechanismError::Invalid(format!(
+            "{} boxes but {} counts",
+            boxes.len(),
+            counts.len()
+        )));
+    }
+    if counts.iter().any(|v| !v.is_finite()) {
+        return Err(MechanismError::Invalid(
+            "release contains non-finite counts".into(),
+        ));
+    }
+    let boxes: Vec<AxisBox> = boxes
+        .iter()
+        .map(|(lo, hi)| AxisBox::new(lo.clone(), hi.clone()).map_err(MechanismError::Fm))
+        .collect::<Result<_, _>>()?;
+    Partitioning::new_validated(shape, boxes)
+        .map_err(|e| MechanismError::Invalid(format!("invalid partitioning: {e}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,20 +337,29 @@ mod tests {
             .sanitize(&input, eps, &mut dpod_dp::seeded_rng(3))
             .unwrap();
         let good = PublishedRelease::from_sanitized(&out);
+        assert!(good.validate().is_ok());
+        // `validate` refuses exactly what `into_sanitized` refuses, with
+        // the same error.
+        let rejected = |bad: PublishedRelease| {
+            let checked = bad.validate().unwrap_err().to_string();
+            let rebuilt = bad.into_sanitized().unwrap_err().to_string();
+            assert_eq!(checked, rebuilt);
+            rebuilt
+        };
 
         // Count/box mismatch.
         let mut bad = good.clone();
         if let ReleaseBody::Partitions { counts, .. } = &mut bad.body {
             counts.pop();
         }
-        assert!(bad.into_sanitized().is_err());
+        rejected(bad);
 
         // Overlapping boxes (tampered channel).
         let mut bad = good.clone();
         if let ReleaseBody::Partitions { boxes, .. } = &mut bad.body {
             boxes[0] = boxes[1].clone();
         }
-        assert!(bad.into_sanitized().is_err());
+        rejected(bad);
 
         // An extra empty box with its own count (tampered channel): it
         // claims no cell, so its count would vanish from every answer.
@@ -320,7 +368,7 @@ mod tests {
             boxes.push((vec![1, 1], vec![1, 3]));
             counts.push(42.0);
         }
-        let err = bad.into_sanitized().unwrap_err().to_string();
+        let err = rejected(bad);
         assert!(
             err.contains("box") && err.contains("covers no cell"),
             "{err}"
@@ -331,12 +379,30 @@ mod tests {
         if let ReleaseBody::Partitions { counts, .. } = &mut bad.body {
             counts[0] = f64::NAN;
         }
-        assert!(bad.into_sanitized().is_err());
+        rejected(bad);
 
         // Wrong domain.
         let mut bad = good;
         bad.domain = vec![5, 5];
-        assert!(bad.into_sanitized().is_err());
+        rejected(bad);
+
+        // The per-entry form: wrong value count, non-finite value.
+        let good = PublishedRelease::from_sanitized(
+            &Identity
+                .sanitize(&input, eps, &mut dpod_dp::seeded_rng(4))
+                .unwrap(),
+        );
+        assert!(good.validate().is_ok());
+        let mut bad = good.clone();
+        if let ReleaseBody::PerEntry { values } = &mut bad.body {
+            values.pop();
+        }
+        rejected(bad);
+        let mut bad = good;
+        if let ReleaseBody::PerEntry { values } = &mut bad.body {
+            values[7] = f64::INFINITY;
+        }
+        rejected(bad);
     }
 
     #[test]

@@ -25,10 +25,10 @@ impl SatValue for f64 {}
 /// mechanism uses this to obtain partition totals in `O(2^d)` instead of
 /// `O(volume)`, and the query evaluator uses it for exact true answers.
 ///
-/// Build cost: `O(d · size)` additions, done as row-wise passes over
-/// contiguous slices and, for tables larger than the cache block, one
-/// first-dimension row at a time; bit-identical to a per-line build at
-/// stride. Memory: one accumulator per cell. Box sums allocate nothing.
+/// Build cost: `O(d · size)` additions, done as one row-wise pass per
+/// dimension over contiguous slices; bit-identical to a per-line build
+/// at stride. Memory: one accumulator per cell. Box sums allocate
+/// nothing.
 ///
 /// ```
 /// use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum, Shape};
@@ -50,23 +50,20 @@ impl<A: SatValue> PrefixSum<A> {
     /// along a dimension with stride `s > 1` the pass adds each `s`-long
     /// row slice into the next (`row[i] = row[i−1] + row[i]`, element by
     /// element), so it streams contiguous memory; along the last
-    /// dimension (`s = 1`) it keeps one running sum per line. A table
-    /// larger than 256 KiB is built depth first, one row of its first
-    /// dimension at a time, so it is read and written about once
-    /// instead of once per dimension. Either way every cell gets the
-    /// same additions, with the same operands in the same order, as a
-    /// per-line walk at stride, so the table is bit-identical to it.
+    /// dimension (`s = 1`) it keeps one running sum per line. Every cell
+    /// gets the same additions, with the same operands in the same
+    /// order, as a per-line walk at stride, so the table is
+    /// bit-identical to it.
     pub fn build<T: Element>(matrix: &DenseMatrix<T>, conv: impl Fn(T) -> A) -> Self {
         let shape = matrix.shape().clone();
         let mut table: Vec<A> = matrix.as_slice().iter().map(|&v| conv(v)).collect();
-        let mut saved = vec![Vec::new(); shape.ndim() - 1];
-        sat_in_place(
-            &mut table,
-            shape.dims(),
-            shape.strides(),
-            &mut saved,
-            CACHE_BLOCK_BYTES,
-        );
+        for (&extent, &stride) in shape.dims().iter().zip(shape.strides()) {
+            if extent > 1 {
+                for lines in table.chunks_exact_mut(stride * extent) {
+                    add_along(lines, extent, stride);
+                }
+            }
+        }
         PrefixSum { shape, table }
     }
 
@@ -109,53 +106,6 @@ impl<A: SatValue> PrefixSum<A> {
             total = if sign_negative { total - v } else { total + v };
         }
         total
-    }
-}
-
-/// Blocks of a table up to this many bytes take their passes breadth
-/// first: such a block stays in cache from one pass to the next.
-const CACHE_BLOCK_BYTES: usize = 256 << 10;
-
-/// Turns `block`, a row-major array over `dims` with `strides`, into its
-/// summed-area table in place.
-///
-/// A block of at most `cached_bytes` (or over one dimension) takes one
-/// pass per dimension. A larger one is finished row by row along its
-/// first dimension: row `i` first gets row `i−1` added to it, as that
-/// row stood after this first pass (kept in `saved[0]`), and is then
-/// finished over the remaining dimensions while it is still in cache.
-/// Every later pass acts within one row, so this does exactly the
-/// additions of the pass-per-dimension order.
-fn sat_in_place<A: SatValue>(
-    block: &mut [A],
-    dims: &[usize],
-    strides: &[usize],
-    saved: &mut [Vec<A>],
-    cached_bytes: usize,
-) {
-    let fits = std::mem::size_of_val(block) <= cached_bytes;
-    let Some((prev, deeper)) = saved.split_first_mut().filter(|_| !fits) else {
-        for (&extent, &stride) in dims.iter().zip(strides) {
-            if extent > 1 {
-                for lines in block.chunks_exact_mut(stride * extent) {
-                    add_along(lines, extent, stride);
-                }
-            }
-        }
-        return;
-    };
-    let extent = dims[0];
-    for (i, row) in block.chunks_exact_mut(strides[0]).enumerate() {
-        if i > 0 {
-            for (cur, &before) in row.iter_mut().zip(prev.iter()) {
-                *cur = before + *cur;
-            }
-        }
-        if i + 1 < extent {
-            prev.clear();
-            prev.extend_from_slice(row);
-        }
-        sat_in_place(row, &dims[1..], &strides[1..], deeper, cached_bytes);
     }
 }
 
@@ -299,31 +249,6 @@ mod tests {
         let p = PrefixSum::from_counts(&m);
         let empty = AxisBox::new(vec![1, 0], vec![1, 2]).unwrap();
         assert_eq!(p.box_count(&empty), 0);
-    }
-
-    #[test]
-    fn depth_first_build_matches_pass_per_dimension_bit_for_bit() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for dims in [
-            vec![7],
-            vec![1, 1],
-            vec![5, 1, 3],
-            vec![1, 4, 6],
-            vec![3, 4, 2, 5],
-            vec![2, 1, 3, 1, 4],
-        ] {
-            let s = shape(&dims);
-            let data: Vec<f64> = (0..s.size())
-                .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-3..6)))
-                .collect();
-            let build = |cached_bytes| {
-                let mut table = data.clone();
-                let mut saved = vec![Vec::new(); s.ndim() - 1];
-                sat_in_place(&mut table, s.dims(), s.strides(), &mut saved, cached_bytes);
-                table.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
-            };
-            assert_eq!(build(0), build(usize::MAX), "dims {dims:?}");
-        }
     }
 
     #[test]

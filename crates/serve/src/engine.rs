@@ -17,7 +17,9 @@
 //! [`Server::publish_epoch`](crate::Server::publish_epoch) runs the build
 //! on the publisher's thread instead, before the catalog swap, when
 //! analysts are already querying the series, and adopts the index
-//! after it, so the first plan over the new epoch finds it resident.
+//! after it, so the first plan over the new epoch finds it resident
+//! (other publishes only validate the release and leave the build to
+//! the first lookup).
 //!
 //! The entry records the catalog version it was built from, and the
 //! catalog only hands out a name's latest version: a lookup for another

@@ -112,6 +112,8 @@ pub fn series_names(catalog: &Catalog) -> Vec<(String, usize)> {
 /// the entry's version bumps) or exceed every live epoch (an append).
 /// Ids at or below the frontier that are *not* live were retired, and a
 /// retired epoch's ε was refunded — resurrecting it would double-spend.
+/// Returns the series' live epochs it checked against (as
+/// [`series_epochs`]), so a publisher reads the catalog once.
 ///
 /// # Errors
 /// [`ServeError`] when the series name contains [`EPOCH_SEP`] or the
@@ -120,7 +122,7 @@ pub fn validate_publish_epoch(
     catalog: &Catalog,
     series: &str,
     epoch: u64,
-) -> Result<(), ServeError> {
+) -> Result<Vec<EpochInfo>, ServeError> {
     if series.contains(EPOCH_SEP) {
         return Err(ServeError(format!(
             "series name '{series}' must not contain '{EPOCH_SEP}' (it separates the epoch id)"
@@ -128,10 +130,10 @@ pub fn validate_publish_epoch(
     }
     let live = series_epochs(catalog, series);
     let Some(frontier) = live.last().map(|e| e.epoch) else {
-        return Ok(()); // first epoch of a fresh series: any id
+        return Ok(live); // first epoch of a fresh series: any id
     };
     if live.iter().any(|e| e.epoch == epoch) || epoch > frontier {
-        Ok(())
+        Ok(live)
     } else {
         Err(ServeError(format!(
             "epoch {epoch} of series '{series}' is behind the frontier {frontier} and not live; \

@@ -245,38 +245,46 @@ impl Server {
     /// entry's new catalog version (`> 1` on a republish of a live
     /// epoch).
     ///
-    /// When analysts are already querying the series — any other live
-    /// epoch of it has a resident engine entry — this thread rebuilds
-    /// the new epoch's index before the catalog swap and caches it
-    /// after, so no query pays for the publish: the rebuild shows in
-    /// the publish's own time instead of the next plan's. A series
-    /// nobody is querying publishes at catalog speed and rebuilds on
-    /// its first query.
+    /// Every publish validates `release` first and refuses an invalid
+    /// one. When analysts are already querying the series — any other
+    /// live epoch of it has a resident engine entry — that check is the
+    /// rebuild itself: this thread builds the new epoch's index before
+    /// the catalog swap and caches it after, so no query pays for the
+    /// publish (the rebuild shows in the publish's own time instead of
+    /// the next plan's). A series nobody is querying gets the
+    /// validation pass alone ([`PublishedRelease::validate`]) and
+    /// rebuilds on its first query.
+    ///
+    /// [`PublishedRelease::validate`]: dpod_core::release::PublishedRelease::validate
     ///
     /// # Errors
     /// [`ServeError`] when the series name contains
     /// [`EPOCH_SEP`](crate::EPOCH_SEP), `epoch` is behind the series
     /// frontier and not live (see
     /// [`series::validate_publish_epoch`](crate::series::validate_publish_epoch)),
-    /// or the series is being queried and `release` fails validation.
-    /// The catalog is left unchanged in every case.
+    /// or `release` fails validation. The catalog is left unchanged in
+    /// every case.
     pub fn publish_epoch(
         &self,
         series: &str,
         epoch: u64,
         release: dpod_core::release::PublishedRelease,
     ) -> Result<u64, ServeError> {
-        series::validate_publish_epoch(&self.catalog, series, epoch)?;
+        let live = series::validate_publish_epoch(&self.catalog, series, epoch)?;
         let name = series::epoch_entry_name(series, epoch);
-        let live = series::series_epochs(&self.catalog, series);
         let served = self.engine.any_resident(
             live.iter()
                 .filter(|info| info.epoch != epoch)
                 .map(|info| info.entry.name.as_str()),
         );
-        let warm = served
-            .then(|| self.engine.build(&name, &release))
-            .transpose()?;
+        let warm = if served {
+            Some(self.engine.build(&name, &release)?)
+        } else {
+            release
+                .validate()
+                .map_err(|e| ServeError(format!("release '{name}' is invalid: {e}")))?;
+            None
+        };
         let version = self.catalog.publish(&name, release);
         if let Some(index) = warm {
             self.engine.adopt(&name, version, index);
@@ -2157,14 +2165,13 @@ mod tests {
         assert_eq!(server.engine_stats().misses, before.misses + 2);
     }
 
-    /// An invalid release sent to a served series is refused before the
-    /// catalog swap: the catalog, its versions and the series frontier
-    /// stay as they were.
+    /// An invalid release is refused before the catalog swap, whether
+    /// or not analysts are querying the series (the rebuild or the
+    /// validation pass catches it): the catalog, its versions and the
+    /// series frontier stay as they were.
     #[test]
-    fn invalid_release_into_a_served_series_is_refused() {
+    fn invalid_release_is_refused_served_or_not() {
         use dpod_core::ReleaseBody;
-        let server = epoch_server();
-        last_two_marginal(&server);
         let versions = |server: &Server| -> Vec<(String, u64)> {
             let entries = server.catalog().entries();
             entries
@@ -2172,24 +2179,33 @@ mod tests {
                 .map(|e| (e.name.clone(), e.version))
                 .collect()
         };
-        let before = versions(&server);
-
         let mut bad = epoch_release(104);
         let ReleaseBody::Partitions { boxes, counts } = &mut bad.body else {
             panic!("EBP publishes partitions");
         };
         boxes.push((vec![1, 1], vec![1, 3]));
         counts.push(42.0);
-        for epoch in [3, 4] {
-            let err = server
-                .publish_epoch("city", epoch, bad.clone())
-                .unwrap_err();
-            assert!(err.0.contains("covers no cell"), "{err}");
+
+        for served in [false, true] {
+            let server = epoch_server();
+            if served {
+                last_two_marginal(&server);
+            }
+            let before = versions(&server);
+            let misses = server.engine_stats().misses;
+            for epoch in [3, 4] {
+                let err = server
+                    .publish_epoch("city", epoch, bad.clone())
+                    .unwrap_err();
+                assert!(err.0.contains("covers no cell"), "served {served}: {err}");
+            }
+            assert_eq!(versions(&server), before, "served {served}");
+            let live = series::series_epochs(server.catalog(), "city");
+            assert_eq!(live.last().map(|info| info.epoch), Some(3));
+            assert_eq!(server.metrics().epochs_published.get(), 3);
+            let rebuilt = server.engine_stats().misses - misses;
+            assert_eq!(rebuilt, if served { 2 } else { 0 }, "served {served}");
         }
-        assert_eq!(versions(&server), before);
-        let live = series::series_epochs(server.catalog(), "city");
-        assert_eq!(live.last().map(|info| info.epoch), Some(3));
-        assert_eq!(server.metrics().epochs_published.get(), 3);
     }
 
     /// Retention tombstones expired epochs, drops their ε from the
