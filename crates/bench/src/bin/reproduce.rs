@@ -12,26 +12,32 @@
 //! Accuracy experiments print one aligned table per paper panel and write
 //! `DIR/<id>.json`; fig3 writes `DIR/fig3.txt`.
 
+use dpod_bench::report::Experiment;
 use dpod_bench::{experiments, HarnessConfig, Scale};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args) {
-        Ok((cfg, ids)) => {
-            for id in &ids {
-                run(&cfg, id);
-            }
-            ExitCode::SUCCESS
-        }
+    let (cfg, ids) = match parse(&args) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}");
             eprintln!(
                 "usage: reproduce <fig3|fig4|fig5|fig6|fig7|fig8|table3|ablation|extensions|all>... [--quick] [--seed N] [--out DIR]"
             );
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
+        }
+    };
+    // Fig. 7 filters Fig. 6, so one invocation computes Fig. 6 at most
+    // once and shares it between the two.
+    let mut fig6 = None;
+    for id in &ids {
+        if let Err(e) = run(&cfg, id, &mut fig6) {
+            eprintln!("!! {e}");
+            return ExitCode::FAILURE;
         }
     }
+    ExitCode::SUCCESS
 }
 
 const ALL: [&str; 9] = [
@@ -53,7 +59,7 @@ fn parse(args: &[String]) -> Result<(HarnessConfig, Vec<String>), String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => cfg.scale = Scale::Quick,
-            "--tiny" => cfg.scale = Scale::Tiny, // undocumented: CI smoke runs
+            "--tiny" => cfg.scale = Scale::Tiny, // undocumented: the binary's tests run it
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
                 cfg.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
@@ -74,42 +80,27 @@ fn parse(args: &[String]) -> Result<(HarnessConfig, Vec<String>), String> {
     Ok((cfg, ids))
 }
 
-fn run(cfg: &HarnessConfig, id: &str) {
+fn run(cfg: &HarnessConfig, id: &str, fig6: &mut Option<Experiment>) -> Result<(), String> {
     let started = std::time::Instant::now();
     eprintln!(">> running {id} at {:?} scale…", cfg.scale);
     match id {
         "fig3" => {
             let art = experiments::fig3(cfg);
             println!("{art}");
-            if std::fs::create_dir_all(&cfg.out_dir).is_ok() {
-                let path = cfg.out_dir.join("fig3.txt");
-                if let Err(e) = std::fs::write(&path, &art) {
-                    eprintln!("!! could not write {}: {e}", path.display());
-                } else {
-                    eprintln!(">> wrote {}", path.display());
-                }
-            }
-        }
-        "fig7" => {
-            // Reuse a cached fig6 run when available; recompute otherwise.
-            let cached = cfg.out_dir.join("fig6.json");
-            let fig6 = std::fs::read_to_string(&cached)
-                .ok()
-                .and_then(|s| serde_json::from_str(&s).ok())
-                .unwrap_or_else(|| {
-                    let e = experiments::fig6(cfg);
-                    save(cfg, &e);
-                    e
-                });
-            let e = experiments::fig7_from(&fig6);
-            e.print();
-            save(cfg, &e);
+            let path = cfg.out_dir.join("fig3.txt");
+            std::fs::create_dir_all(&cfg.out_dir)
+                .and_then(|()| std::fs::write(&path, &art))
+                .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+            eprintln!(">> wrote {}", path.display());
         }
         _ => {
             let e = match id {
                 "fig4" => experiments::fig4(cfg),
                 "fig5" => experiments::fig5(cfg),
-                "fig6" => experiments::fig6(cfg),
+                "fig6" => fig6.get_or_insert_with(|| experiments::fig6(cfg)).clone(),
+                "fig7" => {
+                    experiments::fig7_from(fig6.get_or_insert_with(|| experiments::fig6(cfg)))
+                }
                 "fig8" => experiments::fig8(cfg),
                 "table3" => experiments::table3(cfg),
                 "ablation" => experiments::ablation(cfg),
@@ -117,15 +108,12 @@ fn run(cfg: &HarnessConfig, id: &str) {
                 other => unreachable!("unvalidated experiment id {other}"),
             };
             e.print();
-            save(cfg, &e);
+            let path = e
+                .save_json(&cfg.out_dir)
+                .map_err(|err| format!("could not persist {}: {err}", e.id))?;
+            eprintln!(">> wrote {}", path.display());
         }
     }
     eprintln!(">> {id} done in {:.1?}", started.elapsed());
-}
-
-fn save(cfg: &HarnessConfig, e: &dpod_bench::report::Experiment) {
-    match e.save_json(&cfg.out_dir) {
-        Ok(path) => eprintln!(">> wrote {}", path.display()),
-        Err(err) => eprintln!("!! could not persist {}: {err}", e.id),
-    }
+    Ok(())
 }

@@ -22,20 +22,10 @@ pub use fig6::{fig6, fig7_from};
 pub use fig8::fig8;
 pub use table3::table3;
 
-use crate::report::Experiment;
-use crate::HarnessConfig;
-
 /// The privacy budgets of the paper's sweeps (§6.1).
 pub const PAPER_EPSILONS: [f64; 3] = [0.1, 0.3, 0.5];
 
 /// Dimensionalities of the synthetic sweeps (shared by Figs. 4 and 5).
 pub fn fig4_dims() -> [usize; 3] {
     fig4::DIMS
-}
-
-/// Runs Fig. 7 (Fig. 6 without the order-of-magnitude baselines): computes
-/// Fig. 6 fresh, then filters. The binary reuses a cached Fig. 6 JSON when
-/// available.
-pub fn fig7(cfg: &HarnessConfig) -> Experiment {
-    fig7_from(&fig6(cfg))
 }

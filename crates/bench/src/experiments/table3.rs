@@ -1,11 +1,10 @@
 //! Table 3: running time of every mechanism on the 2-D city histograms at
 //! ε = 0.1.
 //!
-//! This is the one-shot wall-clock version used by the `reproduce` binary;
-//! `benches/table3_runtime.rs` holds the statistically sound Criterion
-//! variant. The paper's claim is relative (DAF methods are faster because
-//! they stop splitting early; everything finishes in minutes), so the
-//! ordering, not the absolute seconds, is the reproduction target.
+//! This is a one-shot wall-clock measurement. The paper's claim is
+//! relative (DAF methods are faster because they stop splitting early;
+//! everything finishes in minutes), so the ordering, not the absolute
+//! seconds, is the reproduction target.
 
 use crate::datasets::city_2d;
 use crate::report::{Experiment, Panel, Series};

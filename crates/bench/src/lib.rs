@@ -1,14 +1,11 @@
 //! # dpod-bench
 //!
 //! The reproduction harness for every table and figure in the paper's
-//! evaluation (§6). Two entry points:
-//!
-//! * the **`reproduce` binary** — regenerates the accuracy figures
-//!   (Fig. 3–8), the runtime table (Table 3, one-shot wall-clock) and the
-//!   ablations, printing each panel as an aligned text table and writing
-//!   `results/<id>.json`;
-//! * the **Criterion benches** (`benches/`) — statistically sound runtime
-//!   measurements (Table 3) and substrate micro-benchmarks.
+//! evaluation (§6). Its entry point is the **`reproduce` binary**: it
+//! regenerates the accuracy figures (Fig. 3–8), the runtime table
+//! (Table 3, one-shot wall-clock), the ablations and the extensions,
+//! printing each panel as an aligned text table and writing
+//! `results/<id>.json`.
 //!
 //! Each experiment id names its paper counterpart (`fig4`, `fig8`,
 //! `table3`, …); `ablation` covers choices the paper leaves open.

@@ -18,9 +18,8 @@ USAGE:
                 --epsilon E [--mechanism NAME] [--seed S]
                 [--epoch T [--retain K] [--series-budget EPS]]
   dpod serve    --catalog DIR [--addr HOST:PORT] [--workers N]
-                [--cache-mb M] [--index-mb M] [--wire auto|json|binary]
+                [--cache-mb M] [--wire auto|json|binary]
                 [--event-loops N] [--metrics-addr HOST:PORT]
-                [--retain-ttl SECS [--retain-last K]]
   dpod inspect  --release release.json
   dpod query    --release release.json --range SPEC [--range SPEC]...
   dpod query    --connect HOST:PORT --release NAME [--binary true]
@@ -56,9 +55,6 @@ EPOCHS: --epoch T publishes NAME as epoch T of its series (catalog
         --series-budget EPS refuses any publish whose post-retention
         live epochs would together hold more than EPS of active ε. A
         pre-epoch release named NAME serves as epoch 0 of series NAME.
-        `serve --retain-ttl SECS` sweeps the same retention (keeping
-        --retain-last K epochs, default 1) on a timer for unattended
-        feeds.
         Window plans slide over a series, e.g.
         {\"Window\":{\"select\":{\"LastK\":{\"k\":4}},\"merge\":\"Sum\",
         \"plan\":\"Total\"}}
@@ -211,14 +207,9 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 addr: opts.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
                 workers: opts.parse_or("workers", 4)?,
                 cache_mb: opts.parse_or("cache-mb", 256)?,
-                index_mb: opts.parse_or("index-mb", 64)?,
                 wire: opts.parse_or("wire", dpod_serve::WireMode::Auto)?,
                 event_loops: opts.parse_or("event-loops", 0)?,
                 metrics_addr: opts.get("metrics-addr").map(str::to_string),
-                retain_ttl: opts
-                    .parse_opt("retain-ttl")
-                    .map_err(|e| CliError(format!("{e} (seconds)")))?,
-                retain_last: opts.parse_or("retain-last", 1)?,
             })?;
             eprintln!(
                 "dpod-serve listening on {} ({} releases in {} series; {:?} front end, \
@@ -285,12 +276,9 @@ fn option_keys(cmd: &str) -> Option<&'static [&'static str]> {
             "addr",
             "workers",
             "cache-mb",
-            "index-mb",
             "wire",
             "event-loops",
             "metrics-addr",
-            "retain-ttl",
-            "retain-last",
         ],
         "inspect" => &["release"],
         "query" => &["release", "connect", "binary", "range"],

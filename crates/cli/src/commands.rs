@@ -229,10 +229,6 @@ pub struct ServeArgs {
     /// Rebuild-cache budget in mebibytes (shared between matrix
     /// rebuilds and plan indexes).
     pub cache_mb: usize,
-    /// Per-release cap, in mebibytes, on the marginal tables a plan
-    /// index may memoize (keep-sets past the cap are answered per
-    /// query, uncached).
-    pub index_mb: usize,
     /// Accepted encodings (`auto` sniffs per connection).
     pub wire: WireMode,
     /// Event-loop shards (`--event-loops`), the event core's serving
@@ -242,13 +238,6 @@ pub struct ServeArgs {
     /// Bind address for the Prometheus-text `/metrics` exposition
     /// (`--metrics-addr`); `None` disables the exporter.
     pub metrics_addr: Option<String>,
-    /// Retention sweep period in seconds (`--retain-ttl`); `None`
-    /// disables the serve-side retention timer.
-    pub retain_ttl: Option<u64>,
-    /// Epochs each series keeps under the retention timer
-    /// (`--retain-last`, default 1; must be ≥ 1 when `--retain-ttl` is
-    /// set).
-    pub retain_last: usize,
 }
 
 /// Starts the serving stack for `dpod serve`, returning the running
@@ -262,16 +251,6 @@ pub struct ServeArgs {
 pub fn start_server(
     args: &ServeArgs,
 ) -> Result<(ServerHandle, Arc<Server>, Option<MetricsExporter>), CliError> {
-    if let Some(secs) = args.retain_ttl {
-        if secs == 0 {
-            return Err("--retain-ttl must be at least 1 second".into());
-        }
-        if args.retain_last == 0 {
-            return Err(
-                "--retain-last must be at least 1 (a series keeps its newest epoch)".into(),
-            );
-        }
-    }
     let catalog = Catalog::load_dir(&args.catalog).map_err(|e| CliError(e.0))?;
     if catalog.is_empty() {
         return Err(CliError(format!(
@@ -279,10 +258,9 @@ pub fn start_server(
             args.catalog.display()
         )));
     }
-    let server = Arc::new(Server::with_marginal_cap(
+    let server = Arc::new(Server::new(
         Arc::new(catalog),
         args.cache_mb.saturating_mul(1 << 20),
-        args.index_mb.saturating_mul(1 << 20),
     ));
     let handle = dpod_serve::spawn_with(
         Arc::clone(&server),
@@ -302,16 +280,6 @@ pub fn start_server(
         ),
         None => None,
     };
-    if let Some(secs) = args.retain_ttl {
-        // Validated ≥ 1 above. Daemon thread holding only a weak server
-        // reference; it dies with the server, so the handle needs no
-        // keeping.
-        let _ = dpod_serve::spawn_retention_timer(
-            &server,
-            std::time::Duration::from_secs(secs),
-            args.retain_last,
-        );
-    }
     Ok((handle, server, exporter))
 }
 
@@ -1494,12 +1462,9 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             cache_mb: 64,
-            index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
             metrics_addr: None,
-            retain_ttl: None,
-            retain_last: 1,
         })
         .unwrap();
         assert_eq!(server.catalog().len(), 2);
@@ -1626,12 +1591,9 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             cache_mb: 64,
-            index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
             metrics_addr: None,
-            retain_ttl: None,
-            retain_last: 1,
         })
         .unwrap();
         assert_eq!(server.catalog().len(), 2);
@@ -1675,12 +1637,9 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             cache_mb: 1,
-            index_mb: 1,
             wire: WireMode::Auto,
             event_loops: 0,
             metrics_addr: None,
-            retain_ttl: None,
-            retain_last: 1,
         })
         .is_err());
         std::fs::remove_dir_all(&dir).ok();
@@ -1735,12 +1694,9 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             cache_mb: 64,
-            index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
             metrics_addr: None,
-            retain_ttl: None,
-            retain_last: 1,
         })
         .unwrap();
         let addr = handle.addr().to_string();
@@ -1846,12 +1802,9 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             cache_mb: 64,
-            index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
             metrics_addr: None,
-            retain_ttl: None,
-            retain_last: 1,
         })
         .unwrap();
         let addr = handle.addr().to_string();
@@ -1941,12 +1894,9 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             cache_mb: 64,
-            index_mb: 64,
             wire: WireMode::Auto,
             event_loops: 0,
             metrics_addr: None,
-            retain_ttl: None,
-            retain_last: 1,
         })
         .unwrap();
         let addr = handle.addr().to_string();

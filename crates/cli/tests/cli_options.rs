@@ -117,3 +117,22 @@ fn repeated_option_fails_but_range_repeats() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `dpod serve` has no retention timer and no per-release marginal cap
+/// option: `dpod publish --retain` retires epochs on disk, and each
+/// release index memoizes up to a fixed 64 MiB of marginal tables.
+#[test]
+fn serve_refuses_removed_options() {
+    let catalog =
+        std::env::temp_dir().join(format!("dpod-cli-options-gone-{}", std::process::id()));
+    for (key, value) in [("--retain-ttl", "5"), ("--index-mb", "8")] {
+        let out = dpod(&["serve", "--catalog", catalog.to_str().unwrap(), key, value]);
+        assert!(!out.status.success(), "{key} must be refused");
+        assert!(
+            stderr(&out).contains(&format!("unknown option {key}")),
+            "{}",
+            stderr(&out)
+        );
+    }
+    assert!(!catalog.exists(), "nothing may be created");
+}

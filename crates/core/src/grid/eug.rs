@@ -55,7 +55,7 @@ impl Eug {
 
     /// The granularity this configuration would choose for a sanitized
     /// total `n_hat` at data budget `epsilon` in `d` dimensions (exposed
-    /// for the ablation benches).
+    /// for the ablation experiments).
     pub fn granularity(&self, d: usize, n_hat: f64, epsilon: f64) -> f64 {
         eug_m(d, n_hat, epsilon, self.c0, self.query_ratio)
     }

@@ -136,7 +136,7 @@ impl SanitizedMatrix {
     /// DP post-processing: clamp negative per-entry estimates to zero.
     ///
     /// The paper publishes raw noisy counts (negative answers included);
-    /// this opt-in variant exists for the ablation benches and for
+    /// this opt-in variant exists for the ablation experiments and for
     /// downstream users that need physical counts.
     pub fn non_negative(&self) -> SanitizedMatrix {
         let clamped = self.matrix.map(|v| v.max(0.0));

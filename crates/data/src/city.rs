@@ -150,11 +150,6 @@ impl CityModel {
         [clamp_unit(x), clamp_unit(y)]
     }
 
-    /// Samples `n` points.
-    pub fn sample_points(&self, n: usize, rng: &mut dyn RngCore) -> Vec<[f64; 2]> {
-        (0..n).map(|_| self.sample_point(rng)).collect()
-    }
-
     /// Builds the `grid × grid` population frequency matrix from `n`
     /// sampled points (the paper's 1000×1000 city histograms).
     pub fn population_matrix(

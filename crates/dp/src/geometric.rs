@@ -3,7 +3,7 @@
 //!
 //! An integer-valued alternative to Laplace noise for count queries; the
 //! paper lists "more sophisticated mechanisms in addition to Laplace noise
-//! addition" as future work, and the ablation benches compare the two.
+//! addition" as future work, and `reproduce ablation` (A5) compares the two.
 //!
 //! For sensitivity `s` and budget ε, noise `k ∈ ℤ` is released with
 //! `Pr[k] ∝ α^{|k|}` where `α = e^{−ε/s}`; this satisfies ε-DP for

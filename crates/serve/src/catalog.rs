@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::ops::Bound;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -108,7 +109,9 @@ impl SaveReport {
 /// never see one reused for different data.
 #[derive(Debug, Default)]
 struct Inner {
-    entries: HashMap<String, Arc<CatalogEntry>>,
+    /// Name-ordered, so listings need no sort and a series' epochs
+    /// (`series@…`) are one contiguous range.
+    entries: BTreeMap<String, Arc<CatalogEntry>>,
     last_versions: HashMap<String, u64>,
 }
 
@@ -180,9 +183,18 @@ impl Catalog {
 
     /// All current entries, sorted by name.
     pub fn entries(&self) -> Vec<Arc<CatalogEntry>> {
-        let mut out: Vec<Arc<CatalogEntry>> = self.read().entries.values().cloned().collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+        self.read().entries.values().cloned().collect()
+    }
+
+    /// The current entries whose names start with `prefix`, sorted by
+    /// name.
+    pub(crate) fn entries_with_prefix(&self, prefix: &str) -> Vec<Arc<CatalogEntry>> {
+        self.read()
+            .entries
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(name, _)| name.starts_with(prefix))
+            .map(|(_, entry)| Arc::clone(entry))
+            .collect()
     }
 
     /// All current names, sorted.
@@ -236,8 +248,7 @@ impl Catalog {
         // `last_versions` but not the entries (misread as a removal).
         let (entries, last_versions) = {
             let inner = self.read();
-            let mut entries: Vec<Arc<CatalogEntry>> = inner.entries.values().cloned().collect();
-            entries.sort_by(|a, b| a.name.cmp(&b.name));
+            let entries: Vec<Arc<CatalogEntry>> = inner.entries.values().cloned().collect();
             let versions: Vec<(String, u64)> = inner
                 .last_versions
                 .iter()

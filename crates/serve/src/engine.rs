@@ -102,9 +102,6 @@ pub struct QueryEngine {
     /// catalog serves may enter the cache.
     catalog: Arc<Catalog>,
     byte_budget: usize,
-    /// Per-release cap on memoized marginal-table bytes, passed to each
-    /// [`ReleaseIndex`] it builds.
-    index_marginal_cap: usize,
     state: Mutex<LruState>,
     matrix: MemoCounters,
     index: MemoCounters,
@@ -253,30 +250,17 @@ impl QueryEngine {
     /// alternative — rebuilding on every query — is strictly worse); the
     /// budget then holds exactly that one entry.
     pub fn new(catalog: Arc<Catalog>, byte_budget: usize) -> Self {
-        Self::with_registry(
-            catalog,
-            byte_budget,
-            dpod_query::backend::DEFAULT_MARGINAL_BUDGET,
-            &Registry::new(),
-        )
+        Self::with_registry(catalog, byte_budget, &Registry::new())
     }
 
-    /// [`Self::new`], but capping each release's memoized marginal
-    /// tables at `index_marginal_cap` bytes (keep-sets past the cap are
-    /// answered per query without caching) and counting into `registry`.
-    pub fn with_registry(
-        catalog: Arc<Catalog>,
-        byte_budget: usize,
-        index_marginal_cap: usize,
-        registry: &Registry,
-    ) -> Self {
+    /// [`Self::new`], but counting into `registry`.
+    pub fn with_registry(catalog: Arc<Catalog>, byte_budget: usize, registry: &Registry) -> Self {
         let [matrix, index, partial, encoded, pyramid] =
             ["matrix", "index", "partial", "encoded", "pyramid"]
                 .map(|memo| MemoCounters::register(registry, memo));
         QueryEngine {
             catalog,
             byte_budget,
-            index_marginal_cap,
             state: Mutex::new(LruState::default()),
             matrix,
             index,
@@ -457,7 +441,7 @@ impl QueryEngine {
         let index = matrix.map(|matrix| {
             Arc::new(ReleaseIndex::with_counters(
                 Arc::new(matrix),
-                self.index_marginal_cap,
+                dpod_query::backend::DEFAULT_MARGINAL_BUDGET,
                 self.index_counters.clone(),
             ))
         });
@@ -1317,7 +1301,7 @@ mod tests {
         use dpod_query::plan;
         let c = catalog_with(&["a", "b", "z"], 16);
         let registry = Registry::new();
-        let engine = QueryEngine::with_registry(Arc::clone(&c), usize::MAX, 1 << 20, &registry);
+        let engine = QueryEngine::with_registry(Arc::clone(&c), usize::MAX, &registry);
         let level = |level| QueryPlan::DrillDown {
             level,
             plan: Box::new(TOTAL),

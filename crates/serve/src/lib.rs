@@ -59,8 +59,8 @@ pub use event::WRITE_BACKPRESSURE_BYTES;
 pub use metrics::{spawn_metrics_exporter, MetricsExporter, ServeMetrics, Stage, Transport};
 pub use series::{EpochInfo, EPOCH_SEP};
 pub use server::{
-    spawn, spawn_retention_timer, spawn_wire, spawn_with, FrontEnd, ResponseEncoding, Server,
-    ServerHandle, SpawnOptions, WireMode, DEFAULT_CACHE_BYTES, IDLE_TIMEOUT, MAX_LINE_BYTES,
+    spawn, spawn_with, FrontEnd, ResponseEncoding, Server, ServerHandle, SpawnOptions, WireMode,
+    DEFAULT_CACHE_BYTES, IDLE_TIMEOUT, MAX_LINE_BYTES,
 };
 
 /// Serving-layer error: a displayable message naming the failing operation.

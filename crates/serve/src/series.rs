@@ -31,7 +31,7 @@
 
 use crate::{Catalog, CatalogEntry, ServeError};
 use dpod_query::EpochSelector;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The character separating a series name from its epoch id in a
@@ -74,37 +74,34 @@ pub struct EpochInfo {
 /// explicit entry wins (publishing `series@0` over a legacy catalog is
 /// a deliberate upgrade, not a collision).
 pub fn series_epochs(catalog: &Catalog, series: &str) -> Vec<EpochInfo> {
-    let mut by_epoch: HashMap<u64, Arc<CatalogEntry>> = HashMap::new();
+    let mut by_epoch: BTreeMap<u64, Arc<CatalogEntry>> = BTreeMap::new();
     if let Some(entry) = catalog.get(series) {
         by_epoch.insert(0, entry);
     }
-    for entry in catalog.entries() {
-        let (s, Some(epoch)) = split_epoch_name(&entry.name) else {
-            continue;
-        };
-        if s == series {
-            by_epoch.insert(epoch, entry);
+    // Only names under `series@` can hold its epochs; `city@x@3` shares
+    // the prefix of `city` but is epoch 3 of series `city@x`.
+    for entry in catalog.entries_with_prefix(&format!("{series}{EPOCH_SEP}")) {
+        if let (s, Some(epoch)) = split_epoch_name(&entry.name) {
+            if s == series {
+                by_epoch.insert(epoch, entry);
+            }
         }
     }
-    let mut epochs: Vec<EpochInfo> = by_epoch
+    by_epoch
         .into_iter()
         .map(|(epoch, entry)| EpochInfo { epoch, entry })
-        .collect();
-    epochs.sort_by_key(|e| e.epoch);
-    epochs
+        .collect()
 }
 
 /// The series names present in `catalog`, sorted, each with its live
 /// epoch count (a plain entry counts as a one-epoch series).
 pub fn series_names(catalog: &Catalog) -> Vec<(String, usize)> {
-    let mut counts: HashMap<String, usize> = HashMap::new();
+    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
     for entry in catalog.entries() {
         let (series, _) = split_epoch_name(&entry.name);
         *counts.entry(series.to_string()).or_insert(0) += 1;
     }
-    let mut out: Vec<(String, usize)> = counts.into_iter().collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
+    counts.into_iter().collect()
 }
 
 /// Validates that publishing `epoch` into `series` respects the
@@ -245,6 +242,69 @@ mod tests {
             catalog.publish(name, release(i as u64 + 1));
         }
         catalog
+    }
+
+    /// Reading only the `series@` range finds exactly what a scan of
+    /// every entry finds, past decoys that share a prefix or a suffix.
+    #[test]
+    fn series_epochs_matches_a_full_scan() {
+        let catalog = catalog_with(&[
+            "city2@1",
+            "cit@1",
+            "city@x",
+            "city@x@3",
+            "city",
+            "city@0",
+            "city@2",
+            "city@10",
+            "city@best",
+            "citz@4",
+        ]);
+        let full_scan = |series: &str| -> Vec<(u64, String)> {
+            let mut by_epoch = BTreeMap::new();
+            if let Some(entry) = catalog.get(series) {
+                by_epoch.insert(0, entry.name.clone());
+            }
+            for entry in catalog.entries() {
+                if let (s, Some(epoch)) = split_epoch_name(&entry.name) {
+                    if s == series {
+                        by_epoch.insert(epoch, entry.name.clone());
+                    }
+                }
+            }
+            by_epoch.into_iter().collect()
+        };
+        for series in [
+            "city",
+            "city@x",
+            "city2",
+            "cit",
+            "citz",
+            "city@best",
+            "ci",
+            "nope",
+        ] {
+            let got: Vec<(u64, String)> = series_epochs(&catalog, series)
+                .into_iter()
+                .map(|e| (e.epoch, e.entry.name.clone()))
+                .collect();
+            assert_eq!(got, full_scan(series), "series {series}");
+        }
+        // The explicit `city@0` wins over the plain `city`.
+        let city: Vec<u64> = series_epochs(&catalog, "city")
+            .iter()
+            .map(|e| e.epoch)
+            .collect();
+        assert_eq!(city, [0, 2, 10]);
+        assert_eq!(series_epochs(&catalog, "city")[0].entry.name, "city@0");
+        let names = |series| -> Vec<String> {
+            series_epochs(&catalog, series)
+                .into_iter()
+                .map(|e| e.entry.name.clone())
+                .collect()
+        };
+        assert_eq!(names("city@x"), ["city@x", "city@x@3"]);
+        assert_eq!(names("city2"), ["city2@1"]);
     }
 
     #[test]

@@ -165,30 +165,15 @@ pub struct Server {
 
 impl Server {
     /// A server over `catalog` with `cache_bytes` of rebuild cache
-    /// (shared between matrix rebuilds and plan indexes) and the
-    /// default per-release marginal-memoization cap.
+    /// (shared between matrix rebuilds and plan indexes); each release
+    /// index memoizes marginal tables up to
+    /// [`DEFAULT_MARGINAL_BUDGET`](dpod_query::backend::DEFAULT_MARGINAL_BUDGET).
     pub fn new(catalog: Arc<Catalog>, cache_bytes: usize) -> Self {
-        Self::with_marginal_cap(
-            catalog,
-            cache_bytes,
-            dpod_query::backend::DEFAULT_MARGINAL_BUDGET,
-        )
-    }
-
-    /// [`Self::new`], but capping each release index's memoized
-    /// marginal tables at `index_marginal_bytes` (`dpod serve
-    /// --index-mb` plumbs here).
-    pub fn with_marginal_cap(
-        catalog: Arc<Catalog>,
-        cache_bytes: usize,
-        index_marginal_bytes: usize,
-    ) -> Self {
         let metrics = ServeMetrics::new();
         Server {
             engine: QueryEngine::with_registry(
                 Arc::clone(&catalog),
                 cache_bytes,
-                index_marginal_bytes,
                 &metrics.registry,
             ),
             catalog,
@@ -701,39 +686,6 @@ impl ServerHandle {
     }
 }
 
-/// Spawns the serve-side retention timer for unattended feeds (`dpod
-/// serve --retain-ttl` plumbs here): every `period`, each series in the
-/// catalog is trimmed to its `retain` newest epochs through
-/// [`Server::apply_retention`], retiring caches and refunding ε exactly
-/// as a manual sweep would.
-///
-/// The thread holds only a [`Weak`](std::sync::Weak) reference, so it
-/// never keeps a
-/// server alive: once every strong reference drops (tests, short-lived
-/// embedders), the next tick exits the loop. There is no explicit stop
-/// handle — the timer is daemon-like by design.
-pub fn spawn_retention_timer(
-    server: &Arc<Server>,
-    period: Duration,
-    retain: usize,
-) -> std::thread::JoinHandle<()> {
-    let weak = Arc::downgrade(server);
-    std::thread::spawn(move || loop {
-        std::thread::sleep(period);
-        let Some(server) = weak.upgrade() else {
-            return;
-        };
-        for (series, epochs) in series::series_names(server.catalog()) {
-            if epochs <= retain {
-                continue;
-            }
-            // `retain` is validated non-zero by the CLI; a sweep error
-            // on one series must not starve the others.
-            let _ = server.apply_retention(&series, retain);
-        }
-    })
-}
-
 /// Binds `addr` and serves `server` on the default front end with the
 /// default [`WireMode::Auto`] encoding sniff; `workers` sizes the pool
 /// fallback ([`SpawnOptions::workers`]).
@@ -750,28 +702,6 @@ pub fn spawn(
         addr,
         SpawnOptions {
             workers,
-            ..SpawnOptions::default()
-        },
-    )
-}
-
-/// Binds `addr` and serves `server` on the default front end, accepting
-/// the encodings `mode` allows; `workers` sizes the pool fallback.
-///
-/// # Errors
-/// IO errors from binding the listener or creating the event loop.
-pub fn spawn_wire(
-    server: Arc<Server>,
-    addr: impl ToSocketAddrs,
-    workers: usize,
-    mode: WireMode,
-) -> std::io::Result<ServerHandle> {
-    spawn_with(
-        server,
-        addr,
-        SpawnOptions {
-            workers,
-            wire: mode,
             ..SpawnOptions::default()
         },
     )
@@ -1672,7 +1602,16 @@ mod tests {
     fn wire_mode_restrictions_refuse_the_other_encoding() {
         // A JSON-only endpoint refuses the DPRB preamble in-protocol.
         let server = test_server(&["city"]);
-        let handle = spawn_wire(Arc::clone(&server), "127.0.0.1:0", 1, WireMode::Json).unwrap();
+        let handle = spawn_with(
+            Arc::clone(&server),
+            "127.0.0.1:0",
+            SpawnOptions {
+                workers: 1,
+                wire: WireMode::Json,
+                ..SpawnOptions::default()
+            },
+        )
+        .unwrap();
         let mut client = crate::wire::Client::connect(handle.addr()).unwrap();
         match client.request(&Request::List) {
             Ok(Response::Error { message }) => assert!(message.contains("JSON"), "{message}"),
@@ -1682,7 +1621,16 @@ mod tests {
 
         // A binary-only endpoint answers JSON lines with an error frame.
         let server = test_server(&["city"]);
-        let handle = spawn_wire(Arc::clone(&server), "127.0.0.1:0", 1, WireMode::Binary).unwrap();
+        let handle = spawn_with(
+            Arc::clone(&server),
+            "127.0.0.1:0",
+            SpawnOptions {
+                workers: 1,
+                wire: WireMode::Binary,
+                ..SpawnOptions::default()
+            },
+        )
+        .unwrap();
         let stream = TcpStream::connect(handle.addr()).unwrap();
         let mut writer = BufWriter::new(stream.try_clone().unwrap());
         writer.write_all(b"\"List\"\n").unwrap();
@@ -1851,29 +1799,6 @@ mod tests {
                 .unwrap();
         }
         server
-    }
-
-    /// The retention timer sweeps every series down to its `retain`
-    /// newest epochs, and its thread — holding only a weak reference —
-    /// exits once the server is dropped.
-    #[test]
-    fn retention_timer_sweeps_series_and_dies_with_the_server() {
-        let server = epoch_server();
-        assert_eq!(server.catalog().len(), 3);
-        let timer = spawn_retention_timer(&server, Duration::from_millis(10), 1);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.catalog().len() > 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(server.catalog().len(), 1, "timer should retire epochs 1-2");
-        assert!(server.catalog().get("city@3").is_some());
-        assert_eq!(server.metrics().epochs_retired.get(), 2);
-        // Refunds landed: one live epoch's ε remains active.
-        let active = series_active_epsilon(&server, "city");
-        assert!((active - 0.5).abs() < 1e-12, "{active}");
-        // Dropping the last strong reference ends the timer thread.
-        drop(server);
-        timer.join().expect("timer thread exits cleanly");
     }
 
     /// `handle_encoded` returns byte-identical output to the
