@@ -6,11 +6,12 @@ use dpod_dp::Epsilon;
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_query::{eval::evaluate_with_prefix, metrics::MreOptions, workload::QueryWorkload};
 use rayon::prelude::*;
+use std::num::Wrapping;
 
 /// Precomputed ground truth for one (input, workload) pair, shared across
 /// every mechanism and ε of a sweep.
 pub struct TruthContext {
-    prefix: PrefixSum<i128>,
+    prefix: PrefixSum<Wrapping<u64>>,
     total: f64,
     queries: Vec<AxisBox>,
 }

@@ -5,6 +5,7 @@ use crate::{Mechanism, MechanismError, SanitizedMatrix};
 use dpod_dp::{Noise, Share};
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::{tree::TreeNode, Partitioning};
+use std::num::Wrapping;
 
 /// A 2^d-ary hierarchical baseline (extension; \[4\] in the paper).
 ///
@@ -67,7 +68,7 @@ impl Mechanism for QuadTree {
         let height = match self.height {
             Some(h) => h,
             None => {
-                let n_hat = noisy_total(input, self.eps0_fraction, noise)?;
+                let n_hat = noisy_total(&prefix, self.eps0_fraction, noise)?;
                 let m = ebp_m(d, n_hat, noise.remaining());
                 let h = (m.max(1.0).log2().ceil() as usize).max(1);
                 // Cap: no dimension can be split below single cells.
@@ -125,7 +126,7 @@ fn build_level(
     bounds: AxisBox,
     depth: usize,
     height: usize,
-    prefix: &PrefixSum<i128>,
+    prefix: &PrefixSum<Wrapping<u64>>,
     levels: &[Share],
     noise: &mut Noise<'_>,
 ) -> TreeNode<QtPayload> {

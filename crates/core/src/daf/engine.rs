@@ -9,6 +9,7 @@ use crate::{MechanismError, SanitizedMatrix};
 use dpod_dp::{DpError, Noise, Share};
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::{tree::TreeNode, Partitioning};
+use std::num::Wrapping;
 
 /// Bookkeeping attached to every DAF tree node; the integration tests
 /// assert the budget-telescoping invariant from it.
@@ -45,7 +46,7 @@ pub(crate) trait SplitPlanner {
     fn choose_cuts(
         &self,
         input: &DenseMatrix<u64>,
-        prefix: &PrefixSum<i128>,
+        prefix: &PrefixSum<Wrapping<u64>>,
         bounds: &AxisBox,
         dim: usize,
         fanout: usize,
@@ -74,7 +75,7 @@ pub(crate) fn equal_cuts(lo: usize, hi: usize, fanout: usize) -> Vec<usize> {
 /// One full DAF sanitization run.
 pub(crate) struct DafRun<'a, P: SplitPlanner> {
     input: &'a DenseMatrix<u64>,
-    prefix: PrefixSum<i128>,
+    prefix: PrefixSum<Wrapping<u64>>,
     planner: &'a P,
     stop: StopPolicy,
     eps_tot: f64,

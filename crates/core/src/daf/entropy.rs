@@ -6,6 +6,7 @@ use dpod_dp::{DpError, Epsilon, Noise, Share};
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::tree::TreeNode;
 use rand::RngCore;
+use std::num::Wrapping;
 
 /// DAF-Entropy (Algorithm 2, §4.2).
 ///
@@ -99,7 +100,7 @@ impl SplitPlanner for EqualWidthPlanner {
     fn choose_cuts(
         &self,
         _input: &DenseMatrix<u64>,
-        _prefix: &PrefixSum<i128>,
+        _prefix: &PrefixSum<Wrapping<u64>>,
         bounds: &AxisBox,
         dim: usize,
         fanout: usize,

@@ -6,6 +6,7 @@ use dpod_dp::{DpError, Epsilon, Noise, Share};
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::tree::TreeNode;
 use rand::RngCore;
+use std::num::Wrapping;
 
 /// DAF-Homogeneity (Algorithm 3, §4.3).
 ///
@@ -106,7 +107,7 @@ impl SplitPlanner for HomogeneityPlanner {
     fn choose_cuts(
         &self,
         input: &DenseMatrix<u64>,
-        prefix: &PrefixSum<i128>,
+        prefix: &PrefixSum<Wrapping<u64>>,
         bounds: &AxisBox,
         dim: usize,
         fanout: usize,
@@ -162,7 +163,7 @@ fn draw_candidate(
 /// for the split of `bounds` along `dim` at `cuts`.
 fn homogeneity_objective(
     input: &DenseMatrix<u64>,
-    prefix: &PrefixSum<i128>,
+    prefix: &PrefixSum<Wrapping<u64>>,
     bounds: &AxisBox,
     dim: usize,
     cuts: &[usize],

@@ -63,7 +63,8 @@ impl Mechanism for AdaptiveGrid {
             )));
         }
         let d = input.ndim();
-        let n_hat = noisy_total(input, self.eps0_fraction, noise)?;
+        let prefix = PrefixSum::from_counts(input);
+        let n_hat = noisy_total(&prefix, self.eps0_fraction, noise)?;
         let eps1 = noise.share(noise.remaining() * self.alpha, "level-1 cell counts")?;
         let eps2 = noise.rest("level-2 cell counts")?;
 
@@ -76,8 +77,6 @@ impl Mechanism for AdaptiveGrid {
             .map(|&len| round_granularity(m1, len))
             .collect();
         let level1 = UniformGrid::new(input.shape(), &cells1).map_err(MechanismError::Invalid)?;
-
-        let prefix = PrefixSum::from_counts(input);
 
         // Level 2: per level-1 cell, size a sub-grid from the noisy count
         // and release its sub-cell counts.

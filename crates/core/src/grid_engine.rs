@@ -6,11 +6,13 @@ use crate::{MechanismError, SanitizedMatrix};
 use dpod_dp::Noise;
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use dpod_partition::UniformGrid;
+use std::num::Wrapping;
 
 /// Charges `eps0_fraction` of the budget and returns the noisy total
-/// count `N̂` (Alg. 1 lines 1–2; unclamped, formulas clamp).
+/// count `N̂` (Alg. 1 lines 1–2; unclamped, formulas clamp). `N` is the
+/// count table's full box.
 pub(crate) fn noisy_total(
-    input: &DenseMatrix<u64>,
+    counts: &PrefixSum<Wrapping<u64>>,
     eps0_fraction: f64,
     noise: &mut Noise<'_>,
 ) -> Result<f64, MechanismError> {
@@ -20,7 +22,8 @@ pub(crate) fn noisy_total(
         )));
     }
     let e0 = noise.share(noise.total() * eps0_fraction, "noisy total")?;
-    Ok(noise.laplace(input.total(), e0))
+    let n = counts.box_count(&AxisBox::full(counts.shape()));
+    Ok(noise.laplace(n as f64, e0))
 }
 
 /// Algorithm 1: the noisy total `N̂`, the granularity
@@ -34,7 +37,8 @@ pub(crate) fn grid_release(
     noise: &mut Noise<'_>,
     granularity: impl Fn(usize, f64, f64) -> f64,
 ) -> Result<SanitizedMatrix, MechanismError> {
-    let n_hat = noisy_total(input, eps0_fraction, noise)?;
+    let prefix = PrefixSum::from_counts(input);
+    let n_hat = noisy_total(&prefix, eps0_fraction, noise)?;
     let m = granularity(input.ndim(), n_hat, noise.remaining());
     let cells: Vec<usize> = input
         .shape()
@@ -46,7 +50,6 @@ pub(crate) fn grid_release(
     // Disjoint partitions ⇒ parallel composition: each cell's count query
     // consumes the same (remaining) budget once, not once per cell.
     let e_data = noise.rest("grid cell counts")?;
-    let prefix = PrefixSum::from_counts(input);
     let boxes: Vec<AxisBox> = grid.iter_boxes().collect();
     let noisy: Vec<f64> = boxes
         .iter()
@@ -83,7 +86,7 @@ mod tests {
         let m = matrix(&[8, 8], 10);
         let mut rng = dpod_dp::seeded_rng(1);
         let mut noise = Noise::new(eps(1.0), &mut rng);
-        let n_hat = noisy_total(&m, 0.01, &mut noise).unwrap();
+        let n_hat = noisy_total(&PrefixSum::from_counts(&m), 0.01, &mut noise).unwrap();
         assert!((noise.spent() - 0.01).abs() < 1e-12);
         // With ε₀ = 0.01 the noise scale is 100; N = 640.
         assert!((n_hat - 640.0).abs() < 2_000.0);
@@ -94,8 +97,9 @@ mod tests {
         let m = matrix(&[4], 1);
         let mut rng = dpod_dp::seeded_rng(2);
         let mut noise = Noise::new(eps(1.0), &mut rng);
-        assert!(noisy_total(&m, 0.0, &mut noise).is_err());
-        assert!(noisy_total(&m, 1.0, &mut noise).is_err());
+        let counts = PrefixSum::from_counts(&m);
+        assert!(noisy_total(&counts, 0.0, &mut noise).is_err());
+        assert!(noisy_total(&counts, 1.0, &mut noise).is_err());
     }
 
     #[test]

@@ -73,12 +73,14 @@ impl PublishedRelease {
         PublishedRelease {
             mechanism: s.mechanism().to_string(),
             epsilon: s.epsilon(),
-            domain: s.matrix().shape().dims().to_vec(),
+            domain: s.domain().dims().to_vec(),
             body,
         }
     }
 
-    /// Rebuilds a queryable [`SanitizedMatrix`] on the analyst side.
+    /// Rebuilds a queryable [`SanitizedMatrix`] on the analyst side, with
+    /// its estimate and prefix table already built: the serve side calls
+    /// this at publish, so the first query does not build them.
     ///
     /// # Errors
     /// [`MechanismError::Invalid`] when the artifact is internally
@@ -92,11 +94,7 @@ impl PublishedRelease {
             ReleaseBody::PerEntry { values } => {
                 check_entries(&shape, &values)?;
                 let matrix = DenseMatrix::from_vec(shape, values).map_err(MechanismError::Fm)?;
-                Ok(SanitizedMatrix::from_entries(
-                    &self.mechanism,
-                    self.epsilon,
-                    matrix,
-                ))
+                Ok(SanitizedMatrix::from_entries(&self.mechanism, self.epsilon, matrix).built())
             }
             ReleaseBody::Partitions { boxes, counts } => {
                 let partitioning = checked_partitioning(shape.clone(), &boxes, &counts)?;
@@ -106,7 +104,8 @@ impl PublishedRelease {
                     shape,
                     partitioning,
                     counts,
-                ))
+                )
+                .built())
             }
         }
     }
@@ -314,6 +313,25 @@ mod tests {
         // Queries answer identically after the round trip.
         let q = AxisBox::new(vec![0, 0], vec![6, 6]).unwrap();
         assert_eq!(rebuilt.range_sum(&q), out.range_sum(&q));
+    }
+
+    #[test]
+    fn publishing_builds_no_estimate_and_rebuilding_builds_it() {
+        let input = skewed_input();
+        let eps = Epsilon::new(0.5).unwrap();
+        for mech in crate::all_mechanisms() {
+            let out = mech
+                .sanitize(&input, eps, &mut dpod_dp::seeded_rng(5))
+                .unwrap();
+            let artifact = PublishedRelease::from_sanitized(&out);
+            assert!(!artifact.to_bytes().is_empty());
+            // A per-entry release is its matrix; a partition release has
+            // none until a read needs it. Neither has a prefix table.
+            let per_entry = matches!(out.summary(), PartitionSummary::PerEntry);
+            assert_eq!(out.built_parts(), (per_entry, false), "{}", mech.name());
+            let rebuilt = artifact.into_sanitized().unwrap();
+            assert_eq!(rebuilt.built_parts(), (true, true), "{}", mech.name());
+        }
     }
 
     #[test]

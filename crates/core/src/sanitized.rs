@@ -1,11 +1,13 @@
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum, Shape};
 use dpod_partition::Partitioning;
+use std::sync::OnceLock;
 
 /// How a [`SanitizedMatrix`] was structured, for introspection.
 ///
 /// Query answering never consults this — the dense estimate plus its
-/// prefix-sum table is the uniform interface — but tests validate the
-/// `Boxes` variant and the visualizer renders it.
+/// prefix-sum table is the uniform interface — but the release artifact
+/// is built from it, tests validate the `Boxes` variant and the
+/// visualizer renders it.
 #[derive(Debug, Clone)]
 pub enum PartitionSummary {
     /// One released value per matrix entry with no grouping structure
@@ -25,35 +27,45 @@ pub enum PartitionSummary {
 ///
 /// Per the paper's publication model (§2.2), the released object is the set
 /// of partition boundaries with their noisy counts; queries are answered
-/// under an intra-partition uniformity assumption. This struct stores that
-/// assumption *pre-applied*: `matrix[c] = noisy_count(P) / |P|` for the
-/// partition `P ∋ c`, plus a prefix-sum table so any range query costs
-/// `O(2^d)`.
+/// under an intra-partition uniformity assumption. This struct holds that
+/// object and applies the assumption on first read: the per-entry estimate
+/// `matrix[c] = noisy_count(P) / |P|` for the partition `P ∋ c`, and the
+/// prefix-sum table over it that makes any range query `O(2^d)`, are each
+/// built once, by whichever read needs them first. Publishing
+/// (sanitize → [`PublishedRelease`](crate::PublishedRelease)) reads
+/// neither, so it never pays for them;
+/// [`PublishedRelease::into_sanitized`](crate::PublishedRelease::into_sanitized)
+/// builds both before it returns, so a served release's first query does
+/// not either.
 #[derive(Debug, Clone)]
 pub struct SanitizedMatrix {
     mechanism: String,
     epsilon: f64,
-    matrix: DenseMatrix<f64>,
-    prefix: PrefixSum<f64>,
+    domain: Shape,
     summary: PartitionSummary,
+    /// Given up front for [`PartitionSummary::PerEntry`]; spread from the
+    /// partitions on first read otherwise.
+    matrix: OnceLock<DenseMatrix<f64>>,
+    prefix: OnceLock<PrefixSum<f64>>,
 }
 
 impl SanitizedMatrix {
     /// Wraps a per-entry estimate matrix (for mechanisms without partition
     /// structure).
     pub fn from_entries(mechanism: &str, epsilon: f64, matrix: DenseMatrix<f64>) -> Self {
-        let prefix = PrefixSum::from_f64(&matrix);
         SanitizedMatrix {
             mechanism: mechanism.to_string(),
             epsilon,
-            matrix,
-            prefix,
+            domain: matrix.shape().clone(),
             summary: PartitionSummary::PerEntry,
+            matrix: OnceLock::from(matrix),
+            prefix: OnceLock::new(),
         }
     }
 
-    /// Spreads each partition's noisy count uniformly over its cells
-    /// (the paper's uniformity assumption) and builds the query table.
+    /// A release of one noisy count per partition. Reads spread each
+    /// count uniformly over its cells (the paper's uniformity
+    /// assumption).
     ///
     /// # Panics
     /// Debug-asserts that `noisy_counts` matches the partition count and
@@ -66,23 +78,34 @@ impl SanitizedMatrix {
         noisy_counts: Vec<f64>,
     ) -> Self {
         debug_assert_eq!(partitioning.len(), noisy_counts.len());
-        let mut matrix = DenseMatrix::<f64>::zeros(domain);
-        for (b, &count) in partitioning.boxes().iter().zip(&noisy_counts) {
-            let vol = b.volume();
-            debug_assert!(vol > 0, "empty partition released");
-            matrix.fill_box(b, count / vol as f64);
-        }
-        let prefix = PrefixSum::from_f64(&matrix);
+        debug_assert!(
+            partitioning.boxes().iter().all(|b| b.volume() > 0),
+            "empty partition released"
+        );
         SanitizedMatrix {
             mechanism: mechanism.to_string(),
             epsilon,
-            matrix,
-            prefix,
+            domain,
             summary: PartitionSummary::Boxes {
                 partitioning,
                 noisy_counts,
             },
+            matrix: OnceLock::new(),
+            prefix: OnceLock::new(),
         }
+    }
+
+    /// Builds the estimate and its prefix table now, so that no later read
+    /// pays for them.
+    pub(crate) fn built(self) -> Self {
+        self.prefix();
+        self
+    }
+
+    /// Whether the estimate, and its prefix table, are built.
+    #[cfg(test)]
+    pub(crate) fn built_parts(&self) -> (bool, bool) {
+        (self.matrix.get().is_some(), self.prefix.get().is_some())
     }
 
     /// Name of the producing mechanism.
@@ -95,9 +118,32 @@ impl SanitizedMatrix {
         self.epsilon
     }
 
-    /// The dense per-entry estimate (uniformity already applied).
+    /// The matrix domain.
+    pub fn domain(&self) -> &Shape {
+        &self.domain
+    }
+
+    /// The dense per-entry estimate (uniformity applied), built on first
+    /// read.
     pub fn matrix(&self) -> &DenseMatrix<f64> {
-        &self.matrix
+        self.matrix.get_or_init(|| {
+            let mut matrix = DenseMatrix::<f64>::zeros(self.domain.clone());
+            if let PartitionSummary::Boxes {
+                partitioning,
+                noisy_counts,
+            } = &self.summary
+            {
+                for (b, &count) in partitioning.boxes().iter().zip(noisy_counts) {
+                    matrix.fill_box(b, count / b.volume() as f64);
+                }
+            }
+            matrix
+        })
+    }
+
+    fn prefix(&self) -> &PrefixSum<f64> {
+        self.prefix
+            .get_or_init(|| PrefixSum::from_f64(self.matrix()))
     }
 
     /// The partition structure of the release.
@@ -109,7 +155,7 @@ impl SanitizedMatrix {
     /// [`PartitionSummary::PerEntry`]).
     pub fn num_partitions(&self) -> usize {
         match &self.summary {
-            PartitionSummary::PerEntry => self.matrix.len(),
+            PartitionSummary::PerEntry => self.domain.size(),
             PartitionSummary::Boxes { partitioning, .. } => partitioning.len(),
         }
     }
@@ -117,7 +163,7 @@ impl SanitizedMatrix {
     /// Estimated count inside the half-open range `q` — the private answer
     /// to the paper's range queries (Definition 3), `O(2^d)`.
     pub fn range_sum(&self, q: &AxisBox) -> f64 {
-        self.prefix.box_sum(q)
+        self.prefix().box_sum(q)
     }
 
     /// Estimated count of a single entry.
@@ -125,12 +171,12 @@ impl SanitizedMatrix {
     /// # Errors
     /// Propagates coordinate validation.
     pub fn entry(&self, coords: &[usize]) -> dpod_fmatrix::Result<f64> {
-        self.matrix.get(coords)
+        self.matrix().get(coords)
     }
 
     /// Estimated total count of the matrix.
     pub fn total(&self) -> f64 {
-        self.range_sum(&AxisBox::full(self.matrix.shape()))
+        self.range_sum(&AxisBox::full(&self.domain))
     }
 
     /// DP post-processing: clamp negative per-entry estimates to zero.
@@ -139,13 +185,13 @@ impl SanitizedMatrix {
     /// this opt-in variant exists for the ablation experiments and for
     /// downstream users that need physical counts.
     pub fn non_negative(&self) -> SanitizedMatrix {
-        let clamped = self.matrix.map(|v| v.max(0.0));
         SanitizedMatrix {
             mechanism: format!("{}+nn", self.mechanism),
             epsilon: self.epsilon,
-            prefix: PrefixSum::from_f64(&clamped),
-            matrix: clamped,
+            domain: self.domain.clone(),
             summary: self.summary.clone(),
+            matrix: OnceLock::from(self.matrix().map(|v| v.max(0.0))),
+            prefix: OnceLock::new(),
         }
     }
 }

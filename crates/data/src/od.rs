@@ -66,6 +66,18 @@ impl OdMatrixBuilder {
         Some(coords)
     }
 
+    /// The row-major flat index of [`Self::cell_of`]'s coordinates in
+    /// [`Self::shape`], with the same arity rule.
+    fn flat_cell(&self, t: &Trajectory, num_stops: usize) -> Option<usize> {
+        if t.points.len() != num_stops + 2 {
+            return None;
+        }
+        let n = self.cells_per_dim;
+        Some(t.points.iter().fold(0, |at, p| {
+            (at * n + to_cell(p[0], n)) * n + to_cell(p[1], n)
+        }))
+    }
+
     /// Accumulates trajectories into a sparse OD matrix, skipping
     /// wrong-arity trips. Returns the matrix and the number skipped.
     pub fn build_sparse(&self, trips: &[Trajectory], num_stops: usize) -> (SparseMatrix, usize) {
@@ -80,7 +92,9 @@ impl OdMatrixBuilder {
         (m, skipped)
     }
 
-    /// Accumulates trajectories into a dense OD matrix.
+    /// Accumulates trajectories into a dense OD matrix, counting each
+    /// trip straight into its cell and skipping wrong-arity trips (the
+    /// same matrix as [`Self::build_sparse`] made dense).
     ///
     /// # Errors
     /// A descriptive message when the dense domain would exceed
@@ -99,8 +113,12 @@ impl OdMatrixBuilder {
                 shape.size()
             ));
         }
-        let (sparse, _skipped) = self.build_sparse(trips, num_stops);
-        Ok(sparse.to_dense())
+        let mut m = DenseMatrix::<u64>::zeros(shape);
+        let counts = m.as_mut_slice();
+        for at in trips.iter().filter_map(|t| self.flat_cell(t, num_stops)) {
+            counts[at] += 1;
+        }
+        Ok(m)
     }
 }
 
@@ -109,7 +127,7 @@ mod tests {
     use super::*;
     use crate::city::City;
     use crate::trajectory::TrajectoryConfig;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
@@ -161,6 +179,31 @@ mod tests {
         let (m, skipped) = b.build_sparse(&trips, 0);
         assert_eq!(m.total_u64(), 1);
         assert_eq!(skipped, 1);
+    }
+
+    #[test]
+    fn dense_build_matches_sparse_build() {
+        let mut r = rng(3);
+        for num_stops in 0..=1 {
+            for cells in [1, 3, 7] {
+                let b = OdMatrixBuilder::new(cells);
+                // Arities 1–4 around the expected num_stops + 2, and
+                // coordinates past both edges of the unit square.
+                let trips: Vec<Trajectory> = (0..300)
+                    .map(|_| {
+                        let arity = r.gen_range(1..=4);
+                        let points = (0..arity)
+                            .map(|_| [r.gen_range(-0.2..1.2), r.gen_range(-0.2..1.2)])
+                            .collect();
+                        Trajectory { points }
+                    })
+                    .collect();
+                let dense = b.build_dense(&trips, num_stops).unwrap();
+                let (sparse, skipped) = b.build_sparse(&trips, num_stops);
+                assert!(skipped > 0 && skipped < trips.len());
+                assert_eq!(dense, sparse.to_dense(), "{num_stops} stops, {cells} cells");
+            }
+        }
     }
 
     #[test]

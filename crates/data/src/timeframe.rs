@@ -79,6 +79,17 @@ impl FrameGrid {
         Some(coords)
     }
 
+    /// The row-major flat index of [`Self::cell_of`]'s coordinates in
+    /// [`Self::shape`], with the same arity rule.
+    fn flat_cell(&self, t: &Trajectory) -> Option<usize> {
+        if t.points.len() != self.frames() {
+            return None;
+        }
+        Some(t.points.iter().zip(&self.cells).fold(0, |at, (p, &c)| {
+            (at * c + to_cell(p[0], c)) * c + to_cell(p[1], c)
+        }))
+    }
+
     /// Accumulates trajectories into a sparse matrix, returning the matrix
     /// and the number of skipped (wrong-arity) trips.
     pub fn build_sparse(&self, trips: &[Trajectory]) -> (SparseMatrix, usize) {
@@ -93,7 +104,8 @@ impl FrameGrid {
         (m, skipped)
     }
 
-    /// Dense variant with the same memory guard as the OD builder.
+    /// Dense variant with the same memory guard as the OD builder: each
+    /// trip is counted straight into its cell, wrong-arity trips skipped.
     ///
     /// # Errors
     /// A descriptive message when the dense domain would be too large.
@@ -106,7 +118,12 @@ impl FrameGrid {
                 shape.size()
             ));
         }
-        Ok(self.build_sparse(trips).0.to_dense())
+        let mut m = DenseMatrix::<u64>::zeros(shape);
+        let counts = m.as_mut_slice();
+        for at in trips.iter().filter_map(|t| self.flat_cell(t)) {
+            counts[at] += 1;
+        }
+        Ok(m)
     }
 }
 
@@ -115,7 +132,7 @@ mod tests {
     use super::*;
     use crate::city::City;
     use crate::trajectory::TrajectoryConfig;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
@@ -165,6 +182,24 @@ mod tests {
         let dense = g.build_dense(&trips).unwrap();
         assert_eq!(dense.total_u64(), 300);
         assert_eq!(dense.ndim(), 6);
+    }
+
+    #[test]
+    fn dense_build_matches_sparse_build() {
+        let mut r = rng(3);
+        let g = FrameGrid::new(vec![3, 1, 5]).unwrap();
+        let trips: Vec<Trajectory> = (0..300)
+            .map(|_| {
+                let arity = r.gen_range(2..=4);
+                let points = (0..arity)
+                    .map(|_| [r.gen_range(-0.2..1.2), r.gen_range(-0.2..1.2)])
+                    .collect();
+                Trajectory { points }
+            })
+            .collect();
+        let (sparse, skipped) = g.build_sparse(&trips);
+        assert!(skipped > 0 && skipped < trips.len());
+        assert_eq!(g.build_dense(&trips).unwrap(), sparse.to_dense());
     }
 
     #[test]

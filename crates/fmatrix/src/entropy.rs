@@ -5,6 +5,7 @@
 //! base 2, matching the paper.
 
 use crate::{AxisBox, DenseMatrix, Element, PrefixSum};
+use std::num::Wrapping;
 
 /// Entropy of a discrete distribution given by non-negative weights.
 ///
@@ -41,7 +42,7 @@ pub fn matrix_entropy<T: Element>(m: &DenseMatrix<T>) -> f64 {
 ///
 /// Partition totals are read from a prefix-sum table, so the cost is
 /// `O(|P| · 2^d)` regardless of partition sizes.
-pub fn partition_entropy(prefix: &PrefixSum<i128>, partitions: &[AxisBox]) -> f64 {
+pub fn partition_entropy(prefix: &PrefixSum<Wrapping<u64>>, partitions: &[AxisBox]) -> f64 {
     entropy_of_weights(PartitionWeights {
         prefix,
         partitions,
@@ -52,7 +53,7 @@ pub fn partition_entropy(prefix: &PrefixSum<i128>, partitions: &[AxisBox]) -> f6
 /// Cloneable iterator adapter over partition totals (needed because
 /// [`entropy_of_weights`] takes two passes).
 struct PartitionWeights<'a> {
-    prefix: &'a PrefixSum<i128>,
+    prefix: &'a PrefixSum<Wrapping<u64>>,
     partitions: &'a [AxisBox],
     next: usize,
 }

@@ -1,10 +1,10 @@
 use crate::{AxisBox, DenseMatrix, Element, Shape};
+use std::num::Wrapping;
 
 /// Value types a [`PrefixSum`] can accumulate.
 ///
-/// Integer counts accumulate in `i128` so that the `2^d`-corner
-/// inclusion–exclusion never underflows; sanitized matrices accumulate in
-/// `f64`.
+/// Integer counts accumulate in `Wrapping<u64>` ([`PrefixSum`] says why
+/// that is exact); sanitized matrices accumulate in `f64`.
 pub trait SatValue:
     Copy
     + Default
@@ -15,7 +15,7 @@ pub trait SatValue:
 {
 }
 
-impl SatValue for i128 {}
+impl SatValue for Wrapping<u64> {}
 impl SatValue for f64 {}
 
 /// A `d`-dimensional summed-area table.
@@ -24,6 +24,11 @@ impl SatValue for f64 {}
 /// sum is then recovered with `2^d` lookups by inclusion–exclusion. Every
 /// mechanism uses this to obtain partition totals in `O(2^d)` instead of
 /// `O(volume)`, and the query evaluator uses it for exact true answers.
+/// A count table ([`PrefixSum::from_counts`]) accumulates in
+/// `Wrapping<u64>`, 8 bytes per cell: the `2^d`-corner
+/// inclusion–exclusion is exact mod 2⁶⁴, so a box count is the true
+/// count whenever it fits a `u64`, even where the running prefix or a
+/// partial corner sum wraps.
 ///
 /// Build cost: `O(d · size)` additions, done as one row-wise pass per
 /// dimension over contiguous slices; bit-identical to a per-line build
@@ -35,7 +40,7 @@ impl SatValue for f64 {}
 /// let m = DenseMatrix::<u64>::from_vec(
 ///     Shape::new(vec![2, 2]).unwrap(), vec![1, 2, 3, 4]).unwrap();
 /// let p = PrefixSum::from_counts(&m);
-/// assert_eq!(p.box_sum(&AxisBox::full(m.shape())), 10);
+/// assert_eq!(p.box_count(&AxisBox::full(m.shape())), 10);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrefixSum<A> {
@@ -129,20 +134,16 @@ fn add_along<A: SatValue>(lines: &mut [A], extent: usize, stride: usize) {
     }
 }
 
-impl PrefixSum<i128> {
+impl PrefixSum<Wrapping<u64>> {
     /// Builds a table over a raw count matrix.
     pub fn from_counts(matrix: &DenseMatrix<u64>) -> Self {
-        PrefixSum::build(matrix, |v| v as i128)
+        PrefixSum::build(matrix, Wrapping)
     }
 
-    /// Box sum as `u64`.
-    ///
-    /// # Panics
-    /// Debug-asserts the sum is non-negative (always true for count tables).
+    /// Box sum as `u64`: the true count of `b` whenever it fits in a
+    /// `u64` (the sum is exact mod 2⁶⁴).
     pub fn box_count(&self, b: &AxisBox) -> u64 {
-        let s = self.box_sum(b);
-        debug_assert!(s >= 0, "count table produced negative sum");
-        s as u64
+        self.box_sum(b).0
     }
 }
 

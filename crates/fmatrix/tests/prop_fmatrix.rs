@@ -17,6 +17,39 @@ fn arb_matrix() -> impl Strategy<Value = DenseMatrix<u64>> {
     })
 }
 
+/// A count near `u64::MAX / 4`: four such cells already wrap a `u64`.
+const BIG: u64 = u64::MAX / 4;
+
+/// Strategy: a 2–4-D count matrix of small counts with five cells near
+/// [`BIG`] at distinct positions, so the matrix total and the running
+/// prefix wrap mod 2⁶⁴ while any box holding at most three of them fits.
+fn arb_wrapping_matrix() -> impl Strategy<Value = DenseMatrix<u64>> {
+    prop::collection::vec(3usize..=6, 2..=4).prop_flat_map(|dims| {
+        let shape = Shape::new(dims).unwrap();
+        let size = shape.size();
+        (
+            prop::collection::vec(0u64..50, size),
+            0..size,
+            prop::collection::vec(0u64..1_000, 5),
+        )
+            .prop_map(move |(mut data, start, offsets)| {
+                // size ≥ 9, so the five positions i·⌊size/5⌋ are distinct.
+                for (i, off) in offsets.into_iter().enumerate() {
+                    data[(start + i * (size / 5)) % size] = BIG - off;
+                }
+                DenseMatrix::from_vec(shape.clone(), data).unwrap()
+            })
+    })
+}
+
+/// The exact box sum, with no wrap.
+fn naive_u128(m: &DenseMatrix<u64>, b: &AxisBox) -> u128 {
+    m.box_slices(b)
+        .flat_map(|run| run.iter())
+        .map(|&v| u128::from(v))
+        .sum()
+}
+
 /// Strategy: a random box inside `shape`.
 fn arb_box_in(shape: &Shape) -> impl Strategy<Value = AxisBox> {
     let dims = shape.dims().to_vec();
@@ -41,6 +74,31 @@ proptest! {
     ) {
         let p = PrefixSum::from_counts(&m);
         prop_assert_eq!(p.box_count(&b) as f64, m.box_sum_naive(&b));
+    }
+
+    /// The wrapping count table equals the exact (u128) box sum wherever
+    /// that sum fits a `u64`, though the running prefix wraps: every
+    /// single cell, and random boxes.
+    #[test]
+    fn wrapping_prefix_is_exact_where_the_count_fits(
+        (m, boxes) in arb_wrapping_matrix().prop_flat_map(|m| {
+            let bxs = prop::collection::vec(arb_box_in(m.shape()), 24);
+            (Just(m), bxs)
+        })
+    ) {
+        let p = PrefixSum::from_counts(&m);
+        prop_assert!(naive_u128(&m, &AxisBox::full(m.shape())) > u128::from(u64::MAX));
+        for c in m.shape().iter_coords() {
+            let hi: Vec<usize> = c.iter().map(|&x| x + 1).collect();
+            let cell = AxisBox::new(c.clone(), hi).unwrap();
+            prop_assert_eq!(p.box_count(&cell), m.get(&c).unwrap());
+        }
+        for b in boxes {
+            let exact = naive_u128(&m, &b);
+            if exact <= u128::from(u64::MAX) {
+                prop_assert_eq!(u128::from(p.box_count(&b)), exact, "box {:?}", b);
+            }
+        }
     }
 
     /// flat_index and coords are mutual inverses over the whole domain.

@@ -302,11 +302,11 @@ impl PyramidLevel {
 /// heap-allocated corner vectors plus one count per box — significant for
 /// partition-heavy (DAF/quadtree) releases over large domains.
 fn release_bytes(m: &SanitizedMatrix) -> usize {
-    let tables = m.matrix().len() * 16;
+    let tables = m.domain().size() * 16;
     let summary = match m.summary() {
         dpod_core::PartitionSummary::PerEntry => 0,
         dpod_core::PartitionSummary::Boxes { partitioning, .. } => {
-            let d = m.matrix().shape().ndim();
+            let d = m.domain().ndim();
             // Two Vec<usize> corners (24-byte header + 8·d payload each)
             // plus the box struct and its noisy count.
             partitioning.len() * (2 * (24 + 8 * d) + 32)

@@ -4,6 +4,7 @@ use crate::metrics::{MreOptions, SummaryStats};
 use dpod_core::SanitizedMatrix;
 use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum};
 use serde::{Deserialize, Serialize};
+use std::num::Wrapping;
 
 /// The outcome of evaluating one sanitized release against one workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,7 +36,7 @@ pub fn evaluate(
 /// [`evaluate`] with a caller-owned truth table (avoids rebuilding it for
 /// every mechanism × ε combination in a sweep).
 pub fn evaluate_with_prefix(
-    truth_prefix: &PrefixSum<i128>,
+    truth_prefix: &PrefixSum<Wrapping<u64>>,
     total: f64,
     sanitized: &SanitizedMatrix,
     queries: &[AxisBox],
