@@ -63,14 +63,12 @@ NOISE SEED: sanitize and publish draw their noise seed from
             prints a warning: a known seed reveals the noise.
 MECHANISMS: see `dpod mechanisms`
 SERVE WIRE: newline-delimited JSON by default; e.g.
-            {\"Query\":{\"release\":\"NAME\",\"lo\":[0,0],\"hi\":[4,4]}}
+            {\"Plan\":{\"release\":\"NAME\",\"plan\":{\"Range\":
+            {\"lo\":[0,0],\"hi\":[4,4]}}}}
             A connection opening with the 5-byte preamble 'DPRB'+version
             speaks the length-prefixed binary protocol instead (fastest;
             used by `dpod query --binary true`). --wire restricts an
-            endpoint to one encoding. DPOD_WIRE_PACKED=1 makes binary
-            clients advertise the varint-packed frame feature bit
-            (fewer wire bytes; old servers refuse, old frames
-            unchanged).
+            endpoint to one encoding.
 SERVE CORE: many idle connections are served by a few epoll
             readiness loops (a thread-per-connection pool takes over
             where epoll is unavailable). The event core runs

@@ -398,25 +398,18 @@ pub struct ReplayArgs {
 /// live connection). `Send` so `--connections` can run one per thread.
 type PlanResponder<'a> = Box<dyn FnMut(&QueryPlan) -> Result<Response, CliError> + Send + 'a>;
 
-/// One replay connection over the chosen encoding: a `DPRB`
-/// [`wire::Client`](dpod_serve::wire::Client) or a hand-rolled NDJSON
-/// request/response loop, both yielding one [`Response`] per plan.
-fn remote_responder(
-    addr: &str,
-    release: &str,
-    binary: bool,
-) -> Result<PlanResponder<'static>, CliError> {
+/// One live connection answering one request at a time.
+type Responder = Box<dyn FnMut(&Request) -> Result<Response, CliError> + Send>;
+
+/// Opens one connection over the chosen encoding: a `DPRB`
+/// [`wire::Client`](dpod_serve::wire::Client) or an NDJSON
+/// request/response loop, both yielding one [`Response`] per request.
+fn remote_responder(addr: &str, binary: bool) -> Result<Responder, CliError> {
     if binary {
         let mut client = dpod_serve::wire::Client::connect(addr)
             .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-        let release = release.to_string();
-        Ok(Box::new(move |plan| {
-            client
-                .request(&Request::Plan {
-                    release: release.clone(),
-                    plan: plan.clone(),
-                })
-                .map_err(|e| CliError(e.0))
+        Ok(Box::new(move |req| {
+            client.request(req).map_err(|e| CliError(e.0))
         }))
     } else {
         use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -429,13 +422,8 @@ fn remote_responder(
                 .map_err(|e| CliError(format!("socket: {e}")))?,
         );
         let mut writer = BufWriter::new(stream);
-        let release = release.to_string();
-        Ok(Box::new(move |plan| {
-            let req = Request::Plan {
-                release: release.clone(),
-                plan: plan.clone(),
-            };
-            let mut line = serde_json::to_string(&req).map_err(|e| CliError(e.to_string()))?;
+        Ok(Box::new(move |req| {
+            let mut line = serde_json::to_string(req).map_err(|e| CliError(e.to_string()))?;
             line.push('\n');
             writer
                 .write_all(line.as_bytes())
@@ -448,6 +436,23 @@ fn remote_responder(
             serde_json::from_str(answer.trim()).map_err(|e| CliError(format!("bad response: {e}")))
         }))
     }
+}
+
+/// A replay connection: each plan travels as a `Plan` request against
+/// `release` over [`remote_responder`].
+fn remote_plan_responder(
+    addr: &str,
+    release: &str,
+    binary: bool,
+) -> Result<PlanResponder<'static>, CliError> {
+    let mut respond = remote_responder(addr, binary)?;
+    let release = release.to_string();
+    Ok(Box::new(move |plan| {
+        respond(&Request::Plan {
+            release: release.clone(),
+            plan: plan.clone(),
+        })
+    }))
 }
 
 /// `dpod replay`: re-runs a recorded stream of [`QueryPlan`]s against a
@@ -513,7 +518,7 @@ pub fn replay(args: &ReplayArgs) -> Result<String, CliError> {
     }
 
     let mut respond: PlanResponder = match &args.connect {
-        Some(addr) => remote_responder(addr, &args.release, args.binary)?,
+        Some(addr) => remote_plan_responder(addr, &args.release, args.binary)?,
         None => {
             let release = load_release(Path::new(&args.release))?;
             let sanitized = Arc::new(
@@ -1029,7 +1034,7 @@ fn fan_out_threaded(
         let handles: Vec<_> = (0..n)
             .map(|t| {
                 scope.spawn(move || -> Result<ConnReport, CliError> {
-                    let mut respond = remote_responder(addr, release, binary)?;
+                    let mut respond = remote_plan_responder(addr, release, binary)?;
                     let mine = plans.iter().skip(t).step_by(n);
                     let mut report = ConnReport::new();
                     for plan in mine {
@@ -1066,11 +1071,10 @@ fn fan_out_threaded(
 /// *running* server instead of a local release file, over either
 /// encoding.
 ///
-/// The release's domain is fetched via a `List` request first (range
-/// specs like `0..4,*` need the axis lengths), then every spec is
-/// answered in one request: the legacy `Batch` when every spec is a
-/// classic range (so this CLI still talks to pre-algebra servers), a
-/// `Plan` (`Many`-batched as needed) once any typed spec appears.
+/// One connection carries every request: a `List` first (range specs
+/// like `0..4,*` need the release's axis lengths), then the specs as one
+/// `Plan` — the lone plan, or a `Many` of them (one `Plan` per spec when
+/// a drill-down is among several).
 ///
 /// # Errors
 /// [`CliError`] for connection failures, unknown releases, bad specs,
@@ -1081,19 +1085,8 @@ pub fn remote_query(
     specs: &[String],
     binary: bool,
 ) -> Result<String, CliError> {
-    let transport = |req: &Request| -> Result<Response, CliError> {
-        if binary {
-            let mut client = dpod_serve::wire::Client::connect(addr)
-                .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-            client.request(req).map_err(|e| CliError(e.0))
-        } else {
-            ndjson_round_trip(addr, req)
-        }
-    };
-    // One connection per request keeps this helper trivially correct for
-    // both encodings; interactive analysts needing throughput should
-    // pipeline over `dpod_serve::wire::Client` directly.
-    let Response::Releases { releases } = transport(&Request::List)? else {
+    let mut respond = remote_responder(addr, binary)?;
+    let Response::Releases { releases } = respond(&Request::List)? else {
         return Err("unexpected response to List".into());
     };
     let info = releases
@@ -1102,96 +1095,48 @@ pub fn remote_query(
         .ok_or_else(|| CliError(format!("unknown release '{release}' on {addr}")))?;
     let shape =
         Shape::new(info.domain.clone()).map_err(|e| CliError(format!("bad domain: {e}")))?;
-    let mut plans: Vec<QueryPlan> = specs
+    let plans: Vec<QueryPlan> = specs
         .iter()
         .map(|spec| rangespec::parse_plan(spec, &shape))
         .collect::<Result<_, _>>()?;
-    // All-classic-range queries keep speaking the legacy `Batch`
-    // request: it answers bit-identically, and it lets this CLI talk to
-    // servers that predate the plan algebra.
-    if plans.iter().all(|p| matches!(p, QueryPlan::Range { .. })) {
-        let ranges = plans
-            .into_iter()
-            .map(|p| {
-                let QueryPlan::Range { lo, hi } = p else {
-                    unreachable!("filtered to ranges");
-                };
-                (lo, hi)
-            })
-            .collect();
-        return match transport(&Request::Batch {
-            release: release.to_string(),
-            ranges,
-        })? {
-            Response::Values { values } => {
-                if values.len() != specs.len() {
-                    return Err(CliError(format!(
-                        "server answered {} of {} specs",
-                        values.len(),
-                        specs.len()
-                    )));
-                }
-                let mut out = String::new();
-                for (spec, value) in specs.iter().zip(values) {
-                    format_answer(&mut out, spec, &Answer::Value { value });
-                }
-                Ok(out)
-            }
-            Response::Error { message } => Err(CliError(message)),
-            other => Err(CliError(format!("unexpected response {other:?}"))),
-        };
-    }
     // `DrillDown` selects its pyramid level at the top of a plan, so it
-    // cannot ride inside a `Many` batch; when one appears among several
-    // specs, each plan travels as its own request instead.
-    if plans.len() > 1
-        && plans
+    // cannot ride inside a `Many`; when one appears among several specs,
+    // each plan travels as its own request instead.
+    let batched = plans.len() > 1
+        && !plans
             .iter()
-            .any(|p| matches!(p, QueryPlan::DrillDown { .. }))
-    {
-        let mut out = String::new();
-        for (spec, plan) in specs.iter().zip(plans) {
-            match transport(&Request::Plan {
-                release: release.to_string(),
-                plan,
-            })? {
-                Response::Answer { answer } => format_answer(&mut out, spec, &answer),
-                Response::Error { message } => return Err(CliError(message)),
-                other => return Err(CliError(format!("unexpected response {other:?}"))),
-            }
-        }
-        return Ok(out);
-    }
-    let plan = if plans.len() == 1 {
-        plans.remove(0)
+            .any(|p| matches!(p, QueryPlan::DrillDown { .. }));
+    let requests = if batched {
+        vec![QueryPlan::Many { plans }]
     } else {
-        QueryPlan::Many { plans }
+        plans
     };
-    match transport(&Request::Plan {
-        release: release.to_string(),
-        plan,
-    })? {
-        Response::Answer { answer } => {
-            let answers = match answer {
-                Answer::Many { answers } if specs.len() > 1 => answers,
-                single => vec![single],
-            };
-            if answers.len() != specs.len() {
-                return Err(CliError(format!(
-                    "server answered {} of {} specs",
-                    answers.len(),
-                    specs.len()
-                )));
-            }
-            let mut out = String::new();
-            for (spec, answer) in specs.iter().zip(&answers) {
-                format_answer(&mut out, spec, answer);
-            }
-            Ok(out)
+    let mut answers = Vec::with_capacity(specs.len());
+    for plan in requests {
+        match respond(&Request::Plan {
+            release: release.to_string(),
+            plan,
+        })? {
+            Response::Answer {
+                answer: Answer::Many { answers: many },
+            } if batched => answers.extend(many),
+            Response::Answer { answer } => answers.push(answer),
+            Response::Error { message } => return Err(CliError(message)),
+            other => return Err(CliError(format!("unexpected response {other:?}"))),
         }
-        Response::Error { message } => Err(CliError(message)),
-        other => Err(CliError(format!("unexpected response {other:?}"))),
     }
+    if answers.len() != specs.len() {
+        return Err(CliError(format!(
+            "server answered {} of {} specs",
+            answers.len(),
+            specs.len()
+        )));
+    }
+    let mut out = String::new();
+    for (spec, answer) in specs.iter().zip(&answers) {
+        format_answer(&mut out, spec, answer);
+    }
+    Ok(out)
 }
 
 /// Renders one answer in the CLI's `spec => …` shape. Plain values keep
@@ -1236,29 +1181,6 @@ fn format_answer(out: &mut String, spec: &str, answer: &Answer) {
             }
         }
     }
-}
-
-/// One NDJSON request/response round trip on a fresh connection.
-fn ndjson_round_trip(addr: &str, req: &Request) -> Result<Response, CliError> {
-    use std::io::{BufRead, BufReader, Write};
-    let stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| CliError(format!("socket: {e}")))?,
-    );
-    let mut line = serde_json::to_string(req).map_err(|e| CliError(e.to_string()))?;
-    line.push('\n');
-    let mut stream = stream;
-    stream
-        .write_all(line.as_bytes())
-        .map_err(|e| CliError(format!("send: {e}")))?;
-    let mut answer = String::new();
-    reader
-        .read_line(&mut answer)
-        .map_err(|e| CliError(format!("receive: {e}")))?;
-    serde_json::from_str(answer.trim()).map_err(|e| CliError(format!("bad response: {e}")))
 }
 
 /// Loads and validates a release JSON file.
@@ -1472,9 +1394,12 @@ mod tests {
         let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
-        let req = Request::Batch {
+        let req = Request::Plan {
             release: "denver-ebp".into(),
-            ranges: vec![(vec![0, 0, 0, 0], vec![8, 8, 8, 8])],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0, 0, 0],
+                hi: vec![8, 8, 8, 8],
+            },
         };
         writer
             .write_all(serde_json::to_string(&req).unwrap().as_bytes())
@@ -1484,20 +1409,23 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         let resp: Response = serde_json::from_str(line.trim()).unwrap();
-        let Response::Values { values } = resp else {
-            panic!("expected values, got {resp:?}");
+        let Response::Answer {
+            answer: Answer::Value { value },
+        } = resp
+        else {
+            panic!("expected a value, got {resp:?}");
         };
         // Full-domain estimate near the 3000 generated trips.
-        assert!((values[0] - 3_000.0).abs() < 600.0, "total {}", values[0]);
+        assert!((value - 3_000.0).abs() < 600.0, "total {value}");
 
         // `dpod query --connect`: identical output over both encodings,
-        // and both agree with the raw batch answer above.
+        // and both agree with the raw plan answer above.
         let addr = handle.addr().to_string();
         let spec = vec!["*,*,*,*".to_string()];
         let json_out = remote_query(&addr, "denver-ebp", &spec, false).unwrap();
         let bin_out = remote_query(&addr, "denver-ebp", &spec, true).unwrap();
         assert_eq!(json_out, bin_out);
-        assert_eq!(json_out, format!("*,*,*,* => {:.2}\n", values[0]));
+        assert_eq!(json_out, format!("*,*,*,* => {value:.2}\n"));
         assert!(remote_query(&addr, "no-such-release", &spec, true).is_err());
 
         handle.stop();
@@ -1677,9 +1605,20 @@ mod tests {
             "drill:1:total".to_string(),
             "level:1:marginal:0,1".to_string(),
         ];
+        // An all-range list travels as one `Many` of `Range` leaves.
+        let range_specs: Vec<String> = [
+            "*,*,*,*,*,*",
+            "0..2,*,1..3,*,*,0..1",
+            "3..4,3..4,0..4,0..4,2..3,2..3",
+            "0..1,0..1,0..1,0..1,0..1,0..1",
+        ]
+        .map(String::from)
+        .to_vec();
         // Local path: the release artifact answers directly.
         let release = sanitize_to_release(&csv_text, &args).unwrap();
-        let local = query(release, &specs).unwrap();
+        let local = query(release.clone(), &specs).unwrap();
+        let local_ranges = query(release, &range_specs).unwrap();
+        assert_eq!(local_ranges.lines().count(), range_specs.len());
         assert!(local.contains("total => "), "{local}");
         assert!(local.contains("top:3 => top 3 cells"), "{local}");
         assert!(
@@ -1700,10 +1639,12 @@ mod tests {
         })
         .unwrap();
         let addr = handle.addr().to_string();
-        let json_out = remote_query(&addr, "ny", &specs, false).unwrap();
-        let bin_out = remote_query(&addr, "ny", &specs, true).unwrap();
-        assert_eq!(json_out, bin_out);
-        assert_eq!(json_out, local, "serving must not change the answers");
+        for (specs, local) in [(&specs, &local), (&range_specs, &local_ranges)] {
+            let json_out = remote_query(&addr, "ny", specs, false).unwrap();
+            let bin_out = remote_query(&addr, "ny", specs, true).unwrap();
+            assert_eq!(json_out, bin_out);
+            assert_eq!(&json_out, local, "serving must not change the answers");
+        }
 
         // A bad plan (stop index past the release's one stop) is a
         // server-side error carried back verbatim.

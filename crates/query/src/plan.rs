@@ -74,7 +74,8 @@ impl std::error::Error for PlanError {}
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QueryPlan {
     /// Estimated count inside the half-open box `lo..hi` (Definition 3
-    /// of the paper) — the vocabulary the legacy `Query` request spoke.
+    /// of the paper) — the range-count query; many of them travel as
+    /// one [`QueryPlan::Many`].
     Range {
         /// Inclusive lower corner (one entry per dimension).
         lo: Vec<usize>,

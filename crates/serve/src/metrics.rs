@@ -86,31 +86,27 @@ pub enum Stage {
 /// `stage` label values, indexed by [`Stage`].
 const STAGES: [&str; 3] = ["parse", "execute", "write"];
 
-/// Request-kind label count: `query`, `batch`, one `plan_<kind>` per
-/// [`PLAN_KINDS`] entry, then `list`, `stats`, `undecodable`.
-const KIND_COUNT: usize = PLAN_KINDS.len() + 5;
+/// Request-kind label count: one `plan_<kind>` per [`PLAN_KINDS`]
+/// entry, then `list`, `stats`, `undecodable`.
+const KIND_COUNT: usize = PLAN_KINDS.len() + 3;
 
 /// Kind index of a request that failed to decode (no kind).
 pub(crate) const KIND_UNDECODABLE: usize = KIND_COUNT - 1;
 
 /// The `kind` label value at `index` (see [`kind_index`]).
 fn kind_label(index: usize) -> String {
-    match index {
-        0 => "query".into(),
-        1 => "batch".into(),
-        i if i < PLAN_KINDS.len() + 2 => format!("plan_{}", PLAN_KINDS[i - 2]),
-        i => ["list", "stats", "undecodable"][i - PLAN_KINDS.len() - 2].into(),
+    match PLAN_KINDS.get(index) {
+        Some(kind) => format!("plan_{kind}"),
+        None => ["list", "stats", "undecodable"][index - PLAN_KINDS.len()].into(),
     }
 }
 
 /// Maps a decoded request to its `kind` label index.
 pub(crate) fn kind_index(req: &Request) -> usize {
     match req {
-        Request::Query { .. } => 0,
-        Request::Batch { .. } => 1,
-        Request::Plan { plan, .. } => 2 + plan.kind_index(),
-        Request::List => PLAN_KINDS.len() + 2,
-        Request::Stats => PLAN_KINDS.len() + 3,
+        Request::Plan { plan, .. } => plan.kind_index(),
+        Request::List => PLAN_KINDS.len(),
+        Request::Stats => PLAN_KINDS.len() + 1,
     }
 }
 

@@ -9,10 +9,9 @@
 //!
 //! ## The typed query algebra ([`Request::Plan`])
 //!
-//! Beyond the legacy bare range sums ([`Request::Query`] /
-//! [`Request::Batch`]), a request can carry any [`QueryPlan`] from
-//! `dpod-query`'s typed algebra — the one vocabulary every transport
-//! shares:
+//! Every query is a [`QueryPlan`] from `dpod-query`'s typed algebra —
+//! the one vocabulary every transport shares. A bare range count is a
+//! `Range` leaf, and many of them travel as one `Many`:
 //!
 //! | plan | answer |
 //! |------|--------|
@@ -34,13 +33,16 @@
 //! One JSON document per line:
 //!
 //! ```text
-//! → {"Query":{"release":"city","lo":[0,0],"hi":[4,4]}}
-//! ← {"Value":{"value":812.4375}}
+//! → {"Plan":{"release":"city","plan":{"Range":{"lo":[0,0],"hi":[4,4]}}}}
+//! ← {"Answer":{"answer":{"Value":{"value":812.4375}}}}
 //! → {"Plan":{"release":"city","plan":{"TopK":{"k":3}}}}
 //! ← {"Answer":{"answer":{"TopK":{"dims":[8,8],"cells":[…]}}}}
 //! → "List"
 //! ← {"Releases":{"releases":[…]}}
 //! ```
+//!
+//! A line that is not one of these documents is answered with one
+//! [`Response::Error`], and the connection keeps serving.
 //!
 //! ## Encoding 2: `DPRB` binary frames (see [`crate::wire`])
 //!
@@ -52,34 +54,23 @@
 //! frame:     u32 len | "DPRB" u8 version u8 opcode payload…
 //! ```
 //!
-//! Batch requests pack their ranges as raw little-endian `u64`
-//! coordinate arrays and batch answers return as raw `f64` bit-pattern
-//! vectors, which is what lifts a single connection from ~10⁵ to >10⁶
-//! queries/sec. Plans ride opcode `0x05` and answers opcode `0x85`,
-//! with packed encodings for the hot variants: a marginal answer is a
-//! raw `f64` vector, a top-k answer is packed flat-index/value pairs.
-//! The full field-by-field layout is documented in [`crate::wire`].
-//!
-//! **Back-compat guarantee for legacy `Query`/`Batch` clients:** nothing
-//! changes unless you opt in. The legacy JSON documents and the `DPRB`
-//! opcodes `0x01`–`0x04` / `0x81`–`0x83` / `0xEF` are byte-for-byte what
-//! they were before the plan algebra existed — `Plan`/`Answer` are *new*
-//! enum variants and *new* opcodes (`0x05`/`0x85`), so existing clients'
-//! requests and the server's responses to them are untouched. The server
+//! Plans ride opcode `0x05` and answers opcode `0x85`, with raw
+//! encodings for the hot variants: a marginal answer is a raw `f64`
+//! vector, a top-k answer is packed flat-index/value pairs. The server
 //! sniffs the first four bytes of each connection; only an exact `DPRB`
 //! preamble selects binary framing, and no JSON document can begin with
-//! those bytes. To migrate, send the preamble once after connect, then
-//! exchange frames (`dpod_serve::wire::Client` wraps this); both
-//! encodings answer from the same catalog with bit-identical values, so
-//! clients can switch per-connection at any time.
+//! those bytes. Both encodings answer from the same catalog with
+//! bit-identical values, so clients can switch per connection
+//! ([`dpod_serve::wire::Client`](crate::wire::Client) speaks `DPRB`).
+//! The full field-by-field layout is documented in [`crate::wire`].
 //!
 //! ## Introspection
 //!
 //! [`Request::Stats`] is answered with the server's metrics [`Snapshot`]
 //! — the same families and samples `/metrics` renders (see
 //! [`crate::metrics`]). Introspection frames follow the server version:
-//! the fixed-field stats frame (`0x84`) is retired, and snapshots travel
-//! as opcode `0x88` over `DPRB` and as the serde form over NDJSON.
+//! snapshots travel as opcode `0x88` over `DPRB` and as the serde form
+//! over NDJSON.
 
 pub use dpod_obs::Snapshot;
 use dpod_query::{Answer, QueryPlan};
@@ -88,22 +79,6 @@ use serde::{Deserialize, Serialize};
 /// One analyst request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// A single range sum over the named release.
-    Query {
-        /// Catalog name of the release.
-        release: String,
-        /// Inclusive lower corner (one entry per dimension).
-        lo: Vec<usize>,
-        /// Exclusive upper corner.
-        hi: Vec<usize>,
-    },
-    /// Many range sums over the same release (amortizes name resolution).
-    Batch {
-        /// Catalog name of the release.
-        release: String,
-        /// `(lo, hi)` corner pairs, half-open.
-        ranges: Vec<(Vec<usize>, Vec<usize>)>,
-    },
     /// A typed [`QueryPlan`] against the named release — the full
     /// algebra (range, OD, marginal, top-k, total, `Many` batches).
     Plan {
@@ -121,16 +96,6 @@ pub enum Request {
 /// One server response (same order as requests).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
-    /// Answer to [`Request::Query`].
-    Value {
-        /// The estimated count.
-        value: f64,
-    },
-    /// Answer to [`Request::Batch`], in request order.
-    Values {
-        /// The estimated counts.
-        values: Vec<f64>,
-    },
     /// Answer to [`Request::Plan`], variant-matched to the plan shape.
     Answer {
         /// The typed answer.
@@ -178,14 +143,12 @@ mod tests {
     #[test]
     fn requests_round_trip_as_json() {
         let reqs = vec![
-            Request::Query {
+            Request::Plan {
                 release: "city".into(),
-                lo: vec![0, 0],
-                hi: vec![4, 4],
-            },
-            Request::Batch {
-                release: "city".into(),
-                ranges: vec![(vec![0], vec![1]), (vec![2], vec![5])],
+                plan: QueryPlan::Range {
+                    lo: vec![0, 0],
+                    hi: vec![4, 4],
+                },
             },
             Request::Plan {
                 release: "city".into(),
@@ -213,9 +176,8 @@ mod tests {
     #[test]
     fn responses_round_trip_as_json() {
         let resps = vec![
-            Response::Value { value: 12.5 },
-            Response::Values {
-                values: vec![1.0, -2.25],
+            Response::Answer {
+                answer: Answer::Value { value: 12.5 },
             },
             Response::Answer {
                 answer: Answer::Many {

@@ -3,8 +3,8 @@
 //!
 //! [`Server::handle`] is the whole request surface — the CLI, tests and
 //! benches call it directly with zero serialization. Every request that
-//! reads a release runs through the indexed plan executor: legacy
-//! `Query`/`Batch` ranges are lowered to [`QueryPlan::Range`] leaves.
+//! reads a release is a [`QueryPlan`] run through the indexed plan
+//! executor.
 //! [`spawn_with`] wraps the same dispatch behind a `TcpListener` using
 //! one of two front ends (no async runtime either way):
 //!
@@ -100,10 +100,10 @@ pub enum ResponseEncoding {
     /// One JSON document plus the trailing newline (NDJSON transport
     /// and the event loop's JSON-line connections).
     Json,
-    /// A length-prefixed `DPRB` frame with the legacy opcodes.
+    /// A length-prefixed `DPRB` frame with the plain opcodes.
     Binary,
-    /// A length-prefixed `DPRB` frame preferring the packed opcodes
-    /// (peer advertised [`wire::WIRE_FEATURE_PACKED`]).
+    /// A length-prefixed `DPRB` frame preferring the packed answer
+    /// opcode (peer advertised [`wire::WIRE_FEATURE_PACKED`]).
     BinaryPacked,
 }
 
@@ -332,16 +332,6 @@ impl Server {
     /// is a [`Response::Error`].
     pub fn handle(&self, request: &Request) -> Response {
         match request {
-            Request::Query { release, lo, hi } => match self.answer_ranges(release, [(lo, hi)]) {
-                Ok(values) => Response::Value { value: values[0] },
-                Err(e) => Response::Error { message: e.0 },
-            },
-            Request::Batch { release, ranges } => {
-                match self.answer_ranges(release, ranges.iter().map(|(lo, hi)| (lo, hi))) {
-                    Ok(values) => Response::Values { values },
-                    Err(e) => Response::Error { message: e.0 },
-                }
-            }
             Request::Plan { release, plan } => match self.execute_plan(release, plan) {
                 Ok((answer, entry)) => {
                     // One query per leaf answered; none for a failure.
@@ -350,7 +340,6 @@ impl Server {
                 }
                 Err(e) => Response::Error { message: e.0 },
             },
-
             Request::List => Response::Releases {
                 releases: self
                     .catalog
@@ -370,37 +359,6 @@ impl Server {
                 stats: self.snapshot(),
             },
         }
-    }
-
-    /// Answers legacy `lo..hi` ranges as [`QueryPlan::Range`] leaves
-    /// against the release index, so they share the plan executor's
-    /// validation and error wording. Like a plan, the request counts one
-    /// query per range, or nothing when any range fails: a `Batch` is
-    /// answered whole or not at all. It is not lowered to one `Many`,
-    /// whose plan cap would refuse large legacy batches.
-    fn answer_ranges<'a>(
-        &self,
-        release: &str,
-        ranges: impl IntoIterator<Item = (&'a Vec<usize>, &'a Vec<usize>)>,
-    ) -> Result<Vec<f64>, ServeError> {
-        let entry = self.resolve(release)?;
-        let index = self.engine.index(&entry)?;
-        let values = ranges
-            .into_iter()
-            .map(|(lo, hi)| {
-                let plan = QueryPlan::Range {
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                };
-                match dpod_query::plan::execute_with(index.as_ref(), &plan) {
-                    Ok(Answer::Value { value }) => Ok(value),
-                    Ok(other) => unreachable!("a Range leaf answers with a value, not {other:?}"),
-                    Err(e) => Err(ServeError(e.0)),
-                }
-            })
-            .collect::<Result<Vec<f64>, _>>()?;
-        self.note_answered(Some(&entry), values.len() as u64);
-        Ok(values)
     }
 
     /// Executes one [`QueryPlan`] against a release's index (or, for
@@ -1006,25 +964,44 @@ mod tests {
     #[test]
     fn handle_answers_queries_and_batches() {
         let server = test_server(&["city"]);
-        let q = Request::Query {
+        let q = Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![8, 8],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![8, 8],
+            },
         };
-        let Response::Value { value } = server.handle(&q) else {
+        let Response::Answer {
+            answer: Answer::Value { value },
+        } = server.handle(&q)
+        else {
             panic!("expected value");
         };
         assert!(value.is_finite());
 
-        let b = Request::Batch {
+        let b = Request::Plan {
             release: "city".into(),
-            ranges: vec![(vec![0, 0], vec![4, 4]), (vec![0, 0], vec![8, 8])],
+            plan: QueryPlan::Many {
+                plans: vec![
+                    QueryPlan::Range {
+                        lo: vec![0, 0],
+                        hi: vec![4, 4],
+                    },
+                    QueryPlan::Range {
+                        lo: vec![0, 0],
+                        hi: vec![8, 8],
+                    },
+                ],
+            },
         };
-        let Response::Values { values } = server.handle(&b) else {
-            panic!("expected values");
+        let Response::Answer {
+            answer: Answer::Many { answers },
+        } = server.handle(&b)
+        else {
+            panic!("expected many");
         };
-        assert_eq!(values.len(), 2);
-        assert_eq!(values[1], value);
+        assert_eq!(answers.len(), 2);
+        assert_eq!(answers[1], Answer::Value { value });
         assert_eq!(server.metrics().queries.get(), 3);
     }
 
@@ -1032,25 +1009,33 @@ mod tests {
     fn handle_reports_errors_not_panics() {
         let server = test_server(&["city"]);
         for bad in [
-            Request::Query {
+            Request::Plan {
                 release: "nope".into(),
-                lo: vec![0, 0],
-                hi: vec![4, 4],
+                plan: QueryPlan::Range {
+                    lo: vec![0, 0],
+                    hi: vec![4, 4],
+                },
             },
-            Request::Query {
+            Request::Plan {
                 release: "city".into(),
-                lo: vec![0],
-                hi: vec![4],
+                plan: QueryPlan::Range {
+                    lo: vec![0],
+                    hi: vec![4],
+                },
             },
-            Request::Query {
+            Request::Plan {
                 release: "city".into(),
-                lo: vec![0, 0],
-                hi: vec![9, 9],
+                plan: QueryPlan::Range {
+                    lo: vec![0, 0],
+                    hi: vec![9, 9],
+                },
             },
-            Request::Query {
+            Request::Plan {
                 release: "city".into(),
-                lo: vec![5, 5],
-                hi: vec![2, 2],
+                plan: QueryPlan::Range {
+                    lo: vec![5, 5],
+                    hi: vec![2, 2],
+                },
             },
         ] {
             let Response::Error { message } = server.handle(&bad) else {
@@ -1070,10 +1055,12 @@ mod tests {
         assert_eq!(releases[0].name, "a");
         assert_eq!(releases[0].domain, vec![8, 8]);
 
-        server.handle(&Request::Query {
+        server.handle(&Request::Plan {
             release: "a".into(),
-            lo: vec![0, 0],
-            hi: vec![1, 1],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![1, 1],
+            },
         });
         let Response::Stats { stats } = server.handle(&Request::Stats) else {
             panic!("expected stats");
@@ -1134,6 +1121,16 @@ mod tests {
                     plans: vec![QueryPlan::Many { plans: vec![] }],
                 },
             ),
+            // One bad range fails the whole `Many`: its good leaves
+            // count nothing either.
+            (
+                "city".to_string(),
+                ranges(vec![
+                    (vec![0, 0], vec![4, 4]),
+                    (vec![0, 0], vec![9, 9]),
+                    (vec![1, 1], vec![2, 2]),
+                ]),
+            ),
         ] {
             let Response::Error { message } = server.handle(&Request::Plan { release, plan })
             else {
@@ -1142,6 +1139,7 @@ mod tests {
             assert!(!message.is_empty());
         }
         assert_eq!(server.metrics().queries.get(), 4);
+        assert_eq!(server.release_hits()[0].1, 4);
 
         // A lone TopK answer carries the release's domain.
         let Response::Answer { answer } = server.handle(&Request::Plan {
@@ -1194,12 +1192,14 @@ mod tests {
                 > 0.0
         );
 
-        // Legacy Query traffic answers from the same index: a hit, not
-        // another build.
-        server.handle(&Request::Query {
+        // A range plan answers from the same index: a hit, not another
+        // build.
+        server.handle(&Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![4, 4],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![4, 4],
+            },
         });
         let stats = server.engine_stats();
         assert_eq!((stats.index_hits, stats.index_misses), (2, 1));
@@ -1311,10 +1311,12 @@ mod tests {
     fn remove_release_prunes_hit_counters() {
         let server = test_server(&["hot", "cold"]);
         for release in ["hot", "cold"] {
-            server.handle(&Request::Query {
+            server.handle(&Request::Plan {
                 release: release.into(),
-                lo: vec![0, 0],
-                hi: vec![2, 2],
+                plan: QueryPlan::Range {
+                    lo: vec![0, 0],
+                    hi: vec![2, 2],
+                },
             });
             // Aggregate traffic builds each release's plan index too.
             server.handle(&Request::Plan {
@@ -1355,10 +1357,12 @@ mod tests {
         server
             .catalog()
             .publish("hot", PublishedRelease::from_sanitized(&out));
-        server.handle(&Request::Query {
+        server.handle(&Request::Plan {
             release: "hot".into(),
-            lo: vec![0, 0],
-            hi: vec![2, 2],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![2, 2],
+            },
         });
         let hits = server.release_hits();
         let as_pairs: Vec<(&str, u64)> = hits.iter().map(|(n, h)| (n.as_str(), *h)).collect();
@@ -1369,81 +1373,46 @@ mod tests {
     fn release_hits_track_per_release_traffic() {
         let server = test_server(&["hot", "cold"]);
         for _ in 0..5 {
-            server.handle(&Request::Query {
+            server.handle(&Request::Plan {
                 release: "hot".into(),
-                lo: vec![0, 0],
-                hi: vec![2, 2],
+                plan: QueryPlan::Range {
+                    lo: vec![0, 0],
+                    hi: vec![2, 2],
+                },
             });
         }
-        server.handle(&Request::Batch {
+        server.handle(&Request::Plan {
             release: "cold".into(),
-            ranges: vec![(vec![0, 0], vec![1, 1]), (vec![0, 0], vec![3, 3])],
+            plan: ranges(vec![(vec![0, 0], vec![1, 1]), (vec![0, 0], vec![3, 3])]),
         });
         // Failures do not count.
-        server.handle(&Request::Query {
+        server.handle(&Request::Plan {
             release: "hot".into(),
-            lo: vec![9, 9],
-            hi: vec![1, 1],
+            plan: QueryPlan::Range {
+                lo: vec![9, 9],
+                hi: vec![1, 1],
+            },
         });
-        server.handle(&Request::Query {
+        server.handle(&Request::Plan {
             release: "missing".into(),
-            lo: vec![0, 0],
-            hi: vec![1, 1],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![1, 1],
+            },
         });
         let hits = server.release_hits();
         let as_pairs: Vec<(&str, u64)> = hits.iter().map(|(n, h)| (n.as_str(), *h)).collect();
         assert_eq!(as_pairs, vec![("cold", 2), ("hot", 5)]);
     }
 
-    /// A `Batch` is answered whole or not at all, like a `Many` of the
-    /// same ranges: one bad range fails it with the same message and it
-    /// counts no queries and no release hits.
-    #[test]
-    fn failed_batches_count_nothing_like_failed_many_plans() {
-        let server = test_server(&["city"]);
-        let ranges = vec![
-            (vec![0, 0], vec![4, 4]),
-            (vec![0, 0], vec![9, 9]),
-            (vec![1, 1], vec![2, 2]),
-        ];
-        let Response::Error { message } = server.handle(&Request::Batch {
-            release: "city".into(),
-            ranges: ranges.clone(),
-        }) else {
-            panic!("expected the batch to fail");
-        };
-        let many = QueryPlan::Many {
-            plans: ranges
-                .iter()
-                .map(|(lo, hi)| QueryPlan::Range {
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                })
+    /// A `Many` of `Range` leaves, one per `(lo, hi)` pair.
+    fn ranges(pairs: Vec<(Vec<usize>, Vec<usize>)>) -> QueryPlan {
+        QueryPlan::Many {
+            plans: pairs
+                .into_iter()
+                .map(|(lo, hi)| QueryPlan::Range { lo, hi })
                 .collect(),
-        };
-        let Response::Error {
-            message: many_message,
-        } = server.handle(&Request::Plan {
-            release: "city".into(),
-            plan: many,
-        })
-        else {
-            panic!("expected the Many to fail");
-        };
-        assert_eq!(message, many_message);
-        assert_eq!(server.metrics().queries.get(), 0);
-        assert!(server.release_hits().is_empty());
-
-        // The same batch without its bad range counts one per range.
-        let Response::Values { values } = server.handle(&Request::Batch {
-            release: "city".into(),
-            ranges: vec![ranges[0].clone(), ranges[2].clone()],
-        }) else {
-            panic!("expected values");
-        };
-        assert_eq!(values.len(), 2);
-        assert_eq!(server.metrics().queries.get(), 2);
-        assert_eq!(server.release_hits()[0].1, 2);
+        }
     }
 
     /// Publishes one sanitized release under `names` on the server's
@@ -1463,10 +1432,12 @@ mod tests {
     }
 
     fn query_for(name: &str) -> Request {
-        Request::Query {
+        Request::Plan {
             release: name.into(),
-            lo: vec![0, 0],
-            hi: vec![2, 2],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![2, 2],
+            },
         }
     }
 
@@ -1519,31 +1490,49 @@ mod tests {
         let addr = handle.addr();
 
         // Reference answers via the in-process path.
-        let ranges: Vec<(Vec<usize>, Vec<usize>)> =
-            (1..=8).map(|hi| (vec![0, 0], vec![hi, hi])).collect();
-        let Response::Values { values: expected } = server.handle(&Request::Batch {
+        let many = ranges((1..=8).map(|hi| (vec![0, 0], vec![hi, hi])).collect());
+        let Response::Answer {
+            answer: Answer::Many { answers },
+        } = server.handle(&Request::Plan {
             release: "city".into(),
-            ranges: ranges.clone(),
-        }) else {
-            panic!("reference batch failed");
+            plan: many.clone(),
+        })
+        else {
+            panic!("reference Many failed");
         };
+        let expected: Vec<f64> = answers
+            .iter()
+            .map(|a| match a {
+                Answer::Value { value } => *value,
+                other => panic!("expected a value, got {other:?}"),
+            })
+            .collect();
 
         let mut client = crate::wire::Client::connect(addr).unwrap();
-        let got = client.batch("city", ranges).unwrap();
-        assert_eq!(got, expected, "binary answers must be bit-identical");
+        let got = client.plan("city", many).unwrap();
+        assert_eq!(
+            got,
+            Answer::Many { answers },
+            "binary answers must be bit-identical"
+        );
 
         // Single queries, pipelined, still in order.
         for hi in 1..=4 {
             client
-                .send(&Request::Query {
+                .send(&Request::Plan {
                     release: "city".into(),
-                    lo: vec![0, 0],
-                    hi: vec![hi, hi],
+                    plan: QueryPlan::Range {
+                        lo: vec![0, 0],
+                        hi: vec![hi, hi],
+                    },
                 })
                 .unwrap();
         }
         for hi in 1..=4usize {
-            let Response::Value { value } = client.receive().unwrap() else {
+            let Response::Answer {
+                answer: Answer::Value { value },
+            } = client.receive().unwrap()
+            else {
                 panic!("expected value");
             };
             assert_eq!(value, expected[hi - 1]);
@@ -1569,14 +1558,19 @@ mod tests {
         let server = test_server(&["city"]);
         let handle = spawn(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
         let addr = handle.addr();
-        let req = Request::Query {
+        let req = Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![4, 4],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![4, 4],
+            },
         };
 
         let mut binary = crate::wire::Client::connect(addr).unwrap();
-        let Response::Value { value: bin_value } = binary.request(&req).unwrap() else {
+        let Response::Answer {
+            answer: Answer::Value { value: bin_value },
+        } = binary.request(&req).unwrap()
+        else {
             panic!("binary query failed");
         };
 
@@ -1590,7 +1584,9 @@ mod tests {
         writer.flush().unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        let Response::Value { value: json_value } = serde_json::from_str(line.trim()).unwrap()
+        let Response::Answer {
+            answer: Answer::Value { value: json_value },
+        } = serde_json::from_str(line.trim()).unwrap()
         else {
             panic!("json query failed");
         };
@@ -1665,10 +1661,12 @@ mod tests {
                 let mut writer = BufWriter::new(stream);
                 for i in 0..25usize {
                     let hi = 1 + (i % 8);
-                    let req = Request::Query {
+                    let req = Request::Plan {
                         release: release.into(),
-                        lo: vec![0, 0],
-                        hi: vec![hi, hi],
+                        plan: QueryPlan::Range {
+                            lo: vec![0, 0],
+                            hi: vec![hi, hi],
+                        },
                     };
                     writer
                         .write_all(serde_json::to_string(&req).unwrap().as_bytes())
@@ -1678,7 +1676,15 @@ mod tests {
                     let mut line = String::new();
                     reader.read_line(&mut line).unwrap();
                     let resp: Response = serde_json::from_str(line.trim()).unwrap();
-                    assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
+                    assert!(
+                        matches!(
+                            resp,
+                            Response::Answer {
+                                answer: Answer::Value { .. }
+                            }
+                        ),
+                        "{resp:?}"
+                    );
                 }
             }));
         }
@@ -1717,10 +1723,12 @@ mod tests {
         assert_eq!(handle.event_loops(), 1);
         let stream = TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let req = Request::Query {
+        let req = Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![2, 2],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![2, 2],
+            },
         };
         (&stream)
             .write_all(format!("{}\n", serde_json::to_string(&req).unwrap()).as_bytes())
@@ -1728,7 +1736,15 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         let resp: Response = serde_json::from_str(line.trim()).unwrap();
-        assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
+        assert!(
+            matches!(
+                resp,
+                Response::Answer {
+                    answer: Answer::Value { .. }
+                }
+            ),
+            "{resp:?}"
+        );
         handle.stop();
     }
 
@@ -1747,10 +1763,12 @@ mod tests {
         assert!(matches!(resp, Response::Error { .. }));
 
         // The connection survives and still answers valid requests.
-        let req = Request::Query {
+        let req = Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![2, 2],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![2, 2],
+            },
         };
         writer
             .write_all(serde_json::to_string(&req).unwrap().as_bytes())
@@ -1760,7 +1778,12 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         let resp: Response = serde_json::from_str(line.trim()).unwrap();
-        assert!(matches!(resp, Response::Value { .. }));
+        assert!(matches!(
+            resp,
+            Response::Answer {
+                answer: Answer::Value { .. }
+            }
+        ));
         handle.stop();
     }
 

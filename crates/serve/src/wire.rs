@@ -22,12 +22,9 @@
 //!
 //! The version byte's high bit ([`WIRE_FEATURE_PACKED`]) is a feature
 //! advertisement, not a version bump: a client setting it declares it
-//! understands the packed (varint) opcodes below, and the server is then
-//! free to answer with them. Clients that never set the bit — every
-//! pre-packing binary — get byte-identical legacy frames, and a packed
-//! client talking to a pre-packing server is refused with the same named
-//! version error any unknown version gets (the bit is only meaningful on
-//! servers that know to mask it off).
+//! understands the packed answer opcode below, and the server is then
+//! free to answer with it. Clients that never set the bit get plain
+//! frames.
 //!
 //! ## Frames
 //!
@@ -47,16 +44,12 @@
 //!     payload …      opcode-specific, little-endian
 //! ```
 //!
-//! Request opcodes: `0x01` Query (release, lo, hi), `0x02` Batch
-//! (release + packed coordinate array), `0x03` List, `0x04` Stats,
-//! `0x05` Plan (release + typed plan tree), `0x06` packed Batch
-//! (delta+zigzag varint coordinates).
-//! Response opcodes: `0x81` Value, `0x82` Values, `0x83` Releases,
-//! `0x85` Answer (typed answer tree), `0x86` packed Values, `0x87`
-//! packed Answer, `0x88` Stats snapshot, `0xEF` Error.
-//! Opcodes `0x01`–`0x04`/`0x81`–`0x83`/`0xEF` are byte-for-byte
-//! unchanged from before the plan algebra existed; `0x05`/`0x85` and
-//! the packed trio are additive, so legacy clients are untouched.
+//! Request opcodes: `0x03` List, `0x04` Stats, `0x05` Plan (release +
+//! typed plan tree).
+//! Response opcodes: `0x83` Releases, `0x85` Answer (typed answer
+//! tree), `0x87` packed Answer, `0x88` Stats snapshot, `0xEF` Error.
+//! Any other opcode is refused with a [`WireError`] naming it; the
+//! server answers it with one `Error` frame and keeps the connection.
 //!
 //! ## Stats snapshots (opcode `0x88`)
 //!
@@ -71,32 +64,19 @@
 //!     f64 value
 //! ```
 //!
-//! Strings are u64-length-prefixed UTF-8. The fixed-field stats frame
-//! this replaces (`0x84`, with its four optional tails) is retired: the
-//! decoder rejects it with a named error.
+//! Strings are u64-length-prefixed UTF-8.
 //!
-//! ## Packed opcodes (`0x06`/`0x86`/`0x87`)
+//! ## Packed answers (opcode `0x87`)
 //!
-//! Negotiated via [`WIRE_FEATURE_PACKED`]; emitted only by
-//! [`encode_request_packed`]/[`encode_response_packed`], decoded
-//! unconditionally (additive, like the plan opcodes). A packed batch
-//! flattens its `count × 2d` coordinates and stores each word as the
-//! zigzag varint of its delta from the previous word — grid coordinates
-//! cluster, so most words collapse to one byte against eight. Dense f64
-//! vectors (`Values`, `Marginal` payloads inside a packed `Answer`)
-//! store each value as the varint of its IEEE-754 bits XOR the previous
-//! value's bits: repeated values collapse to one byte and shared
-//! sign/exponent prefixes drop, while worst-case noise costs at most two
-//! bytes over raw. Both blob forms are length-prefixed, so the usual
-//! bytes-present validation still runs before any allocation.
-//!
-//! A homogeneous `Batch` — every range with the same dimensionality `d`
-//! — is packed as `u16 d`, `u64 count`, then `count × 2d` raw `u64`
-//! coordinates (`lo[0..d]` then `hi[0..d]` per range): zero per-range
-//! framing, one memcpy-shaped decode. The degenerate heterogeneous case
-//! (expressible in JSON, so it must round-trip) uses the sentinel
-//! `d = 0xFFFF` and length-prefixed per-range corners. `Values`
-//! responses are a `u64` count followed by raw IEEE-754 bit patterns.
+//! Negotiated via [`WIRE_FEATURE_PACKED`] and emitted only by
+//! [`encode_response_packed`]. A packed `Answer` is the `0x85` tree with
+//! each dense marginal vector stored as the varint of every value's
+//! IEEE-754 bits XOR the previous value's bits: repeated values
+//! collapse to one byte and shared sign/exponent prefixes drop, while
+//! worst-case noise costs at most two bytes over raw. The blob is
+//! length-prefixed, so the usual bytes-present validation still runs
+//! before any allocation. Requests have no packed form:
+//! [`encode_request_packed`] equals [`encode_request`].
 //!
 //! ## Plan and answer trees (opcodes `0x05`/`0x85`)
 //!
@@ -132,31 +112,20 @@ pub use dpod_fmatrix::codec::{WIRE_MAGIC, WIRE_VERSION};
 pub use dpod_query::put_uvarint;
 
 /// Upper bound on one frame body; a peer declaring more is disconnected
-/// (64 MiB holds a ~1.3M-range 2-d batch or a ~8M-value response).
+/// (64 MiB holds a ~8M-value response).
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
-/// Preamble feature bit: the client understands the packed (varint)
-/// opcodes and the server may answer with them. Or-ed onto the version
+/// Preamble feature bit: the client understands the packed answer
+/// opcode and the server may answer with it. Or-ed onto the version
 /// byte of the connection preamble only — frame bodies always carry the
 /// plain [`WIRE_VERSION`], so every frame stays decodable in isolation.
 pub const WIRE_FEATURE_PACKED: u8 = 0x80;
 
-/// Sentinel dimensionality marking a heterogeneous batch encoding.
-const MIXED_NDIM: u16 = u16::MAX;
-
-const OP_QUERY: u8 = 0x01;
-const OP_BATCH: u8 = 0x02;
 const OP_LIST: u8 = 0x03;
 const OP_STATS: u8 = 0x04;
 const OP_PLAN: u8 = 0x05;
-const OP_BATCH_PACKED: u8 = 0x06;
-const OP_VALUE: u8 = 0x81;
-const OP_VALUES: u8 = 0x82;
 const OP_RELEASES: u8 = 0x83;
-/// The retired fixed-field stats frame, rejected by name on decode.
-const OP_RETIRED_STATS: u8 = 0x84;
 const OP_ANSWER: u8 = 0x85;
-const OP_VALUES_PACKED: u8 = 0x86;
 const OP_ANSWER_PACKED: u8 = 0x87;
 const OP_SNAPSHOT: u8 = 0x88;
 const OP_ERROR: u8 = 0xEF;
@@ -200,9 +169,6 @@ const ANSWER_EPOCHS: u8 = 0x05;
 /// recursing the decoder off the stack.
 const MAX_PLAN_DEPTH: usize = 32;
 
-/// A batch's half-open ranges, as `(lo, hi)` corner pairs.
-pub type RangeList = Vec<(Vec<usize>, Vec<usize>)>;
-
 /// A protocol violation: framing, length, or payload decode failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError(pub String);
@@ -245,27 +211,14 @@ fn get_wire_str(r: &mut FrameReader<'_>, what: &str) -> Result<String, WireError
         .map_err(|_| WireError(format!("frame field {what} is not valid UTF-8")))
 }
 
-/// Zigzag-maps a signed delta so small magnitudes of either sign get
-/// small unsigned codes (`0 → 0, -1 → 1, 1 → 2, -2 → 3, …`).
-#[inline]
-#[must_use]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-#[must_use]
-pub fn unzigzag(u: u64) -> i64 {
-    ((u >> 1) as i64) ^ -((u & 1) as i64)
-}
-
 /// Reads one LEB128 varint from `bytes` at `*pos`, advancing the cursor
 /// past it.
 ///
 /// # Errors
-/// [`WireError`] when the blob ends mid-varint or the encoding carries
-/// more than 64 significant bits.
+/// [`WireError`] when the blob ends mid-varint, the encoding carries
+/// more than 64 significant bits, or it is longer than
+/// [`put_uvarint`] writes (a trailing zero byte), so every accepted
+/// varint re-encodes to its own bytes.
 pub fn get_uvarint(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u64, WireError> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -281,51 +234,15 @@ pub fn get_uvarint(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u64, Wir
         }
         v |= u64::from(b & 0x7F) << shift;
         if b & 0x80 == 0 {
+            if b == 0 && shift > 0 {
+                return Err(WireError(format!(
+                    "frame field {what}: varint is not minimal"
+                )));
+            }
             return Ok(v);
         }
         shift += 7;
     }
-}
-
-/// Delta-encodes a flat word stream: each word is stored as the zigzag
-/// varint of its difference from the previous word (the stream starts
-/// from an implicit zero). Clustered coordinate streams collapse to one
-/// or two bytes per word.
-fn pack_words(words: impl Iterator<Item = u64>) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut prev = 0u64;
-    for w in words {
-        put_uvarint(&mut out, zigzag(w.wrapping_sub(prev) as i64));
-        prev = w;
-    }
-    out
-}
-
-/// Decodes exactly `count` delta-packed words, rejecting a blob that is
-/// short, long, or truncated mid-varint. Every word costs at least one
-/// byte, so the up-front count check bounds the allocation.
-fn unpack_words(blob: &[u8], count: usize, what: &str) -> Result<Vec<u64>, WireError> {
-    if count > blob.len() {
-        return Err(WireError(format!(
-            "frame field {what}: {count} packed words cannot fit in {} bytes",
-            blob.len()
-        )));
-    }
-    let mut pos = 0usize;
-    let mut prev = 0u64;
-    let mut words = Vec::with_capacity(count);
-    for _ in 0..count {
-        let delta = unzigzag(get_uvarint(blob, &mut pos, what)?);
-        prev = prev.wrapping_add(delta as u64);
-        words.push(prev);
-    }
-    if pos != blob.len() {
-        return Err(WireError(format!(
-            "frame field {what}: {} trailing bytes after packed words",
-            blob.len() - pos
-        )));
-    }
-    Ok(words)
 }
 
 /// Packs a dense f64 vector as varints of each value's IEEE-754 bits
@@ -343,8 +260,10 @@ fn pack_f64s(values: &[f64]) -> Vec<u8> {
     out
 }
 
-/// Decodes exactly `count` XOR-packed f64 values (see [`pack_f64s`]);
-/// validation mirrors [`unpack_words`].
+/// Decodes exactly `count` XOR-packed f64 values (see [`pack_f64s`]),
+/// rejecting a blob that is short, long, or truncated mid-varint. Every
+/// value costs at least one byte, so the up-front count check bounds the
+/// allocation.
 fn unpack_f64s(blob: &[u8], count: usize, what: &str) -> Result<Vec<f64>, WireError> {
     if count > blob.len() {
         return Err(WireError(format!(
@@ -371,14 +290,6 @@ fn unpack_f64s(blob: &[u8], count: usize, what: &str) -> Result<Vec<f64>, WireEr
 /// Encodes one request as a `DPRB` frame body.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
-        Request::Query { release, lo, hi } => {
-            let mut w = writer(release.len() + (lo.len() + hi.len() + 4) * 8, OP_QUERY);
-            put_wire_str(&mut w, release);
-            w.put_usize_slice(lo);
-            w.put_usize_slice(hi);
-            w.finish().to_vec()
-        }
-        Request::Batch { release, ranges } => encode_batch(release, ranges),
         Request::Plan { release, plan } => {
             let mut w = writer(release.len() + 64, OP_PLAN);
             put_wire_str(&mut w, release);
@@ -390,15 +301,12 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     }
 }
 
-/// Encodes one request preferring the packed opcodes where they apply
-/// (today: homogeneous batches). Every other shape falls back to
-/// [`encode_request`] byte-identically, so a packed client's non-batch
-/// traffic is indistinguishable from a legacy client's.
+/// Encodes one request for a connection that negotiated
+/// [`WIRE_FEATURE_PACKED`]. Requests have no packed form, so this is
+/// [`encode_request`]; it stays for callers that pick both encoders per
+/// connection, as dpodbench's packed client does.
 pub fn encode_request_packed(req: &Request) -> Vec<u8> {
-    match req {
-        Request::Batch { release, ranges } => encode_batch_packed(release, ranges),
-        other => encode_request(other),
-    }
+    encode_request(req)
 }
 
 /// A `Region` is four raw u64 corner coordinates.
@@ -759,69 +667,6 @@ fn decode_answer(r: &mut FrameReader<'_>, depth: usize, packed: bool) -> Result<
     }
 }
 
-/// The dimensionality every corner of a batch shares, or `None` for an
-/// empty or heterogeneous batch (or one too wide for the `u16` field),
-/// which travels as length-prefixed corners instead.
-fn homogeneous_ndim(ranges: &[(Vec<usize>, Vec<usize>)]) -> Option<usize> {
-    let d = ranges.first()?.0.len();
-    ((d as u64) < u64::from(MIXED_NDIM)
-        && ranges.iter().all(|(lo, hi)| lo.len() == d && hi.len() == d))
-    .then_some(d)
-}
-
-fn encode_batch(release: &str, ranges: &[(Vec<usize>, Vec<usize>)]) -> Vec<u8> {
-    match homogeneous_ndim(ranges) {
-        Some(d) => {
-            let mut w = writer(release.len() + 32 + ranges.len() * 2 * d * 8, OP_BATCH);
-            put_wire_str(&mut w, release);
-            w.put_u16(d as u16);
-            w.put_u64(ranges.len() as u64);
-            for (lo, hi) in ranges {
-                for &c in lo {
-                    w.put_u64(c as u64);
-                }
-                for &c in hi {
-                    w.put_u64(c as u64);
-                }
-            }
-            w.finish().to_vec()
-        }
-        None => {
-            // Heterogeneous (or empty) batch: length-prefixed corners.
-            let mut w = writer(release.len() + 32, OP_BATCH);
-            put_wire_str(&mut w, release);
-            w.put_u16(MIXED_NDIM);
-            w.put_u64(ranges.len() as u64);
-            for (lo, hi) in ranges {
-                w.put_usize_slice(lo);
-                w.put_usize_slice(hi);
-            }
-            w.finish().to_vec()
-        }
-    }
-}
-
-/// The varint form of [`encode_batch`]: the flattened coordinate stream
-/// (lo then hi per range, range after range) is delta+zigzag packed.
-/// Heterogeneous and empty batches gain nothing from packing and fall
-/// back to the legacy encoding, which every decoder accepts.
-fn encode_batch_packed(release: &str, ranges: &[(Vec<usize>, Vec<usize>)]) -> Vec<u8> {
-    let Some(d) = homogeneous_ndim(ranges) else {
-        return encode_batch(release, ranges);
-    };
-    let blob = pack_words(
-        ranges
-            .iter()
-            .flat_map(|(lo, hi)| lo.iter().chain(hi.iter()).map(|&c| c as u64)),
-    );
-    let mut w = writer(release.len() + 32 + blob.len(), OP_BATCH_PACKED);
-    put_wire_str(&mut w, release);
-    w.put_u16(d as u16);
-    w.put_u64(ranges.len() as u64);
-    w.put_bytes(&blob);
-    w.finish().to_vec()
-}
-
 /// Decodes a `DPRB` frame body into a request.
 ///
 /// # Errors
@@ -831,52 +676,6 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
     let mut r = FrameReader::new(body, WIRE_MAGIC, WIRE_VERSION)?;
     let op = r.get_u8("opcode")?;
     let req = match op {
-        OP_QUERY => {
-            let release = get_wire_str(&mut r, "release")?;
-            let lo = r.get_usize_vec("lo")?;
-            let hi = r.get_usize_vec("hi")?;
-            Request::Query { release, lo, hi }
-        }
-        OP_BATCH => {
-            let release = get_wire_str(&mut r, "release")?;
-            let ndim = r.get_u16("batch ndim")?;
-            let count = usize::try_from(r.get_u64("batch count")?)
-                .map_err(|_| WireError("batch count overflows".into()))?;
-            let ranges = if ndim == MIXED_NDIM {
-                let mut ranges = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    let lo = r.get_usize_vec("batch lo")?;
-                    let hi = r.get_usize_vec("batch hi")?;
-                    ranges.push((lo, hi));
-                }
-                ranges
-            } else {
-                decode_packed_ranges(&mut r, ndim as usize, count)?
-            };
-            Request::Batch { release, ranges }
-        }
-        OP_BATCH_PACKED => {
-            let release = get_wire_str(&mut r, "release")?;
-            let ndim = r.get_u16("batch ndim")? as usize;
-            let count = usize::try_from(r.get_u64("batch count")?)
-                .map_err(|_| WireError("batch count overflows".into()))?;
-            let words_n = batch_words(ndim, count)?;
-            let blob = r.get_bytes("packed batch coordinates")?;
-            let words = unpack_words(blob, words_n, "packed batch coordinates")?;
-            let ranges = if ndim == 0 {
-                vec![(Vec::new(), Vec::new()); count]
-            } else {
-                words
-                    .chunks_exact(2 * ndim)
-                    .map(|pair| {
-                        let lo = pair[..ndim].iter().map(|&w| w as usize).collect();
-                        let hi = pair[ndim..].iter().map(|&w| w as usize).collect();
-                        (lo, hi)
-                    })
-                    .collect()
-            };
-            Request::Batch { release, ranges }
-        }
         OP_PLAN => {
             let release = get_wire_str(&mut r, "release")?;
             let plan = decode_plan(&mut r, 0)?;
@@ -890,62 +689,9 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
     Ok(req)
 }
 
-/// Most zero-dimension ranges accepted in one packed batch. Zero-width
-/// ranges occupy no payload bytes, so the usual bytes-present check
-/// cannot bound `count`; without this cap an adversarial ~30-byte frame
-/// declaring `count = u64::MAX` would panic the decode on allocation.
-/// The limit mirrors what the NDJSON path could physically carry: ~8
-/// bytes per `[[],[]]` under its 8 MiB line cap.
-const MAX_ZERO_DIM_RANGES: usize = 1 << 20;
-
-/// The coordinate count `count × 2·ndim` a homogeneous batch declares,
-/// refused when it overflows or when zero-dimension ranges exceed
-/// [`MAX_ZERO_DIM_RANGES`].
-fn batch_words(ndim: usize, count: usize) -> Result<usize, WireError> {
-    if ndim == 0 && count > MAX_ZERO_DIM_RANGES {
-        return Err(WireError(format!(
-            "zero-dimension batch count {count} exceeds limit {MAX_ZERO_DIM_RANGES}"
-        )));
-    }
-    count
-        .checked_mul(2 * ndim)
-        .ok_or_else(|| WireError("batch coordinate count overflows".into()))
-}
-
-/// Reads `count × 2·ndim` raw u64 coordinates. The byte budget is
-/// checked against the frame remainder before the vectors allocate.
-fn decode_packed_ranges(
-    r: &mut FrameReader<'_>,
-    ndim: usize,
-    count: usize,
-) -> Result<RangeList, WireError> {
-    let raw = r.get_raw_u64s(batch_words(ndim, count)?, "batch coordinates")?;
-    let mut ranges = Vec::with_capacity(count);
-    let mut it = raw;
-    for _ in 0..count {
-        let (head, tail) = it.split_at(2 * ndim * 8);
-        it = tail;
-        let coord = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("8 bytes")) as usize;
-        let lo = head[..ndim * 8].chunks_exact(8).map(coord).collect();
-        let hi = head[ndim * 8..].chunks_exact(8).map(coord).collect();
-        ranges.push((lo, hi));
-    }
-    Ok(ranges)
-}
-
 /// Encodes one response as a `DPRB` frame body.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Value { value } => {
-            let mut w = writer(8, OP_VALUE);
-            w.put_f64(*value);
-            w.finish().to_vec()
-        }
-        Response::Values { values } => {
-            let mut w = writer(8 + values.len() * 8, OP_VALUES);
-            w.put_f64_slice(values);
-            w.finish().to_vec()
-        }
         Response::Answer { answer } => {
             let mut w = writer(64, OP_ANSWER);
             encode_answer(&mut w, answer, false);
@@ -1028,19 +774,12 @@ fn decode_snapshot(r: &mut FrameReader<'_>) -> Result<Snapshot, WireError> {
     Ok(snap)
 }
 
-/// Encodes one response preferring the packed opcodes where they apply
-/// (dense value vectors and answer trees). Every other variant falls
-/// back to [`encode_response`] byte-identically; emit these frames only
-/// to peers that advertised [`WIRE_FEATURE_PACKED`].
+/// Encodes one response preferring the packed answer opcode. Every
+/// other variant falls back to [`encode_response`] byte-identically;
+/// emit these frames only to peers that advertised
+/// [`WIRE_FEATURE_PACKED`].
 pub fn encode_response_packed(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Values { values } => {
-            let blob = pack_f64s(values);
-            let mut w = writer(16 + blob.len(), OP_VALUES_PACKED);
-            w.put_u64(values.len() as u64);
-            w.put_bytes(&blob);
-            w.finish().to_vec()
-        }
         Response::Answer { answer } => {
             let mut w = writer(64, OP_ANSWER_PACKED);
             encode_answer(&mut w, answer, true);
@@ -1058,20 +797,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
     let mut r = FrameReader::new(body, WIRE_MAGIC, WIRE_VERSION)?;
     let op = r.get_u8("opcode")?;
     let resp = match op {
-        OP_VALUE => Response::Value {
-            value: r.get_f64("value")?,
-        },
-        OP_VALUES => Response::Values {
-            values: r.get_f64_vec("values")?,
-        },
-        OP_VALUES_PACKED => {
-            let count = usize::try_from(r.get_u64("values count")?)
-                .map_err(|_| WireError("values count overflows".into()))?;
-            let blob = r.get_bytes("packed values")?;
-            Response::Values {
-                values: unpack_f64s(blob, count, "packed values")?,
-            }
-        }
         OP_ANSWER => Response::Answer {
             answer: decode_answer(&mut r, 0, false)?,
         },
@@ -1096,13 +821,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
         OP_SNAPSHOT => Response::Stats {
             stats: decode_snapshot(&mut r)?,
         },
-        OP_RETIRED_STATS => {
-            return Err(WireError(
-                "response opcode 0x84 (fixed-field stats frame) is retired; \
-                 stats travel as 0x88 snapshot frames"
-                    .into(),
-            ))
-        }
         OP_ERROR => Response::Error {
             message: get_wire_str(&mut r, "message")?,
         },
@@ -1186,29 +904,24 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects and speaks the `DPRB` preamble. Whether the packed
-    /// opcodes are negotiated follows the `DPOD_WIRE_PACKED` environment
-    /// variable (`1`/`true` to enable; default off, the legacy
-    /// preamble); use [`Self::connect_with`] to pick explicitly.
+    /// Connects and speaks the plain `DPRB` preamble (no packed
+    /// answers); [`Self::connect_with`] picks explicitly.
     ///
     /// # Errors
     /// IO errors from connect or the preamble write.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let packed = std::env::var("DPOD_WIRE_PACKED")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        Self::connect_with(addr, packed)
+        Self::connect_with(addr, false)
     }
 
     /// Connects, advertising [`WIRE_FEATURE_PACKED`] in the preamble
-    /// when `packed` is set; the client then sends packed batch frames
-    /// and the server is free to answer with packed responses.
+    /// when `packed` is set; the server is then free to answer with
+    /// packed answer frames.
     ///
     /// # Errors
     /// IO errors from connect or the preamble write.
     pub fn connect_with(addr: impl ToSocketAddrs, packed: bool) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        // Batch frames span many segments; without NODELAY the tail of
+        // Large frames span many segments; without NODELAY the tail of
         // a frame can sit behind Nagle waiting on a delayed ACK.
         stream.set_nodelay(true)?;
         let mut writer = std::io::BufWriter::new(stream.try_clone()?);
@@ -1226,7 +939,7 @@ impl Client {
         })
     }
 
-    /// Whether this connection negotiated the packed opcodes.
+    /// Whether this connection negotiated packed answers.
     #[must_use]
     pub fn is_packed(&self) -> bool {
         self.packed
@@ -1237,12 +950,7 @@ impl Client {
     /// # Errors
     /// [`WireError`] on encode or IO failure.
     pub fn send(&mut self, req: &Request) -> Result<(), WireError> {
-        let body = if self.packed {
-            encode_request_packed(req)
-        } else {
-            encode_request(req)
-        };
-        write_frame(&mut self.writer, &body)
+        write_frame(&mut self.writer, &encode_request(req))
     }
 
     /// Flushes queued requests and reads the next response.
@@ -1264,23 +972,6 @@ impl Client {
     pub fn request(&mut self, req: &Request) -> Result<Response, WireError> {
         self.send(req)?;
         self.receive()
-    }
-
-    /// Answers a batch of ranges against `release`, unwrapping the
-    /// values vector.
-    ///
-    /// # Errors
-    /// [`WireError`] on transport failure or a server-side
-    /// [`Response::Error`].
-    pub fn batch(&mut self, release: &str, ranges: RangeList) -> Result<Vec<f64>, WireError> {
-        match self.request(&Request::Batch {
-            release: release.to_string(),
-            ranges,
-        })? {
-            Response::Values { values } => Ok(values),
-            Response::Error { message } => Err(WireError(message)),
-            other => Err(WireError(format!("unexpected response {other:?}"))),
-        }
     }
 
     /// Executes a typed [`QueryPlan`] against `release`, unwrapping the
@@ -1316,27 +1007,29 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         let reqs = vec![
-            Request::Query {
-                release: "city".into(),
-                lo: vec![0, 0],
-                hi: vec![4, 4],
-            },
-            Request::Batch {
-                release: "city".into(),
-                ranges: vec![(vec![0, 1], vec![2, 3]), (vec![4, 5], vec![6, 7])],
-            },
-            // Heterogeneous dims and degenerate corners must survive too.
-            Request::Batch {
+            // Mixed dimensionality and degenerate corners must survive.
+            Request::Plan {
                 release: "x".into(),
-                ranges: vec![(vec![0], vec![1]), (vec![0, 0], vec![1, 1])],
+                plan: QueryPlan::Many {
+                    plans: vec![
+                        QueryPlan::Range {
+                            lo: vec![],
+                            hi: vec![],
+                        },
+                        QueryPlan::Range {
+                            lo: vec![9],
+                            hi: vec![2],
+                        },
+                        QueryPlan::Range {
+                            lo: vec![0, usize::MAX],
+                            hi: vec![usize::MAX, 0],
+                        },
+                    ],
+                },
             },
-            Request::Batch {
-                release: "x".into(),
-                ranges: vec![(vec![], vec![]), (vec![9], vec![2])],
-            },
-            Request::Batch {
+            Request::Plan {
                 release: "empty".into(),
-                ranges: vec![],
+                plan: QueryPlan::Many { plans: vec![] },
             },
             Request::Plan {
                 release: "city".into(),
@@ -1406,6 +1099,8 @@ mod tests {
         ];
         for req in &reqs {
             assert_eq!(&round_trip_request(req), req);
+            // Requests have no packed form.
+            assert_eq!(encode_request_packed(req), encode_request(req));
         }
     }
 
@@ -1596,9 +1291,8 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         let resps = vec![
-            Response::Value { value: -12.25 },
-            Response::Values {
-                values: vec![0.5, f64::MAX, -1e-300],
+            Response::Answer {
+                answer: Answer::Value { value: -12.25 },
             },
             Response::Releases {
                 releases: vec![ReleaseInfo {
@@ -1643,14 +1337,25 @@ mod tests {
         snap
     }
 
-    /// The retired fixed-field stats opcode is refused by name, not
-    /// misread as a snapshot or reported as an unknown opcode.
+    /// Opcodes with no meaning (the range-list kinds and the fixed-field
+    /// stats frame that plans and `0x88` snapshots replaced) are refused
+    /// with an error naming the opcode, never misread as another kind.
     #[test]
-    fn retired_stats_opcode_is_rejected_by_name() {
-        let mut w = writer(16, OP_RETIRED_STATS);
-        w.put_u64(1);
-        let err = decode_response(&w.finish()).expect_err("0x84 must be refused");
-        assert!(err.0.contains("0x84") && err.0.contains("retired"), "{err}");
+    fn removed_opcodes_are_refused_by_name() {
+        let frame = |op: u8| {
+            let mut w = writer(16, op);
+            w.put_bytes(b"city");
+            w.put_u64(1);
+            w.finish().to_vec()
+        };
+        for op in [0x01u8, 0x02, 0x06] {
+            let err = decode_request(&frame(op)).expect_err("request opcode must be refused");
+            assert_eq!(err.0, format!("unknown request opcode {op:#04x}"));
+        }
+        for op in [0x81u8, 0x82, 0x84, 0x86] {
+            let err = decode_response(&frame(op)).expect_err("response opcode must be refused");
+            assert_eq!(err.0, format!("unknown response opcode {op:#04x}"));
+        }
     }
 
     /// A snapshot frame cut anywhere inside a family or a sample is a
@@ -1711,34 +1416,14 @@ mod tests {
         let mut bad = good;
         bad.push(0);
         assert!(decode_request(&bad).is_err());
-        // A batch declaring far more coordinates than the frame holds
-        // must error before allocating.
-        let mut w = FrameWriter::with_capacity(WIRE_MAGIC, WIRE_VERSION, 64);
-        w.put_u8(OP_BATCH);
+        // A `Many` declaring far more plans than the frame holds errors
+        // on the first missing tag, before allocating for the count.
+        let mut w = writer(16, OP_PLAN);
         w.put_bytes(b"r");
-        w.put_u16(2);
-        w.put_u64(u64::MAX / 64);
-        let body = w.finish();
-        assert!(decode_request(&body).is_err());
-        // Zero-width ranges consume no payload bytes, so the count cap —
-        // not the bytes-present check — must stop an adversarial count
-        // (u64::MAX here would otherwise panic on allocation).
-        for count in [u64::MAX, u64::MAX / 64, (MAX_ZERO_DIM_RANGES as u64) + 1] {
-            let mut w = FrameWriter::with_capacity(WIRE_MAGIC, WIRE_VERSION, 64);
-            w.put_u8(OP_BATCH);
-            w.put_bytes(b"r");
-            w.put_u16(0);
-            w.put_u64(count);
-            let body = w.finish();
-            let err = decode_request(&body).expect_err("count cap must fire");
-            assert!(err.0.contains("zero-dimension"), "{err}");
-        }
-        // A modest zero-dimension batch still round-trips.
-        let req = Request::Batch {
-            release: "r".into(),
-            ranges: vec![(vec![], vec![]); 100],
-        };
-        assert_eq!(round_trip_request(&req), req);
+        w.put_u8(PLAN_MANY);
+        w.put_u64(u64::MAX);
+        let err = decode_request(&w.finish()).expect_err("lying count must fail");
+        assert!(err.0.contains("plan tag"), "{err}");
     }
 
     #[test]
@@ -1792,10 +1477,11 @@ mod tests {
             assert_eq!(get_uvarint(&buf, &mut pos, "t").unwrap(), v);
             assert_eq!(pos, buf.len());
         }
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        // A truncated varint and an 11-byte varint are named errors.
+        // A truncated, an over-long and an 11-byte varint are named
+        // errors.
+        let mut pos = 0;
+        let err = get_uvarint(&[0x80, 0x00], &mut pos, "t").unwrap_err();
+        assert!(err.0.contains("not minimal"), "{err}");
         let mut pos = 0;
         assert!(get_uvarint(&[0x80], &mut pos, "t").is_err());
         let mut pos = 0;
@@ -1809,91 +1495,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_requests_round_trip_and_shrink() {
-        // A dense homogeneous batch round-trips through the packed
-        // opcode and lands well under half the legacy size.
-        let ranges: Vec<(Vec<usize>, Vec<usize>)> = (0..500)
-            .map(|i| {
-                (
-                    vec![i % 64, (i * 7) % 64],
-                    vec![i % 64 + 1, (i * 7) % 64 + 3],
-                )
-            })
-            .collect();
-        let req = Request::Batch {
-            release: "city".into(),
-            ranges,
-        };
-        let packed = encode_request_packed(&req);
-        let legacy = encode_request(&req);
-        assert_eq!(decode_request(&packed).unwrap(), req);
-        assert_eq!(decode_request(&legacy).unwrap(), req);
-        assert!(
-            packed.len() * 2 < legacy.len(),
-            "packed {} vs legacy {}",
-            packed.len(),
-            legacy.len()
-        );
-        // Truncations at every prefix length still error, never panic.
-        for cut in 0..packed.len().min(64) {
-            assert!(decode_request(&packed[..cut]).is_err(), "cut {cut}");
-        }
-        // Heterogeneous and empty batches fall back to legacy bytes.
-        for req in [
-            Request::Batch {
-                release: "x".into(),
-                ranges: vec![(vec![0], vec![1]), (vec![0, 0], vec![1, 1])],
-            },
-            Request::Batch {
-                release: "empty".into(),
-                ranges: vec![],
-            },
-            Request::Query {
-                release: "city".into(),
-                lo: vec![0, 0],
-                hi: vec![4, 4],
-            },
-            Request::List,
-        ] {
-            assert_eq!(encode_request_packed(&req), encode_request(&req));
-        }
-        // Extreme coordinates survive the zigzag round trip.
-        let req = Request::Batch {
-            release: "x".into(),
-            ranges: vec![(vec![usize::MAX, 0], vec![0, usize::MAX])],
-        };
-        assert_eq!(decode_request(&encode_request_packed(&req)).unwrap(), req);
-        // Zero-dimension packed batches obey the same count cap.
-        let req = Request::Batch {
-            release: "r".into(),
-            ranges: vec![(vec![], vec![]); 100],
-        };
-        assert_eq!(decode_request(&encode_request_packed(&req)).unwrap(), req);
-        let mut w = FrameWriter::with_capacity(WIRE_MAGIC, WIRE_VERSION, 64);
-        w.put_u8(OP_BATCH_PACKED);
-        w.put_bytes(b"r");
-        w.put_u16(0);
-        w.put_u64(u64::MAX);
-        let err = decode_request(&w.finish()).expect_err("count cap must fire");
-        assert!(err.0.contains("zero-dimension"), "{err}");
-        // A declared word count the blob cannot hold errors before any
-        // allocation.
-        let mut w = FrameWriter::with_capacity(WIRE_MAGIC, WIRE_VERSION, 64);
-        w.put_u8(OP_BATCH_PACKED);
-        w.put_bytes(b"r");
-        w.put_u16(2);
-        w.put_u64(u64::MAX / 64);
-        w.put_bytes(&[0, 0, 0]);
-        assert!(decode_request(&w.finish()).is_err());
-    }
-
-    #[test]
     fn packed_responses_round_trip() {
         let resps = vec![
-            Response::Values {
-                values: vec![0.5, 0.5, -1e-300, f64::MAX, 0.0, -0.0, 42.0],
+            Response::Answer {
+                answer: Answer::Marginal {
+                    dims: vec![7],
+                    values: vec![0.5, 0.5, -1e-300, f64::MAX, 0.0, -0.0, 42.0],
+                },
             },
-            Response::Values { values: vec![] },
+            Response::Answer {
+                answer: Answer::Marginal {
+                    dims: vec![0],
+                    values: vec![],
+                },
+            },
             Response::Answer {
                 answer: Answer::Many {
                     answers: vec![
@@ -1929,13 +1544,16 @@ mod tests {
             let packed = encode_response_packed(resp);
             assert_eq!(&decode_response(&packed).unwrap(), resp);
             // NaN-free payloads above: equality is exact bit equality
-            // for these values, and legacy decode agrees.
+            // for these values, and the plain decode agrees.
             assert_eq!(&decode_response(&encode_response(resp)).unwrap(), resp);
         }
-        // Non-packable variants emit legacy bytes from the packed
+        // Non-packable variants emit plain bytes from the packed
         // encoder too.
         for resp in [
-            Response::Value { value: -12.25 },
+            Response::Releases { releases: vec![] },
+            Response::Stats {
+                stats: sample_snapshot(),
+            },
             Response::Error {
                 message: "x".into(),
             },
@@ -1943,20 +1561,26 @@ mod tests {
             assert_eq!(encode_response_packed(&resp), encode_response(&resp));
         }
         // A repeated-value vector collapses to ~1 byte per value.
-        let flat = Response::Values {
-            values: vec![3.25; 1000],
+        let flat = Response::Answer {
+            answer: Answer::Marginal {
+                dims: vec![1000],
+                values: vec![3.25; 1000],
+            },
         };
         let packed = encode_response_packed(&flat);
-        let legacy = encode_response(&flat);
+        let plain = encode_response(&flat);
         assert!(
-            packed.len() * 4 < legacy.len(),
-            "packed {} vs legacy {}",
+            packed.len() * 4 < plain.len(),
+            "packed {} vs plain {}",
             packed.len(),
-            legacy.len()
+            plain.len()
         );
-        // Truncations inside a packed values frame are errors.
-        let body = encode_response_packed(&Response::Values {
-            values: vec![1.0, 2.0, 3.0],
+        // Truncations inside a packed marginal frame are errors.
+        let body = encode_response_packed(&Response::Answer {
+            answer: Answer::Marginal {
+                dims: vec![3],
+                values: vec![1.0, 2.0, 3.0],
+            },
         });
         for cut in 0..body.len() {
             assert!(decode_response(&body[..cut]).is_err(), "cut {cut}");

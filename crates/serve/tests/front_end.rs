@@ -25,6 +25,7 @@
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
+use dpod_query::{Answer, QueryPlan};
 use dpod_serve::protocol::{Request, Response, Snapshot};
 use dpod_serve::{
     spawn_with, wire, Catalog, FrontEnd, Server, ServerHandle, SpawnOptions,
@@ -122,10 +123,12 @@ fn slow_loris_ndjson_client_is_served() {
     stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
 
-    let req = Request::Query {
+    let req = Request::Plan {
         release: "city".into(),
-        lo: vec![0, 0],
-        hi: vec![16, 16],
+        plan: QueryPlan::Range {
+            lo: vec![0, 0],
+            hi: vec![16, 16],
+        },
     };
     let mut line = serde_json::to_string(&req).unwrap();
     line.push('\n');
@@ -139,12 +142,18 @@ fn slow_loris_ndjson_client_is_served() {
     }
     let mut answer = String::new();
     reader.read_line(&mut answer).unwrap();
-    let Response::Value { value } = serde_json::from_str(answer.trim()).unwrap() else {
+    let Response::Answer {
+        answer: Answer::Value { value },
+    } = serde_json::from_str(answer.trim()).unwrap()
+    else {
         panic!("expected value, got {answer}");
     };
     // The connection is still healthy: a normal request follows.
     let resp = json_round_trip(&stream, &mut reader, &req);
-    let Response::Value { value: again } = resp else {
+    let Response::Answer {
+        answer: Answer::Value { value: again },
+    } = resp
+    else {
         panic!("second request failed");
     };
     assert_eq!(value, again);
@@ -166,10 +175,12 @@ fn slow_loris_dprb_client_is_served() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(wire::WIRE_MAGIC);
     bytes.push(wire::WIRE_VERSION);
-    let body = wire::encode_request(&Request::Query {
+    let body = wire::encode_request(&Request::Plan {
         release: "city".into(),
-        lo: vec![2, 2],
-        hi: vec![10, 10],
+        plan: QueryPlan::Range {
+            lo: vec![2, 2],
+            hi: vec![10, 10],
+        },
     });
     bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&body);
@@ -179,7 +190,10 @@ fn slow_loris_dprb_client_is_served() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let frame = wire::read_frame(&mut reader).unwrap().unwrap();
-    let Response::Value { value } = wire::decode_response(&frame).unwrap() else {
+    let Response::Answer {
+        answer: Answer::Value { value },
+    } = wire::decode_response(&frame).unwrap()
+    else {
         panic!("expected value");
     };
     assert!(value.is_finite());
@@ -191,7 +205,9 @@ fn slow_loris_dprb_client_is_served() {
     let first = wire::read_frame(&mut reader).unwrap().unwrap();
     assert!(matches!(
         wire::decode_response(&first),
-        Ok(Response::Value { .. })
+        Ok(Response::Answer {
+            answer: Answer::Value { .. }
+        })
     ));
     let second = wire::read_frame(&mut reader).unwrap().unwrap();
     assert!(matches!(
@@ -199,6 +215,75 @@ fn slow_loris_dprb_client_is_served() {
         Ok(Response::Releases { .. })
     ));
     handle.stop();
+}
+
+/// Request kinds the protocol no longer has — the `Query` and `Batch`
+/// JSON documents and the `0x01` range frame — are refused like any
+/// other undecodable request, on both front ends: exactly one `Error`
+/// each, counted as `kind="undecodable"`, and the same connection goes
+/// on answering plans.
+#[test]
+fn removed_request_kinds_are_refused_and_the_connection_survives() {
+    let plan = Request::Plan {
+        release: "city".into(),
+        plan: QueryPlan::Total,
+    };
+    let answered = |resp: &Response| matches!(resp, Response::Answer { .. });
+    for front_end in [FrontEnd::Pool, FrontEnd::Event] {
+        let server = test_server(&["city"]);
+        let handle = spawn_front_end(&server, front_end, 2);
+        let undecodable = |transport: &str| {
+            let labels = [("transport", transport), ("kind", "undecodable")];
+            server
+                .snapshot()
+                .get("dpod_requests_total", &labels)
+                .unwrap()
+        };
+
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let removed = [
+            r#"{"Query":{"release":"city","lo":[0,0],"hi":[4,4]}}"#,
+            r#"{"Batch":{"release":"city","ranges":[[[0,0],[4,4]]]}}"#,
+        ];
+        for (refused, line) in removed.into_iter().enumerate() {
+            (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut answer = String::new();
+            reader.read_line(&mut answer).unwrap();
+            let resp: Response = serde_json::from_str(answer.trim()).unwrap();
+            assert!(
+                matches!(resp, Response::Error { .. }),
+                "{front_end:?}: {line} got {resp:?}"
+            );
+            assert_eq!(undecodable("json"), refused as f64 + 1.0, "{front_end:?}");
+            let resp = json_round_trip(&stream, &mut reader, &plan);
+            assert!(answered(&resp), "{front_end:?}: {resp:?}");
+        }
+
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writer.write_all(wire::WIRE_MAGIC).unwrap();
+        writer.write_all(&[wire::WIRE_VERSION]).unwrap();
+        let mut range_frame = wire::WIRE_MAGIC.to_vec();
+        range_frame.extend_from_slice(&[wire::WIRE_VERSION, 0x01]);
+        range_frame.extend_from_slice(&4u64.to_le_bytes());
+        range_frame.extend_from_slice(b"city");
+        wire::write_frame(&mut writer, &range_frame).unwrap();
+        let mut reader = BufReader::new(stream);
+        let body = wire::read_frame(&mut reader).unwrap().unwrap();
+        match wire::decode_response(&body).unwrap() {
+            Response::Error { message } => assert!(message.contains("0x01"), "{message}"),
+            other => panic!("{front_end:?}: 0x01 got {other:?}"),
+        }
+        assert_eq!(undecodable("binary"), 1.0, "{front_end:?}");
+        wire::write_frame(&mut writer, &wire::encode_request(&plan)).unwrap();
+        let body = wire::read_frame(&mut reader).unwrap().unwrap();
+        let resp = wire::decode_response(&body).unwrap();
+        assert!(answered(&resp), "{front_end:?}: {resp:?}");
+        handle.stop();
+    }
 }
 
 #[test]
@@ -218,28 +303,29 @@ fn stalled_pipeliner_times_out_without_deadlocking_the_worker() {
     )
     .unwrap();
 
-    // Client A: pipelines batches whose responses exceed the
+    // Client A: pipelines small plans whose responses exceed the
     // backpressure threshold, then never reads a byte.
     let stalled = TcpStream::connect(handle.addr()).unwrap();
     stalled.set_nodelay(true).unwrap();
     let mut w = stalled.try_clone().unwrap();
     w.write_all(wire::WIRE_MAGIC).unwrap();
     w.write_all(&[wire::WIRE_VERSION]).unwrap();
-    let ranges: Vec<(Vec<usize>, Vec<usize>)> = (0..300_000)
-        .map(|i| (vec![0, 0], vec![1 + (i % 16), 16]))
-        .collect();
-    let batch = wire::encode_request(&Request::Batch {
+    // Each top-256 ranking is every cell of the 16×16 release.
+    let big = Request::Plan {
         release: "city".into(),
-        ranges,
-    });
+        plan: QueryPlan::Many {
+            plans: vec![QueryPlan::TopK { k: 256 }; 600],
+        },
+    };
     // 3 × ~2.4 MB of responses ≫ the 4 MiB outbound cap plus socket
     // buffers: the loop must pause reads and, with no write progress,
     // time the connection out.
+    let answer_bytes = wire::encode_response(&server.handle(&big)).len();
+    assert!(3 * answer_bytes > WRITE_BACKPRESSURE_BYTES);
     let mut frames = Vec::new();
     for _ in 0..3 {
-        wire::write_frame(&mut frames, &batch).unwrap();
+        wire::write_frame(&mut frames, &wire::encode_request(&big)).unwrap();
     }
-    assert!(frames.len() > WRITE_BACKPRESSURE_BYTES);
     w.write_all(&frames).unwrap();
     w.flush().unwrap();
 
@@ -248,13 +334,20 @@ fn stalled_pipeliner_times_out_without_deadlocking_the_worker() {
     let t0 = Instant::now();
     let mut client = wire::Client::connect(handle.addr()).unwrap();
     let resp = client
-        .request(&Request::Query {
+        .request(&Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![16, 16],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![16, 16],
+            },
         })
         .expect("worker must not be deadlocked by the stalled client");
-    assert!(matches!(resp, Response::Value { .. }));
+    assert!(matches!(
+        resp,
+        Response::Answer {
+            answer: Answer::Value { .. }
+        }
+    ));
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "query took {:?}",
@@ -299,14 +392,19 @@ fn many_idle_connections_are_all_served_by_two_workers() {
         .collect();
     std::thread::sleep(Duration::from_millis(50)); // let all accepts land
 
-    let req = Request::Query {
+    let req = Request::Plan {
         release: "city".into(),
-        lo: vec![0, 0],
-        hi: vec![16, 16],
+        plan: QueryPlan::Range {
+            lo: vec![0, 0],
+            hi: vec![16, 16],
+        },
     };
     let mut values = Vec::new();
     for (stream, reader) in conns.iter_mut() {
-        let Response::Value { value } = json_round_trip(stream, reader, &req) else {
+        let Response::Answer {
+            answer: Answer::Value { value },
+        } = json_round_trip(stream, reader, &req)
+        else {
             panic!("idle connection not served");
         };
         values.push(value);
@@ -343,15 +441,17 @@ fn bit_identical_to_pool_mode(conns: usize, event_loops: usize) {
     // connection per encoding is enough — the pool cannot hold 512).
     let pool_server = test_server(&["city", "transit"]);
     let pool = spawn_front_end(&pool_server, FrontEnd::Pool, 8);
-    let request_for = |i: usize| Request::Query {
+    let request_for = |i: usize| Request::Plan {
         release: if i.is_multiple_of(2) {
             "city"
         } else {
             "transit"
         }
         .into(),
-        lo: vec![0, 0],
-        hi: vec![1 + (i % 16), 1 + ((i * 7) % 16)],
+        plan: QueryPlan::Range {
+            lo: vec![0, 0],
+            hi: vec![1 + (i % 16), 1 + ((i * 7) % 16)],
+        },
     };
     let mut expected_json: Vec<String> = Vec::new();
     {
@@ -457,10 +557,12 @@ fn deep_pipeline_past_the_pending_cap_is_fully_served() {
     const N: usize = 10_000;
     let mut pipelined = String::with_capacity(N * 64);
     for i in 0..N {
-        let req = Request::Query {
+        let req = Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![1 + (i % 16), 16],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![1 + (i % 16), 16],
+            },
         };
         pipelined.push_str(&serde_json::to_string(&req).unwrap());
         pipelined.push('\n');
@@ -475,7 +577,15 @@ fn deep_pipeline_past_the_pending_cap_is_fully_served() {
         let n = reader.read_line(&mut line).unwrap();
         assert!(n > 0, "connection closed after {i} of {N} responses");
         let resp: Response = serde_json::from_str(line.trim()).unwrap();
-        assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
+        assert!(
+            matches!(
+                resp,
+                Response::Answer {
+                    answer: Answer::Value { .. }
+                }
+            ),
+            "{resp:?}"
+        );
     }
     writer.join().unwrap();
     assert_eq!(series(&server, "dpod_server_queries_total"), N as u64);
@@ -493,10 +603,12 @@ fn graceful_drain_answers_everything_already_received() {
     // Pipeline 50 requests, reading nothing yet.
     let mut pipelined = String::new();
     for i in 0..50usize {
-        let req = Request::Query {
+        let req = Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![1 + (i % 16), 16],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![1 + (i % 16), 16],
+            },
         };
         pipelined.push_str(&serde_json::to_string(&req).unwrap());
         pipelined.push('\n');
@@ -520,7 +632,15 @@ fn graceful_drain_answers_everything_already_received() {
             break;
         }
         let resp: Response = serde_json::from_str(line.trim()).unwrap();
-        assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
+        assert!(
+            matches!(
+                resp,
+                Response::Answer {
+                    answer: Answer::Value { .. }
+                }
+            ),
+            "{resp:?}"
+        );
         answers += 1;
     }
     assert_eq!(answers, 50, "drain lost in-flight responses");
@@ -540,13 +660,20 @@ fn pool_front_end_drains_gracefully_too() {
         let resp = json_round_trip(
             &stream,
             &mut reader,
-            &Request::Query {
+            &Request::Plan {
                 release: "city".into(),
-                lo: vec![0, 0],
-                hi: vec![4, 4],
+                plan: QueryPlan::Range {
+                    lo: vec![0, 0],
+                    hi: vec![4, 4],
+                },
             },
         );
-        assert!(matches!(resp, Response::Value { .. }));
+        assert!(matches!(
+            resp,
+            Response::Answer {
+                answer: Answer::Value { .. }
+            }
+        ));
 
         let t0 = Instant::now();
         if via_stop {
@@ -633,10 +760,12 @@ fn loris_connections_do_not_stall_healthy_clients_across_shards() {
     std::thread::sleep(Duration::from_millis(50));
 
     // Sixteen healthy round trips must all answer promptly.
-    let req = Request::Query {
+    let req = Request::Plan {
         release: "city".into(),
-        lo: vec![0, 0],
-        hi: vec![16, 16],
+        plan: QueryPlan::Range {
+            lo: vec![0, 0],
+            hi: vec![16, 16],
+        },
     };
     let t0 = Instant::now();
     for _ in 0..16 {
@@ -644,7 +773,15 @@ fn loris_connections_do_not_stall_healthy_clients_across_shards() {
         stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let resp = json_round_trip(&stream, &mut reader, &req);
-        assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
+        assert!(
+            matches!(
+                resp,
+                Response::Answer {
+                    answer: Answer::Value { .. }
+                }
+            ),
+            "{resp:?}"
+        );
     }
     assert!(
         t0.elapsed() < Duration::from_secs(5),
@@ -677,10 +814,12 @@ fn multi_shard_drain_flushes_every_shard_within_one_deadline() {
     for (i, (stream, _)) in conns.iter().enumerate() {
         let mut pipelined = String::new();
         for j in 0..PER_CONN {
-            let req = Request::Query {
+            let req = Request::Plan {
                 release: "city".into(),
-                lo: vec![0, 0],
-                hi: vec![1 + ((i + j) % 16), 16],
+                plan: QueryPlan::Range {
+                    lo: vec![0, 0],
+                    hi: vec![1 + ((i + j) % 16), 16],
+                },
             };
             pipelined.push_str(&serde_json::to_string(&req).unwrap());
             pipelined.push('\n');
@@ -715,7 +854,15 @@ fn multi_shard_drain_flushes_every_shard_within_one_deadline() {
                 break;
             }
             let resp: Response = serde_json::from_str(line.trim()).unwrap();
-            assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
+            assert!(
+                matches!(
+                    resp,
+                    Response::Answer {
+                        answer: Answer::Value { .. }
+                    }
+                ),
+                "{resp:?}"
+            );
             answers += 1;
         }
         assert_eq!(answers, PER_CONN, "connection {i} lost drained responses");
@@ -739,10 +886,12 @@ fn single_worker_across_four_shards_loses_no_wakeups() {
                 stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
                 for j in 0..50usize {
-                    let req = Request::Query {
+                    let req = Request::Plan {
                         release: "city".into(),
-                        lo: vec![0, 0],
-                        hi: vec![1 + ((t + j) % 16), 16],
+                        plan: QueryPlan::Range {
+                            lo: vec![0, 0],
+                            hi: vec![1 + ((t + j) % 16), 16],
+                        },
                     };
                     let mut line = serde_json::to_string(&req).unwrap();
                     line.push('\n');
@@ -750,7 +899,15 @@ fn single_worker_across_four_shards_loses_no_wakeups() {
                     let mut answer = String::new();
                     reader.read_line(&mut answer).unwrap();
                     let resp: Response = serde_json::from_str(answer.trim()).unwrap();
-                    assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
+                    assert!(
+                        matches!(
+                            resp,
+                            Response::Answer {
+                                answer: Answer::Value { .. }
+                            }
+                        ),
+                        "{resp:?}"
+                    );
                 }
             })
         })

@@ -5,6 +5,7 @@
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
+use dpod_query::{Answer, QueryPlan};
 use dpod_serve::protocol::{Request, Response};
 use dpod_serve::{
     spawn_metrics_exporter, spawn_with, wire, Catalog, FrontEnd, Server, SpawnOptions,
@@ -48,10 +49,12 @@ fn drive_traffic(addr: std::net::SocketAddr) {
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     for _ in 0..3 {
-        let mut line = serde_json::to_string(&Request::Query {
+        let mut line = serde_json::to_string(&Request::Plan {
             release: "city".into(),
-            lo: vec![0, 0],
-            hi: vec![4, 4],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![4, 4],
+            },
         })
         .unwrap();
         line.push('\n');
@@ -60,7 +63,9 @@ fn drive_traffic(addr: std::net::SocketAddr) {
         reader.read_line(&mut answer).unwrap();
         assert!(matches!(
             serde_json::from_str::<Response>(answer.trim()).unwrap(),
-            Response::Value { .. }
+            Response::Answer {
+                answer: Answer::Value { .. }
+            }
         ));
     }
     drop(reader);
@@ -68,12 +73,25 @@ fn drive_traffic(addr: std::net::SocketAddr) {
     let mut client = wire::Client::connect(addr).unwrap();
     for _ in 0..3 {
         client
-            .send(&Request::Batch {
+            .send(&Request::Plan {
                 release: "city".into(),
-                ranges: vec![(vec![0, 0], vec![4, 4]), (vec![0, 0], vec![8, 8])],
+                plan: QueryPlan::Many {
+                    plans: vec![
+                        QueryPlan::Range {
+                            lo: vec![0, 0],
+                            hi: vec![4, 4],
+                        },
+                        QueryPlan::Total,
+                    ],
+                },
             })
             .unwrap();
-        assert!(matches!(client.receive().unwrap(), Response::Values { .. }));
+        assert!(matches!(
+            client.receive().unwrap(),
+            Response::Answer {
+                answer: Answer::Many { .. }
+            }
+        ));
     }
 }
 
@@ -91,8 +109,8 @@ fn assert_key_series(body: &str, front_end: FrontEnd) {
     );
     assert!(body.contains("quantile=\"0.99\""), "missing p99 quantiles");
     // Request mix.
-    assert!(body.contains("dpod_requests_total{transport=\"json\",kind=\"query\"} 3"));
-    assert!(body.contains("dpod_requests_total{transport=\"binary\",kind=\"batch\"} 3"));
+    assert!(body.contains("dpod_requests_total{transport=\"json\",kind=\"plan_range\"} 3"));
+    assert!(body.contains("dpod_requests_total{transport=\"binary\",kind=\"plan_many\"} 3"));
     // Event-loop health gauges exist either way (shard 0's series are
     // pre-registered); on the event front end the shards must actually
     // have woken. Since the loop was sharded the series carry a
@@ -203,7 +221,7 @@ fn metrics_exposition_pool_front_end() {
 /// cache counters.
 #[test]
 fn epoch_gauges_cover_the_series_lifecycle() {
-    use dpod_query::{EpochSelector, QueryPlan, WindowMerge};
+    use dpod_query::{EpochSelector, WindowMerge};
 
     let fresh = |seed: u64| {
         let shape = Shape::new(vec![8, 8]).unwrap();
@@ -260,8 +278,6 @@ fn epoch_gauges_cover_the_series_lifecycle() {
 /// the stats snapshot.
 #[test]
 fn pyramid_gauges_cover_drill_down_traffic() {
-    use dpod_query::QueryPlan;
-
     let server = test_server();
     let drill = Request::Plan {
         release: "city".into(),
@@ -339,13 +355,13 @@ fn exposition_samples(text: &str) -> BTreeMap<String, String> {
 }
 
 /// The three surfaces render one snapshot: after mixed traffic (window
-/// and drill-down plans, a legacy batch, an LRU eviction), every sample
+/// and drill-down plans, a range plan, an LRU eviction), every sample
 /// of a `Stats` answer fetched over NDJSON and over `DPRB` equals the
 /// same sample of a `/metrics` scrape. Only the series the `Stats`
 /// requests themselves move are excluded.
 #[test]
 fn stats_and_metrics_render_one_snapshot() {
-    use dpod_query::{EpochSelector, QueryPlan, WindowMerge};
+    use dpod_query::{EpochSelector, WindowMerge};
 
     let release = |seed: u64| {
         let mut m = DenseMatrix::<u64>::zeros(Shape::new(vec![8, 8]).unwrap());
@@ -392,10 +408,10 @@ fn stats_and_metrics_render_one_snapshot() {
             plan: Box::new(QueryPlan::Total),
         }),
         plan(QueryPlan::TopK { k: 2 }),
-        Request::Batch {
-            release: "city".into(),
-            ranges: vec![(vec![0, 0], vec![4, 4]), (vec![0, 0], vec![8, 8])],
-        },
+        plan(QueryPlan::Range {
+            lo: vec![0, 0],
+            hi: vec![4, 4],
+        }),
     ];
     let json = TcpStream::connect(handle.addr()).unwrap();
     let mut json_reader = BufReader::new(json.try_clone().unwrap());
@@ -426,7 +442,7 @@ fn stats_and_metrics_render_one_snapshot() {
 
     // The traffic did what it was meant to: its own request kinds, and
     // an eviction (three epochs touched, fewer resident).
-    for kind in ["plan_window", "plan_drill_down", "plan_top_k", "batch"] {
+    for kind in ["plan_window", "plan_drill_down", "plan_top_k", "plan_range"] {
         for transport in ["json", "binary"] {
             let key = format!("dpod_requests_total{{transport=\"{transport}\",kind=\"{kind}\"}}");
             assert_eq!(scraped.get(&key).map(String::as_str), Some("1"), "{key}");

@@ -2,7 +2,7 @@
 //! stream into the same response bytes and the same close behaviour.
 //!
 //! Each case builds one client stream from a mix of pieces — NDJSON
-//! request lines, legacy and packed `DPRB` frames after their preamble,
+//! request lines, plain and packed `DPRB` frames after their preamble,
 //! blank lines, garbage lines and garbage frame bodies — and ends it
 //! one of several ways: a clean EOF, an unterminated final line, a line
 //! past [`MAX_LINE_BYTES`], an oversized length prefix, or a frame cut
@@ -85,7 +85,17 @@ fn endpoints() -> &'static Endpoints {
     })
 }
 
-/// A small request vocabulary: valid and failing legacy ranges and
+/// A `Many` of `Range` leaves, one per `(lo, hi)` pair.
+fn ranges(pairs: Vec<(Vec<usize>, Vec<usize>)>) -> QueryPlan {
+    QueryPlan::Many {
+        plans: pairs
+            .into_iter()
+            .map(|(lo, hi)| QueryPlan::Range { lo, hi })
+            .collect(),
+    }
+}
+
+/// A small request vocabulary: valid and failing ranges and range
 /// batches, plans of several kinds, and an unknown release. No `Stats`:
 /// its counters move between the two sessions of a case.
 fn request(n: usize) -> Request {
@@ -96,34 +106,31 @@ fn request(n: usize) -> Request {
     };
     match n % 12 {
         0 => Request::List,
-        1 => Request::Query {
-            release: city(),
+        1 => plan(QueryPlan::Range {
             lo: vec![0, 0],
             hi: vec![8, 8],
-        },
-        2 => Request::Query {
-            release: city(),
+        }),
+        2 => plan(QueryPlan::Range {
             lo: vec![1, 2],
             hi: vec![5, 7],
-        },
-        3 => Request::Query {
-            release: city(),
+        }),
+        3 => plan(QueryPlan::Range {
             lo: vec![0, 0],
             hi: vec![9, 9],
-        },
-        4 => Request::Query {
+        }),
+        4 => Request::Plan {
             release: "missing".into(),
-            lo: vec![0, 0],
-            hi: vec![1, 1],
+            plan: QueryPlan::Range {
+                lo: vec![0, 0],
+                hi: vec![1, 1],
+            },
         },
-        5 => Request::Batch {
-            release: city(),
-            ranges: vec![(vec![0, 0], vec![4, 4]), (vec![2, 2], vec![8, 8])],
-        },
-        6 => Request::Batch {
-            release: city(),
-            ranges: vec![(vec![0, 0], vec![4, 4]), (vec![5], vec![2])],
-        },
+        5 => plan(ranges(vec![
+            (vec![0, 0], vec![4, 4]),
+            (vec![2, 2], vec![8, 8]),
+        ])),
+        // One bad range fails the whole `Many`.
+        6 => plan(ranges(vec![(vec![0, 0], vec![4, 4]), (vec![5], vec![2])])),
         7 => plan(QueryPlan::Total),
         8 => plan(QueryPlan::TopK { k: 3 }),
         9 => plan(QueryPlan::Marginal { keep: vec![1] }),
@@ -199,7 +206,7 @@ impl std::fmt::Debug for Case {
     }
 }
 
-/// Builds a [`Case`]: `encoding` picks NDJSON (0), legacy `DPRB` (1) or
+/// Builds a [`Case`]: `encoding` picks NDJSON (0), plain `DPRB` (1) or
 /// packed `DPRB` (2); `pieces` are `(kind, parameter)` pairs; `ending`
 /// picks how the stream stops; `cut_seeds` place the split points.
 fn build_case(

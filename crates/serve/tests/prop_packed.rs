@@ -1,11 +1,11 @@
 //! Packed-wire and encoded-memo acceptance tests.
 //!
-//! * Property tests: zigzag and varint primitives round-trip across
-//!   their whole domains.
+//! * Property tests: the varint primitive round-trips across its whole
+//!   domain.
 //! * 256 deterministic mixed requests answer identically across all
 //!   three transports — in-process dispatch, NDJSON over TCP, and the
 //!   `DPRB` binary protocol — with the binary protocol exercised both
-//!   legacy and packed (feature bit negotiated in the preamble).
+//!   plain and packed (feature bit negotiated in the preamble).
 //! * Warm encoded-memo hits serve bit-identical bytes to cold
 //!   execution, on one server and across identically-seeded servers.
 
@@ -22,12 +22,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 proptest! {
-    #[test]
-    fn zigzag_round_trips(bits in any::<u64>()) {
-        let v = bits as i64;
-        prop_assert_eq!(wire::unzigzag(wire::zigzag(v)), v);
-    }
-
     #[test]
     fn uvarint_round_trips(v in any::<u64>()) {
         let mut buf = Vec::new();
@@ -104,22 +98,27 @@ fn request_for(rng: &mut Rng) -> Request {
         _ => "city".to_string(),
     };
     match rng.below(8) {
-        0 => Request::Query {
+        0 => Request::Plan {
             release,
-            lo: vec![rng.below(8) as usize, rng.below(8) as usize],
-            hi: vec![rng.below(10) as usize, rng.below(10) as usize],
+            plan: QueryPlan::Range {
+                lo: vec![rng.below(8) as usize, rng.below(8) as usize],
+                hi: vec![rng.below(10) as usize, rng.below(10) as usize],
+            },
         },
         1 | 2 => {
-            // Dense batches: the packed coordinate encoding's target.
+            // Dense range batches: many small boxes in one `Many`.
             let n = rng.below(24) as usize;
-            let ranges = (0..n)
+            let plans = (0..n)
                 .map(|_| {
                     let lo = vec![rng.below(8) as usize, rng.below(8) as usize];
                     let hi = vec![lo[0] + rng.below(3) as usize, lo[1] + rng.below(3) as usize];
-                    (lo, hi)
+                    QueryPlan::Range { lo, hi }
                 })
                 .collect();
-            Request::Batch { release, ranges }
+            Request::Plan {
+                release,
+                plan: QueryPlan::Many { plans },
+            }
         }
         3 => Request::Plan {
             release,
@@ -165,8 +164,8 @@ fn ndjson_round_trip(
     serde_json::from_str(answer.trim()).unwrap()
 }
 
-/// The satellite acceptance test: 256 deterministic mixed requests,
-/// answered over four live paths — in-process, NDJSON/TCP, legacy
+/// Transport equivalence: 256 deterministic mixed requests,
+/// answered over four live paths — in-process, NDJSON/TCP, plain
 /// `DPRB`, and packed `DPRB` — produce JSON-identical responses.
 #[test]
 fn packed_and_unpacked_transports_answer_identically_256_cases() {
@@ -181,9 +180,9 @@ fn packed_and_unpacked_transports_answer_identically_256_cases() {
     let mut json_reader = BufReader::new(stream.try_clone().unwrap());
     let mut json_writer = stream;
 
-    let mut legacy = wire::Client::connect_with(addr, false).unwrap();
+    let mut plain = wire::Client::connect_with(addr, false).unwrap();
     let mut packed = wire::Client::connect_with(addr, true).unwrap();
-    assert!(!legacy.is_packed());
+    assert!(!plain.is_packed());
     assert!(packed.is_packed());
 
     let mut rng = Rng(0x5eed_cafe_f00d_0001);
@@ -191,13 +190,13 @@ fn packed_and_unpacked_transports_answer_identically_256_cases() {
         let req = request_for(&mut rng);
         let in_process = server.handle(&req);
         let via_json = ndjson_round_trip(&mut json_reader, &mut json_writer, &req);
-        let via_legacy = legacy.request(&req).unwrap();
+        let via_plain = plain.request(&req).unwrap();
         let via_packed = packed.request(&req).unwrap();
 
         let want = serde_json::to_string(&in_process).unwrap();
         for (name, got) in [
             ("ndjson", &via_json),
-            ("dprb", &via_legacy),
+            ("dprb", &via_plain),
             ("dprb-packed", &via_packed),
         ] {
             assert_eq!(

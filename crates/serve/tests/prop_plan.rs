@@ -1,13 +1,11 @@
 //! Property tests for the typed query algebra: every [`QueryPlan`]
-//! variant answers **bit-identically** across the three transports —
+//! variant answers **bit-identically** across the transports —
 //! in-process [`Server::handle`], newline-delimited JSON, and `DPRB`
-//! binary frames — and the legacy `Query`/`Batch` JSON surface is
-//! byte-stable (documents a pre-algebra client sends keep producing the
-//! exact response bytes they always did).
+//! binary frames, plain and packed.
 
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
-use dpod_fmatrix::{AxisBox, DenseMatrix, Shape};
+use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_query::{QueryPlan, Region};
 use dpod_serve::protocol::{Request, Response};
 use dpod_serve::{wire, Catalog, Server};
@@ -213,9 +211,15 @@ fn ndjson_round_trip(
 
 /// End-to-end over real sockets: every plan variant answers with the
 /// same serialized bytes via in-process dispatch, a live NDJSON
-/// connection, and a live `DPRB` connection.
+/// connection, and a live `DPRB` connection, plain or packed.
 #[test]
 fn live_transports_agree_on_every_variant() {
+    for packed in [false, true] {
+        live_transports_agree(packed);
+    }
+}
+
+fn live_transports_agree(packed: bool) {
     let server = server();
     let handle = dpod_serve::spawn(Arc::clone(server), "127.0.0.1:0", 2).unwrap();
     let addr = handle.addr();
@@ -223,7 +227,7 @@ fn live_transports_agree_on_every_variant() {
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = BufWriter::new(stream);
-    let mut binary = wire::Client::connect(addr).unwrap();
+    let mut binary = wire::Client::connect_with(addr, packed).unwrap();
 
     let plans = vec![
         QueryPlan::Range {
@@ -265,7 +269,10 @@ fn live_transports_agree_on_every_variant() {
                 serde_json::to_string(&ndjson_round_trip(&mut reader, &mut writer, &req)).unwrap();
             let via_binary = serde_json::to_string(&binary.request(&req).unwrap()).unwrap();
             assert_eq!(in_process, via_ndjson, "NDJSON drifted on {req:?}");
-            assert_eq!(in_process, via_binary, "DPRB drifted on {req:?}");
+            assert_eq!(
+                in_process, via_binary,
+                "DPRB (packed: {packed}) drifted on {req:?}"
+            );
             // Live sockets serve the indexed backend; every transport
             // must still produce the cold ScanBackend bytes.
             assert_eq!(
@@ -276,62 +283,4 @@ fn live_transports_agree_on_every_variant() {
         }
     }
     handle.stop();
-}
-
-/// Legacy back-compat: the exact JSON documents a pre-algebra client
-/// sends still parse, still answer, and still serialize to the exact
-/// byte shapes PR 2 produced — single-field `Value`/`Values` documents
-/// whose numbers bit-equal the engine's direct answers.
-#[test]
-fn legacy_query_and_batch_json_is_byte_stable() {
-    let server = server();
-
-    // The released estimate, read directly (not through the protocol).
-    let entry = server.catalog().get("city").unwrap();
-    let matrix = entry.release.as_ref().clone().into_sanitized().unwrap();
-    let expect_44 = matrix.range_sum(&AxisBox::new(vec![0, 0], vec![4, 4]).unwrap());
-    let expect_88 = matrix.range_sum(&AxisBox::new(vec![0, 0], vec![8, 8]).unwrap());
-
-    // Byte-for-byte what a PR 2 client would write on the wire.
-    let query_doc = r#"{"Query":{"release":"city","lo":[0,0],"hi":[4,4]}}"#;
-    let req: Request = serde_json::from_str(query_doc).unwrap();
-    let response = serde_json::to_string(&server.handle(&req)).unwrap();
-    assert_eq!(
-        response,
-        format!(
-            "{{\"Value\":{{\"value\":{}}}}}",
-            serde_json::to_string(&expect_44).unwrap()
-        ),
-        "legacy Query response drifted"
-    );
-
-    let batch_doc = r#"{"Batch":{"release":"city","ranges":[[[0,0],[4,4]],[[0,0],[8,8]]]}}"#;
-    let req: Request = serde_json::from_str(batch_doc).unwrap();
-    let response = serde_json::to_string(&server.handle(&req)).unwrap();
-    assert_eq!(
-        response,
-        format!(
-            "{{\"Values\":{{\"values\":[{},{}]}}}}",
-            serde_json::to_string(&expect_44).unwrap(),
-            serde_json::to_string(&expect_88).unwrap()
-        ),
-        "legacy Batch response drifted"
-    );
-
-    // And the legacy DPRB opcodes produce the same values through the
-    // binary codec (opcode bytes pinned: 0x01 Query → 0x81 Value).
-    let req = Request::Query {
-        release: "city".into(),
-        lo: vec![0, 0],
-        hi: vec![4, 4],
-    };
-    let frame = wire::encode_request(&req);
-    assert_eq!(frame[5], 0x01, "legacy Query opcode moved");
-    let resp = server.handle(&wire::decode_request(&frame).unwrap());
-    let encoded = wire::encode_response(&resp);
-    assert_eq!(encoded[5], 0x81, "legacy Value opcode moved");
-    let Response::Value { value } = wire::decode_response(&encoded).unwrap() else {
-        panic!("expected value");
-    };
-    assert_eq!(value.to_bits(), expect_44.to_bits());
 }

@@ -216,10 +216,17 @@ fn ndjson_round_trip(
 
 /// End-to-end over real sockets: drill-down plans answer with the same
 /// serialized bytes via in-process dispatch, a live NDJSON connection,
-/// and a live `DPRB` connection — and match the coarsened-leaf
-/// reference, with the pyramid hit counters proving the coarse route.
+/// and a live `DPRB` connection, plain or packed — and match the
+/// coarsened-leaf reference, with the pyramid hit counters proving the
+/// coarse route.
 #[test]
 fn live_transports_agree_on_drill_downs() {
+    for packed in [false, true] {
+        live_drill_downs_agree(packed);
+    }
+}
+
+fn live_drill_downs_agree(packed: bool) {
     let server = server();
     let handle = dpod_serve::spawn(Arc::clone(server), "127.0.0.1:0", 2).unwrap();
     let addr = handle.addr();
@@ -227,7 +234,7 @@ fn live_transports_agree_on_drill_downs() {
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = BufWriter::new(stream);
-    let mut binary = wire::Client::connect(addr).unwrap();
+    let mut binary = wire::Client::connect_with(addr, packed).unwrap();
 
     let drills: Vec<(u32, QueryPlan)> = vec![
         (0, QueryPlan::Total),
@@ -257,7 +264,10 @@ fn live_transports_agree_on_drill_downs() {
             serde_json::to_string(&ndjson_round_trip(&mut reader, &mut writer, &req)).unwrap();
         let via_binary = serde_json::to_string(&binary.request(&req).unwrap()).unwrap();
         assert_eq!(in_process, via_ndjson, "NDJSON drifted on {req:?}");
-        assert_eq!(in_process, via_binary, "DPRB drifted on {req:?}");
+        assert_eq!(
+            in_process, via_binary,
+            "DPRB (packed: {packed}) drifted on {req:?}"
+        );
         if let Some(reference) = coarsened_answer("city", level, &inner) {
             if matches!(
                 inner,

@@ -1,14 +1,17 @@
 //! Property tests for the `DPRB` binary protocol: any request or
-//! response round-trips through the binary codec (stats snapshots
-//! through the NDJSON codec too), and the binary path is
+//! response round-trips through the binary codec, plain and packed
+//! (stats snapshots through the NDJSON codec too); the binary path is
 //! *JSON-path-equivalent* — an arbitrary request decoded from its binary
 //! encoding produces, against a live server, exactly the answers (in
-//! order) that the NDJSON encoding of the same request produces.
+//! order) that the NDJSON encoding of the same request produces; and
+//! mutated frame bodies never panic either decoder, and whatever still
+//! decodes re-encodes to the same bytes.
 
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_obs::{MetricKind, Sample};
+use dpod_query::{Answer, EpochSelector, QueryPlan, Region, TopCell, WindowMerge};
 use dpod_serve::protocol::{ReleaseInfo, Request, Response, Snapshot};
 use dpod_serve::{wire, Catalog, Server};
 use proptest::prelude::*;
@@ -53,34 +56,104 @@ fn arb_name() -> impl Strategy<Value = String> {
 
 /// One range: 0–3 dimensions, coordinates straying past the 8×8 domain
 /// so in-domain, out-of-domain and lo>hi corners all occur.
-fn arb_range() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
+fn arb_range() -> impl Strategy<Value = QueryPlan> {
     (0usize..4).prop_flat_map(|d| {
         (
             prop::collection::vec(0usize..12, d),
             prop::collection::vec(0usize..12, d),
         )
+            .prop_map(|(lo, hi)| QueryPlan::Range { lo, hi })
     })
 }
 
-fn arb_request() -> impl Strategy<Value = Request> {
+/// Plans: range counts dominate (alone and as `Many` batches of mixed
+/// dimensionality, the shape a range-count workload sends), then one of
+/// every other tag so each plan decoder branch meets the codecs.
+fn arb_plan() -> impl Strategy<Value = QueryPlan> {
     (
-        0usize..8,
-        arb_name(),
-        prop::collection::vec(arb_range(), 0..24),
+        0usize..10,
         arb_range(),
+        prop::collection::vec(arb_range(), 0..24),
+        (0usize..9, 0u64..6, 0u32..4),
+        prop::collection::vec(0usize..3, 0..3),
+        (0usize..9, 0usize..9, 0usize..9, 0usize..9),
     )
-        .prop_map(|(kind, release, ranges, single)| match kind {
-            0 | 1 => Request::Query {
-                release,
-                lo: single.0,
-                hi: single.1,
+        .prop_map(
+            |(kind, range, ranges, (k, epoch, level), keep, (a, b, c, d))| match kind {
+                0..=2 => range,
+                3..=5 => QueryPlan::Many { plans: ranges },
+                6 => QueryPlan::Total,
+                7 => QueryPlan::TopK { k },
+                8 => QueryPlan::Marginal { keep },
+                _ => match epoch % 3 {
+                    0 => QueryPlan::DrillDown {
+                        level,
+                        plan: Box::new(range),
+                    },
+                    1 => QueryPlan::Window {
+                        select: EpochSelector::Range {
+                            from: epoch,
+                            to: epoch + k as u64,
+                        },
+                        merge: WindowMerge::PerEpoch,
+                        plan: Box::new(QueryPlan::Marginal { keep }),
+                    },
+                    _ => QueryPlan::od()
+                        .with_origin(Region::new((a, b), (c, d)))
+                        .with_stop(k % 2, Region::new((b, a), (d, c))),
+                },
             },
-            // Batches dominate: they are the protocol's reason to exist,
-            // and mixing per-range dimensionality exercises both the
-            // packed and the heterogeneous encodings.
-            2..=5 => Request::Batch { release, ranges },
-            6 => Request::List,
-            _ => Request::Stats,
+        )
+}
+
+fn arb_request() -> impl Strategy<Value = Request> {
+    (0usize..8, arb_name(), arb_plan()).prop_map(|(kind, release, plan)| match kind {
+        0..=5 => Request::Plan { release, plan },
+        6 => Request::List,
+        _ => Request::Stats,
+    })
+}
+
+/// One answer leaf of every kind; top-k cells stay inside their domain
+/// (the codec carries them as flat indices against `dims`).
+fn arb_leaf_answer() -> impl Strategy<Value = Answer> {
+    (
+        0usize..3,
+        prop::collection::vec(any::<f64>(), 0..32),
+        prop::collection::vec(1usize..6, 0..4),
+        prop::collection::vec(any::<u64>(), 0..6),
+    )
+        .prop_map(|(kind, values, dims, picks)| match kind {
+            0 => Answer::Value {
+                value: values.first().copied().unwrap_or(0.5),
+            },
+            1 => Answer::Marginal { dims, values },
+            _ => Answer::TopK {
+                cells: picks
+                    .iter()
+                    .zip(&values)
+                    .map(|(&pick, &value)| TopCell {
+                        coords: dims.iter().map(|&d| (pick % d as u64) as usize).collect(),
+                        value,
+                    })
+                    .collect(),
+                dims,
+            },
+        })
+}
+
+/// Answers: leaves, `Many` of leaves and per-epoch window answers.
+fn arb_answer() -> impl Strategy<Value = Answer> {
+    (
+        0usize..4,
+        arb_leaf_answer(),
+        prop::collection::vec(arb_leaf_answer(), 0..4),
+        prop::collection::vec(any::<u64>(), 0..4),
+    )
+        .prop_map(|(kind, leaf, answers, epochs)| match kind {
+            0 | 1 => leaf,
+            2 => Answer::Many { answers },
+            _ => Answer::Epochs { epochs, answers },
         })
 }
 
@@ -119,17 +192,14 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
 fn arb_response() -> impl Strategy<Value = Response> {
     (
         0usize..5,
-        prop::collection::vec(any::<f64>(), 0..32),
+        arb_answer(),
         arb_name(),
         0u64..1_000_000,
         prop::collection::vec(1usize..64, 0..4),
         arb_snapshot(),
     )
-        .prop_map(|(kind, values, name, counter, domain, stats)| match kind {
-            0 => Response::Value {
-                value: values.first().copied().unwrap_or(0.5),
-            },
-            1 => Response::Values { values },
+        .prop_map(|(kind, answer, name, counter, domain, stats)| match kind {
+            0 | 1 => Response::Answer { answer },
             2 => Response::Releases {
                 releases: vec![ReleaseInfo {
                     name: name.clone(),
@@ -161,12 +231,15 @@ proptest! {
         prop_assert_eq!(&via_json, &via_wire);
     }
 
-    /// Binary response frames are lossless, down to f64 bit patterns.
+    /// Binary response frames are lossless, down to f64 bit patterns,
+    /// in the plain and the packed encoding alike.
     #[test]
     fn responses_round_trip_identically(resp in arb_response()) {
-        let via_wire = wire::decode_response(&wire::encode_response(&resp))
-            .map_err(|e| TestCaseError::fail(e.0))?;
-        prop_assert_eq!(&via_wire, &resp);
+        for body in [wire::encode_response(&resp), wire::encode_response_packed(&resp)] {
+            let via_wire = wire::decode_response(&body)
+                .map_err(|e| TestCaseError::fail(e.0))?;
+            prop_assert_eq!(&via_wire, &resp);
+        }
     }
 
     /// A stats snapshot survives both codecs unchanged: `0x88` frames
@@ -211,4 +284,77 @@ proptest! {
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(a, b);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The decoders on hostile bytes: every surviving request and
+    /// response kind (packed answers and `0x88` snapshots included) is
+    /// encoded, then mutated by a bit flip, a truncation or a bumped
+    /// length field, and fed to both decoders. Neither may panic, and a
+    /// body that still decodes must re-encode to exactly its own bytes
+    /// (bytes, not values, so NaN payloads compare).
+    #[test]
+    fn mutated_bodies_decode_or_fail_without_panicking(
+        req in arb_request(),
+        resp in arb_response(),
+        pick in 0usize..3,
+        mutation in (0usize..3, any::<u64>(), any::<u64>()),
+    ) {
+        let body = match pick {
+            0 => wire::encode_request(&req),
+            1 => wire::encode_response(&resp),
+            _ => wire::encode_response_packed(&resp),
+        };
+        let mutated = mutate(&body, mutation);
+        if let Ok(req) = wire::decode_request(&mutated) {
+            prop_assert_eq!(wire::encode_request(&req), mutated.clone(), "request {:?}", req);
+        }
+        if let Ok(resp) = wire::decode_response(&mutated) {
+            let again = if mutated[5] == PACKED_ANSWER {
+                wire::encode_response_packed(&resp)
+            } else {
+                wire::encode_response(&resp)
+            };
+            prop_assert_eq!(again, mutated, "response {:?}", resp);
+        }
+    }
+}
+
+/// The packed answer opcode: the one response the packed encoder emits
+/// differently from the plain one.
+const PACKED_ANSWER: u8 = 0x87;
+
+/// Applies one mutation to a frame body: `kind` 0 flips one bit, 1 cuts
+/// the body short, and 2 adds a signed delta to one little-endian `u64`
+/// word that reads like a length or count (below 2²⁰), past the
+/// 6-byte header.
+fn mutate(body: &[u8], (kind, at, delta): (usize, u64, u64)) -> Vec<u8> {
+    let mut out = body.to_vec();
+    match kind {
+        0 => {
+            let bit = at % (out.len() as u64 * 8);
+            out[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+        1 => out.truncate((at % out.len() as u64) as usize),
+        _ => {
+            let word = |p: usize| u64::from_le_bytes(out[p..p + 8].try_into().expect("8 bytes"));
+            let lengths: Vec<usize> = (6..out.len().saturating_sub(7))
+                .filter(|&p| word(p) < 1 << 20)
+                .collect();
+            if let Some(&p) = lengths.get((at % lengths.len().max(1) as u64) as usize) {
+                // Mostly small nudges either way, sometimes a huge claim.
+                let delta = match delta % 4 {
+                    0 => 1,
+                    1 => u64::MAX,
+                    2 => delta % 64,
+                    _ => delta,
+                };
+                let bumped = word(p).wrapping_add(delta);
+                out[p..p + 8].copy_from_slice(&bumped.to_le_bytes());
+            }
+        }
+    }
+    out
 }

@@ -123,6 +123,7 @@ mod serve_protocol {
     use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
     use dpod_dp::Epsilon;
     use dpod_fmatrix::{DenseMatrix, Shape};
+    use dpod_query::{Answer, QueryPlan};
     use dpod_serve::protocol::{Request, Response};
     use dpod_serve::{wire, Catalog, Server};
     use std::io::{BufRead, BufReader, Write};
@@ -237,6 +238,14 @@ mod serve_protocol {
         handle.stop();
     }
 
+    /// `plan` against the test server's `city` release.
+    fn range_request(plan: QueryPlan) -> Request {
+        Request::Plan {
+            release: "city".into(),
+            plan,
+        }
+    }
+
     #[test]
     fn degenerate_ranges_error_in_protocol_and_keep_the_connection() {
         let (handle, _server) = spawn_test_server();
@@ -252,31 +261,42 @@ mod serve_protocol {
         ];
         for (lo, hi) in degenerate {
             let resp = client
-                .request(&Request::Query {
-                    release: "city".into(),
-                    lo,
-                    hi,
-                })
+                .request(&range_request(QueryPlan::Range { lo, hi }))
                 .expect("transport must survive degenerate ranges");
             assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
         }
         // A batch mixing good and bad ranges errors as a unit…
         let resp = client
-            .request(&Request::Batch {
-                release: "city".into(),
-                ranges: vec![(vec![0, 0], vec![2, 2]), (vec![7, 7], vec![1, 1])],
-            })
+            .request(&range_request(QueryPlan::Many {
+                plans: vec![
+                    QueryPlan::Range {
+                        lo: vec![0, 0],
+                        hi: vec![2, 2],
+                    },
+                    QueryPlan::Range {
+                        lo: vec![7, 7],
+                        hi: vec![1, 1],
+                    },
+                ],
+            }))
             .unwrap();
         assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
         // …and the connection still answers valid queries.
         let resp = client
-            .request(&Request::Query {
-                release: "city".into(),
+            .request(&range_request(QueryPlan::Range {
                 lo: vec![0, 0],
                 hi: vec![8, 8],
-            })
+            }))
             .unwrap();
-        assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
+        assert!(
+            matches!(
+                resp,
+                Response::Answer {
+                    answer: Answer::Value { .. }
+                }
+            ),
+            "{resp:?}"
+        );
         handle.stop();
     }
 
@@ -296,11 +316,10 @@ mod serve_protocol {
             .write_all(&(noise.len() as u32).to_le_bytes())
             .unwrap();
         writer.write_all(&noise).unwrap();
-        let good = wire::encode_request(&Request::Query {
-            release: "city".into(),
+        let good = wire::encode_request(&range_request(QueryPlan::Range {
             lo: vec![0, 0],
             hi: vec![4, 4],
-        });
+        }));
         writer
             .write_all(&(good.len() as u32).to_le_bytes())
             .unwrap();
@@ -316,7 +335,9 @@ mod serve_protocol {
         let second = wire::read_frame(&mut reader).unwrap().unwrap();
         assert!(matches!(
             wire::decode_response(&second),
-            Ok(Response::Value { .. })
+            Ok(Response::Answer {
+                answer: Answer::Value { .. }
+            })
         ));
         handle.stop();
     }
@@ -324,10 +345,18 @@ mod serve_protocol {
     #[test]
     fn decode_request_survives_bit_flips() {
         // Header-byte corruption of a real frame: errors, never panics.
-        let good = wire::encode_request(&Request::Batch {
-            release: "city".into(),
-            ranges: vec![(vec![0, 0], vec![4, 4]), (vec![1, 1], vec![2, 2])],
-        });
+        let good = wire::encode_request(&range_request(QueryPlan::Many {
+            plans: vec![
+                QueryPlan::Range {
+                    lo: vec![0, 0],
+                    hi: vec![4, 4],
+                },
+                QueryPlan::Range {
+                    lo: vec![1, 1],
+                    hi: vec![2, 2],
+                },
+            ],
+        }));
         for i in 0..good.len().min(40) {
             let mut bad = good.clone();
             bad[i] ^= 0xFF;

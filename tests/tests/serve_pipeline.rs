@@ -8,6 +8,7 @@ use dpod_data::City;
 use dpod_dp::Epsilon;
 use dpod_fmatrix::{AxisBox, Shape};
 use dpod_query::workload::QueryWorkload;
+use dpod_query::{Answer, QueryPlan};
 use dpod_serve::protocol::{Request, Response};
 use dpod_serve::{Catalog, Server};
 use std::collections::HashMap;
@@ -50,6 +51,31 @@ fn workload(n: usize, seed: u64) -> Vec<AxisBox> {
     QueryWorkload::Random.draw_many(&shape, n, &mut dpod_dp::seeded_rng(seed))
 }
 
+/// The `Range` plan of one query box.
+fn range(q: &AxisBox) -> QueryPlan {
+    QueryPlan::Range {
+        lo: q.lo().to_vec(),
+        hi: q.hi().to_vec(),
+    }
+}
+
+/// The values of a `Many` of range answers, in order.
+fn values(response: Response) -> Vec<f64> {
+    let Response::Answer {
+        answer: Answer::Many { answers },
+    } = response
+    else {
+        panic!("expected a Many answer, got {response:?}");
+    };
+    answers
+        .into_iter()
+        .map(|a| match a {
+            Answer::Value { value } => value,
+            other => panic!("expected a value, got {other:?}"),
+        })
+        .collect()
+}
+
 /// The tentpole acceptance property: a 10k-query batch over a 3-release
 /// catalog, every answer bit-identical to the direct range sum.
 #[test]
@@ -64,12 +90,14 @@ fn ten_thousand_query_batch_matches_direct_range_sums() {
     let queries = workload(10_000, 99);
     for (i, q) in queries.iter().enumerate() {
         let name = names[i % names.len()];
-        let resp = server.handle(&Request::Query {
+        let resp = server.handle(&Request::Plan {
             release: name.into(),
-            lo: q.lo().to_vec(),
-            hi: q.hi().to_vec(),
+            plan: range(q),
         });
-        let Response::Value { value } = resp else {
+        let Response::Answer {
+            answer: Answer::Value { value },
+        } = resp
+        else {
             panic!("query {i} failed: {resp:?}");
         };
         let expected = reference[name].range_sum(q);
@@ -105,16 +133,14 @@ fn tcp_clients_agree_with_direct_range_sums() {
         let reference = Arc::clone(&reference);
         joins.push(std::thread::spawn(move || {
             let queries = workload(500, 200 + t as u64);
-            let ranges: Vec<(Vec<usize>, Vec<usize>)> = queries
-                .iter()
-                .map(|q| (q.lo().to_vec(), q.hi().to_vec()))
-                .collect();
             let stream = std::net::TcpStream::connect(addr).unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut writer = BufWriter::new(stream);
-            let req = Request::Batch {
+            let req = Request::Plan {
                 release: name.into(),
-                ranges,
+                plan: QueryPlan::Many {
+                    plans: queries.iter().map(range).collect(),
+                },
             };
             writer
                 .write_all(serde_json::to_string(&req).unwrap().as_bytes())
@@ -123,9 +149,7 @@ fn tcp_clients_agree_with_direct_range_sums() {
             writer.flush().unwrap();
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            let Response::Values { values } = serde_json::from_str(line.trim()).unwrap() else {
-                panic!("batch on {name} failed");
-            };
+            let values = values(serde_json::from_str(line.trim()).unwrap());
             assert_eq!(values.len(), queries.len());
             for (q, got) in queries.iter().zip(&values) {
                 let expected = reference[name].range_sum(q);
@@ -159,12 +183,17 @@ fn binary_tcp_clients_agree_with_direct_range_sums() {
         let reference = Arc::clone(&reference);
         joins.push(std::thread::spawn(move || {
             let queries = workload(500, 300 + t as u64);
-            let ranges: Vec<(Vec<usize>, Vec<usize>)> = queries
-                .iter()
-                .map(|q| (q.lo().to_vec(), q.hi().to_vec()))
-                .collect();
             let mut client = dpod_serve::wire::Client::connect(addr).unwrap();
-            let values = client.batch(name, ranges).unwrap();
+            let values = values(
+                client
+                    .request(&Request::Plan {
+                        release: name.into(),
+                        plan: QueryPlan::Many {
+                            plans: queries.iter().map(range).collect(),
+                        },
+                    })
+                    .unwrap(),
+            );
             assert_eq!(values.len(), queries.len());
             for (q, got) in queries.iter().zip(&values) {
                 let expected = reference[name].range_sum(q);
@@ -285,12 +314,14 @@ fn reloaded_catalog_serves_identical_answers() {
     let server = Server::new(Arc::new(reloaded), 64 << 20);
     for (name, sanitized) in reference.iter() {
         for q in workload(200, 77) {
-            let resp = server.handle(&Request::Query {
+            let resp = server.handle(&Request::Plan {
                 release: name.clone(),
-                lo: q.lo().to_vec(),
-                hi: q.hi().to_vec(),
+                plan: range(&q),
             });
-            let Response::Value { value } = resp else {
+            let Response::Answer {
+                answer: Answer::Value { value },
+            } = resp
+            else {
                 panic!("{name}: {resp:?}");
             };
             assert_eq!(value, sanitized.range_sum(&q));
