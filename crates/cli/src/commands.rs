@@ -10,7 +10,10 @@ use dpod_fmatrix::Shape;
 use dpod_obs::HistogramSnapshot;
 use dpod_query::{plan, Answer, QueryPlan, ReleaseIndex};
 use dpod_serve::protocol::{Request, Response, Snapshot};
-use dpod_serve::{series, Catalog, MetricsExporter, Server, ServerHandle, SpawnOptions, WireMode};
+use dpod_serve::{
+    series, Catalog, Client, MetricsExporter, ResponseEncoding, Server, ServerHandle, SpawnOptions,
+    WireMode,
+};
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
@@ -398,61 +401,28 @@ pub struct ReplayArgs {
 /// live connection). `Send` so `--connections` can run one per thread.
 type PlanResponder<'a> = Box<dyn FnMut(&QueryPlan) -> Result<Response, CliError> + Send + 'a>;
 
-/// One live connection answering one request at a time.
-type Responder = Box<dyn FnMut(&Request) -> Result<Response, CliError> + Send>;
-
-/// Opens one connection over the chosen encoding: a `DPRB`
-/// [`wire::Client`](dpod_serve::wire::Client) or an NDJSON
-/// request/response loop, both yielding one [`Response`] per request.
-fn remote_responder(addr: &str, binary: bool) -> Result<Responder, CliError> {
-    if binary {
-        let mut client = dpod_serve::wire::Client::connect(addr)
-            .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-        Ok(Box::new(move |req| {
-            client.request(req).map_err(|e| CliError(e.0))
-        }))
-    } else {
-        use std::io::{BufRead, BufReader, BufWriter, Write};
-        let stream = std::net::TcpStream::connect(addr)
-            .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-        stream.set_nodelay(true).ok();
-        let mut reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| CliError(format!("socket: {e}")))?,
-        );
-        let mut writer = BufWriter::new(stream);
-        Ok(Box::new(move |req| {
-            let mut line = serde_json::to_string(req).map_err(|e| CliError(e.to_string()))?;
-            line.push('\n');
-            writer
-                .write_all(line.as_bytes())
-                .and_then(|()| writer.flush())
-                .map_err(|e| CliError(format!("send: {e}")))?;
-            let mut answer = String::new();
-            reader
-                .read_line(&mut answer)
-                .map_err(|e| CliError(format!("receive: {e}")))?;
-            serde_json::from_str(answer.trim()).map_err(|e| CliError(format!("bad response: {e}")))
-        }))
+/// `--binary` selects plain `DPRB`; NDJSON otherwise.
+fn encoding(binary: bool) -> ResponseEncoding {
+    match binary {
+        true => ResponseEncoding::Binary,
+        false => ResponseEncoding::Json,
     }
 }
 
+fn connect(addr: &str, enc: ResponseEncoding) -> Result<Client, CliError> {
+    Client::connect(addr, enc).map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))
+}
+
 /// A replay connection: each plan travels as a `Plan` request against
-/// `release` over [`remote_responder`].
-fn remote_plan_responder(
-    addr: &str,
-    release: &str,
-    binary: bool,
-) -> Result<PlanResponder<'static>, CliError> {
-    let mut respond = remote_responder(addr, binary)?;
+/// `release` over one [`Client`].
+fn remote_plan_responder(mut client: Client, release: &str) -> PlanResponder<'static> {
     let release = release.to_string();
-    Ok(Box::new(move |plan| {
-        respond(&Request::Plan {
+    Box::new(move |plan| {
+        Ok(client.request(&Request::Plan {
             release: release.clone(),
             plan: plan.clone(),
-        })
-    }))
+        })?)
+    })
 }
 
 /// `dpod replay`: re-runs a recorded stream of [`QueryPlan`]s against a
@@ -510,7 +480,7 @@ pub fn replay(args: &ReplayArgs) -> Result<String, CliError> {
         return replay_fan_out(
             addr,
             &args.release,
-            args.binary,
+            encoding(args.binary),
             args.connections,
             &plans,
             args.slo_report.as_deref(),
@@ -518,7 +488,7 @@ pub fn replay(args: &ReplayArgs) -> Result<String, CliError> {
     }
 
     let mut respond: PlanResponder = match &args.connect {
-        Some(addr) => remote_plan_responder(addr, &args.release, args.binary)?,
+        Some(addr) => remote_plan_responder(connect(addr, encoding(args.binary))?, &args.release),
         None => {
             let release = load_release(Path::new(&args.release))?;
             let sanitized = Arc::new(
@@ -551,27 +521,8 @@ pub fn replay(args: &ReplayArgs) -> Result<String, CliError> {
         )),
         None => None,
     };
-    let mut report = ConnReport::new();
     let started = Instant::now();
-    for plan in &plans {
-        let t0 = Instant::now();
-        let response = respond(plan)?;
-        report
-            .latency
-            .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        match &response {
-            Response::Answer { answer } => report.leaves += answer.units(),
-            Response::Error { .. } => report.errors += 1,
-            other => return Err(CliError(format!("unexpected response {other:?}"))),
-        }
-        if let Some(out) = &mut answers_out {
-            use std::io::Write;
-            let line = serde_json::to_string(&response).map_err(|e| CliError(e.to_string()))?;
-            out.write_all(line.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .map_err(|e| CliError(format!("cannot write answers: {e}")))?;
-        }
-    }
+    let report = replay_connection(&mut respond, plans.iter(), answers_out.as_mut())?;
     let elapsed = started.elapsed().as_secs_f64();
 
     if let Some(mut out) = answers_out {
@@ -669,6 +620,7 @@ fn write_slo_report(path: &Path, report: &SloReport) -> Result<(), CliError> {
 /// histogram instead of raw samples, so a million-plan replay costs a
 /// fixed few KiB per connection and the merged quantiles are
 /// deterministic.
+#[derive(Default)]
 struct ConnReport {
     latency: HistogramSnapshot,
     leaves: u64,
@@ -676,34 +628,54 @@ struct ConnReport {
 }
 
 impl ConnReport {
-    fn new() -> Self {
-        ConnReport {
-            latency: HistogramSnapshot::empty(),
-            leaves: 0,
-            errors: 0,
+    /// Tallies one response to a request sent at `sent`: its latency,
+    /// then an answer's leaves or one error; any other kind is refused.
+    fn record(&mut self, sent: Instant, response: &Response) -> Result<(), CliError> {
+        self.latency
+            .record(sent.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        match response {
+            Response::Answer { answer } => self.leaves += answer.units(),
+            Response::Error { .. } => self.errors += 1,
+            other => return Err(CliError(format!("unexpected response {other:?}"))),
         }
+        Ok(())
     }
 }
 
-/// Merges per-connection reports into the aggregate totals and the
-/// whole-replay latency snapshot.
-fn merge_reports(reports: &[ConnReport]) -> (HistogramSnapshot, u64, usize) {
-    let mut merged = HistogramSnapshot::empty();
-    let (mut leaves, mut errors) = (0u64, 0usize);
-    for report in reports {
-        merged.merge(&report.latency);
-        leaves += report.leaves;
-        errors += report.errors;
+/// One replay connection's loop, shared by the single-connection replay
+/// and each thread of [`fan_out_threaded`]: every plan in turn through
+/// `respond`, each response tallied and, when `answers` is given,
+/// written to it as one JSON line.
+fn replay_connection<'p>(
+    respond: &mut PlanResponder<'_>,
+    plans: impl Iterator<Item = &'p QueryPlan>,
+    mut answers: Option<&mut std::io::BufWriter<std::fs::File>>,
+) -> Result<ConnReport, CliError> {
+    let mut report = ConnReport::default();
+    for plan in plans {
+        let sent = Instant::now();
+        let response = respond(plan)?;
+        report.record(sent, &response)?;
+        if let Some(out) = answers.as_mut() {
+            use std::io::Write;
+            let line = serde_json::to_string(&response).map_err(|e| CliError(e.to_string()))?;
+            out.write_all(line.as_bytes())
+                .and_then(|()| out.write_all(b"\n"))
+                .map_err(|e| CliError(format!("cannot write answers: {e}")))?;
+        }
     }
-    (merged, leaves, errors)
+    Ok(report)
 }
 
 fn build_slo_report(reports: &[ConnReport], plans: usize, elapsed: f64) -> SloReport {
-    let (merged, leaves, errors) = merge_reports(reports);
+    let mut merged = HistogramSnapshot::empty();
+    for report in reports {
+        merged.merge(&report.latency);
+    }
     SloReport {
         plans,
-        leaves,
-        errors,
+        leaves: reports.iter().map(|r| r.leaves).sum(),
+        errors: reports.iter().map(|r| r.errors).sum(),
         wall_seconds: elapsed,
         plans_per_second: plans as f64 / elapsed,
         connections: reports.len(),
@@ -730,15 +702,15 @@ fn build_slo_report(reports: &[ConnReport], plans: usize, elapsed: f64) -> SloRe
 fn replay_fan_out(
     addr: &str,
     release: &str,
-    binary: bool,
+    enc: ResponseEncoding,
     n: usize,
     plans: &[QueryPlan],
     slo_path: Option<&Path>,
 ) -> Result<String, CliError> {
     let started = Instant::now();
     let reports: Vec<ConnReport> = match polling::Poller::new() {
-        Ok(poller) => fan_out_multiplexed(poller, addr, release, binary, n, plans)?,
-        Err(_) => fan_out_threaded(addr, release, binary, n, plans)?,
+        Ok(poller) => fan_out_multiplexed(poller, addr, release, enc, n, plans)?,
+        Err(_) => fan_out_threaded(addr, release, enc, n, plans)?,
     };
     let elapsed = started.elapsed().as_secs_f64();
     let slo = build_slo_report(&reports, plans.len(), elapsed);
@@ -778,97 +750,63 @@ fn fan_out_summary(slo: &SloReport) -> String {
     )
 }
 
-/// One multiplexed load-generator connection: a nonblocking socket plus
-/// the buffers to assemble its responses incrementally. Connection `t`
-/// replays plan indexes `t, t+n, t+2n, …` strictly request/response.
-struct FanConn {
-    stream: std::net::TcpStream,
-    inbuf: Vec<u8>,
-    inpos: usize,
-    outbuf: Vec<u8>,
-    outpos: usize,
-    /// When the in-flight request was issued (`None` between requests).
-    sent_at: Option<Instant>,
-    /// Global index of the next plan this connection will send.
-    next: usize,
-    write_armed: bool,
-    done: bool,
-    report: ConnReport,
-}
-
-impl FanConn {
-    fn outstanding(&self) -> usize {
-        self.outbuf.len() - self.outpos
-    }
-}
-
-/// The readiness-driven fan-out: one thread, `n` nonblocking sockets,
-/// one poller. Each connection keeps exactly one request in flight.
+/// The readiness-driven fan-out: one thread, `n` nonblocking
+/// [`Client`]s, one poller. Connection `t` replays plan indexes
+/// `t, t+n, t+2n, …`, keeping exactly one request in flight.
 fn fan_out_multiplexed(
     poller: polling::Poller,
     addr: &str,
     release: &str,
-    binary: bool,
+    enc: ResponseEncoding,
     n: usize,
     plans: &[QueryPlan],
 ) -> Result<Vec<ConnReport>, CliError> {
-    use std::io::Read;
     use std::os::fd::AsRawFd;
 
-    let encode = |plan: &QueryPlan, out: &mut Vec<u8>| -> Result<(), CliError> {
-        let request = Request::Plan {
-            release: release.to_string(),
-            plan: plan.clone(),
-        };
-        if binary {
-            let body = dpod_serve::wire::encode_request(&request);
-            dpod_serve::wire::write_frame(out, &body).map_err(|e| CliError(e.0))
-        } else {
-            let line = serde_json::to_string(&request).map_err(|e| CliError(e.to_string()))?;
-            out.extend_from_slice(line.as_bytes());
-            out.push(b'\n');
-            Ok(())
-        }
-    };
-
-    // Nonblocking write of whatever is queued; `Ok(false)` when the
-    // connection died under us.
-    fn flush(conn: &mut FanConn) -> Result<bool, CliError> {
-        use std::io::Write;
-        while conn.outstanding() > 0 {
-            match (&conn.stream).write(&conn.outbuf[conn.outpos..]) {
-                Ok(0) => return Ok(false),
-                Ok(written) => conn.outpos += written,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(CliError(format!("send: {e}"))),
-            }
-        }
-        if conn.outstanding() == 0 {
-            conn.outbuf.clear();
-            conn.outpos = 0;
-        }
-        Ok(true)
+    /// `client` is `None` once the connection has replayed its share.
+    struct FanConn {
+        client: Option<Client>,
+        /// When the in-flight request was issued.
+        sent: Instant,
+        /// Global index of the in-flight plan.
+        next: usize,
+        write_armed: bool,
+        report: ConnReport,
     }
+    let request = |plan: &QueryPlan| Request::Plan {
+        release: release.to_string(),
+        plan: plan.clone(),
+    };
+    let poller_err = |e: std::io::Error| CliError(format!("poller: {e}"));
+    // Writes what the socket takes, with write interest armed only while
+    // bytes stay queued: EPOLLOUT is level-triggered and almost always
+    // ready, so leaving it armed would spin the generator.
+    let flush = |t: usize, client: &mut Client, armed: &mut bool| -> Result<(), CliError> {
+        let want_write = !client.flush()?;
+        if want_write != *armed {
+            *armed = want_write;
+            let interest = if want_write {
+                polling::Interest::BOTH
+            } else {
+                polling::Interest::READABLE
+            };
+            poller
+                .modify(client.as_raw_fd(), t as u64, interest)
+                .map_err(poller_err)?;
+        }
+        Ok(())
+    };
 
     let mut conns: Vec<FanConn> = Vec::with_capacity(n);
     for t in 0..n {
-        let stream = std::net::TcpStream::connect(addr)
-            .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-        stream.set_nodelay(true).ok();
-        let conn = FanConn {
-            stream,
-            inbuf: Vec::new(),
-            inpos: 0,
-            outbuf: Vec::new(),
-            outpos: 0,
-            sent_at: None,
+        let client = connect(addr, enc)?;
+        conns.push(FanConn {
+            client: (t < plans.len()).then_some(client),
+            sent: Instant::now(),
             next: t,
             write_armed: false,
-            done: t >= plans.len(),
-            report: ConnReport::new(),
-        };
-        conns.push(conn);
+            report: ConnReport::default(),
+        });
     }
     // Issue the opening requests only after every socket is connected:
     // interleaving connects with live traffic makes each blocking
@@ -876,182 +814,77 @@ fn fan_out_multiplexed(
     // connections, stretching setup from milliseconds to seconds at
     // high fan-out.
     for (t, conn) in conns.iter_mut().enumerate() {
-        if conn.done {
+        let Some(client) = &mut conn.client else {
             continue;
-        }
-        if binary {
-            conn.outbuf.extend_from_slice(dpod_serve::wire::WIRE_MAGIC);
-            conn.outbuf.push(dpod_serve::wire::WIRE_VERSION);
-        }
-        conn.sent_at = Some(Instant::now());
-        encode(&plans[t], &mut conn.outbuf)?;
-        conn.stream
+        };
+        client
             .set_nonblocking(true)
             .map_err(|e| CliError(format!("socket: {e}")))?;
-        if !flush(conn)? {
-            return Err("server closed a replay connection mid-stream".into());
-        }
-        let interest = if conn.outstanding() > 0 {
-            conn.write_armed = true;
-            polling::Interest::BOTH
-        } else {
-            polling::Interest::READABLE
-        };
         poller
-            .add(conn.stream.as_raw_fd(), t as u64, interest)
-            .map_err(|e| CliError(format!("poller: {e}")))?;
+            .add(client.as_raw_fd(), t as u64, polling::Interest::READABLE)
+            .map_err(poller_err)?;
+        conn.sent = Instant::now();
+        client.send(&request(&plans[t]))?;
+        flush(t, client, &mut conn.write_armed)?;
     }
 
-    let mut remaining = conns.iter().filter(|c| !c.done).count();
+    let mut remaining = conns.iter().filter(|c| c.client.is_some()).count();
     let mut events = Vec::new();
-    let mut scratch = vec![0u8; 64 << 10];
     while remaining > 0 {
         poller
             .wait(&mut events, Some(std::time::Duration::from_millis(500)))
-            .map_err(|e| CliError(format!("poller: {e}")))?;
+            .map_err(poller_err)?;
         for ev in events.iter().copied() {
             let t = ev.token as usize;
             let conn = &mut conns[t];
-            if conn.done {
+            let Some(client) = &mut conn.client else {
                 continue;
-            }
-            if ev.writable && !flush(conn)? {
-                return Err("server closed a replay connection mid-stream".into());
-            }
-            if ev.readable {
-                loop {
-                    match (&conn.stream).read(&mut scratch) {
-                        Ok(0) => return Err("server closed a replay connection mid-stream".into()),
-                        Ok(got) => {
-                            conn.inbuf.extend_from_slice(&scratch[..got]);
-                            if got < scratch.len() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(CliError(format!("receive: {e}"))),
-                    }
-                }
-                // Assemble every complete response available (at most
-                // one in flight, but stay defensive about framing).
-                loop {
-                    let avail = &conn.inbuf[conn.inpos..];
-                    let response = if binary {
-                        if avail.len() < 4 {
-                            break;
-                        }
-                        let len =
-                            u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
-                        if avail.len() < 4 + len {
-                            break;
-                        }
-                        let body = &avail[4..4 + len];
-                        let response = dpod_serve::wire::decode_response(body)
-                            .map_err(|e| CliError(format!("bad response: {e}")))?;
-                        conn.inpos += 4 + len;
-                        response
-                    } else {
-                        let Some(i) = avail.iter().position(|&b| b == b'\n') else {
-                            break;
-                        };
-                        let line = std::str::from_utf8(&avail[..i])
-                            .map_err(|e| CliError(format!("bad response: {e}")))?;
-                        let response: Response = serde_json::from_str(line.trim())
-                            .map_err(|e| CliError(format!("bad response: {e}")))?;
-                        conn.inpos += i + 1;
-                        response
-                    };
-                    let t0 = conn
-                        .sent_at
-                        .take()
-                        .ok_or_else(|| CliError("unsolicited response".into()))?;
-                    conn.report
-                        .latency
-                        .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                    match response {
-                        Response::Answer { answer } => conn.report.leaves += answer.units(),
-                        Response::Error { .. } => conn.report.errors += 1,
-                        other => return Err(CliError(format!("unexpected response {other:?}"))),
-                    }
-                    conn.next += n;
-                    if conn.next < plans.len() {
-                        conn.sent_at = Some(Instant::now());
-                        encode(&plans[conn.next], &mut conn.outbuf)?;
-                        if !flush(conn)? {
-                            return Err("server closed a replay connection mid-stream".into());
-                        }
-                    } else {
-                        conn.done = true;
-                        remaining -= 1;
-                        let _ = poller.delete(conn.stream.as_raw_fd());
-                        // Close the socket eagerly (the threaded
-                        // generator's drop did this implicitly): a
-                        // thread-pool server releases its worker on
-                        // EOF, so queued connections get served next
-                        // instead of waiting out the idle timeout.
-                        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                        break;
-                    }
-                }
-                if conn.inpos == conn.inbuf.len() {
-                    conn.inbuf.clear();
-                    conn.inpos = 0;
+            };
+            // One request is in flight, so one response completes it.
+            let response = if ev.readable { client.poll()? } else { None };
+            if let Some(response) = response {
+                conn.report.record(conn.sent, &response)?;
+                conn.next += n;
+                if let Some(plan) = plans.get(conn.next) {
+                    conn.sent = Instant::now();
+                    client.send(&request(plan))?;
+                } else {
+                    let _ = poller.delete(client.as_raw_fd());
+                    // Close the socket eagerly: a thread-pool server
+                    // releases its worker on EOF, so queued connections
+                    // get served next instead of waiting out the idle
+                    // timeout.
+                    conn.client = None;
+                    remaining -= 1;
+                    continue;
                 }
             }
-            // Write interest only while bytes are queued, or EPOLLOUT
-            // (level-triggered, almost always ready) would spin the
-            // generator.
-            if !conn.done {
-                let want_write = conn.outstanding() > 0;
-                if want_write != conn.write_armed {
-                    conn.write_armed = want_write;
-                    let interest = if want_write {
-                        polling::Interest::BOTH
-                    } else {
-                        polling::Interest::READABLE
-                    };
-                    poller
-                        .modify(conn.stream.as_raw_fd(), t as u64, interest)
-                        .map_err(|e| CliError(format!("poller: {e}")))?;
-                }
-            }
+            flush(t, client, &mut conn.write_armed)?;
         }
     }
     Ok(conns.into_iter().map(|c| c.report).collect())
 }
 
-/// Thread-per-connection fallback for targets without epoll: same
-/// round-robin split, one blocking request/response client per thread.
+/// Thread-per-connection fan-out, the only one where epoll is missing:
+/// the same round-robin split, every socket connected before any thread
+/// starts, then one blocking [`replay_connection`] per thread.
 fn fan_out_threaded(
     addr: &str,
     release: &str,
-    binary: bool,
+    enc: ResponseEncoding,
     n: usize,
     plans: &[QueryPlan],
 ) -> Result<Vec<ConnReport>, CliError> {
-    let reports: Vec<Result<ConnReport, CliError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|t| {
-                scope.spawn(move || -> Result<ConnReport, CliError> {
-                    let mut respond = remote_plan_responder(addr, release, binary)?;
-                    let mine = plans.iter().skip(t).step_by(n);
-                    let mut report = ConnReport::new();
-                    for plan in mine {
-                        let t0 = Instant::now();
-                        let response = respond(plan)?;
-                        report
-                            .latency
-                            .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                        match response {
-                            Response::Answer { answer } => report.leaves += answer.units(),
-                            Response::Error { .. } => report.errors += 1,
-                            other => {
-                                return Err(CliError(format!("unexpected response {other:?}")))
-                            }
-                        }
-                    }
-                    Ok(report)
+    let responders = (0..n)
+        .map(|_| Ok(remote_plan_responder(connect(addr, enc)?, release)))
+        .collect::<Result<Vec<_>, CliError>>()?;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = responders
+            .into_iter()
+            .enumerate()
+            .map(|(t, mut respond)| {
+                scope.spawn(move || {
+                    replay_connection(&mut respond, plans.iter().skip(t).step_by(n), None)
                 })
             })
             .collect();
@@ -1062,8 +895,7 @@ fn fan_out_threaded(
                     .unwrap_or_else(|_| Err("replay thread panicked".into()))
             })
             .collect()
-    });
-    reports.into_iter().collect()
+    })
 }
 
 /// `dpod query --connect`: answers query specs — classic ranges or the
@@ -1085,8 +917,8 @@ pub fn remote_query(
     specs: &[String],
     binary: bool,
 ) -> Result<String, CliError> {
-    let mut respond = remote_responder(addr, binary)?;
-    let Response::Releases { releases } = respond(&Request::List)? else {
+    let mut client = connect(addr, encoding(binary))?;
+    let Response::Releases { releases } = client.request(&Request::List)? else {
         return Err("unexpected response to List".into());
     };
     let info = releases
@@ -1113,16 +945,9 @@ pub fn remote_query(
     };
     let mut answers = Vec::with_capacity(specs.len());
     for plan in requests {
-        match respond(&Request::Plan {
-            release: release.to_string(),
-            plan,
-        })? {
-            Response::Answer {
-                answer: Answer::Many { answers: many },
-            } if batched => answers.extend(many),
-            Response::Answer { answer } => answers.push(answer),
-            Response::Error { message } => return Err(CliError(message)),
-            other => return Err(CliError(format!("unexpected response {other:?}"))),
+        match client.plan(release, plan)? {
+            Answer::Many { answers: many } if batched => answers.extend(many),
+            answer => answers.push(answer),
         }
     }
     if answers.len() != specs.len() {
@@ -1335,9 +1160,6 @@ mod tests {
 
     #[test]
     fn publish_then_serve_answers_over_tcp() {
-        use dpod_serve::protocol::{Request, Response};
-        use std::io::{BufRead, BufReader, BufWriter, Write};
-
         let dir = std::env::temp_dir().join(format!("dpod_cli_serve_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
@@ -1391,29 +1213,13 @@ mod tests {
         .unwrap();
         assert_eq!(server.catalog().len(), 2);
 
-        let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        let req = Request::Plan {
-            release: "denver-ebp".into(),
-            plan: QueryPlan::Range {
-                lo: vec![0, 0, 0, 0],
-                hi: vec![8, 8, 8, 8],
-            },
+        let mut client = Client::connect(handle.addr(), ResponseEncoding::Json).unwrap();
+        let plan = QueryPlan::Range {
+            lo: vec![0, 0, 0, 0],
+            hi: vec![8, 8, 8, 8],
         };
-        writer
-            .write_all(serde_json::to_string(&req).unwrap().as_bytes())
-            .unwrap();
-        writer.write_all(b"\n").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let resp: Response = serde_json::from_str(line.trim()).unwrap();
-        let Response::Answer {
-            answer: Answer::Value { value },
-        } = resp
-        else {
-            panic!("expected a value, got {resp:?}");
+        let Answer::Value { value } = client.plan("denver-ebp", plan).unwrap() else {
+            panic!("expected a value");
         };
         // Full-domain estimate near the 3000 generated trips.
         assert!((value - 3_000.0).abs() < 600.0, "total {value}");
@@ -1527,7 +1333,7 @@ mod tests {
         assert_eq!(server.catalog().len(), 2);
         assert_eq!(series::series_names(server.catalog()).len(), 1);
 
-        let mut client = dpod_serve::wire::Client::connect(handle.addr()).unwrap();
+        let mut client = Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
         client
             .send(&Request::Plan {
                 release: "denver".into(),
@@ -1818,17 +1624,15 @@ mod tests {
         publish(&csv_text, &args, "denver", &catalog_dir, None, None, None).unwrap();
 
         // 40 plans over 4 connections: every connection gets work and
-        // the aggregate line reports the fan-out.
+        // the aggregate line reports the fan-out. 3 plans over 8: five
+        // connections stay idle and are still reported.
         let plans_path = dir.join("plans.ndjson");
-        let mut stream = String::new();
-        for i in 0..40 {
-            stream.push_str(if i % 2 == 0 {
-                "\"Total\"\n"
-            } else {
-                "{\"TopK\":{\"k\":3}}\n"
-            });
-        }
-        std::fs::write(&plans_path, stream).unwrap();
+        let plans: Vec<QueryPlan> = (0..40)
+            .map(|i| match i % 2 {
+                0 => QueryPlan::Total,
+                _ => QueryPlan::TopK { k: 3 },
+            })
+            .collect();
 
         let (handle, server, _exporter) = start_server(&ServeArgs {
             catalog: catalog_dir,
@@ -1841,25 +1645,52 @@ mod tests {
         })
         .unwrap();
         let addr = handle.addr().to_string();
-        for binary in [false, true] {
-            let summary = replay(&ReplayArgs {
-                file: plans_path.clone(),
-                release: "denver".into(),
-                connect: Some(addr.clone()),
-                binary,
-                cold: false,
-                answers: None,
-                connections: 4,
-                slo_report: None,
-            })
-            .unwrap();
-            assert!(
-                summary.contains("replayed 40 plans over 4 connections"),
-                "{summary}"
-            );
-            assert!(summary.contains("plans/s aggregate"), "{summary}");
-            assert!(summary.contains("per-connection p99"), "{summary}");
-            assert!(summary.contains("0 errors"), "{summary}");
+        for (count, conns) in [(40, 4), (3, 8)] {
+            let mine = &plans[..count];
+            let lines: Vec<String> = mine
+                .iter()
+                .map(|p| serde_json::to_string(p).unwrap() + "\n")
+                .collect();
+            std::fs::write(&plans_path, lines.concat()).unwrap();
+            for binary in [false, true] {
+                let summary = replay(&ReplayArgs {
+                    file: plans_path.clone(),
+                    release: "denver".into(),
+                    connect: Some(addr.clone()),
+                    binary,
+                    cold: false,
+                    answers: None,
+                    connections: conns,
+                    slo_report: None,
+                })
+                .unwrap();
+                let over = format!("replayed {count} plans over {conns} connections");
+                assert!(summary.contains(&over), "{summary}");
+                assert!(summary.contains("plans/s aggregate"), "{summary}");
+                assert!(summary.contains("per-connection p99"), "{summary}");
+                assert!(summary.contains("0 errors"), "{summary}");
+
+                // The threaded driver, the only one off Linux, tallies
+                // every connection as the multiplexer does.
+                let enc = encoding(binary);
+                let threaded = fan_out_threaded(&addr, "denver", enc, conns, mine).unwrap();
+                let tally = |reports: &[ConnReport]| -> Vec<(u64, usize, u64)> {
+                    let tally = reports
+                        .iter()
+                        .map(|r| (r.leaves, r.errors, r.latency.count()));
+                    tally.collect()
+                };
+                if let Ok(poller) = polling::Poller::new() {
+                    let multiplexed =
+                        fan_out_multiplexed(poller, &addr, "denver", enc, conns, mine).unwrap();
+                    assert_eq!(tally(&threaded), tally(&multiplexed), "{enc:?}");
+                }
+                let idle = threaded.iter().filter(|r| r.latency.count() == 0);
+                assert_eq!(idle.count(), conns.saturating_sub(count));
+                let summary = fan_out_summary(&build_slo_report(&threaded, count, 1.0));
+                assert!(summary.contains(&over), "{summary}");
+                assert!(summary.contains("0 errors"), "{summary}");
+            }
         }
         // All four sockets were really concurrent on the server.
         let accepted = server
@@ -1907,6 +1738,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The fan-out reads no more than one frame cap from a server: a
+    /// declared length beyond it is refused by name, not waited for.
+    #[test]
+    fn fan_out_refuses_a_frame_over_the_cap() {
+        use dpod_serve::wire::MAX_FRAME_BYTES;
+        use std::io::{Read, Write};
+
+        let dir = std::env::temp_dir().join(format!("dpod_cli_cap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let plans_path = dir.join("plans.ndjson");
+        std::fs::write(&plans_path, "\"Total\"\n\"Total\"\n").unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let socks: Vec<_> = (0..2)
+                .map(|_| {
+                    let (mut sock, _) = listener.accept().unwrap();
+                    sock.write_all(&(MAX_FRAME_BYTES + 1).to_le_bytes()).ok();
+                    sock.shutdown(std::net::Shutdown::Write).ok();
+                    sock
+                })
+                .collect();
+            // Drain before closing: unread request bytes would turn the
+            // close into a reset.
+            for mut sock in socks {
+                sock.read_to_end(&mut Vec::new()).ok();
+            }
+        });
+        let err = replay(&ReplayArgs {
+            file: plans_path,
+            release: "any".into(),
+            connect: Some(addr),
+            binary: true,
+            cold: false,
+            answers: None,
+            connections: 2,
+            slo_report: None,
+        })
+        .unwrap_err();
+        assert!(err.0.contains(&MAX_FRAME_BYTES.to_string()), "{err}");
+        server.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Pins the fan-out summary to exact output: quantiles are bucket
     /// upper bounds, a pure function of the recorded samples, so the
     /// same samples must render the same report — regardless of the
@@ -1914,7 +1789,7 @@ mod tests {
     #[test]
     fn slo_report_quantiles_are_deterministic() {
         let build = |reversed: bool| {
-            let mut a = ConnReport::new();
+            let mut a = ConnReport::default();
             for _ in 0..50 {
                 a.latency.record(1_000_000);
             }
@@ -1922,7 +1797,7 @@ mod tests {
                 a.latency.record(3_000_000);
             }
             a.leaves = 5;
-            let mut b = ConnReport::new();
+            let mut b = ConnReport::default();
             for _ in 0..40 {
                 b.latency.record(2_000_000);
             }

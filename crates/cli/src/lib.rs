@@ -46,3 +46,9 @@ impl From<&str> for CliError {
         CliError(s.to_string())
     }
 }
+
+impl From<dpod_serve::wire::WireError> for CliError {
+    fn from(e: dpod_serve::wire::WireError) -> Self {
+        CliError(e.0)
+    }
+}

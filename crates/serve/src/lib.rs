@@ -25,6 +25,9 @@
 //!   newline-delimited JSON and/or the length-prefixed `DPRB` binary
 //!   protocol ([`wire`]), selected per connection by a preamble sniff
 //!   ([`WireMode`]).
+//! * [`Client`] — the analyst side: one connection in any
+//!   [`ResponseEncoding`], framing through the socket-free
+//!   [`client::encode_request`]/[`client::take_response`] pair.
 //!
 //! Every transport serves the same typed query algebra: a
 //! [`Request::Plan`](protocol::Request::Plan) carries any
@@ -42,6 +45,7 @@
 #![warn(clippy::all)]
 
 mod catalog;
+pub mod client;
 mod conn;
 mod engine;
 #[cfg(unix)]
@@ -53,6 +57,7 @@ mod server;
 pub mod wire;
 
 pub use catalog::{Catalog, CatalogEntry, SaveReport};
+pub use client::Client;
 pub use engine::{EngineStats, QueryEngine};
 #[cfg(unix)]
 pub use event::WRITE_BACKPRESSURE_BYTES;

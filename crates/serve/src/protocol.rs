@@ -61,7 +61,7 @@
 //! preamble selects binary framing, and no JSON document can begin with
 //! those bytes. Both encodings answer from the same catalog with
 //! bit-identical values, so clients can switch per connection
-//! ([`dpod_serve::wire::Client`](crate::wire::Client) speaks `DPRB`).
+//! ([`dpod_serve::Client`](crate::Client) speaks both).
 //! The full field-by-field layout is documented in [`crate::wire`].
 //!
 //! ## Introspection

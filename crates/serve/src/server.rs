@@ -113,7 +113,8 @@ impl ResponseEncoding {
     /// too large to frame degrades to an in-protocol error so the
     /// connection survives (the frame cap is 64 MiB; real answers stay
     /// far under it).
-    pub(crate) fn encode(self, resp: &Response) -> Vec<u8> {
+    #[must_use]
+    pub fn encode(self, resp: &Response) -> Vec<u8> {
         match self {
             ResponseEncoding::Json => {
                 let mut line = serde_json::to_string(resp)
@@ -1508,7 +1509,7 @@ mod tests {
             })
             .collect();
 
-        let mut client = crate::wire::Client::connect(addr).unwrap();
+        let mut client = crate::Client::connect(addr, ResponseEncoding::Binary).unwrap();
         let got = client.plan("city", many).unwrap();
         assert_eq!(
             got,
@@ -1566,7 +1567,7 @@ mod tests {
             },
         };
 
-        let mut binary = crate::wire::Client::connect(addr).unwrap();
+        let mut binary = crate::Client::connect(addr, ResponseEncoding::Binary).unwrap();
         let Response::Answer {
             answer: Answer::Value { value: bin_value },
         } = binary.request(&req).unwrap()
@@ -1608,7 +1609,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut client = crate::wire::Client::connect(handle.addr()).unwrap();
+        let mut client = crate::Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
         match client.request(&Request::List) {
             Ok(Response::Error { message }) => assert!(message.contains("JSON"), "{message}"),
             other => panic!("expected refusal, got {other:?}"),
@@ -1638,7 +1639,7 @@ mod tests {
             other => panic!("expected refusal frame, got {other:?}"),
         }
         // But binary clients are served normally.
-        let mut client = crate::wire::Client::connect(handle.addr()).unwrap();
+        let mut client = crate::Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
         assert!(matches!(
             client.request(&Request::List),
             Ok(Response::Releases { .. })
@@ -1972,7 +1973,7 @@ mod tests {
         // Both TCP encodings return the same bytes.
         let handle = spawn(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
         let addr = handle.addr();
-        let mut binary = crate::wire::Client::connect(addr).unwrap();
+        let mut binary = crate::Client::connect(addr, ResponseEncoding::Binary).unwrap();
         let Response::Answer { answer } = binary.request(&window(WindowMerge::Sum)).unwrap() else {
             panic!("binary window failed");
         };

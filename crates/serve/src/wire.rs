@@ -105,7 +105,6 @@ use dpod_fmatrix::codec::{FrameReader, FrameWriter};
 use dpod_obs::{MetricKind, Snapshot};
 use dpod_query::{Answer, EpochSelector, QueryPlan, Region, TopCell, WindowMerge};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 
 /// Frame magic, shared with the workspace frame registry.
 pub use dpod_fmatrix::codec::{WIRE_MAGIC, WIRE_VERSION};
@@ -889,107 +888,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
         _ => e.into(),
     })?;
     Ok(Some(body))
-}
-
-/// A blocking `DPRB` client over one TCP connection.
-///
-/// Sends the preamble on connect; thereafter [`Client::request`] is one
-/// synchronous round trip and [`Client::send`]/[`Client::receive`]
-/// support pipelining (write many, then read the answers back in order).
-#[derive(Debug)]
-pub struct Client {
-    reader: std::io::BufReader<TcpStream>,
-    writer: std::io::BufWriter<TcpStream>,
-    packed: bool,
-}
-
-impl Client {
-    /// Connects and speaks the plain `DPRB` preamble (no packed
-    /// answers); [`Self::connect_with`] picks explicitly.
-    ///
-    /// # Errors
-    /// IO errors from connect or the preamble write.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::connect_with(addr, false)
-    }
-
-    /// Connects, advertising [`WIRE_FEATURE_PACKED`] in the preamble
-    /// when `packed` is set; the server is then free to answer with
-    /// packed answer frames.
-    ///
-    /// # Errors
-    /// IO errors from connect or the preamble write.
-    pub fn connect_with(addr: impl ToSocketAddrs, packed: bool) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        // Large frames span many segments; without NODELAY the tail of
-        // a frame can sit behind Nagle waiting on a delayed ACK.
-        stream.set_nodelay(true)?;
-        let mut writer = std::io::BufWriter::new(stream.try_clone()?);
-        writer.write_all(WIRE_MAGIC)?;
-        let version = if packed {
-            WIRE_VERSION | WIRE_FEATURE_PACKED
-        } else {
-            WIRE_VERSION
-        };
-        writer.write_all(&[version])?;
-        Ok(Client {
-            reader: std::io::BufReader::new(stream),
-            writer,
-            packed,
-        })
-    }
-
-    /// Whether this connection negotiated packed answers.
-    #[must_use]
-    pub fn is_packed(&self) -> bool {
-        self.packed
-    }
-
-    /// Queues one request (buffered; flushed by [`Self::receive`]).
-    ///
-    /// # Errors
-    /// [`WireError`] on encode or IO failure.
-    pub fn send(&mut self, req: &Request) -> Result<(), WireError> {
-        write_frame(&mut self.writer, &encode_request(req))
-    }
-
-    /// Flushes queued requests and reads the next response.
-    ///
-    /// # Errors
-    /// [`WireError`] on IO failure, a server disconnect, or a malformed
-    /// response frame.
-    pub fn receive(&mut self) -> Result<Response, WireError> {
-        self.writer.flush()?;
-        let body = read_frame(&mut self.reader)?
-            .ok_or_else(|| WireError("server closed the connection".into()))?;
-        decode_response(&body)
-    }
-
-    /// One synchronous request/response round trip.
-    ///
-    /// # Errors
-    /// [`WireError`] as for [`Self::send`] and [`Self::receive`].
-    pub fn request(&mut self, req: &Request) -> Result<Response, WireError> {
-        self.send(req)?;
-        self.receive()
-    }
-
-    /// Executes a typed [`QueryPlan`] against `release`, unwrapping the
-    /// answer.
-    ///
-    /// # Errors
-    /// [`WireError`] on transport failure or a server-side
-    /// [`Response::Error`].
-    pub fn plan(&mut self, release: &str, plan: QueryPlan) -> Result<Answer, WireError> {
-        match self.request(&Request::Plan {
-            release: release.to_string(),
-            plan,
-        })? {
-            Response::Answer { answer } => Ok(answer),
-            Response::Error { message } => Err(WireError(message)),
-            other => Err(WireError(format!("unexpected response {other:?}"))),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_query::QueryPlan;
 use dpod_serve::protocol::{Request, Response};
-use dpod_serve::{spawn_with, wire, Catalog, FrontEnd, Server, SpawnOptions};
+use dpod_serve::{spawn_with, Catalog, Client, FrontEnd, ResponseEncoding, Server, SpawnOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,7 +54,7 @@ fn event_core_runs_only_its_loop_shards() {
     // The shards answer on their own: one plan, checked against the
     // cold scan of a fresh rebuild.
     let plan = QueryPlan::TopK { k: 3 };
-    let mut client = wire::Client::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
     let served = client
         .request(&Request::Plan {
             release: "city".into(),

@@ -28,8 +28,8 @@ use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_query::{Answer, QueryPlan};
 use dpod_serve::protocol::{Request, Response, Snapshot};
 use dpod_serve::{
-    spawn_with, wire, Catalog, FrontEnd, Server, ServerHandle, SpawnOptions,
-    WRITE_BACKPRESSURE_BYTES,
+    spawn_with, wire, Catalog, Client, FrontEnd, ResponseEncoding, Server, ServerHandle,
+    SpawnOptions, WRITE_BACKPRESSURE_BYTES,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -332,7 +332,7 @@ fn stalled_pipeliner_times_out_without_deadlocking_the_worker() {
     // Client B must be answered promptly while A is stalled.
     std::thread::sleep(Duration::from_millis(100));
     let t0 = Instant::now();
-    let mut client = wire::Client::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
     let resp = client
         .request(&Request::Plan {
             release: "city".into(),
@@ -469,7 +469,7 @@ fn bit_identical_to_pool_mode(conns: usize, event_loops: usize) {
     }
     let mut expected_frames: Vec<Vec<u8>> = Vec::new();
     {
-        let mut client = wire::Client::connect(pool.addr()).unwrap();
+        let mut client = Client::connect(pool.addr(), ResponseEncoding::Binary).unwrap();
         for i in 0..conns {
             client.send(&request_for(i)).unwrap();
         }
@@ -704,7 +704,7 @@ fn connection_gauges_cross_the_wire() {
     // Two idle connections plus the stats client itself.
     let idle_a = TcpStream::connect(handle.addr()).unwrap();
     let idle_b = TcpStream::connect(handle.addr()).unwrap();
-    let mut client = wire::Client::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
     let deadline = Instant::now() + REPLY_TIMEOUT;
     loop {
         let Response::Stats { stats } = client.request(&Request::Stats).unwrap() else {

@@ -8,7 +8,8 @@ use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_query::{Answer, QueryPlan};
 use dpod_serve::protocol::{Request, Response};
 use dpod_serve::{
-    spawn_metrics_exporter, spawn_with, wire, Catalog, FrontEnd, Server, SpawnOptions,
+    spawn_metrics_exporter, spawn_with, Catalog, Client, FrontEnd, ResponseEncoding, Server,
+    SpawnOptions,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -70,7 +71,7 @@ fn drive_traffic(addr: std::net::SocketAddr) {
     }
     drop(reader);
     // …and a few DPRB frames.
-    let mut client = wire::Client::connect(addr).unwrap();
+    let mut client = Client::connect(addr, ResponseEncoding::Binary).unwrap();
     for _ in 0..3 {
         client
             .send(&Request::Plan {
@@ -168,7 +169,7 @@ fn exposition_covers_served_traffic(front_end: FrontEnd) {
     assert_key_series(&body, front_end);
 
     // The stats snapshot reports the same stage histograms.
-    let mut client = wire::Client::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
     client.send(&Request::Stats).unwrap();
     let Response::Stats { stats } = client.receive().unwrap() else {
         panic!("expected stats");
@@ -423,7 +424,7 @@ fn stats_and_metrics_render_one_snapshot() {
         json_reader.read_line(&mut answer).unwrap();
         serde_json::from_str::<Response>(answer.trim()).unwrap()
     };
-    let mut binary = wire::Client::connect(handle.addr()).unwrap();
+    let mut binary = Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
     for req in &traffic {
         for resp in [json_request(req), binary.request(req).unwrap()] {
             assert!(

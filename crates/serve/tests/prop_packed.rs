@@ -14,12 +14,9 @@ use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_query::QueryPlan;
 use dpod_serve::protocol::{Request, Response};
-use dpod_serve::{spawn, wire, Catalog, ResponseEncoding, Server};
+use dpod_serve::{spawn, wire, Catalog, Client, ResponseEncoding, Server};
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 proptest! {
     #[test]
@@ -150,20 +147,6 @@ fn request_for(rng: &mut Rng) -> Request {
     }
 }
 
-fn ndjson_round_trip(
-    reader: &mut impl BufRead,
-    writer: &mut impl Write,
-    req: &Request,
-) -> Response {
-    let mut line = serde_json::to_string(req).unwrap();
-    line.push('\n');
-    writer.write_all(line.as_bytes()).unwrap();
-    writer.flush().unwrap();
-    let mut answer = String::new();
-    reader.read_line(&mut answer).unwrap();
-    serde_json::from_str(answer.trim()).unwrap()
-}
-
 /// Transport equivalence: 256 deterministic mixed requests,
 /// answered over four live paths — in-process, NDJSON/TCP, plain
 /// `DPRB`, and packed `DPRB` — produce JSON-identical responses.
@@ -173,23 +156,15 @@ fn packed_and_unpacked_transports_answer_identically_256_cases() {
     let handle = spawn(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
     let addr = handle.addr();
 
-    let stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut json_reader = BufReader::new(stream.try_clone().unwrap());
-    let mut json_writer = stream;
-
-    let mut plain = wire::Client::connect_with(addr, false).unwrap();
-    let mut packed = wire::Client::connect_with(addr, true).unwrap();
-    assert!(!plain.is_packed());
-    assert!(packed.is_packed());
+    let mut json = Client::connect(addr, ResponseEncoding::Json).unwrap();
+    let mut plain = Client::connect(addr, ResponseEncoding::Binary).unwrap();
+    let mut packed = Client::connect(addr, ResponseEncoding::BinaryPacked).unwrap();
 
     let mut rng = Rng(0x5eed_cafe_f00d_0001);
     for case in 0..256 {
         let req = request_for(&mut rng);
         let in_process = server.handle(&req);
-        let via_json = ndjson_round_trip(&mut json_reader, &mut json_writer, &req);
+        let via_json = json.request(&req).unwrap();
         let via_plain = plain.request(&req).unwrap();
         let via_packed = packed.request(&req).unwrap();
 

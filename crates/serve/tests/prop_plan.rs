@@ -8,10 +8,8 @@ use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_query::{QueryPlan, Region};
 use dpod_serve::protocol::{Request, Response};
-use dpod_serve::{wire, Catalog, Server};
+use dpod_serve::{wire, Catalog, Client, ResponseEncoding, Server};
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 
 /// A shared reference server: a 2-D release ("city", 8×8) and a 4-D
@@ -194,40 +192,23 @@ proptest! {
     }
 }
 
-/// One NDJSON round trip on an open connection.
-fn ndjson_round_trip(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    req: &Request,
-) -> Response {
-    let mut line = serde_json::to_string(req).unwrap();
-    line.push('\n');
-    writer.write_all(line.as_bytes()).unwrap();
-    writer.flush().unwrap();
-    let mut answer = String::new();
-    reader.read_line(&mut answer).unwrap();
-    serde_json::from_str(answer.trim()).unwrap()
-}
-
 /// End-to-end over real sockets: every plan variant answers with the
 /// same serialized bytes via in-process dispatch, a live NDJSON
 /// connection, and a live `DPRB` connection, plain or packed.
 #[test]
 fn live_transports_agree_on_every_variant() {
-    for packed in [false, true] {
-        live_transports_agree(packed);
+    for enc in [ResponseEncoding::Binary, ResponseEncoding::BinaryPacked] {
+        live_transports_agree(enc);
     }
 }
 
-fn live_transports_agree(packed: bool) {
+fn live_transports_agree(enc: ResponseEncoding) {
     let server = server();
     let handle = dpod_serve::spawn(Arc::clone(server), "127.0.0.1:0", 2).unwrap();
     let addr = handle.addr();
 
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = BufWriter::new(stream);
-    let mut binary = wire::Client::connect_with(addr, packed).unwrap();
+    let mut json = Client::connect(addr, ResponseEncoding::Json).unwrap();
+    let mut binary = Client::connect(addr, enc).unwrap();
 
     let plans = vec![
         QueryPlan::Range {
@@ -265,14 +246,10 @@ fn live_transports_agree(packed: bool) {
                 plan,
             };
             let in_process = serde_json::to_string(&server.handle(&req)).unwrap();
-            let via_ndjson =
-                serde_json::to_string(&ndjson_round_trip(&mut reader, &mut writer, &req)).unwrap();
+            let via_ndjson = serde_json::to_string(&json.request(&req).unwrap()).unwrap();
             let via_binary = serde_json::to_string(&binary.request(&req).unwrap()).unwrap();
             assert_eq!(in_process, via_ndjson, "NDJSON drifted on {req:?}");
-            assert_eq!(
-                in_process, via_binary,
-                "DPRB (packed: {packed}) drifted on {req:?}"
-            );
+            assert_eq!(in_process, via_binary, "DPRB ({enc:?}) drifted on {req:?}");
             // Live sockets serve the indexed backend; every transport
             // must still produce the cold ScanBackend bytes.
             assert_eq!(

@@ -11,10 +11,8 @@ use dpod_fmatrix::codec::FrameWriter;
 use dpod_fmatrix::{coarsen_once, coarsen_to_level, DenseMatrix, Shape};
 use dpod_query::QueryPlan;
 use dpod_serve::protocol::{Request, Response};
-use dpod_serve::{wire, Catalog, Server};
+use dpod_serve::{wire, Catalog, Client, ResponseEncoding, Server};
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 
 /// A shared reference server: a 16×16 release ("city", pyramid root 4)
@@ -199,21 +197,6 @@ proptest! {
     }
 }
 
-/// One NDJSON round trip on an open connection.
-fn ndjson_round_trip(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    req: &Request,
-) -> Response {
-    let mut line = serde_json::to_string(req).unwrap();
-    line.push('\n');
-    writer.write_all(line.as_bytes()).unwrap();
-    writer.flush().unwrap();
-    let mut answer = String::new();
-    reader.read_line(&mut answer).unwrap();
-    serde_json::from_str(answer.trim()).unwrap()
-}
-
 /// End-to-end over real sockets: drill-down plans answer with the same
 /// serialized bytes via in-process dispatch, a live NDJSON connection,
 /// and a live `DPRB` connection, plain or packed — and match the
@@ -221,20 +204,18 @@ fn ndjson_round_trip(
 /// coarse route.
 #[test]
 fn live_transports_agree_on_drill_downs() {
-    for packed in [false, true] {
-        live_drill_downs_agree(packed);
+    for enc in [ResponseEncoding::Binary, ResponseEncoding::BinaryPacked] {
+        live_drill_downs_agree(enc);
     }
 }
 
-fn live_drill_downs_agree(packed: bool) {
+fn live_drill_downs_agree(enc: ResponseEncoding) {
     let server = server();
     let handle = dpod_serve::spawn(Arc::clone(server), "127.0.0.1:0", 2).unwrap();
     let addr = handle.addr();
 
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = BufWriter::new(stream);
-    let mut binary = wire::Client::connect_with(addr, packed).unwrap();
+    let mut json = Client::connect(addr, ResponseEncoding::Json).unwrap();
+    let mut binary = Client::connect(addr, enc).unwrap();
 
     let drills: Vec<(u32, QueryPlan)> = vec![
         (0, QueryPlan::Total),
@@ -260,14 +241,10 @@ fn live_drill_downs_agree(packed: bool) {
             },
         };
         let in_process = serde_json::to_string(&server.handle(&req)).unwrap();
-        let via_ndjson =
-            serde_json::to_string(&ndjson_round_trip(&mut reader, &mut writer, &req)).unwrap();
+        let via_ndjson = serde_json::to_string(&json.request(&req).unwrap()).unwrap();
         let via_binary = serde_json::to_string(&binary.request(&req).unwrap()).unwrap();
         assert_eq!(in_process, via_ndjson, "NDJSON drifted on {req:?}");
-        assert_eq!(
-            in_process, via_binary,
-            "DPRB (packed: {packed}) drifted on {req:?}"
-        );
+        assert_eq!(in_process, via_binary, "DPRB ({enc:?}) drifted on {req:?}");
         if let Some(reference) = coarsened_answer("city", level, &inner) {
             if matches!(
                 inner,

@@ -5,7 +5,8 @@
 //! encoding produces, against a live server, exactly the answers (in
 //! order) that the NDJSON encoding of the same request produces; and
 //! mutated frame bodies never panic either decoder, and whatever still
-//! decodes re-encodes to the same bytes.
+//! decodes re-encodes to the same bytes; the client's response parser
+//! yields the same responses however a stream is split.
 
 use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
 use dpod_dp::Epsilon;
@@ -13,7 +14,7 @@ use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_obs::{MetricKind, Sample};
 use dpod_query::{Answer, EpochSelector, QueryPlan, Region, TopCell, WindowMerge};
 use dpod_serve::protocol::{ReleaseInfo, Request, Response, Snapshot};
-use dpod_serve::{wire, Catalog, Server};
+use dpod_serve::{client, wire, Catalog, ResponseEncoding, Server};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -320,6 +321,96 @@ proptest! {
             prop_assert_eq!(again, mutated, "response {:?}", resp);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The client's parser is split-invariant: a stream of responses in
+    /// any encoding, intact or mutated, fed to `take_response` in chunks
+    /// cut at random points yields exactly what one whole-buffer pass
+    /// yields. An intact stream re-encodes to its own bytes, a truncated
+    /// response is `None`, and a declared frame length over the cap is
+    /// refused by name; no input panics.
+    #[test]
+    fn take_response_is_split_invariant(
+        resps in prop::collection::vec(arb_response(), 1..4),
+        pick in 0usize..3,
+        cuts in prop::collection::vec(any::<u64>(), 0..8),
+        at in any::<u64>(),
+        mutation in (0usize..3, any::<u64>(), any::<u64>()),
+        oversize in (wire::MAX_FRAME_BYTES + 1)..=u32::MAX,
+    ) {
+        let enc = ENCODINGS[pick];
+        let stream: Vec<u8> = resps.iter().flat_map(|r| enc.encode(r)).collect();
+        let whole = feed(enc, &stream, &[]);
+        prop_assert_eq!(&feed(enc, &stream, &cuts), &whole);
+        if whole.1.is_none() {
+            prop_assert_eq!(whole.0.concat(), stream.clone());
+        }
+        let mutated = mutate(&stream, mutation);
+        prop_assert_eq!(feed(enc, &mutated, &cuts), feed(enc, &mutated, &[]));
+
+        let first = enc.encode(&resps[0]);
+        let cut = (at % first.len() as u64) as usize;
+        prop_assert!(matches!(client::take_response(enc, &first[..cut]), Ok(None)));
+        if enc != ResponseEncoding::Json {
+            let mut huge = oversize.to_le_bytes().to_vec();
+            huge.extend_from_slice(&first[4..]);
+            let err = client::take_response(enc, &huge).map(|_| ()).unwrap_err();
+            prop_assert!(err.0.contains("exceeds max"), "{}", err);
+        }
+    }
+}
+
+/// A JSON line longer than the frame cap is refused by name, not
+/// buffered without bound.
+#[test]
+fn json_lines_over_the_cap_are_refused() {
+    let line = vec![b' '; wire::MAX_FRAME_BYTES as usize + 1];
+    let err = client::take_response(ResponseEncoding::Json, &line)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(err.0.contains("exceeds max"), "{err}");
+    let short = &line[..wire::MAX_FRAME_BYTES as usize];
+    assert!(matches!(
+        client::take_response(ResponseEncoding::Json, short),
+        Ok(None)
+    ));
+}
+
+const ENCODINGS: [ResponseEncoding; 3] = [
+    ResponseEncoding::Json,
+    ResponseEncoding::Binary,
+    ResponseEncoding::BinaryPacked,
+];
+
+/// Feeds `bytes` to `take_response` in chunks ending at `cuts` (taken
+/// modulo the length) and at the end, taking every complete response
+/// after each chunk. Returns the responses re-encoded (bytes, not
+/// values, so NaN payloads compare) and the error that stopped the
+/// stream, if any.
+fn feed(enc: ResponseEncoding, bytes: &[u8], cuts: &[u64]) -> (Vec<Vec<u8>>, Option<String>) {
+    let mut ends: Vec<usize> = cuts
+        .iter()
+        .map(|&c| (c % (bytes.len() as u64 + 1)) as usize)
+        .chain([bytes.len()])
+        .collect();
+    ends.sort_unstable();
+    let (mut taken, mut pos) = (Vec::new(), 0);
+    for end in ends {
+        loop {
+            match client::take_response(enc, &bytes[pos..end]) {
+                Ok(Some((resp, used))) => {
+                    taken.push(enc.encode(&resp));
+                    pos += used;
+                }
+                Ok(None) => break,
+                Err(e) => return (taken, Some(e.0)),
+            }
+        }
+    }
+    (taken, None)
 }
 
 /// The packed answer opcode: the one response the packed encoder emits

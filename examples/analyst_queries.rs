@@ -14,8 +14,7 @@ use dpod_data::{City, OdMatrixBuilder, TrajectoryConfig};
 use dpod_dp::Epsilon;
 use dpod_query::{plan, Answer, QueryPlan, Region};
 use dpod_serve::protocol::Request;
-use dpod_serve::{spawn, Catalog, Server};
-use std::io::{BufRead, BufReader, Write};
+use dpod_serve::{spawn, Catalog, Client, ResponseEncoding, Server};
 use std::sync::Arc;
 
 fn main() {
@@ -36,7 +35,7 @@ fn main() {
     println!("serving 'denver' (6-D, 1 stop) on {}", handle.addr());
 
     // ---- Analyst: the typed algebra over the DPRB binary wire. ----
-    let mut client = dpod_serve::wire::Client::connect(handle.addr()).expect("connect");
+    let mut client = Client::connect(handle.addr(), ResponseEncoding::Binary).expect("connect");
 
     let total = client
         .plan("denver", QueryPlan::Total)
@@ -82,22 +81,18 @@ fn main() {
     }
 
     // ---- The same vocabulary, one JSON line (any shell can do this). --
-    let stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
+    let mut json = Client::connect(handle.addr(), ResponseEncoding::Json).expect("connect");
     let req = Request::Plan {
         release: "denver".into(),
         plan: QueryPlan::Many {
             plans: vec![QueryPlan::Total, QueryPlan::TopK { k: 1 }],
         },
     };
-    let mut line = serde_json::to_string(&req).expect("serializable");
+    let line = serde_json::to_string(&req).expect("serializable");
     println!("NDJSON request                  : {line}");
-    line.push('\n');
-    writer.write_all(line.as_bytes()).expect("send");
-    let mut answer = String::new();
-    reader.read_line(&mut answer).expect("receive");
-    print!("NDJSON response                 : {answer}");
+    let answer = json.request(&req).expect("round trip");
+    let answer = serde_json::to_string(&answer).expect("serializable");
+    println!("NDJSON response                 : {answer}");
 
     // ---- Served answers are post-processing: identical to local. ----
     let local = plan::execute(&sanitized, &od_plan).expect("local execute");

@@ -125,7 +125,7 @@ mod serve_protocol {
     use dpod_fmatrix::{DenseMatrix, Shape};
     use dpod_query::{Answer, QueryPlan};
     use dpod_serve::protocol::{Request, Response};
-    use dpod_serve::{wire, Catalog, Server};
+    use dpod_serve::{wire, Catalog, Client, ResponseEncoding, Server};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use std::sync::Arc;
@@ -249,7 +249,7 @@ mod serve_protocol {
     #[test]
     fn degenerate_ranges_error_in_protocol_and_keep_the_connection() {
         let (handle, _server) = spawn_test_server();
-        let mut client = wire::Client::connect(handle.addr()).unwrap();
+        let mut client = Client::connect(handle.addr(), ResponseEncoding::Binary).unwrap();
         // Zero-dimension range, lo>hi corner, wrong arity, out of
         // domain: each is a Response::Error, and the connection keeps
         // answering afterwards.

@@ -10,9 +10,8 @@ use dpod_fmatrix::{AxisBox, Shape};
 use dpod_query::workload::QueryWorkload;
 use dpod_query::{Answer, QueryPlan};
 use dpod_serve::protocol::{Request, Response};
-use dpod_serve::{Catalog, Server};
+use dpod_serve::{Catalog, Client, ResponseEncoding, Server};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::sync::Arc;
 
 const SIDE: usize = 64;
@@ -133,23 +132,17 @@ fn tcp_clients_agree_with_direct_range_sums() {
         let reference = Arc::clone(&reference);
         joins.push(std::thread::spawn(move || {
             let queries = workload(500, 200 + t as u64);
-            let stream = std::net::TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            let req = Request::Plan {
-                release: name.into(),
-                plan: QueryPlan::Many {
-                    plans: queries.iter().map(range).collect(),
-                },
-            };
-            writer
-                .write_all(serde_json::to_string(&req).unwrap().as_bytes())
-                .unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let values = values(serde_json::from_str(line.trim()).unwrap());
+            let mut client = Client::connect(addr, ResponseEncoding::Json).unwrap();
+            let values = values(
+                client
+                    .request(&Request::Plan {
+                        release: name.into(),
+                        plan: QueryPlan::Many {
+                            plans: queries.iter().map(range).collect(),
+                        },
+                    })
+                    .unwrap(),
+            );
             assert_eq!(values.len(), queries.len());
             for (q, got) in queries.iter().zip(&values) {
                 let expected = reference[name].range_sum(q);
@@ -183,7 +176,7 @@ fn binary_tcp_clients_agree_with_direct_range_sums() {
         let reference = Arc::clone(&reference);
         joins.push(std::thread::spawn(move || {
             let queries = workload(500, 300 + t as u64);
-            let mut client = dpod_serve::wire::Client::connect(addr).unwrap();
+            let mut client = Client::connect(addr, ResponseEncoding::Binary).unwrap();
             let values = values(
                 client
                     .request(&Request::Plan {
