@@ -13,7 +13,7 @@
 use crate::{MechanismError, PartitionSummary, SanitizedMatrix};
 use dpod_fmatrix::codec::{FrameReader, FrameWriter, RELEASE_MAGIC, RELEASE_VERSION};
 use dpod_fmatrix::{AxisBox, DenseMatrix, FmError, Shape};
-use dpod_partition::Partitioning;
+use dpod_partition::{Partitioning, ValidationError};
 use serde::{Deserialize, Serialize};
 
 /// Body discriminant in the `DPRL` binary frame.
@@ -82,6 +82,13 @@ impl PublishedRelease {
     /// its estimate and prefix table already built: the serve side calls
     /// this at publish, so the first query does not build them.
     ///
+    /// For the partition form, the estimate is filled by the validation
+    /// walk itself ([`Partitioning::validate_with`]): each run a box
+    /// claims gets the box's `count / volume`, so the boxes are walked
+    /// once. The estimate is allocated before that walk; a domain too
+    /// large for it is refused as
+    /// [`ValidationError::DomainTooLarge`].
+    ///
     /// # Errors
     /// [`MechanismError::Invalid`] when the artifact is internally
     /// inconsistent (wrong value count, malformed boxes, or — for the
@@ -97,7 +104,26 @@ impl PublishedRelease {
                 Ok(SanitizedMatrix::from_entries(&self.mechanism, self.epsilon, matrix).built())
             }
             ReleaseBody::Partitions { boxes, counts } => {
-                let partitioning = checked_partitioning(shape.clone(), &boxes, &counts)?;
+                let partitioning = checked_boxes(shape.clone(), &boxes, &counts)?;
+                let cells = shape.size();
+                let mut estimate = Vec::new();
+                estimate
+                    .try_reserve_exact(cells)
+                    .map_err(|_| invalid_partitioning(ValidationError::DomainTooLarge { cells }))?;
+                estimate.resize(cells, 0.0);
+                // Runs arrive box by box, so the density is computed
+                // once per box.
+                let mut density = (usize::MAX, 0.0);
+                partitioning
+                    .validate_with(|i, start, run| {
+                        if density.0 != i {
+                            density = (i, counts[i] / partitioning.boxes()[i].volume() as f64);
+                        }
+                        estimate[start..start + run].fill(density.1);
+                    })
+                    .map_err(invalid_partitioning)?;
+                let estimate =
+                    DenseMatrix::from_vec(shape.clone(), estimate).map_err(MechanismError::Fm)?;
                 Ok(SanitizedMatrix::from_partitions(
                     &self.mechanism,
                     self.epsilon,
@@ -105,6 +131,7 @@ impl PublishedRelease {
                     partitioning,
                     counts,
                 )
+                .with_estimate(estimate)
                 .built())
             }
         }
@@ -112,8 +139,10 @@ impl PublishedRelease {
 
     /// Runs every check [`Self::into_sanitized`] runs, with the same
     /// errors, without building the matrix: for the partition form that
-    /// is one pass over a byte-per-cell coverage bitmap
-    /// ([`Partitioning::validate`]).
+    /// is one walk over a bit-per-cell coverage map
+    /// ([`Partitioning::validate`]). A domain whose map fits but whose
+    /// estimate would not passes here and is refused by
+    /// [`Self::into_sanitized`].
     ///
     /// # Errors
     /// As for [`Self::into_sanitized`].
@@ -121,9 +150,9 @@ impl PublishedRelease {
         let shape = Shape::new(self.domain.clone()).map_err(MechanismError::Fm)?;
         match &self.body {
             ReleaseBody::PerEntry { values } => check_entries(&shape, values),
-            ReleaseBody::Partitions { boxes, counts } => {
-                checked_partitioning(shape, boxes, counts).map(drop)
-            }
+            ReleaseBody::Partitions { boxes, counts } => checked_boxes(shape, boxes, counts)?
+                .validate()
+                .map_err(invalid_partitioning),
         }
     }
 
@@ -259,9 +288,9 @@ fn check_entries(shape: &Shape, values: &[f64]) -> Result<(), MechanismError> {
     Ok(())
 }
 
-/// The partition form's checks: one finite count per box, and boxes
-/// that are a disjoint cover of `shape`.
-fn checked_partitioning(
+/// The partition form's checks before the cover walk: one finite count
+/// per box, and boxes with well-formed corners.
+fn checked_boxes(
     shape: Shape,
     boxes: &[(Vec<usize>, Vec<usize>)],
     counts: &[f64],
@@ -282,8 +311,12 @@ fn checked_partitioning(
         .iter()
         .map(|(lo, hi)| AxisBox::new(lo.clone(), hi.clone()).map_err(MechanismError::Fm))
         .collect::<Result<_, _>>()?;
-    Partitioning::new_validated(shape, boxes)
-        .map_err(|e| MechanismError::Invalid(format!("invalid partitioning: {e}")))
+    Ok(Partitioning::new_unchecked(shape, boxes))
+}
+
+/// A failed cover walk as a [`MechanismError`].
+fn invalid_partitioning(e: ValidationError) -> MechanismError {
+    MechanismError::Invalid(format!("invalid partitioning: {e}"))
 }
 
 #[cfg(test)]

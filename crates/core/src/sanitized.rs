@@ -95,6 +95,17 @@ impl SanitizedMatrix {
         }
     }
 
+    /// Supplies the per-entry estimate, built by the caller from the
+    /// partitions with the uniformity formula, so the first read does not
+    /// build it again.
+    pub(crate) fn with_estimate(self, matrix: DenseMatrix<f64>) -> Self {
+        debug_assert_eq!(matrix.shape(), &self.domain);
+        SanitizedMatrix {
+            matrix: OnceLock::from(matrix),
+            ..self
+        }
+    }
+
     /// Builds the estimate and its prefix table now, so that no later read
     /// pays for them.
     pub(crate) fn built(self) -> Self {

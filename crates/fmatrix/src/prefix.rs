@@ -30,10 +30,10 @@ impl SatValue for f64 {}
 /// count whenever it fits a `u64`, even where the running prefix or a
 /// partial corner sum wraps.
 ///
-/// Build cost: `O(d · size)` additions, done as one row-wise pass per
-/// dimension over contiguous slices; bit-identical to a per-line build
-/// at stride. Memory: one accumulator per cell. Box sums allocate
-/// nothing.
+/// Build cost: `O(d · size)` additions in one sweep over the matrix,
+/// each slab of the leading dimension finished while it is in cache
+/// ([`PrefixSum::build`]). Memory: one accumulator per cell, plus one
+/// slab while building. Box sums allocate nothing.
 ///
 /// ```
 /// use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum, Shape};
@@ -51,20 +51,64 @@ pub struct PrefixSum<A> {
 impl<A: SatValue> PrefixSum<A> {
     /// Builds a table from any dense matrix via an element conversion.
     ///
-    /// The table is the result of one pass per dimension, in order:
-    /// along a dimension with stride `s > 1` the pass adds each `s`-long
-    /// row slice into the next (`row[i] = row[i−1] + row[i]`, element by
-    /// element), so it streams contiguous memory; along the last
-    /// dimension (`s = 1`) it keeps one running sum per line. Every cell
-    /// gets the same additions, with the same operands in the same
-    /// order, as a per-line walk at stride, so the table is
-    /// bit-identical to it.
+    /// The table is defined as one pass per dimension, in order: along
+    /// dimension `j`, each cell becomes the sum of itself and the
+    /// cell one step before it (`row[i] = row[i−1] + row[i]`, the
+    /// earlier operand on the left). Dimensions of extent 1 pass
+    /// nothing.
+    ///
+    /// The build makes those passes in one sweep. Let `lead` be the
+    /// first dimension of extent > 1; its slabs `x₀, x₁, …` (one per
+    /// coordinate along `lead`, `stride(lead)` cells each) are visited
+    /// in order. A running slab accumulator holds `acc₀ = x₀`, then
+    /// `acc_k = acc_{k−1} + x_k` element by element, which is exactly
+    /// what the pass along `lead` leaves in slab `k` (the passes before
+    /// it are over extent-1 dimensions). The accumulator is copied into
+    /// the table, and the passes along the later dimensions run on that
+    /// slab while it is still in cache: each of them works within one
+    /// slab, in the same row order as over the whole table. So every
+    /// cell gets the same additions, with the same operands, in the
+    /// same order, as the pass-per-dimension definition, and the table
+    /// is bit-identical to it, for `f64` as for `Wrapping<u64>`. When
+    /// `lead` is the last dimension of extent > 1 the sweep is one
+    /// running sum over the matrix.
     pub fn build<T: Element>(matrix: &DenseMatrix<T>, conv: impl Fn(T) -> A) -> Self {
         let shape = matrix.shape().clone();
-        let mut table: Vec<A> = matrix.as_slice().iter().map(|&v| conv(v)).collect();
-        for (&extent, &stride) in shape.dims().iter().zip(shape.strides()) {
-            if extent > 1 {
-                for lines in table.chunks_exact_mut(stride * extent) {
+        let values = matrix.as_slice();
+        let (dims, strides) = (shape.dims(), shape.strides());
+        let Some(lead) = dims.iter().position(|&extent| extent > 1) else {
+            let table = values.iter().map(|&v| conv(v)).collect();
+            return PrefixSum { shape, table };
+        };
+        let slab = strides[lead];
+        let mut table = Vec::with_capacity(values.len());
+        if slab == 1 {
+            let mut acc = conv(values[0]);
+            table.push(acc);
+            for &v in &values[1..] {
+                acc = acc + conv(v);
+                table.push(acc);
+            }
+            return PrefixSum { shape, table };
+        }
+        let later: Vec<(usize, usize)> = dims[lead + 1..]
+            .iter()
+            .zip(&strides[lead + 1..])
+            .filter(|(&extent, _)| extent > 1)
+            .map(|(&extent, &stride)| (extent, stride))
+            .collect();
+        let mut acc: Vec<A> = values[..slab].iter().map(|&v| conv(v)).collect();
+        for (k, x) in values.chunks_exact(slab).enumerate() {
+            if k > 0 {
+                for (a, &v) in acc.iter_mut().zip(x) {
+                    *a = *a + conv(v);
+                }
+            }
+            let at = table.len();
+            table.extend_from_slice(&acc);
+            let slab = &mut table[at..];
+            for &(extent, stride) in &later {
+                for lines in slab.chunks_exact_mut(stride * extent) {
                     add_along(lines, extent, stride);
                 }
             }
@@ -162,10 +206,81 @@ impl PrefixSum<f64> {
 mod tests {
     use super::*;
     use crate::Shape;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     fn shape(dims: &[usize]) -> Shape {
         Shape::new(dims.to_vec()).unwrap()
+    }
+
+    /// The build [`PrefixSum::build`] replaced, kept as its reference:
+    /// copy the whole matrix, then one full-table pass per dimension.
+    fn build_per_pass<T: Element, A: SatValue>(
+        matrix: &DenseMatrix<T>,
+        conv: impl Fn(T) -> A,
+    ) -> Vec<A> {
+        let shape = matrix.shape();
+        let mut table: Vec<A> = matrix.as_slice().iter().map(|&v| conv(v)).collect();
+        for (&extent, &stride) in shape.dims().iter().zip(shape.strides()) {
+            if extent > 1 {
+                for lines in table.chunks_exact_mut(stride * extent) {
+                    add_along(lines, extent, stride);
+                }
+            }
+        }
+        table
+    }
+
+    /// Strategy: 1–6 dims of extent 1–9, the first `ones` of them forced
+    /// to extent 1 (so leading extent-1 dims come up often), plus a seed
+    /// for the values.
+    fn arb_shape_and_seed() -> impl Strategy<Value = (Shape, u64)> {
+        (
+            prop::collection::vec(1usize..=9, 1..=6),
+            0usize..=2,
+            any::<u64>(),
+        )
+            .prop_map(|(mut dims, ones, seed)| {
+                let ones = ones.min(dims.len());
+                dims[..ones].fill(1);
+                (Shape::new(dims).unwrap(), seed)
+            })
+    }
+
+    /// An `f64` of one of five kinds: zero of either sign, a subnormal,
+    /// a value near ±1, or one near ±1e300 (so sums reach infinity).
+    fn awkward_f64(rng: &mut impl Rng) -> f64 {
+        let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+        sign * match rng.gen_range(0..5) {
+            0 => 0.0,
+            1 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            2 | 3 => rng.gen_range(0.0..2.0),
+            _ => rng.gen_range(1.0..9.0) * 1e300,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The blocked build equals the per-pass build bit for bit, in
+        /// `f64` and in the wrapping count table.
+        #[test]
+        fn blocked_build_matches_per_pass_build((s, seed) in arb_shape_and_seed()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let values = (0..s.size()).map(|_| awkward_f64(&mut rng)).collect();
+            let m = DenseMatrix::from_vec(s.clone(), values).unwrap();
+            let got: Vec<u64> = PrefixSum::from_f64(&m).table.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = build_per_pass(&m, |v| v).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "f64 over {:?}", s.dims());
+
+            // Counts near u64::MAX, so the table wraps.
+            let counts = (0..s.size())
+                .map(|_| u64::MAX - rng.gen_range(0..1u64 << 20))
+                .collect();
+            let m = DenseMatrix::from_vec(s.clone(), counts).unwrap();
+            let got = PrefixSum::from_counts(&m).table;
+            prop_assert_eq!(got, build_per_pass(&m, Wrapping), "counts over {:?}", s.dims());
+        }
     }
 
     #[test]

@@ -36,6 +36,13 @@ pub enum ValidationError {
         /// Index of the offending box.
         index: usize,
     },
+    /// The domain has more cells than per-cell state can be allocated
+    /// for: a frame may declare any domain, so this is refused by name
+    /// instead of aborting the process.
+    DomainTooLarge {
+        /// Number of domain cells declared.
+        cells: usize,
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -55,6 +62,9 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::EmptyBox { index } => {
                 write!(f, "box {index} covers no cell")
+            }
+            ValidationError::DomainTooLarge { cells } => {
+                write!(f, "a domain of {cells} cells does not fit in memory")
             }
         }
     }
@@ -143,20 +153,42 @@ impl Partitioning {
     /// Checks that every box is non-empty, that the boxes are pairwise
     /// disjoint, and that they exactly cover the domain.
     ///
-    /// Boxes are checked in order: dimensionality, then fit, then
-    /// emptiness, then each box claims its cells in a coverage bitmap
-    /// (one byte per domain cell) by contiguous last-dimension runs
-    /// ([`BoxRuns`]). A cell claimed twice is an overlap, reported with
-    /// the lowest-indexed box that owns the first such cell in row-major
-    /// order; a final count of claimed cells proves coverage. Cost:
-    /// `O(size)` with no allocation per cell, instead of the `O(n²)`
-    /// pairwise test.
+    /// The same walk as [`Partitioning::validate_with`], with a sink that
+    /// does nothing.
     ///
     /// # Errors
     /// The first violation found, as a [`ValidationError`].
     pub fn validate(&self) -> Result<(), ValidationError> {
+        self.validate_with(|_, _, _| {})
+    }
+
+    /// Validates the boxes as [`Partitioning::validate`] does, handing
+    /// each claimed run to `sink` as `(box index, start, run)`: the flat
+    /// index of the run's first cell and its length. A caller that
+    /// writes per-cell state (the uniform estimate of a release) fills
+    /// it from the validation walk itself instead of walking the boxes
+    /// again.
+    ///
+    /// The coverage map (one bit per domain cell) is allocated first; a
+    /// domain too large for it is [`ValidationError::DomainTooLarge`].
+    /// Then boxes are checked in order: dimensionality, then fit, then
+    /// emptiness, then the box claims its cells by contiguous
+    /// last-dimension runs ([`BoxRuns`]), each run handed to `sink` once
+    /// it is claimed. A cell claimed twice is an overlap, reported with
+    /// the lowest-indexed box that owns the first such cell in row-major
+    /// order; a final count of claimed cells proves coverage. Cost:
+    /// `O(size / 64)` words to clear plus `O(1)` word operations per run
+    /// up to 64 cells, instead of the `O(n²)` pairwise test. On an error
+    /// the sink has seen some runs, and not others.
+    ///
+    /// # Errors
+    /// The first violation found, as a [`ValidationError`].
+    pub fn validate_with(
+        &self,
+        mut sink: impl FnMut(usize, usize, usize),
+    ) -> Result<(), ValidationError> {
         let size = self.domain.size();
-        let mut claimed = vec![false; size];
+        let mut claimed = Claims::new(size)?;
         let mut covered = 0usize;
         for (i, b) in self.boxes.iter().enumerate() {
             if b.ndim() != self.domain.ndim() {
@@ -169,10 +201,9 @@ impl Partitioning {
                 return Err(ValidationError::EmptyBox { index: i });
             }
             for (start, run) in BoxRuns::new(&self.domain, b) {
-                let cells = &mut claimed[start..start + run];
-                if let Some(taken) = cells.iter().position(|&c| c) {
+                if let Err(taken) = claimed.claim(start, run) {
                     // Identify the previous owner for the error message.
-                    let c = self.domain.coords(start + taken);
+                    let c = self.domain.coords(taken);
                     let first = self
                         .boxes
                         .iter()
@@ -180,7 +211,7 @@ impl Partitioning {
                         .unwrap_or(0);
                     return Err(ValidationError::Overlap { first, second: i });
                 }
-                cells.fill(true);
+                sink(i, start, run);
                 covered += run;
             }
         }
@@ -197,6 +228,48 @@ impl Partitioning {
     /// (`O(n·d)`; tests and small inputs only).
     pub fn find(&self, coords: &[usize]) -> Option<usize> {
         self.boxes.iter().position(|b| b.contains(coords))
+    }
+}
+
+/// A coverage map with one bit per domain cell.
+struct Claims {
+    words: Vec<u64>,
+}
+
+impl Claims {
+    /// An empty map over `cells` cells, or
+    /// [`ValidationError::DomainTooLarge`] when it cannot be allocated.
+    fn new(cells: usize) -> Result<Self, ValidationError> {
+        let len = cells.div_ceil(64);
+        let mut words = Vec::new();
+        words
+            .try_reserve_exact(len)
+            .map_err(|_| ValidationError::DomainTooLarge { cells })?;
+        words.resize(len, 0);
+        Ok(Claims { words })
+    }
+
+    /// Claims the non-empty run `start..start + run`, one word at a time
+    /// in cell order. On a cell claimed before, returns the flat index of
+    /// the first such cell; the words before it may then be claimed too.
+    fn claim(&mut self, start: usize, run: usize) -> Result<(), usize> {
+        let end = start + run;
+        let last = (end - 1) / 64;
+        let (mut word, mut from) = (start / 64, start % 64);
+        loop {
+            let to = if word == last { (end - 1) % 64 + 1 } else { 64 };
+            let mask = (u64::MAX >> (64 - (to - from))) << from;
+            let taken = self.words[word] & mask;
+            if taken != 0 {
+                return Err(word * 64 + taken.trailing_zeros() as usize);
+            }
+            self.words[word] |= mask;
+            if word == last {
+                return Ok(());
+            }
+            word += 1;
+            from = 0;
+        }
     }
 }
 
@@ -258,6 +331,51 @@ mod tests {
         let err =
             Partitioning::new_validated(shape(&[4, 4]), vec![bx(&[5, 0], &[5, 4])]).unwrap_err();
         assert_eq!(err, ValidationError::OutOfDomain { index: 0 });
+    }
+
+    #[test]
+    fn claims_cross_word_boundaries() {
+        let mut claims = Claims::new(200).unwrap();
+        assert_eq!(claims.words.len(), 4);
+        assert_eq!(claims.claim(0, 70), Ok(()));
+        assert_eq!(claims.claim(130, 70), Ok(()));
+        assert_eq!(claims.claim(70, 60), Ok(()));
+        // Every cell is now claimed; a re-claim names its first cell.
+        assert_eq!(claims.words, [u64::MAX, u64::MAX, u64::MAX, 0xff]);
+        assert_eq!(claims.claim(63, 2), Err(63));
+        let mut claims = Claims::new(200).unwrap();
+        claims.claim(150, 1).unwrap();
+        assert_eq!(claims.claim(10, 190), Err(150));
+    }
+
+    #[test]
+    fn overlap_names_the_owner_of_the_first_shared_cell() {
+        let err = Partitioning::new_validated(
+            shape(&[2, 100]),
+            vec![
+                bx(&[0, 0], &[2, 40]),
+                bx(&[0, 70], &[2, 100]),
+                bx(&[1, 30], &[2, 80]),
+            ],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ValidationError::Overlap {
+                first: 0,
+                second: 2
+            }
+        );
+    }
+
+    #[test]
+    fn a_domain_without_room_for_its_map_is_too_large() {
+        let side = 1usize << 20;
+        let p = Partitioning::single(shape(&[side, side, side]));
+        assert_eq!(
+            p.validate(),
+            Err(ValidationError::DomainTooLarge { cells: 1 << 60 })
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! `Partitioning::validate` against a kept per-cell reference.
 //!
-//! `validate` claims each box's cells by contiguous runs in a byte
-//! bitmap. The reference below claims them one cell at a time, as the
-//! validator did before, plus the empty-box rule. On random box lists
-//! with overlaps, gaps, out-of-domain, empty and wrong-dimension boxes,
-//! the two must return the same `Result`: variant and fields.
+//! `validate` claims each box's cells by contiguous runs in a
+//! bit-per-cell map. The reference below claims them one cell at a
+//! time, as the validator did before, plus the empty-box rule. On
+//! random box lists with overlaps, gaps, out-of-domain, empty and
+//! wrong-dimension boxes, the two must return the same `Result`:
+//! variant and fields.
 
 use dpod_fmatrix::{AxisBox, Shape};
 use dpod_partition::{Partitioning, UniformGrid, ValidationError};
@@ -151,6 +152,7 @@ fn the_edits_reach_every_outcome() {
             Err(ValidationError::IncompleteCover { .. }) => 3,
             Err(ValidationError::DimensionMismatch { .. }) => 4,
             Err(ValidationError::EmptyBox { .. }) => 5,
+            Err(e @ ValidationError::DomainTooLarge { .. }) => panic!("{e}"),
         };
         seen[slot] = true;
     }

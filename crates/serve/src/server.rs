@@ -1006,6 +1006,42 @@ mod tests {
         assert_eq!(server.metrics().queries.get(), 3);
     }
 
+    /// A frame may declare any domain. One whose per-cell state no
+    /// address space holds (2^60 cells) is refused by name, whether it
+    /// is published or already in the catalog, and the server keeps
+    /// answering the other releases.
+    #[test]
+    fn a_domain_too_large_to_rebuild_is_refused_by_name() {
+        use dpod_core::ReleaseBody;
+        let side = 1usize << 20;
+        let huge = PublishedRelease {
+            mechanism: "huge".into(),
+            epsilon: 1.0,
+            domain: vec![side; 3],
+            body: ReleaseBody::Partitions {
+                boxes: vec![(vec![0; 3], vec![side; 3])],
+                counts: vec![1.0],
+            },
+        };
+        let huge = PublishedRelease::from_bytes(&huge.to_bytes()).unwrap();
+        let server = test_server(&["city"]);
+        let err = server.publish_epoch("big", 1, huge.clone()).unwrap_err();
+        assert!(err.0.contains("does not fit in memory"), "{err}");
+
+        server.catalog().publish("huge", huge);
+        let total = |release: &str| {
+            server.handle(&Request::Plan {
+                release: release.into(),
+                plan: QueryPlan::Total,
+            })
+        };
+        let Response::Error { message } = total("huge") else {
+            panic!("a 2^60-cell release must be refused");
+        };
+        assert!(message.contains("does not fit in memory"), "{message}");
+        assert!(matches!(total("city"), Response::Answer { .. }));
+    }
+
     #[test]
     fn handle_reports_errors_not_panics() {
         let server = test_server(&["city"]);
